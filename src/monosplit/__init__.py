@@ -37,7 +37,6 @@ from .prox import (
     ResolventOp,
     gradient_coupling,
     make_function,
-    prox_catalog,
     resolvent_of_inverse,
     soft_threshold,
     zero_coupling,
@@ -75,8 +74,7 @@ __all__ = [
     "MinimizationSpec", "SmoothFunction", "build_system", "dual_surrogate",
     "primal_surrogate", "quadratic_smooth", "zero_smooth",
     "ConvexFunction", "LipschitzCoupling", "ResolventOp", "gradient_coupling",
-    "make_function", "prox_catalog", "resolvent_of_inverse", "soft_threshold",
-    "zero_coupling",
+    "make_function", "resolvent_of_inverse", "soft_threshold", "zero_coupling",
     "ErrorSchedule", "IterateState", "StepPolicy", "TraceRecord",
     "geometric_schedule", "make_policy", "solve", "step", "write_trace_csv",
     "zero_schedule",

@@ -14,7 +14,7 @@ import numpy as np
 
 from .checks import format_report, run_checks
 from .demos import DEMO_NAMES, get_demo
-from .errors import MonosplitError
+from .errors import ConfigurationError, MonosplitError
 from .imaging import ImageGrid, write_pgm
 from .minimization import primal_surrogate
 from .problemio import load_problem
@@ -63,13 +63,28 @@ def main(argv=None):
 
 def _trace_every(default):
     override = os.environ.get(TRACE_ENV)
-    if override:
-        return max(1, int(override))
-    return default
+    if not override:
+        return default
+    try:
+        every = int(override)
+    except ValueError:
+        every = 0
+    if every < 1:
+        raise ConfigurationError(
+            f"{TRACE_ENV} must be a positive integer, got {override!r}"
+        )
+    return every
 
 
 def _run_and_write(system, init, policy, errors, tol, max_iter, trace_every,
                    out_dir, extra_summary=None):
+    """Solve and write ``trace.csv``, ``solution.json`` and ``summary.json``.
+
+    The files are written even when the solve raises.  ``extra_summary``,
+    if given, is called as ``extra_summary(final, status)`` and returns
+    fields to add to the summary; after a failed solve ``status`` is
+    ``"numeric_error"`` and ``final`` is the initial state.
+    """
     os.makedirs(out_dir, exist_ok=True)
     started = time.perf_counter()
     status = "numeric_error"
@@ -111,7 +126,7 @@ def _run_and_write(system, init, policy, errors, tol, max_iter, trace_every,
             "wall_time_s": wall,
         }
         if extra_summary:
-            summary.update(extra_summary)
+            summary.update(extra_summary(final, status))
         with open(os.path.join(out_dir, "summary.json"), "w") as fh:
             json.dump(summary, fh, indent=2)
     return final, trace, status
@@ -143,20 +158,31 @@ def cmd_demo(name, out_dir):
     beta = compute_beta(system)
     policy = make_policy(beta)
     init = demo.extras.get("init") or IterateState.zeros(system.layout)
-    extra = {"demo": name}
 
     if name == "separation":
         return _run_separation(demo, policy, out_dir)
 
+    extra = {"demo": name}
+
+    def demo_fields(final, status):
+        if status == "numeric_error":
+            return extra
+        if demo.oracle_solution is not None:
+            extra["oracle_max_error"] = float(
+                np.max(np.abs(final.x1[0] - demo.oracle_solution)))
+        if name == "deblur":
+            extra["primal_surrogate"] = primal_surrogate(
+                demo.min_spec, final.x1, final.x2)
+        return extra
+
     final, trace, status = _run_and_write(
         system, init, policy, zero_schedule(), demo.tol, demo.max_iter,
-        _trace_every(10), out_dir, extra_summary=extra,
+        _trace_every(10), out_dir, extra_summary=demo_fields,
     )
 
-    if demo.oracle_solution is not None:
-        err = float(np.max(np.abs(final.x1[0] - demo.oracle_solution)))
-        extra["oracle_max_error"] = err
-        print(f"{name}: status={status} oracle max error {err:.3e}")
+    if "oracle_max_error" in extra:
+        print(f"{name}: status={status} oracle max error "
+              f"{extra['oracle_max_error']:.3e}")
     if name == "deblur":
         truth = demo.extras["truth"]
         size = demo.extras["size"]
@@ -166,17 +192,8 @@ def cmd_demo(name, out_dir):
                   ImageGrid(size, size, np.clip(obs, 0.0, 1.0)))
         write_pgm(os.path.join(out_dir, "recovered.pgm"),
                   ImageGrid(size, size, np.clip(final.x1[0], 0.0, 1.0)))
-        energy = primal_surrogate(demo.min_spec, final.x1, final.x2)
-        extra["primal_surrogate"] = energy
         print(f"deblur: status={status} iterations={final.n} "
-              f"energy={energy:.6f}")
-    # refresh the summary with demo-specific fields
-    summary_path = os.path.join(out_dir, "summary.json")
-    with open(summary_path) as fh:
-        summary = json.load(fh)
-    summary.update(extra)
-    with open(summary_path, "w") as fh:
-        json.dump(summary, fh, indent=2)
+              f"energy={extra['primal_surrogate']:.6f}")
     return 0 if status == "converged" else 2
 
 
@@ -212,7 +229,7 @@ def _run_separation(demo, policy, out_dir):
     final, trace, status = _run_and_write(
         joint, IterateState.zeros(joint.layout), policy, zero_schedule(),
         demo.tol, demo.max_iter, _trace_every(10), out_dir,
-        extra_summary={
+        extra_summary=lambda final, status: {
             "demo": "separation",
             "separation_report": "identical" if identical else "divergent",
         },

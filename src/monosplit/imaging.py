@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, SpecificationError
-from .linops import LinOp, compose, dense_op, identity_op, scaled_identity_op
+from .linops import LinOp, dense_op, identity_op
 from .minimization import MinimizationSpec, quadratic_smooth
 from .prox import make_function
 from .system import SpaceLayout
@@ -72,21 +72,26 @@ class ObservationSet:
 
 
 def _grad_fwd(img):
-    """Forward differences of a 2-D array: (vertical, horizontal)."""
-    vert = np.zeros(img.shape)
-    horz = np.zeros(img.shape)
-    vert[:-1, :] = img[1:, :] - img[:-1, :]
-    horz[:, :-1] = img[:, 1:] - img[:, :-1]
-    return vert, horz
+    """Forward differences over the last two axes of ``img``.
+
+    Returns the vertical and the horizontal differences stacked on a new
+    axis before the image axes, so a stack of images is differenced in one
+    pass.
+    """
+    out = np.zeros(img.shape[:-2] + (2,) + img.shape[-2:])
+    np.subtract(img[..., 1:, :], img[..., :-1, :], out=out[..., 0, :-1, :])
+    np.subtract(img[..., :, 1:], img[..., :, :-1], out=out[..., 1, :, :-1])
+    return out
 
 
-def _grad_adj(vert, horz):
-    """Adjoint of :func:`_grad_fwd` (negative divergence), 2-D in/out."""
+def _grad_adj(grad):
+    """Adjoint of :func:`_grad_fwd` (negative divergence)."""
+    vert, horz = grad[..., 0, :, :], grad[..., 1, :, :]
     out = np.zeros(vert.shape)
-    out[1:, :] += vert[:-1, :]
-    out[:-1, :] -= vert[:-1, :]
-    out[:, 1:] += horz[:, :-1]
-    out[:, :-1] -= horz[:, :-1]
+    out[..., 1:, :] += vert[..., :-1, :]
+    out[..., :-1, :] -= vert[..., :-1, :]
+    out[..., :, 1:] += horz[..., :, :-1]
+    out[..., :, :-1] -= horz[..., :, :-1]
     return out
 
 
@@ -102,13 +107,12 @@ def gradient_op(height, width):
     hw = height * width
 
     def apply(x):
-        img = np.asarray(x, dtype=float).reshape(height, width)
-        vert, horz = _grad_fwd(img)
-        return np.concatenate([vert.ravel(), horz.ravel()])
+        return _grad_fwd(np.asarray(x, dtype=float).reshape(height, width)
+                         ).ravel()
 
     def adjoint_apply(y):
-        y = np.asarray(y, dtype=float).reshape(2, height, width)
-        return _grad_adj(y[0], y[1]).ravel()
+        return _grad_adj(np.asarray(y, dtype=float).reshape(2, height, width)
+                         ).ravel()
 
     return LinOp(hw, 2 * hw, apply, adjoint_apply, tag=f"grad{height}x{width}")
 
@@ -125,17 +129,31 @@ def second_gradient_op(height, width):
 
     def apply(x):
         img = np.asarray(x, dtype=float).reshape(height, width)
-        vert, horz = _grad_fwd(img)
-        xx, xy = _grad_fwd(vert)
-        yx, yy = _grad_fwd(horz)
-        return np.concatenate([xx.ravel(), xy.ravel(), yx.ravel(), yy.ravel()])
+        return _grad_fwd(_grad_fwd(img)).ravel()
 
     def adjoint_apply(y):
-        y = np.asarray(y, dtype=float).reshape(4, height, width)
-        return _grad_adj(_grad_adj(y[0], y[1]), _grad_adj(y[2], y[3])).ravel()
+        y = np.asarray(y, dtype=float).reshape(2, 2, height, width)
+        return _grad_adj(_grad_adj(y)).ravel()
 
     return LinOp(hw, 4 * hw, apply, adjoint_apply,
                  tag=f"grad2_{height}x{width}")
+
+
+def _haar_butterfly(a, b, c, d):
+    """The 2x2 Haar butterfly, ``[a+b+c+d, a-b+c-d, a+b-c-d, a-b-c+d] / 2``.
+
+    Each sum is evaluated left to right.  The butterfly is symmetric and
+    orthonormal, so it serves both the analysis and its adjoint.
+    """
+    out = np.empty((4,) + a.shape)
+    np.add(a, b, out=out[0])
+    np.subtract(a, b, out=out[1])
+    np.subtract(out[:2], c, out=out[2:])
+    out[:2] += c
+    out[::3] += d
+    out[1:3] -= d
+    out /= 2.0
+    return out
 
 
 def haar_analysis_op(height, width):
@@ -148,33 +166,17 @@ def haar_analysis_op(height, width):
     if height % 2 or width % 2:
         raise ConfigurationError("haar_analysis_op needs even height and width")
     hw = height * width
-    q = hw // 4
+    half = (height // 2, width // 2)
 
     def apply(x):
-        img = np.asarray(x, dtype=float).reshape(height, width)
-        a = img[0::2, 0::2]
-        b = img[0::2, 1::2]
-        c = img[1::2, 0::2]
-        d = img[1::2, 1::2]
-        ll = (a + b + c + d) / 2.0
-        lh = (a - b + c - d) / 2.0
-        hl = (a + b - c - d) / 2.0
-        hh = (a - b - c + d) / 2.0
-        return np.concatenate([ll.ravel(), lh.ravel(), hl.ravel(), hh.ravel()])
+        quads = np.asarray(x, dtype=float).reshape(half[0], 2, half[1], 2)
+        return _haar_butterfly(quads[:, 0, :, 0], quads[:, 0, :, 1],
+                               quads[:, 1, :, 0], quads[:, 1, :, 1]).ravel()
 
     def adjoint_apply(y):
-        y = np.asarray(y, dtype=float)
-        half = (height // 2, width // 2)
-        ll = y[:q].reshape(half)
-        lh = y[q:2 * q].reshape(half)
-        hl = y[2 * q:3 * q].reshape(half)
-        hh = y[3 * q:].reshape(half)
-        img = np.zeros((height, width))
-        img[0::2, 0::2] = (ll + lh + hl + hh) / 2.0
-        img[0::2, 1::2] = (ll - lh + hl - hh) / 2.0
-        img[1::2, 0::2] = (ll + lh - hl - hh) / 2.0
-        img[1::2, 1::2] = (ll - lh - hl + hh) / 2.0
-        return img.ravel()
+        bands = np.asarray(y, dtype=float).reshape((4,) + half)
+        out = _haar_butterfly(*bands).reshape((2, 2) + half)
+        return out.transpose(2, 0, 3, 1).ravel()
 
     return LinOp(hw, hw, apply, adjoint_apply, tag=f"haar{height}x{width}")
 
@@ -237,20 +239,12 @@ def pixel_groups(height, width, channels):
     return [list(base[p] + hw * np.arange(channels)) for p in range(hw)]
 
 
-def build_app1_instance(truth, obs, alpha, beta, gamma, box=(0.0, 1.0),
-                        equilibrate=False, dense_operators=False):
+def build_app1_instance(truth, obs, alpha, beta, gamma, box=(0.0, 1.0)):
     """MinimizationSpec for the composite image-recovery objective.
 
     ``alpha`` weights the first-order and ``beta`` the second-order grouped
     derivative norms (combined through infimal convolution), ``gamma`` the
     analysis-l1 term; ``box`` is the pixel-range constraint set.
-
-    ``equilibrate`` divides the derivative operators by their norm bounds
-    and multiplies the matching regularizer weights by the same factor: the
-    objective is unchanged (the grouped norms are positively homogeneous)
-    but the coupling bound drops, admitting much larger steps.
-    ``dense_operators`` materializes the derivative/analysis operators as
-    dense matrices, trading memory for per-iteration speed at desk scale.
     """
     if min(alpha, beta, gamma) <= 0:
         raise ConfigurationError("alpha, beta, gamma must be > 0")
@@ -262,23 +256,6 @@ def build_app1_instance(truth, obs, alpha, beta, gamma, box=(0.0, 1.0),
         y_dims=(2 * hw, hw),
         x_dims=(4 * hw, hw),
     )
-    grad = gradient_op(h, w)
-    grad2 = second_gradient_op(h, w)
-    haar = haar_analysis_op(h, w)
-    alpha_eff, beta_eff = float(alpha), float(beta)
-    if equilibrate:
-        s1 = 1.0 / GRAD_NORM_BOUND
-        s2 = 1.0 / GRAD_NORM_BOUND**2
-        grad = compose(scaled_identity_op(2 * hw, s1), grad)
-        grad2 = compose(scaled_identity_op(4 * hw, s2), grad2)
-        alpha_eff = alpha / s1
-        beta_eff = beta / s2
-    if dense_operators:
-        from .linops import materialize
-
-        grad = dense_op(materialize(grad), tag=grad.tag + "_dense")
-        grad2 = dense_op(materialize(grad2), tag=grad2.tag + "_dense")
-        haar = dense_op(materialize(haar), tag=haar.tag + "_dense")
 
     terms = [
         {"op": op, "offset": np.asarray(r, dtype=float), "weight": float(wt)}
@@ -289,12 +266,12 @@ def build_app1_instance(truth, obs, alpha, beta, gamma, box=(0.0, 1.0),
     f1 = make_function("indicator_box", {"lo": box[0], "hi": box[1]}, hw)
     g1 = make_function(
         "group_l12",
-        {"blocks": pixel_groups(h, w, 2), "weight": alpha_eff},
+        {"blocks": pixel_groups(h, w, 2), "weight": alpha},
         2 * hw,
     )
     ell1 = make_function(
         "group_l12",
-        {"blocks": pixel_groups(h, w, 4), "weight": beta_eff},
+        {"blocks": pixel_groups(h, w, 4), "weight": beta},
         4 * hw,
     )
     g2 = make_function("l1", {"weight": gamma}, hw)
@@ -306,8 +283,8 @@ def build_app1_instance(truth, obs, alpha, beta, gamma, box=(0.0, 1.0),
         phi=phi,
         g=[g1, g2],
         ell=[ell1, ell2],
-        M=[grad, haar],
-        N=[grad2, identity_op(hw)],
+        M=[gradient_op(h, w), haar_analysis_op(h, w)],
+        N=[second_gradient_op(h, w), identity_op(hw)],
         L=[[identity_op(hw)], [identity_op(hw)]],
         z=[np.zeros(hw)],
         r=[np.zeros(hw), np.zeros(hw)],

@@ -119,48 +119,6 @@ def compose(outer, inner):
     )
 
 
-def block_rows(ops, tag=""):
-    """Stack operators with a common domain into one map x -> (op_1 x, ..., op_k x)."""
-    in_dim = ops[0].in_dim
-    for op in ops:
-        if op.in_dim != in_dim:
-            raise SpecificationError("block_rows: operators must share in_dim")
-    out_dims = [op.out_dim for op in ops]
-    splits = np.cumsum(out_dims)[:-1]
-
-    def apply(x):
-        return np.concatenate([op.apply(x) for op in ops])
-
-    def adjoint_apply(y):
-        parts = np.split(y, splits)
-        acc = ops[0].adjoint_apply(parts[0])
-        for op, part in zip(ops[1:], parts[1:]):
-            acc = acc + op.adjoint_apply(part)
-        return acc
-
-    return LinOp(in_dim, int(sum(out_dims)), apply, adjoint_apply,
-                 tag=tag or "rows(" + ",".join(op.tag for op in ops) + ")")
-
-
-def block_diag(ops, tag=""):
-    """Direct sum: apply op_j to the j-th slice of the input."""
-    in_dims = [op.in_dim for op in ops]
-    out_dims = [op.out_dim for op in ops]
-    in_splits = np.cumsum(in_dims)[:-1]
-    out_splits = np.cumsum(out_dims)[:-1]
-
-    def apply(x):
-        parts = np.split(x, in_splits)
-        return np.concatenate([op.apply(p) for op, p in zip(ops, parts)])
-
-    def adjoint_apply(y):
-        parts = np.split(y, out_splits)
-        return np.concatenate([op.adjoint_apply(p) for op, p in zip(ops, parts)])
-
-    return LinOp(int(sum(in_dims)), int(sum(out_dims)), apply, adjoint_apply,
-                 tag=tag or "diag(" + ",".join(op.tag for op in ops) + ")")
-
-
 def materialize(op):
     """Dense matrix of an operator, column by column (desk scale only)."""
     eye = np.eye(op.in_dim)
@@ -196,21 +154,6 @@ def adjoint_check(op, trials=100, seed=0):
         a = float(np.dot(lx, y))
         b = float(np.dot(x, lty))
         worst = max(worst, abs(a - b) / (1.0 + abs(a)))
-    return worst
-
-
-def linearity_check(op, trials=20, seed=1):
-    """Largest relative defect of additivity/homogeneity over random probes."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        x = rng.standard_normal(op.in_dim)
-        y = rng.standard_normal(op.in_dim)
-        a, b = rng.standard_normal(2)
-        lhs = np.asarray(op.apply(a * x + b * y))
-        rhs = a * np.asarray(op.apply(x)) + b * np.asarray(op.apply(y))
-        scale = 1.0 + float(np.linalg.norm(rhs))
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)) / scale)
     return worst
 
 

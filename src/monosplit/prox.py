@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConfigurationError, SpecificationError
 from .linops import LinOp, dense_op
@@ -184,15 +183,6 @@ def coupling_defects(coupling, trials=50, seed=11):
 # catalog
 
 
-def prox_catalog(name, params, dim):
-    """Build the exact proximity operator for a named convex function.
-
-    See :func:`make_function` for the supported names and parameters; this
-    returns only the resolvent part.
-    """
-    return make_function(name, params, dim).operator
-
-
 def make_function(name, params, dim):
     """Build a :class:`ConvexFunction` from the catalog.
 
@@ -234,7 +224,7 @@ def _make_l1(params, dim):
     w = _weights(params, dim)
 
     def value(x):
-        return float(np.sum(w * np.abs(x)))
+        return float(np.add.reduce(w * np.abs(x), axis=None))
 
     def resolve(gamma, x):
         return soft_threshold(np.asarray(x, dtype=float), gamma * w)
@@ -249,13 +239,21 @@ def _make_l1(params, dim):
 
 def _block_index(params, dim):
     blocks = params.get("blocks")
-    if blocks is None:
-        raise ConfigurationError("group_l12 requires params['blocks']")
-    index = [np.asarray(b, dtype=int) for b in blocks]
+    if not isinstance(blocks, (list, tuple)) or not blocks:
+        raise ConfigurationError(
+            "group_l12 requires params['blocks'], a non-empty list of blocks"
+        )
+    not_indices = "group_l12: a block must be a list of integer indices"
+    try:
+        index = [np.asarray(b) for b in blocks]
+    except ValueError as exc:  # ragged nesting inside a block
+        raise ConfigurationError(not_indices) from exc
     seen = np.zeros(dim, dtype=bool)
     for b in index:
         if b.size == 0:
             raise ConfigurationError("group_l12: empty block")
+        if b.ndim != 1 or b.dtype.kind not in "iu":
+            raise ConfigurationError(not_indices)
         if np.any(b < 0) or np.any(b >= dim):
             raise ConfigurationError("group_l12: block index out of range")
         if np.any(seen[b]):
@@ -269,53 +267,41 @@ def _make_group_l12(params, dim):
     w = float(params.get("weight", 1.0))
     if w < 0:
         raise ConfigurationError("weights must be >= 0")
-    uniform = len({b.size for b in index}) == 1
-    idx_mat = np.stack(index) if uniform else None
+    nb = len(index)
+    sizes = np.array([b.size for b in index])
+    bs = int(sizes[0])
+    # blocks gather into one concatenated index and reduce per block; the
     # channel layout (block p = [p, nb + p, 2 nb + p, ...] covering all of
-    # x) admits a reshape-based path with no gather/scatter
-    strided = False
-    if uniform and idx_mat.size == dim:
-        nb, bs = idx_mat.shape
-        pattern = np.arange(nb)[:, None] + nb * np.arange(bs)[None, :]
-        strided = bool(np.array_equal(idx_mat, pattern))
+    # x) is a plain reshape with no gather/scatter
+    order = np.concatenate(index)
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    strided = (order.size == dim and bool(np.all(sizes == bs))
+               and np.array_equal(order, (np.arange(nb)[:, None]
+                                          + nb * np.arange(bs)).ravel()))
 
     def _block_norms(x):
         if strided:
-            xb = x.reshape(idx_mat.shape[1], idx_mat.shape[0])
-            return np.sqrt(np.sum(xb * xb, axis=0))
-        xb = x[idx_mat]
-        return np.sqrt(np.sum(xb * xb, axis=1))
+            xb = x.reshape(bs, nb)
+            return np.sqrt(np.add.reduce(xb * xb, axis=0))
+        xb = x[order]
+        return np.sqrt(np.add.reduceat(xb * xb, starts))
 
     def value(x):
-        x = np.asarray(x, dtype=float)
-        if uniform:
-            return float(w * np.sum(_block_norms(x)))
-        return float(w * sum(np.linalg.norm(x[b]) for b in index))
+        norms = _block_norms(np.asarray(x, dtype=float))
+        return float(w * np.add.reduce(norms))
 
     def resolve(gamma, x):
         # block shrinkage max(0, 1 - gamma*w/||x_b||) x_b, with the
-        # continuous extension 0 at ||x_b|| = 0
+        # continuous extension 0 at ||x_b|| = 0 (the ratio stays inf there)
         x = np.asarray(x, dtype=float)
-        t = gamma * w
+        norms = _block_norms(x)
+        ratio = np.full(norms.shape, np.inf)
+        np.divide(gamma * w, norms, out=ratio, where=norms > 0.0)
+        scale = np.maximum(0.0, 1.0 - ratio)
         if strided:
-            xb = x.reshape(idx_mat.shape[1], idx_mat.shape[0])
-            norms = np.sqrt(np.sum(xb * xb, axis=0))
-            scale = np.zeros_like(norms)
-            nz = norms > 0.0
-            scale[nz] = np.maximum(0.0, 1.0 - t / norms[nz])
-            return (xb * scale[None, :]).ravel()
+            return (x.reshape(bs, nb) * scale).ravel()
         out = x.copy()
-        if uniform:
-            xb = x[idx_mat]
-            norms = np.sqrt(np.sum(xb * xb, axis=1))
-            scale = np.zeros_like(norms)
-            nz = norms > 0.0
-            scale[nz] = np.maximum(0.0, 1.0 - t / norms[nz])
-            out[idx_mat] = xb * scale[:, None]
-        else:
-            for b in index:
-                nb = np.linalg.norm(x[b])
-                out[b] = 0.0 if nb == 0.0 else max(0.0, 1.0 - t / nb) * x[b]
+        out[order] = x[order] * np.repeat(scale, sizes)
         return out
 
     def conjugate_value(u):
@@ -323,11 +309,7 @@ def _make_group_l12(params, dim):
         slack = FEASIBILITY_SLACK * (1.0 + w)
         if np.any(np.abs(u[~covered]) > slack):
             return np.inf
-        if uniform:
-            ok = np.all(_block_norms(u) <= w + slack)
-        else:
-            ok = all(np.linalg.norm(u[b]) <= w + slack for b in index)
-        return 0.0 if ok else np.inf
+        return 0.0 if np.all(_block_norms(u) <= w + slack) else np.inf
 
     return ConvexFunction(dim, value, ResolventOp(dim, resolve, "group_l12"),
                           conjugate_value, tag="group_l12")
@@ -444,36 +426,28 @@ def _assemble_quadratic(params, dim):
 
 def _make_quadratic_fidelity(params, dim):
     S, u0, c0, terms = _assemble_quadratic(params, dim)
-    factor_cache = {}
+    # S = V diag(lam) V' serves every gamma: (I + gamma S)^{-1} is
+    # V diag(1/(1 + gamma lam)) V', and the pseudo-inverse and the range
+    # projector keep the eigenvalues above the pinv cutoff
+    lam, V = np.linalg.eigh(S)
+    lam = np.maximum(lam, 0.0)
+    rank = lam > 1e-12 * lam[-1]
 
     def value(x):
         x = np.asarray(x, dtype=float)
         return float(0.5 * x @ S @ x - np.dot(u0, x) + c0)
 
     def resolve(gamma, x):
-        x = np.asarray(x, dtype=float)
-        key = float(gamma)
-        fac = factor_cache.get(key)
-        if fac is None:
-            system = np.eye(dim) + key * S
-            try:
-                fac = cho_factor(system)
-            except np.linalg.LinAlgError as exc:  # cannot occur for w >= 0
-                raise ConfigurationError(
-                    f"quadratic_fidelity: system not positive definite: {exc}"
-                ) from exc
-            factor_cache[key] = fac
-        return cho_solve(fac, x + key * u0)
-
-    S_pinv = np.linalg.pinv(S, rcond=1e-12)
-    range_proj = S @ S_pinv
+        y = np.asarray(x, dtype=float) + gamma * u0
+        return V @ ((V.T @ y) / (1.0 + gamma * lam))
 
     def conjugate_value(u):
         y = np.asarray(u, dtype=float) + u0
-        off = np.linalg.norm(y - range_proj @ y)
+        c = V.T @ y
+        off = np.linalg.norm(c[~rank])
         if off > CONJUGATE_RANGE_TOL * (1.0 + np.linalg.norm(y)):
             return np.inf
-        return float(0.5 * y @ S_pinv @ y - c0)
+        return float(0.5 * np.sum(c[rank] ** 2 / lam[rank]) - c0)
 
     return ConvexFunction(dim, value, ResolventOp(dim, resolve, "quad"),
                           conjugate_value, tag="quadratic_fidelity")

@@ -15,7 +15,7 @@ noise, both absolutely summable.
 """
 
 import csv
-import weakref
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -242,25 +242,15 @@ def _maybe_add(vec, errs, family, index):
 def _check_finite(name, index, n, block):
     # a single non-finite entry poisons the dot product, so this detects
     # NaN/inf without materializing an isfinite mask
-    if not np.isfinite(float(block @ block)):
+    if not math.isfinite(block @ block):
         raise NumericError(
             f"non-finite value in {name}, block {index}", iteration=n
         )
 
 
-# N_k r_k is constant across iterations; memoized per spec instance.
-_nr_cache = weakref.WeakKeyDictionary()
-
-
-def _n_of_r(spec, s):
-    cached = _nr_cache.get(spec)
-    if cached is None:
-        cached = [np.asarray(spec.N[k].apply(spec.r[k])) for k in range(s)]
-        try:
-            _nr_cache[spec] = cached
-        except TypeError:
-            pass
-    return cached
+def _sqnorm(d):
+    # np.sum(d**2) as the bare ufunc reduction, without np.sum's wrapper
+    return float(np.add.reduce(d * d))
 
 
 def step(spec, state, gamma, errors_at_n=None, with_transversality=True):
@@ -276,7 +266,7 @@ def step(spec, state, gamma, errors_at_n=None, with_transversality=True):
     step.  The admissible-interval bound on gamma is the step policy's
     responsibility; here only positivity is enforced.
     """
-    if not (gamma > 0.0 and np.isfinite(gamma)):
+    if not (gamma > 0.0 and math.isfinite(gamma)):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     m = len(state.x1)
     s = len(state.x2)
@@ -311,8 +301,8 @@ def step(spec, state, gamma, errors_at_n=None, with_transversality=True):
         p11.append(p11_i)
 
     # coupling loop
-    nr = _n_of_r(spec, s)
-    p12, p21, p22 = [], [], []
+    nr = spec.nr
+    p12, p21, p22, nstar_p21 = [], [], [], []
     x2_new, v1_new, v2_new = [], [], []
     for k in range(s):
         Nk, Mk, Dk, Bk = spec.N[k], spec.M[k], spec.D[k], spec.B[k]
@@ -342,8 +332,9 @@ def step(spec, state, gamma, errors_at_n=None, with_transversality=True):
         q22_k = p22_k + g * _maybe_add(Mk.apply(p12_k), errs, "c22", k)
         v2_new_k = v2[k] - s22_k + q22_k
 
+        nstar_p21_k = Nk.adjoint_apply(p21_k)
         q12_k = p12_k + g * _maybe_add(
-            Nk.adjoint_apply(p21_k) - Mk.adjoint_apply(p22_k), errs, "c12", k)
+            nstar_p21_k - Mk.adjoint_apply(p22_k), errs, "c12", k)
         x2_new_k = x2[k] - p12_k + q12_k
 
         _check_finite("v1", k, n, v1_new_k)
@@ -352,6 +343,7 @@ def step(spec, state, gamma, errors_at_n=None, with_transversality=True):
         p12.append(p12_k)
         p21.append(p21_k)
         p22.append(p22_k)
+        nstar_p21.append(nstar_p21_k)
         x2_new.append(x2_new_k)
         v1_new.append(v1_new_k)
         v2_new.append(v2_new_k)
@@ -362,7 +354,6 @@ def step(spec, state, gamma, errors_at_n=None, with_transversality=True):
         cp = [np.asarray(spec.C.apply(p11[0]))]
     else:
         cp = np.split(spec.C.apply(np.concatenate(p11)), cuts)
-    nstar_p21 = [spec.N[k].adjoint_apply(p21[k]) for k in range(s)]
     x1_new = []
     for i in range(m):
         acc = np.zeros(x1[i].size)
@@ -375,15 +366,15 @@ def step(spec, state, gamma, errors_at_n=None, with_transversality=True):
 
     new_state = IterateState(x1_new, x2_new, v1_new, v2_new, n + 1)
 
-    dx1 = sum(float(np.sum((x1[i] - p11[i]) ** 2)) for i in range(m))
-    dx2 = sum(float(np.sum((x2[k] - p12[k]) ** 2)) for k in range(s))
-    dv1 = sum(float(np.sum((v1[k] - p21[k]) ** 2)) for k in range(s))
-    dv2 = sum(float(np.sum((v2[k] - p22[k]) ** 2)) for k in range(s))
+    dx1 = sum(_sqnorm(x1[i] - p11[i]) for i in range(m))
+    dx2 = sum(_sqnorm(x2[k] - p12[k]) for k in range(s))
+    dv1 = sum(_sqnorm(v1[k] - p21[k]) for k in range(s))
+    dv2 = sum(_sqnorm(v2[k] - p22[k]) for k in range(s))
 
     move = 0.0
     for old, new in ((x1, x1_new), (x2, x2_new), (v1, v1_new), (v2, v2_new)):
         for k in range(len(old)):
-            move += float(np.sum((new[k] - old[k]) ** 2))
+            move += _sqnorm(new[k] - old[k])
 
     defect = transversality_defect(spec, new_state) if with_transversality \
         else float("nan")
@@ -405,7 +396,7 @@ def transversality_defect(spec, state):
     for k in range(len(state.v1)):
         diff = spec.M[k].adjoint_apply(state.v2[k]) \
             - spec.N[k].adjoint_apply(state.v1[k])
-        total += float(np.sum(diff**2))
+        total += _sqnorm(diff)
     return float(np.sqrt(total))
 
 

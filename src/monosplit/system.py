@@ -19,8 +19,8 @@ leaves it unchanged, so the fixed-point residual of a single step is the
 membership test.
 """
 
-import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -94,6 +94,36 @@ class SystemSpec:
         object.__setattr__(self, "r",
                            [np.asarray(v, dtype=float) for v in self.r])
 
+    @cached_property
+    def beta(self):
+        """Coupling bound; see :func:`compute_beta`."""
+        layout = self.layout
+        total = 0.0
+        for k in range(layout.s):
+            for i in range(layout.m):
+                total += operator_norm(
+                    compose(self.N[k], self.L[k][i])).upper_bound ** 2
+        peak = 0.0
+        for k in range(layout.s):
+            peak = max(
+                peak,
+                operator_norm(self.N[k]).upper_bound ** 2
+                + operator_norm(self.M[k]).upper_bound ** 2,
+            )
+        beta = self.C.nu0 + float(np.sqrt(total + peak))
+        if beta <= 0.0:
+            raise HypothesisError(
+                "beta = 0: the system has no coupling at all and the "
+                "step-size range is empty"
+            )
+        return beta
+
+    @cached_property
+    def nr(self):
+        """The constant offsets ``N_k r_k`` of the first dual blocks."""
+        return [np.asarray(self.N[k].apply(self.r[k]))
+                for k in range(self.layout.s)]
+
 
 @dataclass(frozen=True)
 class SolutionPair:
@@ -101,9 +131,6 @@ class SolutionPair:
 
     xbar: list
     vbar: list
-
-
-_beta_cache = weakref.WeakKeyDictionary()
 
 
 def compute_beta(spec):
@@ -115,34 +142,7 @@ def compute_beta(spec):
     zero (the theory requires it strictly positive).  Results are memoized
     per spec instance.
     """
-    cached = _beta_cache.get(spec)
-    if cached is not None:
-        return cached
-    layout = spec.layout
-    total = 0.0
-    for k in range(layout.s):
-        for i in range(layout.m):
-            total += operator_norm(compose(spec.N[k], spec.L[k][i])).upper_bound ** 2
-    peak = 0.0
-    for k in range(layout.s):
-        peak = max(
-            peak,
-            operator_norm(spec.N[k]).upper_bound ** 2
-            + operator_norm(spec.M[k]).upper_bound ** 2,
-        )
-    beta = spec.C.nu0 + float(np.sqrt(total + peak))
-    if beta <= 0.0:
-        raise HypothesisError(
-            "beta = 0: the system has no coupling at all and the step-size "
-            "range is empty"
-        )
-    _beta_cache[spec] = beta
-    return beta
-
-
-def default_epsilon(beta):
-    """The default policy parameter for a given coupling bound."""
-    return min(0.01, 0.5 / (beta + 1.0))
+    return spec.beta
 
 
 def validate(spec):
@@ -248,8 +248,7 @@ def fixed_point_residual(spec, state, gamma):
     ``(0, (1 - eps)/beta]`` for the default eps.
     """
     beta = compute_beta(spec)
-    eps = default_epsilon(beta)
-    hi = (1.0 - eps) / beta
+    hi = _solver.make_policy(beta).gamma_max
     if not (0.0 < gamma <= hi * (1 + 1e-12)):
         raise StepBoundError(
             f"gamma = {gamma} outside (0, {hi}] for beta = {beta}"

@@ -3,6 +3,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from monosplit.cli import main
 from monosplit.prox import soft_threshold
@@ -84,6 +85,34 @@ def test_trace_every_env_override(tmp_path, monkeypatch):
         rows = list(csv.reader(fh))
     iters = read_summary(out)["iterations"]
     assert len(rows) - 1 == iters
+
+
+@pytest.mark.parametrize("value", ["x", "0", "-3", "2.5"])
+def test_trace_every_env_rejects_other_than_positive_integers(
+        tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("SOLVER_TRACE_EVERY", value)
+    code = main(["solve", str(PROBLEMS / "lasso.json"),
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "SOLVER_TRACE_EVERY" in err
+    assert "Traceback" not in err
+
+
+def test_demo_numeric_error_summary_has_no_demo_fields(tmp_path, monkeypatch):
+    from monosplit import cli
+    from monosplit.errors import NumericError
+
+    def failing_solve(*args, **kwargs):
+        raise NumericError("non-finite value in p11, block 0", iteration=3)
+
+    monkeypatch.setattr(cli, "solve", failing_solve)
+    out = tmp_path / "demo"
+    assert main(["demo", "lasso", "--out", str(out)]) == 1
+    summary = read_summary(out)
+    assert summary["status"] == "numeric_error"
+    assert summary["demo"] == "lasso"
+    assert "oracle_max_error" not in summary
 
 
 def test_demo_lasso(tmp_path):

@@ -159,27 +159,6 @@ def test_app1_dominant_analysis_term_matches_closed_form():
     assert np.max(np.abs(final.x1[0] - closed)) <= 1e-4
 
 
-def test_app1_equilibrated_objective_is_unchanged():
-    from monosplit.minimization import primal_surrogate
-
-    size = 6
-    truth = constant_truth(size, 0.3)
-    blur = box_blur_op(size, size, 3)
-    obs = make_observations(truth, [blur], [1.0], 0.01, seed=5)
-    plain = build_app1_instance(truth, obs, 0.01, 0.02, 0.005)
-    fast = build_app1_instance(truth, obs, 0.01, 0.02, 0.005,
-                               equilibrate=True, dense_operators=True)
-    rng = np.random.default_rng(6)
-    hw = size * size
-    for _ in range(5):
-        x = [rng.standard_normal(hw)]
-        y = [rng.standard_normal(hw), rng.standard_normal(hw)]
-        a = primal_surrogate(plain, x, y)
-        b = primal_surrogate(fast, x, y)
-        assert a == pytest.approx(b, rel=1e-10)
-    assert compute_beta(build_system(fast)) < compute_beta(build_system(plain))
-
-
 def test_app1_mapping_structure():
     # the composite recovery model maps onto the two-block layout with the
     # gradient/second-gradient pair on the first block and the analysis
@@ -230,9 +209,10 @@ def test_app1_mapping_structure():
 
 
 def test_group_l12_singleton_blocks_reduce_to_soft_threshold():
-    from monosplit.prox import prox_catalog
+    from monosplit.prox import make_function
 
-    op = prox_catalog("group_l12", {"blocks": [[0], [1], [2]], "weight": 0.6}, 3)
+    op = make_function("group_l12", {"blocks": [[0], [1], [2]], "weight": 0.6},
+                       3).operator
     rng = np.random.default_rng(9)
     for _ in range(10):
         x = rng.standard_normal(3)

@@ -5,12 +5,9 @@ from monosplit.errors import SpecificationError
 from monosplit.linops import (
     LinOp,
     adjoint_check,
-    block_diag,
-    block_rows,
     compose,
     dense_op,
     identity_op,
-    linearity_check,
     materialize,
     operator_norm,
     scaled_identity_op,
@@ -48,11 +45,6 @@ def test_adjoint_check_dimension_mismatch_is_specification_error():
     bad = LinOp(2, 3, lambda x: np.zeros(3), lambda y: np.zeros(5))
     with pytest.raises(SpecificationError):
         adjoint_check(bad, trials=1, seed=0)
-
-
-def test_linearity_check_passes_for_linear_map():
-    mat = np.arange(6.0).reshape(2, 3)
-    assert linearity_check(dense_op(mat)) <= 1e-10
 
 
 def test_operator_norm_identity():
@@ -116,15 +108,6 @@ def test_compose_adjoint_is_adjoint():
 def test_compose_dimension_mismatch():
     with pytest.raises(SpecificationError):
         compose(dense_op(np.eye(2)), dense_op(np.eye(3)))
-
-
-def test_block_helpers_adjoints():
-    rng = np.random.default_rng(7)
-    a = dense_op(rng.standard_normal((3, 4)))
-    b = dense_op(rng.standard_normal((2, 4)))
-    assert adjoint_check(block_rows([a, b]), trials=100, seed=8) <= 1e-12
-    c = dense_op(rng.standard_normal((2, 5)))
-    assert adjoint_check(block_diag([a, c]), trials=100, seed=9) <= 1e-12
 
 
 def test_shipped_operators_pass_adjoint_battery():

@@ -8,7 +8,6 @@ from monosplit.prox import (
     firm_nonexpansiveness_defect,
     gradient_coupling,
     make_function,
-    prox_catalog,
     resolvent_of_inverse,
     soft_threshold,
     zero_coupling,
@@ -43,13 +42,13 @@ def catalog_entries(dim3=True):
 
 
 def test_l1_soft_threshold():
-    op = prox_catalog("l1", {"weight": 1.0}, 3)
+    op = make_function("l1", {"weight": 1.0}, 3).operator
     np.testing.assert_allclose(op.resolve(1.0, np.array([2.0, -0.5, 0.0])),
                                [1.0, 0.0, 0.0], atol=0)
 
 
 def test_indicator_box_projection_is_gamma_independent():
-    op = prox_catalog("indicator_box", {"lo": 0.0, "hi": 1.0}, 3)
+    op = make_function("indicator_box", {"lo": 0.0, "hi": 1.0}, 3).operator
     x = np.array([-3.0, 0.4, 9.0])
     np.testing.assert_allclose(op.resolve(7.0, x), [0.0, 0.4, 1.0], atol=0)
     np.testing.assert_allclose(op.resolve(0.01, x), op.resolve(100.0, x),
@@ -57,12 +56,11 @@ def test_indicator_box_projection_is_gamma_independent():
 
 
 def test_group_l12_block_shrinkage():
-    op = prox_catalog("group_l12", {"blocks": [[0, 1]], "weight": 1.0}, 2)
-    out = op.resolve(1.0, np.array([3.0, 4.0]))
+    fn = make_function("group_l12", {"blocks": [[0, 1]], "weight": 1.0}, 2)
+    out = fn.operator.resolve(1.0, np.array([3.0, 4.0]))
     np.testing.assert_allclose(out, [2.4, 3.2], atol=1e-14)
 
     # independent 2-D grid-refinement oracle for min 0.5||y-x||^2 + ||y||_2
-    fn = make_function("group_l12", {"blocks": [[0, 1]], "weight": 1.0}, 2)
     x = np.array([3.0, 4.0])
     argmin, _ = grid_refine_minimize(
         lambda y: fn.value(y) + 0.5 * float(np.sum((y - x) ** 2)),
@@ -71,7 +69,8 @@ def test_group_l12_block_shrinkage():
 
 
 def test_group_l12_zero_block_maps_to_zero():
-    op = prox_catalog("group_l12", {"blocks": [[0, 1]], "weight": 1.0}, 2)
+    op = make_function("group_l12", {"blocks": [[0, 1]], "weight": 1.0},
+                       2).operator
     np.testing.assert_allclose(op.resolve(1.0, np.zeros(2)), np.zeros(2),
                                atol=0)
 
@@ -82,12 +81,13 @@ def test_group_l12_strided_layout_matches_explicit():
     rng = np.random.default_rng(0)
     K = 5
     x = rng.standard_normal(2 * K)
-    strided = prox_catalog(
+    strided = make_function(
         "group_l12", {"blocks": [[p, K + p] for p in range(K)], "weight": 0.7},
-        2 * K)
-    shuffled = prox_catalog(
+        2 * K).operator
+    shuffled = make_function(
         "group_l12",
-        {"blocks": [[K + p, p] for p in range(K)], "weight": 0.7}, 2 * K)
+        {"blocks": [[K + p, p] for p in range(K)], "weight": 0.7},
+        2 * K).operator
     np.testing.assert_allclose(strided.resolve(0.8, x),
                                shuffled.resolve(0.8, x), atol=1e-14)
 
@@ -95,7 +95,8 @@ def test_group_l12_strided_layout_matches_explicit():
 def test_indicator_affine_projection():
     E = np.array([[1.0, 1.0]])
     d = np.array([2.0])
-    op = prox_catalog("indicator_affine", {"matrix": E, "offset": d}, 2)
+    op = make_function("indicator_affine", {"matrix": E, "offset": d},
+                       2).operator
     np.testing.assert_allclose(op.resolve(3.0, np.zeros(2)), [1.0, 1.0],
                                atol=1e-12)
 
@@ -105,7 +106,8 @@ def test_indicator_affine_rank_deficient_rows():
     # orthogonal projection onto the (consistent) affine set
     E = np.array([[1.0, 1.0], [2.0, 2.0]])
     d = np.array([2.0, 4.0])
-    op = prox_catalog("indicator_affine", {"matrix": E, "offset": d}, 2)
+    op = make_function("indicator_affine", {"matrix": E, "offset": d},
+                       2).operator
     np.testing.assert_allclose(op.resolve(1.0, np.zeros(2)), [1.0, 1.0],
                                atol=1e-10)
     np.testing.assert_allclose(op.resolve(1.0, np.array([2.0, 0.0])),
@@ -134,14 +136,73 @@ def test_scaled_translated_wraps_inner_prox():
 
 def test_unknown_prox_name_raises():
     with pytest.raises(ConfigurationError):
-        prox_catalog("huber", {}, 3)
+        make_function("huber", {}, 3)
 
 
 def test_malformed_blocks_raise():
     with pytest.raises(ConfigurationError):
-        prox_catalog("group_l12", {"blocks": [[0, 1], [1, 2]]}, 3)
+        make_function("group_l12", {"blocks": [[0, 1], [1, 2]]}, 3)
     with pytest.raises(ConfigurationError):
-        prox_catalog("group_l12", {"blocks": [[0, 9]]}, 3)
+        make_function("group_l12", {"blocks": [[0, 9]]}, 3)
+    # a fractional index is rejected, not truncated to a different block;
+    # so are ragged blocks and a block list that is not a list
+    for blocks in ([[0, 1.5]], [[0, [1, 2]]], 5, []):
+        with pytest.raises(ConfigurationError):
+            make_function("group_l12", {"blocks": blocks}, 3)
+
+
+def test_group_l12_uneven_blocks_match_per_block_formula():
+    blocks = [[4, 0], [2], [5, 1, 6]]  # index 3 is in no block
+    fn = make_function("group_l12", {"blocks": blocks, "weight": 0.9}, 7)
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(7)
+    x[[2]] = 0.0  # a zero block maps to zero
+    gamma = 0.7
+    expect = x.copy()
+    for b in blocks:
+        nb = np.linalg.norm(x[b])
+        shrink = 0.0 if nb == 0.0 else max(0.0, 1.0 - gamma * 0.9 / nb)
+        expect[b] = shrink * x[b]
+    np.testing.assert_allclose(fn.operator.resolve(gamma, x), expect,
+                               atol=1e-15)
+    assert fn.value(x) == pytest.approx(
+        0.9 * sum(np.linalg.norm(x[b]) for b in blocks), rel=1e-14)
+    inside = np.array([0.3, 0.2, -0.9, 0.0, 0.4, 0.5, -0.5])
+    assert fn.conjugate_value(inside) == 0.0
+    assert fn.conjugate_value(inside + 0.1 * np.eye(7)[3]) == np.inf
+    assert fn.conjugate_value(2.0 * inside) == np.inf
+
+
+def test_quadratic_fidelity_resolvent_memory_stays_bounded():
+    # one eigendecomposition serves every step size: 200 distinct gammas
+    # must not accumulate a dim x dim factor each
+    import tracemalloc
+
+    dim = 100
+    rng = np.random.default_rng(4)
+    T = rng.standard_normal((60, dim))
+    r = rng.standard_normal(60)
+    fn = make_function("quadratic_fidelity",
+                       {"terms": [{"matrix": T, "offset": r, "weight": 1.5}]},
+                       dim)
+    S = 1.5 * T.T @ T
+    u0 = 1.5 * T.T @ r
+    x = rng.standard_normal(dim)
+    gammas = np.geomspace(0.01, 100.0, 200)
+    fn.operator.resolve(gammas[0], x)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for gamma in gammas:
+            out = fn.operator.resolve(gamma, x)
+            expect = np.linalg.solve(np.eye(dim) + gamma * S, x + gamma * u0)
+            assert np.max(np.abs(out - expect)) <= 1e-10 * (
+                1.0 + np.max(np.abs(expect)))
+            del out, expect
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < 1_000_000
 
 
 def test_resolvent_of_inverse_self_inverse_quadratic():
