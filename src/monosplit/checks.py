@@ -84,7 +84,8 @@ def run_checks(corrupt_adjoint=False):
         prox = np.asarray(fn.operator.resolve(gamma, x))
         center = np.zeros(1) if name == "indicator_zero" else x
         argmin, _ = grid_refine_minimize(
-            lambda y, _f=fn: _f.value(y) + np.sum((y - x) ** 2) / (2 * gamma),
+            lambda y, _f=fn: _f.value(y)
+            + np.add.reduce((y - x) ** 2) / (2 * gamma),
             lo=center - 3.0, hi=center + 3.0, levels=6)
         err = float(np.max(np.abs(prox - argmin)))
         record(f"prox-grid {name}", err <= 2e-3, f"error {err:.2e}")

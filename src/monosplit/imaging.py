@@ -142,16 +142,23 @@ def second_gradient_op(height, width):
 def _haar_butterfly(a, b, c, d):
     """The 2x2 Haar butterfly, ``[a+b+c+d, a-b+c-d, a+b-c-d, a-b-c+d] / 2``.
 
-    Each sum is evaluated left to right.  The butterfly is symmetric and
-    orthonormal, so it serves both the analysis and its adjoint.
+    Each sum is evaluated left to right, from the shared ``a+b`` and
+    ``a-b``.  The butterfly is symmetric and orthonormal, so it serves both
+    the analysis and its adjoint.  The inputs are flat and contiguous:
+    numpy runs a small op on them two to three times faster than on the
+    strided 2-D views of the image.
     """
-    out = np.empty((4,) + a.shape)
-    np.add(a, b, out=out[0])
-    np.subtract(a, b, out=out[1])
-    np.subtract(out[:2], c, out=out[2:])
-    out[:2] += c
-    out[::3] += d
-    out[1:3] -= d
+    total, diff = a + b, a - b
+    out = np.empty((4, a.size))
+    ll, lh, hl, hh = out
+    np.add(total, c, ll)
+    ll += d
+    np.add(diff, c, lh)
+    lh -= d
+    np.subtract(total, c, hl)
+    hl -= d
+    np.subtract(diff, c, hh)
+    hh += d
     out /= 2.0
     return out
 
@@ -170,11 +177,11 @@ def haar_analysis_op(height, width):
 
     def apply(x):
         quads = np.asarray(x, dtype=float).reshape(half[0], 2, half[1], 2)
-        return _haar_butterfly(quads[:, 0, :, 0], quads[:, 0, :, 1],
-                               quads[:, 1, :, 0], quads[:, 1, :, 1]).ravel()
+        corners = np.ascontiguousarray(quads.transpose(1, 3, 0, 2))
+        return _haar_butterfly(*corners.reshape(4, -1)).ravel()
 
     def adjoint_apply(y):
-        bands = np.asarray(y, dtype=float).reshape((4,) + half)
+        bands = np.asarray(y, dtype=float).reshape(4, -1)
         out = _haar_butterfly(*bands).reshape((2, 2) + half)
         return out.transpose(2, 0, 3, 1).ravel()
 

@@ -34,8 +34,8 @@ from .linops import operator_norm
 from .prox import (
     FEASIBILITY_SLACK,
     _assemble_quadratic,
+    _quadratic_fidelity,
     gradient_coupling,
-    make_function,
 )
 from .system import SpaceLayout, SystemSpec
 
@@ -78,7 +78,7 @@ def quadratic_smooth(terms, dim):
     lipschitz = 0.0
     for op, _r, w in ops:
         lipschitz += w * operator_norm(op).upper_bound ** 2
-    quad = make_function("quadratic_fidelity", {"terms": terms}, dim)
+    quad = _quadratic_fidelity(S, u0, c0, dim)
 
     def gradient(x):
         return S @ np.asarray(x, dtype=float) - u0

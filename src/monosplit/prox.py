@@ -425,7 +425,13 @@ def _assemble_quadratic(params, dim):
 
 
 def _make_quadratic_fidelity(params, dim):
-    S, u0, c0, terms = _assemble_quadratic(params, dim)
+    S, u0, c0, _ = _assemble_quadratic(params, dim)
+    return _quadratic_fidelity(S, u0, c0, dim)
+
+
+def _quadratic_fidelity(S, u0, c0, dim):
+    """``quadratic_fidelity`` from an assembled quadratic (see
+    :func:`_assemble_quadratic`)."""
     # S = V diag(lam) V' serves every gamma: (I + gamma S)^{-1} is
     # V diag(1/(1 + gamma lam)) V', and the pseudo-inverse and the range
     # projector keep the eigenvalues above the pinv cutoff

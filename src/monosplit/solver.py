@@ -1,12 +1,18 @@
 """Error-tolerant primal-dual forward-backward-forward iteration.
 
-One iteration touches four block families: the primal points ``x1`` (one
-per primal space), the auxiliary splitting points ``x2`` (one per coupling
-space) and the two dual families ``v1``, ``v2``.  Within an iteration the
-update lines run in a fixed order (primal loop, coupling loop, primal
-correction loop); reordering them would change which intermediate values
-feed the correction steps and silently alter the method, so the order here
-is deliberate and load-bearing.
+The iterate holds four block families: the primal points ``x1`` (one per
+primal space), the auxiliary splitting points ``x2`` (one per coupling
+space) and the two dual families ``v1``, ``v2``.  They are laid out as one
+flat vector ``z = [x1 | x2 | v1 | v2]`` of the product space, and one
+iteration is Tseng's forward-backward-forward step on it:
+``s = z - gamma F(z)``, ``p = J(s)``, ``q = p - gamma F(p)`` and
+``z+ = (z - s) + q``.  F stacks the forward terms of the families (the
+coupling C and the linear maps) and J the resolvents, applied block by
+block.  Each update line is one array operation over the whole of z; the
+sign of gamma is carried per family, so every element is computed by the
+same expression, with the same rounding, as when the blocks were iterated
+one at a time.  That keeps runs reproducible bit for bit, which the
+separation check (a joint run against its decoupled halves) relies on.
 
 Inexact evaluations are modeled by additive error sequences: ``a``/``c``
 terms perturb forward (operator) evaluations and ``b`` terms perturb
@@ -16,7 +22,8 @@ noise, both absolutely summable.
 
 import csv
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -34,6 +41,9 @@ TRACE_COLUMNS = (
     "transversality_defect",
 )
 
+# The block families of the iterate, in their order in the flat vector.
+FAMILIES = ("x1", "x2", "v1", "v2")
+
 # Families of additive error terms, keyed by where they enter the update.
 ERROR_FAMILIES = (
     "a11", "b11", "c11",          # primal blocks, in H_i
@@ -45,25 +55,32 @@ ERROR_FAMILIES = (
 
 @dataclass
 class IterateState:
-    """The four block families of the iteration plus the iteration counter."""
+    """The four block families of the iteration plus the iteration counter.
+
+    States made by :meth:`zeros`, :meth:`copy` and :func:`step` hold their
+    blocks as views of one private flat vector ``[x1 | x2 | v1 | v2]``, so
+    writing into a block writes into that vector.  A block or a list
+    replaced by another array is fine too: :func:`step` notices that the
+    blocks are no longer views of the vector and packs them afresh.
+    """
 
     x1: list
     x2: list
     v1: list
     v2: list
     n: int = 0
+    # (flat vector, layout block slices, the block views handed out)
+    _flat: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def zeros(layout):
-        return IterateState(
-            x1=[np.zeros(d) for d in layout.h_dims],
-            x2=[np.zeros(d) for d in layout.g_dims],
-            v1=[np.zeros(d) for d in layout.x_dims],
-            v2=[np.zeros(d) for d in layout.y_dims],
-            n=0,
-        )
+        blocks = layout.blocks
+        return _on_buffer(np.zeros(blocks[-1][-1].stop), blocks, 0)
 
     def copy(self):
+        if _is_packed(self):
+            z, blocks, _ = self._flat
+            return _on_buffer(z.copy(), blocks, self.n)
         return IterateState(
             x1=[b.copy() for b in self.x1],
             x2=[b.copy() for b in self.x2],
@@ -232,20 +249,94 @@ def geometric_schedule(rho, amplitude, seed=0):
     return ErrorSchedule(generator, f"geometric(rho={rho}, amp={amplitude})")
 
 
-def _maybe_add(vec, errs, family, index):
-    if errs is None:
-        return vec
-    e = errs[family][index]
-    return vec if e is None else vec + e
+def _on_buffer(z, blocks, n):
+    """A state at iteration ``n`` whose blocks are views of the flat ``z``."""
+    views = [z[sl] for family in blocks for sl in family]
+    m, s = len(blocks[0]), len(blocks[1])
+    state = IterateState(views[:m], views[m:m + s], views[m + s:m + 2 * s],
+                         views[m + 2 * s:], n)
+    state._flat = (z, blocks, views)
+    return state
 
 
-def _check_finite(name, index, n, block):
-    # a single non-finite entry poisons the dot product, so this detects
-    # NaN/inf without materializing an isfinite mask
-    if not math.isfinite(block @ block):
-        raise NumericError(
-            f"non-finite value in {name}, block {index}", iteration=n
-        )
+def _is_packed(state):
+    """Whether every block of ``state`` is still a view of its flat vector.
+
+    The blocks must be the very views handed out, and those must still
+    view the vector (a deep copy or a pickle round trip copies them apart).
+    """
+    held = state._flat
+    if held is None:
+        return False
+    z, _, views = held
+    current = state.x1 + state.x2 + state.v1 + state.v2
+    return len(current) == len(views) and views[0].base is z \
+        and all(map(operator.is_, current, views))
+
+
+def _packed(state, blocks):
+    """``state`` if its blocks are still views of its flat vector with the
+    slices ``blocks``, else a packed copy of it."""
+    if _is_packed(state) and state._flat[1] is blocks:
+        return state
+    families = (state.x1, state.x2, state.v1, state.v2)
+    for name, family, slices in zip(FAMILIES, families, blocks):
+        if len(family) != len(slices) or any(
+                np.shape(b) != (sl.stop - sl.start,)
+                for b, sl in zip(family, slices)):
+            raise SpecificationError(
+                f"state family {name} does not match the system layout")
+    return _on_buffer(np.concatenate(sum(families, []), dtype=float), blocks,
+                      state.n)
+
+
+def _add_errors(out, errs, families, blocks):
+    """Add the realized error blocks of ``families`` (one name per block
+    family, None to skip one) into ``out``."""
+    for family, slices in zip(families, blocks):
+        if family is None:
+            continue
+        for e, sl in zip(errs[family], slices):
+            if e is not None:
+                view = out[sl]
+                view += e
+
+
+def _check_finite(whole, y, checks, n):
+    """Raise :class:`NumericError` naming the first non-finite block.
+
+    ``whole`` is the part of ``y`` the blocks ``checks`` cover, which hold
+    ``(name, index, slice)`` in checking order.  A single non-finite entry
+    poisons a dot product, so one dot over ``whole`` clears the common case;
+    only then are the blocks looked at one by one (a huge but finite family
+    can overflow the first dot).
+    """
+    if math.isfinite(whole @ whole):
+        return
+    for name, index, sl in checks:
+        block = y[sl]
+        if not math.isfinite(block @ block):
+            raise NumericError(
+                f"non-finite value in {name}, block {index}", iteration=n
+            )
+
+
+def _block_sqnorms(d, runs):
+    """Per-block ``np.sum(d[0][sl]**2)`` and ``np.sum(d[1][sl]**2)``.
+
+    Returns two lists of Python floats in flat block order, and squares
+    ``d`` in place.  ``runs`` groups consecutive blocks of equal size, which
+    reduce in one call over the last axis; that sums each block as its own
+    1-D reduction does, where ``np.add.reduceat`` would sum in another order
+    and differ in the last bits.
+    """
+    d *= d
+    first, second = [], []
+    for sl, count, size in runs:
+        a, b = np.add.reduce(d[:, sl].reshape(2, count, size), 2).tolist()
+        first += a
+        second += b
+    return first, second
 
 
 def _sqnorm(d):
@@ -256,138 +347,139 @@ def _sqnorm(d):
 def step(spec, state, gamma, errors_at_n=None, with_transversality=True):
     """One full iteration from ``state`` with step ``gamma``.
 
-    Executes the update lines in their listed order and returns the new
-    state (counter incremented) together with a :class:`TraceRecord`.
-    ``errors_at_n`` is a realized error record as produced by
-    :meth:`ErrorSchedule.realize` (None for exact evaluation).
+    Runs the forward-backward-forward step on the flat iterate
+    ``z = [x1 | x2 | v1 | v2]``: ``s = z - gamma F(z)``, ``p = J(s)``,
+    ``q = p - gamma F(p)`` and ``z+ = (z - s) + q``, where F stacks the
+    forward terms of the four families and J the per-block resolvents (the
+    identity on x2).  Returns the new state (counter incremented, its
+    blocks views of a fresh flat vector) together with a
+    :class:`TraceRecord`.  ``errors_at_n`` is a realized error record as
+    produced by :meth:`ErrorSchedule.realize` (None for exact evaluation).
 
-    Raises :class:`NumericError` naming the offending line and block if any
-    intermediate value is non-finite, and ``ValueError`` for a non-positive
-    step.  The admissible-interval bound on gamma is the step policy's
+    Raises :class:`NumericError` naming the offending line and block if the
+    intermediate points ``p11`` or any block of the new state are
+    non-finite, and ``ValueError`` for a non-positive step.  The
+    admissible-interval bound on gamma is the step policy's
     responsibility; here only positivity is enforced.
     """
     if not (gamma > 0.0 and math.isfinite(gamma)):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    m = len(state.x1)
-    s = len(state.x2)
+    plan = spec.plan
+    blocks = plan.blocks
+    b11, b12, b21, b22 = blocks
+    state = _packed(state, blocks)
+    z = state._flat[0]
+    size = z.size
     g = float(gamma)
     n = state.n
     errs = errors_at_n
+    signed_g = plan.sign * g  # -g over x1, +g elsewhere
+    x1_, v1_, dual = plan.x1, plan.v1, plan.dual
 
-    x1, x2, v1, v2 = state.x1, state.x2, state.v1, state.v2
+    # forward step at z: s = z - gamma F(z), built in place in F's buffer
+    s = _forward(spec, plan, z, [N.adjoint_apply(v) for N, v in
+                                 zip(spec.N, state.v1)])
+    for k, sl in enumerate(b21):
+        nl_x = s[sl]
+        for i, x1i in enumerate(state.x1):
+            nl_x += spec.N[k].apply(spec.L[k][i].apply(x1i))
+        nl_x -= spec.N[k].apply(state.x2[k])
+    if errs is not None:
+        _add_errors(s, errs, ("a11", "a12", "a21", "a22"), blocks)
+    s *= signed_g
+    s += z
 
-    if m == 1:
-        cuts = None
-        cx = [np.asarray(spec.C.apply(x1[0]))]
-    else:
-        cuts = np.cumsum([b.size for b in x1])[:-1]
-        cx = np.split(spec.C.apply(np.concatenate(x1)), cuts)
+    # backward step: the per-block resolvents, the identity on x2 and the
+    # inverse-resolvent identity on the dual families,
+    # p_dual = s_dual - gamma (nr + J(s_dual / gamma - nr))
+    p = np.empty(size)
+    arg = s[x1_] + g * plan.z
+    for i, sl in enumerate(b11):
+        p[sl] = spec.A[i].resolve(g, arg[sl])
+    p[plan.x2] = s[plan.x2]
+    t = s / g
+    tv = t[v1_]
+    tv -= plan.nr
+    inv_g = 1.0 / g
+    for k, (sl21, sl22) in enumerate(zip(b21, b22)):
+        p[sl21] = spec.D[k].resolve(inv_g, t[sl21])
+        p[sl22] = spec.B[k].resolve(inv_g, t[sl22])
+    pv = p[v1_]
+    np.add(plan.nr, pv, pv)
+    if errs is not None:
+        _add_errors(p, errs, ("b11", None, "b21", "b22"), blocks)
+    _check_finite(p[x1_], p, (("p11", i, sl) for i, sl in enumerate(b11)), n)
+    pd = p[dual]
+    pd *= g
+    np.subtract(s[dual], pd, pd)
 
-    nstar_v1 = [spec.N[k].adjoint_apply(v1[k]) for k in range(s)]
-
-    # primal loop: forward step through the coupling and the dual pullbacks,
-    # then the resolvent of A_i
-    s11, p11 = [], []
-    for i in range(m):
-        acc = np.zeros(x1[i].size)
-        for k in range(s):
-            acc = acc + spec.L[k][i].adjoint_apply(nstar_v1[k])
-        fwd = _maybe_add(cx[i] + acc, errs, "a11", i)
-        s11_i = x1[i] - g * fwd
-        p11_i = np.asarray(spec.A[i].resolve(g, s11_i + g * spec.z[i]))
-        p11_i = _maybe_add(p11_i, errs, "b11", i)
-        _check_finite("p11", i, n, p11_i)
-        s11.append(s11_i)
-        p11.append(p11_i)
-
-    # coupling loop
-    nr = spec.nr
-    p12, p21, p22, nstar_p21 = [], [], [], []
-    x2_new, v1_new, v2_new = [], [], []
-    for k in range(s):
-        Nk, Mk, Dk, Bk = spec.N[k], spec.M[k], spec.D[k], spec.B[k]
-
-        p12_k = x2[k] + g * _maybe_add(
-            nstar_v1[k] - Mk.adjoint_apply(v2[k]), errs, "a12", k)
-
-        nl_x = np.zeros(v1[k].size)
-        for i in range(m):
-            nl_x = nl_x + Nk.apply(spec.L[k][i].apply(x1[i]))
-        s21_k = v1[k] + g * _maybe_add(nl_x - Nk.apply(x2[k]), errs, "a21", k)
-
-        nr_k = nr[k]
-        jd = np.asarray(Dk.resolve(1.0 / g, s21_k / g - nr_k))
-        p21_k = s21_k - g * _maybe_add(nr_k + jd, errs, "b21", k)
-
+    # forward correction at p: q = p - gamma F(p), z+ = (z - s) + q
+    p11 = [p[sl] for sl in b11]
+    p21 = [p[sl] for sl in b21]
+    q = _forward(spec, plan, p, [N.adjoint_apply(v) for N, v in
+                                 zip(spec.N, p21)])
+    for k, (sl12, sl21) in enumerate(zip(b12, b21)):
         l_p11 = spec.L[k][0].apply(p11[0])
-        for i in range(1, m):
+        for i in range(1, len(p11)):
             l_p11 = l_p11 + spec.L[k][i].apply(p11[i])
-        q21_k = p21_k + g * _maybe_add(
-            Nk.apply(l_p11) - Nk.apply(p12_k), errs, "c21", k)
-        v1_new_k = v1[k] - s21_k + q21_k
+        np.subtract(spec.N[k].apply(l_p11), spec.N[k].apply(p[sl12]), q[sl21])
+    if errs is not None:
+        _add_errors(q, errs, ("c11", "c12", "c21", "c22"), blocks)
+    q *= signed_g
+    q += p
+    z_new = z - s
+    z_new += q
+    _check_finite(z_new, z_new, plan.finite_order, n)
+    new_state = _on_buffer(z_new, blocks, n + 1)
 
-        s22_k = v2[k] + g * _maybe_add(Mk.apply(x2[k]), errs, "a22", k)
-        jb = np.asarray(Bk.resolve(1.0 / g, s22_k / g))
-        p22_k = s22_k - g * _maybe_add(jb, errs, "b22", k)
-        q22_k = p22_k + g * _maybe_add(Mk.apply(p12_k), errs, "c22", k)
-        v2_new_k = v2[k] - s22_k + q22_k
-
-        nstar_p21_k = Nk.adjoint_apply(p21_k)
-        q12_k = p12_k + g * _maybe_add(
-            nstar_p21_k - Mk.adjoint_apply(p22_k), errs, "c12", k)
-        x2_new_k = x2[k] - p12_k + q12_k
-
-        _check_finite("v1", k, n, v1_new_k)
-        _check_finite("v2", k, n, v2_new_k)
-        _check_finite("x2", k, n, x2_new_k)
-        p12.append(p12_k)
-        p21.append(p21_k)
-        p22.append(p22_k)
-        nstar_p21.append(nstar_p21_k)
-        x2_new.append(x2_new_k)
-        v1_new.append(v1_new_k)
-        v2_new.append(v2_new_k)
-
-    # primal correction loop: forward step re-evaluated at the intermediate
-    # points
-    if m == 1:
-        cp = [np.asarray(spec.C.apply(p11[0]))]
-    else:
-        cp = np.split(spec.C.apply(np.concatenate(p11)), cuts)
-    x1_new = []
-    for i in range(m):
-        acc = np.zeros(x1[i].size)
-        for k in range(s):
-            acc = acc + spec.L[k][i].adjoint_apply(nstar_p21[k])
-        q11_i = p11[i] - g * _maybe_add(cp[i] + acc, errs, "c11", i)
-        x1_new_i = x1[i] - s11[i] + q11_i
-        _check_finite("x1", i, n, x1_new_i)
-        x1_new.append(x1_new_i)
-
-    new_state = IterateState(x1_new, x2_new, v1_new, v2_new, n + 1)
-
-    dx1 = sum(_sqnorm(x1[i] - p11[i]) for i in range(m))
-    dx2 = sum(_sqnorm(x2[k] - p12[k]) for k in range(s))
-    dv1 = sum(_sqnorm(v1[k] - p21[k]) for k in range(s))
-    dv2 = sum(_sqnorm(v2[k] - p22[k]) for k in range(s))
-
+    diffs = np.empty((2, size))
+    np.subtract(z, p, diffs[0])
+    np.subtract(z_new, z, diffs[1])
+    gap, moved = _block_sqnorms(diffs, plan.runs)
+    m, nk = len(b11), len(b21)
+    dx1 = sum(gap[:m])
+    dx2 = sum(gap[m:m + nk])
+    dv1 = sum(gap[m + nk:m + 2 * nk])
+    dv2 = sum(gap[m + 2 * nk:])
     move = 0.0
-    for old, new in ((x1, x1_new), (x2, x2_new), (v1, v1_new), (v2, v2_new)):
-        for k in range(len(old)):
-            move += _sqnorm(new[k] - old[k])
+    for sq in moved:
+        move += sq
 
     defect = transversality_defect(spec, new_state) if with_transversality \
         else float("nan")
     record = TraceRecord(
         n=n,
         gamma=g,
-        displacement=float(np.sqrt(move)),
-        block_displacements=(float(np.sqrt(dx1)), float(np.sqrt(dx2)),
-                             float(np.sqrt(dv1)), float(np.sqrt(dv2))),
+        displacement=math.sqrt(move),
+        block_displacements=(math.sqrt(dx1), math.sqrt(dx2),
+                             math.sqrt(dv1), math.sqrt(dv2)),
         partial_sums=(dx1, dx2, dv1, dv2),
         transversality_defect=defect,
     )
     return new_state, record
+
+
+def _forward(spec, plan, y, nstar1):
+    """F at the flat point ``y``, but for its v1 family, which is left 0.
+
+    ``nstar1`` holds ``N_k* y_v1k``.  The x1 family is
+    ``C(y_x1) + sum_k L_ki* N_k* y_v1k``, x2 is ``N_k* y_v1k - M_k* y_v2k``
+    and v2 is ``M_k y_x2k``.  The v1 family (``N_k`` applied to the
+    coupling residual) is summed differently at z and at p, so each caller
+    writes it.
+    """
+    b11, b12, _, b22 = plan.blocks
+    out = np.zeros(y.size)
+    c = np.asarray(spec.C.apply(y[plan.x1]))
+    for i, sl in enumerate(b11):
+        acc = out[sl]
+        for k, nstar1k in enumerate(nstar1):
+            acc += spec.L[k][i].adjoint_apply(nstar1k)
+        np.add(c[sl], acc, acc)
+    for k, (sl12, sl22) in enumerate(zip(b12, b22)):
+        np.subtract(nstar1[k], spec.M[k].adjoint_apply(y[sl22]), out[sl12])
+        out[sl22] = spec.M[k].apply(y[sl12])
+    return out
 
 
 def transversality_defect(spec, state):
@@ -397,7 +489,7 @@ def transversality_defect(spec, state):
         diff = spec.M[k].adjoint_apply(state.v2[k]) \
             - spec.N[k].adjoint_apply(state.v1[k])
         total += _sqnorm(diff)
-    return float(np.sqrt(total))
+    return math.sqrt(total)
 
 
 def solve(spec, init, policy, errors=None, tol=DEFAULT_TOL,
@@ -420,7 +512,7 @@ def solve(spec, init, policy, errors=None, tol=DEFAULT_TOL,
         errors = zero_schedule()
     state = init.copy()
     layout = spec.layout
-    sums = np.zeros(4)
+    sums = (0.0, 0.0, 0.0, 0.0)
     trace = []
     status = "max_iter"
     for it in range(max_iter):
@@ -433,13 +525,13 @@ def solve(spec, init, policy, errors=None, tol=DEFAULT_TOL,
         except NumericError as exc:
             exc.iteration = it
             raise
-        sums += np.asarray(rec.partial_sums)
+        sums = tuple(map(operator.add, sums, rec.partial_sums))
         done = rec.displacement <= tol
         if keep or done or it == max_iter - 1:
             if not keep:  # final record needs the defect after all
                 rec = replace(
                     rec, transversality_defect=transversality_defect(spec, state))
-            trace.append(replace(rec, partial_sums=tuple(float(v) for v in sums)))
+            trace.append(replace(rec, partial_sums=sums))
         if done:
             status = "converged"
             break

@@ -10,10 +10,11 @@ multipliers satisfying all m + s inclusions simultaneously.
 Stacking the blocks embeds the whole system into a single primal-dual pair
 on the product spaces (direct sums of the H_i, G_k, Y_k, X_k), with the
 product operators acting componentwise and the stacked linear maps
-supplying the coupling.  The iteration exploits that the resolvent of a
-product operator is the tuple of per-block resolvents, so it never
-materializes the product-space objects: iterating the blocks directly is
-the same arithmetic.  Solution quality is likewise measured operationally:
+supplying the coupling.  The iteration holds its state as one vector of
+the product space (:attr:`SpaceLayout.blocks` gives the layout) but never
+materializes the product operators: the resolvent of a product operator is
+the tuple of per-block resolvents, and the stacked maps are applied block
+by block.  Solution quality is likewise measured operationally:
 a state solves the embedded problem exactly when one exact iteration
 leaves it unchanged, so the fixed-point residual of a single step is the
 membership test.
@@ -21,6 +22,7 @@ membership test.
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
@@ -64,6 +66,22 @@ class SpaceLayout:
     @property
     def s(self):
         return len(self.g_dims)
+
+    @cached_property
+    def blocks(self):
+        """Slices of the blocks in the flat iterate ``[x1 | x2 | v1 | v2]``.
+
+        One tuple per family, over the spaces H_i, G_k, X_k and Y_k in that
+        order.
+        """
+        out, start = [], 0
+        for dims in (self.h_dims, self.g_dims, self.x_dims, self.y_dims):
+            family = []
+            for d in dims:
+                family.append(slice(start, start + d))
+                start += d
+            out.append(tuple(family))
+        return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,10 +137,66 @@ class SystemSpec:
         return beta
 
     @cached_property
-    def nr(self):
-        """The constant offsets ``N_k r_k`` of the first dual blocks."""
-        return [np.asarray(self.N[k].apply(self.r[k]))
-                for k in range(self.layout.s)]
+    def plan(self):
+        """The per-system constants of :func:`~monosplit.solver.step`."""
+        return StepPlan.of(self)
+
+
+def _read_only(array):
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True)
+class StepPlan:
+    """What the flat step needs of a system besides its operators.
+
+    The iterate is one vector ``[x1 | x2 | v1 | v2]`` whose block slices
+    are ``blocks`` (:attr:`SpaceLayout.blocks`); ``x1``, ``x2`` and ``v1``
+    slice out whole families and ``dual`` covers ``v1 | v2``.  ``sign`` is
+    -1 over x1 and +1 elsewhere, so ``y + (gamma * sign) * F`` is
+    ``y - gamma * F`` on the primal family and ``y + gamma * F`` on the
+    others, the signs of the update lines.  ``z`` and ``nr`` lay the
+    offsets ``z_i`` and ``N_k r_k`` flat over x1 and v1.  ``finite_order``
+    lists the blocks of the new state as ``(family, index, slice)`` in the
+    order their finiteness is checked, and ``runs`` groups consecutive
+    blocks of equal size as ``(slice, count, size)``.  The arrays are
+    read-only, so a plan is safe to share across threads.
+    """
+
+    blocks: tuple
+    x1: slice
+    x2: slice
+    v1: slice
+    dual: slice
+    sign: np.ndarray
+    z: np.ndarray
+    nr: np.ndarray
+    finite_order: tuple
+    runs: tuple
+
+    @staticmethod
+    def of(spec):
+        blocks = spec.layout.blocks
+        x1, x2, v1, v2 = (slice(fam[0].start, fam[-1].stop) for fam in blocks)
+        sign = np.ones(v2.stop)
+        sign[x1] = -1.0
+        z = np.concatenate([np.asarray(zi, dtype=float) for zi in spec.z])
+        nr = np.concatenate([np.asarray(N.apply(r), dtype=float)
+                             for N, r in zip(spec.N, spec.r)])
+        order = []
+        for k in range(spec.layout.s):
+            order += [("v1", k, blocks[2][k]), ("v2", k, blocks[3][k]),
+                      ("x2", k, blocks[1][k])]
+        order += [("x1", i, sl) for i, sl in enumerate(blocks[0])]
+        runs = []
+        for size, run in groupby((sl for family in blocks for sl in family),
+                                 key=lambda sl: sl.stop - sl.start):
+            run = list(run)
+            runs.append((slice(run[0].start, run[-1].stop), len(run), size))
+        return StepPlan(blocks, x1, x2, v1, slice(v1.start, v2.stop),
+                        _read_only(sign), _read_only(z), _read_only(nr),
+                        tuple(order), tuple(runs))
 
 
 @dataclass(frozen=True)

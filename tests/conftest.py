@@ -1,4 +1,11 @@
+import os
 import time
+
+# One BLAS thread unless the caller asks otherwise; set before numpy is
+# first imported, as OpenBLAS reads it once at load.  The suite's matrices
+# are at most 256x256, and with the default thread count one eigh of that
+# size took 1 s on a loaded 2-core machine (8 ms with one thread).
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import pytest
 

@@ -101,7 +101,7 @@ def test_criterion_03_prox_grid_oracle():
             center = x if box_center is None else box_center
             argmin, _ = grid_refine_minimize(
                 lambda y, f=fn: f.value(y)
-                + float(np.sum((y - x) ** 2)) / (2 * gamma),
+                + float(np.add.reduce((y - x) ** 2)) / (2 * gamma),
                 lo=center - 3.0, hi=center + 3.0, levels=6)
             err = float(np.max(np.abs(prox - argmin)))
             if err > worst:

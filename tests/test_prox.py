@@ -63,7 +63,7 @@ def test_group_l12_block_shrinkage():
     # independent 2-D grid-refinement oracle for min 0.5||y-x||^2 + ||y||_2
     x = np.array([3.0, 4.0])
     argmin, _ = grid_refine_minimize(
-        lambda y: fn.value(y) + 0.5 * float(np.sum((y - x) ** 2)),
+        lambda y: fn.value(y) + 0.5 * float(np.add.reduce((y - x) ** 2)),
         lo=x - 6.0, hi=x + 6.0, levels=7)
     np.testing.assert_allclose(out, argmin, atol=2e-3)
 
@@ -275,7 +275,7 @@ def test_prox_variational_inequality_by_grid():
                 lo, hi = x - 3.0, x + 3.0
             argmin, _ = grid_refine_minimize(
                 lambda y, f=fn: f.value(y)
-                + float(np.sum((y - x) ** 2)) / (2 * gamma),
+                + float(np.add.reduce((y - x) ** 2)) / (2 * gamma),
                 lo=lo, hi=hi, levels=6)
             assert np.max(np.abs(prox - argmin)) <= 2e-3, name
 

@@ -1,23 +1,37 @@
+import copy
+import math
+import pickle
+
 import numpy as np
 import pytest
 
 from monosplit.demos import (
+    deblur_demo,
     lasso_demo,
     lifted_solution_state,
     qp_demo,
     separation_demo,
 )
-from monosplit.errors import NumericError, StepBoundError
-from monosplit.linops import zero_op
+from monosplit.errors import NumericError, SpecificationError, StepBoundError
+from monosplit.linops import dense_op, zero_op
 from monosplit.minimization import MinimizationSpec, build_system
-from monosplit.prox import ConvexFunction, ResolventOp, make_function, soft_threshold, zero_coupling
+from monosplit.prox import (
+    ConvexFunction,
+    ResolventOp,
+    gradient_coupling,
+    make_function,
+    soft_threshold,
+    zero_coupling,
+)
 from monosplit.solver import (
     ERROR_FAMILIES,
     IterateState,
+    TraceRecord,
     geometric_schedule,
     make_policy,
     solve,
     step,
+    transversality_defect,
     zero_schedule,
 )
 from monosplit.system import SpaceLayout, SystemSpec, compute_beta
@@ -293,3 +307,313 @@ def test_uniform_convexity_accelerates_primal_block():
     final, _, status = solve(system, IterateState.zeros(system.layout),
                              policy, tol=1e-12, max_iter=5000)
     assert np.linalg.norm(final.x1[0] - oracle) <= 1e-5
+
+
+# ---------------------------------------------------------------------------
+# the flat step against the per-block step it replaced
+
+
+def _maybe_add(vec, errs, family, index):
+    if errs is None:
+        return vec
+    e = errs[family][index]
+    return vec if e is None else vec + e
+
+
+def _ref_check_finite(name, index, n, block):
+    if not math.isfinite(block @ block):
+        raise NumericError(f"non-finite value in {name}, block {index}",
+                           iteration=n)
+
+
+def _ref_sqnorm(d):
+    return float(np.add.reduce(d * d))
+
+
+def reference_step(spec, state, gamma, errors_at_n=None,
+                   with_transversality=True):
+    """The per-block step, line for line, with its update lines in order."""
+    m = len(state.x1)
+    s = len(state.x2)
+    g = float(gamma)
+    n = state.n
+    errs = errors_at_n
+
+    x1, x2, v1, v2 = state.x1, state.x2, state.v1, state.v2
+
+    if m == 1:
+        cuts = None
+        cx = [np.asarray(spec.C.apply(x1[0]))]
+    else:
+        cuts = np.cumsum([b.size for b in x1])[:-1]
+        cx = np.split(spec.C.apply(np.concatenate(x1)), cuts)
+
+    nstar_v1 = [spec.N[k].adjoint_apply(v1[k]) for k in range(s)]
+
+    s11, p11 = [], []
+    for i in range(m):
+        acc = np.zeros(x1[i].size)
+        for k in range(s):
+            acc = acc + spec.L[k][i].adjoint_apply(nstar_v1[k])
+        fwd = _maybe_add(cx[i] + acc, errs, "a11", i)
+        s11_i = x1[i] - g * fwd
+        p11_i = np.asarray(spec.A[i].resolve(g, s11_i + g * spec.z[i]))
+        p11_i = _maybe_add(p11_i, errs, "b11", i)
+        _ref_check_finite("p11", i, n, p11_i)
+        s11.append(s11_i)
+        p11.append(p11_i)
+
+    nr = [np.asarray(spec.N[k].apply(spec.r[k])) for k in range(s)]
+    p12, p21, p22, nstar_p21 = [], [], [], []
+    x2_new, v1_new, v2_new = [], [], []
+    for k in range(s):
+        Nk, Mk, Dk, Bk = spec.N[k], spec.M[k], spec.D[k], spec.B[k]
+
+        p12_k = x2[k] + g * _maybe_add(
+            nstar_v1[k] - Mk.adjoint_apply(v2[k]), errs, "a12", k)
+
+        nl_x = np.zeros(v1[k].size)
+        for i in range(m):
+            nl_x = nl_x + Nk.apply(spec.L[k][i].apply(x1[i]))
+        s21_k = v1[k] + g * _maybe_add(nl_x - Nk.apply(x2[k]), errs, "a21", k)
+
+        nr_k = nr[k]
+        jd = np.asarray(Dk.resolve(1.0 / g, s21_k / g - nr_k))
+        p21_k = s21_k - g * _maybe_add(nr_k + jd, errs, "b21", k)
+
+        l_p11 = spec.L[k][0].apply(p11[0])
+        for i in range(1, m):
+            l_p11 = l_p11 + spec.L[k][i].apply(p11[i])
+        q21_k = p21_k + g * _maybe_add(
+            Nk.apply(l_p11) - Nk.apply(p12_k), errs, "c21", k)
+        v1_new_k = v1[k] - s21_k + q21_k
+
+        s22_k = v2[k] + g * _maybe_add(Mk.apply(x2[k]), errs, "a22", k)
+        jb = np.asarray(Bk.resolve(1.0 / g, s22_k / g))
+        p22_k = s22_k - g * _maybe_add(jb, errs, "b22", k)
+        q22_k = p22_k + g * _maybe_add(Mk.apply(p12_k), errs, "c22", k)
+        v2_new_k = v2[k] - s22_k + q22_k
+
+        nstar_p21_k = Nk.adjoint_apply(p21_k)
+        q12_k = p12_k + g * _maybe_add(
+            nstar_p21_k - Mk.adjoint_apply(p22_k), errs, "c12", k)
+        x2_new_k = x2[k] - p12_k + q12_k
+
+        _ref_check_finite("v1", k, n, v1_new_k)
+        _ref_check_finite("v2", k, n, v2_new_k)
+        _ref_check_finite("x2", k, n, x2_new_k)
+        p12.append(p12_k)
+        p21.append(p21_k)
+        p22.append(p22_k)
+        nstar_p21.append(nstar_p21_k)
+        x2_new.append(x2_new_k)
+        v1_new.append(v1_new_k)
+        v2_new.append(v2_new_k)
+
+    if m == 1:
+        cp = [np.asarray(spec.C.apply(p11[0]))]
+    else:
+        cp = np.split(spec.C.apply(np.concatenate(p11)), cuts)
+    x1_new = []
+    for i in range(m):
+        acc = np.zeros(x1[i].size)
+        for k in range(s):
+            acc = acc + spec.L[k][i].adjoint_apply(nstar_p21[k])
+        q11_i = p11[i] - g * _maybe_add(cp[i] + acc, errs, "c11", i)
+        x1_new_i = x1[i] - s11[i] + q11_i
+        _ref_check_finite("x1", i, n, x1_new_i)
+        x1_new.append(x1_new_i)
+
+    new_state = IterateState(x1_new, x2_new, v1_new, v2_new, n + 1)
+
+    dx1 = sum(_ref_sqnorm(x1[i] - p11[i]) for i in range(m))
+    dx2 = sum(_ref_sqnorm(x2[k] - p12[k]) for k in range(s))
+    dv1 = sum(_ref_sqnorm(v1[k] - p21[k]) for k in range(s))
+    dv2 = sum(_ref_sqnorm(v2[k] - p22[k]) for k in range(s))
+
+    move = 0.0
+    for old, new in ((x1, x1_new), (x2, x2_new), (v1, v1_new), (v2, v2_new)):
+        for k in range(len(old)):
+            move += _ref_sqnorm(new[k] - old[k])
+
+    defect = transversality_defect(spec, new_state) if with_transversality \
+        else float("nan")
+    record = TraceRecord(
+        n=n,
+        gamma=g,
+        displacement=float(np.sqrt(move)),
+        block_displacements=(float(np.sqrt(dx1)), float(np.sqrt(dx2)),
+                             float(np.sqrt(dv1)), float(np.sqrt(dv2))),
+        partial_sums=(dx1, dx2, dv1, dv2),
+        transversality_defect=defect,
+    )
+    return new_state, record
+
+
+def dense_two_by_two(seed=21):
+    """A random system with m = 2, s = 2, uneven block sizes and every map
+    dense, so every loop of the per-block step runs more than once."""
+    rng = np.random.default_rng(seed)
+    h, gd, yd, xd = (3, 4), (5, 2), (4, 3), (2, 5)
+    layout = SpaceLayout(h, gd, yd, xd)
+
+    def dense(rows, cols, tag):
+        return dense_op(rng.standard_normal((rows, cols)) / 2, tag=tag)
+
+    q = rng.standard_normal((7, 7))
+    hess = q.T @ q / 7 + np.eye(7)
+    coupling = gradient_coupling(lambda x: hess @ x - 0.3,
+                                 float(np.linalg.norm(hess, 2)), h)
+    quad = make_function("quadratic_fidelity", {"terms": [
+        {"matrix": rng.standard_normal((3, 2)), "offset": rng.standard_normal(3)}
+    ]}, 2)
+    return SystemSpec(
+        layout=layout,
+        z=[rng.standard_normal(d) for d in h],
+        r=[rng.standard_normal(d) for d in gd],
+        A=[make_function("l1", {"weight": 0.4}, 3).operator,
+           make_function("indicator_box", {"lo": -0.5, "hi": 0.5}, 4).operator],
+        C=coupling,
+        B=[make_function("group_l12", {"blocks": [[0, 2], [1, 3]],
+                                       "weight": 0.3}, 4).operator,
+           make_function("l1", {"weight": 0.2}, 3).operator],
+        D=[quad.operator, make_function("indicator_zero", {}, 5).operator],
+        M=[dense(yd[k], gd[k], f"m{k}") for k in range(2)],
+        N=[dense(xd[k], gd[k], f"n{k}") for k in range(2)],
+        L=[[dense(gd[k], h[i], f"l{k}{i}") for i in range(2)]
+           for k in range(2)],
+    )
+
+
+def random_state(layout, seed=5):
+    rng = np.random.default_rng(seed)
+    return IterateState(
+        x1=[rng.standard_normal(d) for d in layout.h_dims],
+        x2=[rng.standard_normal(d) for d in layout.g_dims],
+        v1=[rng.standard_normal(d) for d in layout.x_dims],
+        v2=[rng.standard_normal(d) for d in layout.y_dims],
+    )
+
+
+def assert_states_equal(a, b):
+    assert a.n == b.n
+    for fam in ("x1", "x2", "v1", "v2"):
+        blocks_a, blocks_b = getattr(a, fam), getattr(b, fam)
+        assert len(blocks_a) == len(blocks_b)
+        for x, y in zip(blocks_a, blocks_b):
+            assert np.array_equal(x, y), fam
+
+
+def exactness_case(name):
+    if name == "deblur16":
+        demo = deblur_demo()
+        return demo.system, demo.extras["init"], None
+    if name == "lasso_geometric":
+        demo = lasso_demo()
+        return (demo.system, IterateState.zeros(demo.system.layout),
+                geometric_schedule(0.9, 0.1))
+    if name == "qp_demo":
+        demo = qp_demo()
+        return demo.system, IterateState.zeros(demo.system.layout), None
+    spec = dense_two_by_two()
+    errors = geometric_schedule(0.8, 0.05, seed=2) if name == "dense_noisy" \
+        else None
+    return spec, random_state(spec.layout), errors
+
+
+@pytest.mark.parametrize("name", ["deblur16", "lasso_geometric", "qp_demo",
+                                  "dense", "dense_noisy"])
+def test_flat_step_matches_per_block_step_exactly(name):
+    spec, init, errors = exactness_case(name)
+    gamma = make_policy(compute_beta(spec)).gamma_at(0)
+    flat, ref = init.copy(), init.copy()
+    for it in range(50):
+        errs = errors.realize(it, spec.layout) if errors else None
+        flat, rec = step(spec, flat, gamma, errs)
+        ref, ref_rec = reference_step(spec, ref, gamma, errs)
+        assert_states_equal(flat, ref)
+        assert rec == ref_rec
+
+
+@pytest.mark.parametrize("family, index, name", [
+    ("b11", 1, "p11"), ("c11", 1, "x1"), ("c12", 1, "x2"),
+    ("c21", 1, "v1"), ("c22", 0, "v2"),
+])
+def test_nonfinite_value_names_line_and_block(family, index, name):
+    spec = dense_two_by_two()
+    state = random_state(spec.layout)
+    layout = spec.layout
+    dims = {"11": layout.h_dims, "12": layout.g_dims, "21": layout.x_dims,
+            "22": layout.y_dims}
+    errs = {fam: [None] * len(dims[fam[1:]]) for fam in ERROR_FAMILIES}
+    bad = np.zeros(dims[family[1:]][index])
+    bad[-1] = np.inf
+    errs[family][index] = bad
+    expected = f"non-finite value in {name}, block {index}"
+    for run in (step, reference_step):
+        with pytest.raises(NumericError) as err:
+            run(spec, state.copy(), 0.05, errs)
+        assert expected in str(err.value)
+
+
+def test_reassigned_blocks_are_repacked():
+    spec = dense_two_by_two()
+    gamma = 0.05
+    state, _ = step(spec, random_state(spec.layout), gamma)
+    rng = np.random.default_rng(8)
+    state.x1 = [rng.standard_normal(3), state.x1[1]]   # a new list
+    state.v2[1] = rng.standard_normal(3)               # a block replaced
+    state.x2[0][:] = 2.5                               # written through
+    flat, rec = step(spec, state, gamma)
+    ref, ref_rec = reference_step(spec, state, gamma)
+    assert_states_equal(flat, ref)
+    assert rec == ref_rec
+
+
+def test_deep_copied_state_is_not_read_from_a_stale_buffer():
+    spec = dense_two_by_two()
+    state, _ = step(spec, random_state(spec.layout), 0.05)
+    for twin in (copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
+        twin.v1[0][:] = -1.5                            # only the copied block
+        flat, rec = step(spec, twin, 0.05)
+        ref, ref_rec = reference_step(spec, twin, 0.05)
+        assert_states_equal(flat, ref)
+        assert rec == ref_rec
+
+
+def test_state_not_matching_layout_is_rejected():
+    spec = dense_two_by_two()
+    state = random_state(spec.layout)
+    state.v1 = [state.v1[0]]
+    with pytest.raises(SpecificationError, match="v1"):
+        step(spec, state, 0.05)
+
+
+def test_states_never_alias_input_or_each_other():
+    spec = dense_two_by_two()
+    gamma = 0.05
+    init = random_state(spec.layout)
+    state = IterateState.zeros(spec.layout)
+    state.x1 = [b.copy() for b in init.x1]
+    states, snapshots = [state], []
+    for _ in range(200):
+        state, _ = step(spec, state, gamma, with_transversality=False)
+        states.append(state)
+        snapshots.append(state.copy())
+    for i, a in enumerate(states):
+        for b in states[i + 1:]:
+            for fam in ("x1", "x2", "v1", "v2"):
+                for x, y in zip(getattr(a, fam), getattr(b, fam)):
+                    assert not np.may_share_memory(x, y)
+    for kept, snap in zip(states[1:], snapshots):
+        assert_states_equal(kept, snap)
+
+
+def test_copy_is_independent_of_original():
+    spec = dense_two_by_two()
+    state, _ = step(spec, random_state(spec.layout), 0.05)
+    twin = state.copy()
+    state.x2[1][:] = 7.0
+    assert not np.any(twin.x2[1] == 7.0)
+    assert_states_equal(step(spec, twin, 0.05)[0],
+                        reference_step(spec, twin, 0.05)[0])
