@@ -308,7 +308,12 @@ def write_pgm(path, grid):
 
 
 def read_pgm(path):
-    """Read a binary 8-bit PGM into an ImageGrid with values in [0, 1]."""
+    """Read a binary 8-bit PGM into an ImageGrid with values in [0, 1].
+
+    Raises :class:`ConfigurationError` for anything else, including a
+    header that ends early or holds a field other than a positive integer,
+    and pixel data shorter than ``width * height`` bytes.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     parts = []
@@ -323,12 +328,22 @@ def read_pgm(path):
         start = pos
         while pos < len(data) and not data[pos:pos + 1].isspace():
             pos += 1
+        if start == pos:
+            raise ConfigurationError(f"{path}: PGM header ends early")
         parts.append(data[start:pos])
     if parts[0] != b"P5":
         raise ConfigurationError("only binary PGM (P5) is supported")
+    for name, part in zip(("width", "height", "maxval"), parts[1:]):
+        if not (part.isdigit() and int(part) > 0):
+            raise ConfigurationError(
+                f"{path}: PGM {name} must be a positive integer, got {part!r}")
     width, height, maxval = int(parts[1]), int(parts[2]), int(parts[3])
     if maxval != 255:
         raise ConfigurationError("only 8-bit PGM is supported")
     pos += 1  # single whitespace after maxval
+    if len(data) - pos < width * height:
+        raise ConfigurationError(
+            f"{path}: PGM holds {max(len(data) - pos, 0)} pixel bytes, "
+            f"expected {width * height}")
     raw = np.frombuffer(data, dtype=np.uint8, count=height * width, offset=pos)
     return ImageGrid(height, width, raw.astype(float) / 255.0)

@@ -11,6 +11,7 @@ JSON-pointer style paths.
 """
 
 import json
+import sys
 
 import numpy as np
 from jsonschema import Draft202012Validator
@@ -69,6 +70,27 @@ _NAMED_SCHEMA = {
         "params": {"type": "object"},
     },
     "additionalProperties": False,
+}
+
+_ERRORS_SCHEMA = {
+    "type": "object",
+    "required": ["name"],
+    "properties": {
+        "name": {"enum": ["zero", "geometric"]},
+        "params": {"type": "object"},
+    },
+    "additionalProperties": False,
+    "if": {"properties": {"name": {"const": "geometric"}}},
+    "then": {"properties": {"params": {
+        "properties": {
+            "rho": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
+            # the maximum rules out a number that overflowed to inf
+            "amplitude": {"type": "number", "minimum": 0,
+                          "maximum": sys.float_info.max},
+        },
+        "additionalProperties": False,
+    }}},
+    "else": {"properties": {"params": {"maxProperties": 0}}},
 }
 
 PROBLEM_SCHEMA = {
@@ -131,12 +153,12 @@ PROBLEM_SCHEMA = {
                 "gamma": {"type": ["number", "null"]},
                 "tol": {"type": "number", "exclusiveMinimum": 0},
                 "max_iter": {"type": "integer", "minimum": 0},
-                "seed": {"type": "integer"},
+                "seed": {"type": "integer", "minimum": 0},
                 "trace_every": {"type": "integer", "minimum": 1},
             },
             "additionalProperties": False,
         },
-        "errors": _NAMED_SCHEMA,
+        "errors": _ERRORS_SCHEMA,
     },
     "additionalProperties": False,
 }
@@ -344,18 +366,17 @@ def parse_problem(doc):
     solver_cfg.update(doc.get("solver", {}))
 
     err_entry = doc.get("errors", {"name": "zero"})
-    err_name = err_entry.get("name", "zero")
-    if err_name == "zero":
+    if err_entry["name"] == "zero":
         schedule = zero_schedule()
-    elif err_name == "geometric":
-        params = err_entry.get("params", {})
-        schedule = geometric_schedule(
-            float(params.get("rho", 0.9)),
-            float(params.get("amplitude", 0.1)),
-            seed=int(solver_cfg["seed"]),
-        )
     else:
-        raise ConfigurationError(f"/errors/name: unknown schedule '{err_name}'")
+        params = err_entry.get("params", {})
+        try:
+            # the schema admits an integral float such as 2.0 as a seed
+            schedule = geometric_schedule(params.get("rho", 0.9),
+                                          params.get("amplitude", 0.1),
+                                          seed=int(solver_cfg["seed"]))
+        except ValueError as exc:  # a NaN, which no schema bound rejects
+            raise ConfigurationError(f"/errors/params: {exc}") from exc
 
     return {
         "kind": kind,
@@ -366,11 +387,15 @@ def parse_problem(doc):
     }
 
 
+def _reject_constant(name):
+    raise ConfigurationError(f"not valid JSON: {name} is not a JSON number")
+
+
 def load_problem(path):
     """Read and parse a problem file from disk."""
     with open(path) as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_reject_constant)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"not valid JSON: {exc}") from exc
     return parse_problem(doc)

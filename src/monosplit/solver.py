@@ -17,16 +17,24 @@ separation check (a joint run against its decoupled halves) relies on.
 Inexact evaluations are modeled by additive error sequences: ``a``/``c``
 terms perturb forward (operator) evaluations and ``b`` terms perturb
 resolvent outputs.  Built-in schedules are zero and geometrically decaying
-noise, both absolutely summable.
+noise, both absolutely summable.  The geometric schedule's draws are keyed:
+each block's direction is exactly what
+``np.random.default_rng([seed, n, code, index])`` draws, but all blocks of
+an iteration are seeded together, by NumPy's ``SeedSequence`` hash run as
+one pass of uint32 array arithmetic, and no ``SeedSequence`` is built.
 """
 
 import csv
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from functools import lru_cache
+from numbers import Integral
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
+from numpy.random import PCG64, Generator
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import NumericError, SpecificationError, StepBoundError
 
@@ -181,43 +189,77 @@ class ErrorSchedule:
     """Source of the additive error vectors.
 
     ``generator(n, family, index, dim)`` returns the error vector for one
-    block at iteration ``n`` or None for an exact evaluation.  Absolute
-    summability over n is the caller's obligation for custom generators;
-    the built-in schedules satisfy it by construction.  ``always_zero``
-    short-circuits realization for exact runs.
+    block at iteration ``n`` or None for an exact evaluation.  A schedule
+    that makes every block of an iteration at once gives ``draws(n, lanes)``
+    instead, which yields them in the order of ``lanes.keys``: the
+    ``(family, index, dim)`` of each block, by family in
+    ``ERROR_FAMILIES`` order and then by index.  :meth:`realize` reads
+    every schedule through ``draws``; for a generator, ``draws`` calls it
+    block by block.  Absolute summability over n is the caller's
+    obligation for custom generators; the built-in schedules satisfy it by
+    construction.  ``always_zero`` short-circuits realization for exact
+    runs.
     """
 
-    generator: Callable[[int, str, int, int], Optional[np.ndarray]]
+    generator: Optional[Callable[[int, str, int, int],
+                                 Optional[np.ndarray]]] = None
     description: str = ""
     always_zero: bool = False
+    draws: Optional[Callable] = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if (self.generator is None) == (self.draws is None):
+            raise ValueError("give an ErrorSchedule a generator or draws")
+        if self.draws is None:
+            object.__setattr__(self, "draws", _block_by_block(self.generator))
 
     def realize(self, n, layout):
         """Materialize all error blocks for iteration n (None if all zero)."""
         if self.always_zero:
             return None
-        dims = {
-            "a11": layout.h_dims, "b11": layout.h_dims, "c11": layout.h_dims,
-            "a12": layout.g_dims, "c12": layout.g_dims,
-            "a21": layout.x_dims, "b21": layout.x_dims, "c21": layout.x_dims,
-            "a22": layout.y_dims, "b22": layout.y_dims, "c22": layout.y_dims,
-        }
-        out = {}
+        lanes = _lanes(layout)
+        out = {family: [] for family in ERROR_FAMILIES}
         any_nonzero = False
-        for family in ERROR_FAMILIES:
-            blocks = []
-            for index, dim in enumerate(dims[family]):
-                e = self.generator(n, family, index, dim)
-                if e is not None:
-                    e = np.asarray(e, dtype=float)
-                    if e.shape != (dim,):
-                        raise SpecificationError(
-                            f"error generator: family {family} block {index} "
-                            f"returned shape {e.shape}, expected ({dim},)"
-                        )
-                    any_nonzero = True
-                blocks.append(e)
-            out[family] = blocks
+        for (family, index, dim), e in zip(lanes.keys, self.draws(n, lanes)):
+            if e is not None:
+                e = np.asarray(e, dtype=float)
+                if e.shape != (dim,):
+                    raise SpecificationError(
+                        f"error generator: family {family} block {index} "
+                        f"returned shape {e.shape}, expected ({dim},)"
+                    )
+                any_nonzero = True
+            out[family].append(e)
         return out if any_nonzero else None
+
+
+def _block_by_block(generator):
+    """``draws`` that calls a per-block ``generator`` for each block."""
+    def draws(n, lanes):
+        for family, index, dim in lanes.keys:
+            yield generator(n, family, index, dim)
+    return draws
+
+
+class _Lanes(NamedTuple):
+    """The error blocks of a layout, one lane each, in realization order."""
+
+    keys: tuple        # (family, index, dim) of each block
+    words: np.ndarray  # uint32 rows: the place of the family in
+                       # ERROR_FAMILIES, and the block's index within it
+
+
+@lru_cache(maxsize=16)
+def _lanes(layout):
+    # a family's last two digits name its space: H_i, G_k, X_k, Y_k
+    space = {"11": layout.h_dims, "12": layout.g_dims,
+             "21": layout.x_dims, "22": layout.y_dims}
+    keys = [(family, index, dim) for family in ERROR_FAMILIES
+            for index, dim in enumerate(space[family[1:]])]
+    words = np.array([[ERROR_FAMILIES.index(family) for family, _, _ in keys],
+                      [index for _, index, _ in keys]], np.uint32)
+    words.flags.writeable = False
+    return _Lanes(tuple(keys), words)
 
 
 def zero_schedule():
@@ -230,23 +272,139 @@ def geometric_schedule(rho, amplitude, seed=0):
     """Noise with norm ``amplitude * rho^n`` per block (summable for rho < 1).
 
     Each error vector is a seeded unit normal direction scaled to the
-    geometric envelope; the draw depends only on ``(seed, n, family,
-    index)`` so identical schedules reproduce identical errors across runs
-    and across structurally matching specs.
+    geometric envelope.  The direction of block ``index`` of the family
+    ``ERROR_FAMILIES[code]`` at iteration ``n`` is, byte for byte,
+    ``np.random.default_rng([seed, n, code, index]).standard_normal(dim)``,
+    so it depends only on that key: identical schedules reproduce
+    identical errors across runs and across structurally matching specs,
+    and a block's draw does not depend on the other blocks.
+
+    The draws are computed without a ``SeedSequence`` per block: one
+    vectorized pass of NumPy's ``SeedSequence`` hash (:func:`_pcg_seeds`)
+    gives the PCG64 seed of every block of an iteration, and each block's
+    generator starts from its row.
     """
     if not (0.0 <= rho < 1.0):
-        raise ValueError("rho must be in [0, 1)")
-    family_code = {name: i for i, name in enumerate(ERROR_FAMILIES)}
+        raise ValueError(f"rho must be in [0, 1), got {rho!r}")
+    if not (math.isfinite(amplitude) and amplitude >= 0.0):
+        raise ValueError(
+            f"amplitude must be finite and >= 0, got {amplitude!r}")
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    head = _words(int(seed))
 
-    def generator(n, family, index, dim):
-        rng = np.random.default_rng([seed, n, family_code[family], index])
-        v = rng.standard_normal(dim)
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            return None
-        return v * (amplitude * rho**n / norm)
+    def draws(n, lanes):
+        scale = amplitude * rho**n
+        for row, (_, _, dim) in zip(_pcg_seeds(head + _words(n), lanes),
+                                    lanes.keys):
+            v = Generator(PCG64(_GivenState(row))).standard_normal(dim)
+            norm = math.sqrt(v @ v)  # np.linalg.norm(v), bit for bit
+            yield None if norm == 0.0 else v * (scale / norm)
 
-    return ErrorSchedule(generator, f"geometric(rho={rho}, amp={amplitude})")
+    return ErrorSchedule(description=f"geometric(rho={rho}, amp={amplitude})",
+                         draws=draws)
+
+
+# NumPy's SeedSequence hash, as numpy/random/bit_generator.pyx runs it for
+# one key: the entropy words are hashed into a pool of four 32-bit words,
+# mixed, and hashed out again as the generator's state.  Every hash call
+# j xors its word with init * mult**j and multiplies it by
+# init * mult**(j + 1), all mod 2**32.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # mixing entropy into the pool
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # hashing the pool out
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(init, mult, calls):
+    """The (xor, multiplier) columns of ``calls`` successive hash calls."""
+    powers = np.multiply.accumulate(np.full(calls, mult, np.uint32))
+    consts = np.empty((calls + 1, 1), np.uint32)
+    consts[0] = init
+    consts[1:, 0] = powers * np.uint32(init)
+    consts.flags.writeable = False
+    return consts[:-1], consts[1:]
+
+
+# A key of w words takes 4 * w mixing calls; these cover keys of up to 16
+# words (the seed, n, family and index take 4 unless seed or n >= 2**32).
+_MIX_CONSTS = _hash_constants(_INIT_A, _MULT_A, 64)
+# generate_state(4, np.uint64) hashes out 8 words, cycling over the pool
+_OUT_CONSTS = _hash_constants(_INIT_B, _MULT_B, 8)
+_OUT_CYCLE = np.arange(8) % 4
+# the pool words each pool word is mixed into, in order
+_MIX_TARGETS = tuple(np.delete(np.arange(4), src) for src in range(4))
+
+
+def _words(value):
+    """The little-endian 32-bit words SeedSequence splits ``value`` into."""
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, got {value}")
+    out = [value & 0xFFFFFFFF]
+    value >>= 32
+    while value:
+        out.append(value & 0xFFFFFFFF)
+        value >>= 32
+    return out
+
+
+def _hashmix(words, xor, mul):
+    h = words ^ xor
+    h *= mul
+    h ^= h >> 16
+    return h
+
+
+def _mix(x, h):
+    out = x * _MIX_MULT_L
+    out -= h * _MIX_MULT_R
+    out ^= out >> 16
+    return out
+
+
+def _pcg_seeds(head, lanes):
+    """PCG64 seeds of the keys ``head + [code, index]``, one row per lane.
+
+    Row j is ``SeedSequence(head + list(lanes.words[:, j]))
+    .generate_state(4, np.uint64)``, from the same uint32 arithmetic run
+    for every lane at once.  ``head`` holds the 32-bit words of the seed
+    and of n.
+    """
+    count, lanes_count = len(head) + 2, len(lanes.keys)
+    entropy = np.empty((count, lanes_count), np.uint32)
+    entropy[:-2] = np.array(head, np.uint32)[:, None]
+    entropy[-2:] = lanes.words
+    xor, mul = _MIX_CONSTS
+    if 4 * count > len(xor):
+        xor, mul = _hash_constants(_INIT_A, _MULT_A, 4 * count)
+    pool = _hashmix(entropy[:4], xor[:4], mul[:4])
+    # each pool word into the other three: those three updates read only
+    # the source word, so they run as one operation
+    j = 4
+    for src, targets in enumerate(_MIX_TARGETS):
+        h = _hashmix(pool[src], xor[j:j + 3], mul[j:j + 3])
+        pool[targets] = _mix(pool[targets], h)
+        j += 3
+    # the words past the pool, each into all four
+    for word in entropy[4:]:
+        pool = _mix(pool, _hashmix(word, xor[j:j + 4], mul[j:j + 4]))
+        j += 4
+    state = _hashmix(pool[_OUT_CYCLE], *_OUT_CONSTS)
+    out = np.empty((lanes_count, 8), "<u4")
+    out.T[...] = state
+    return out.view("<u8").astype(np.uint64)
+
+
+class _GivenState(ISeedSequence):
+    """A seed sequence whose state is already computed: ``PCG64`` reads its
+    seed from ``generate_state(4, np.uint64)``, which returns ``words``."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 def _on_buffer(z, blocks, n):

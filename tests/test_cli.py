@@ -171,3 +171,24 @@ def test_check_reports_are_deterministic(capsys):
     main(["check"])
     second = capsys.readouterr().out
     assert first == second
+
+
+@pytest.mark.parametrize("section, key, value, pointer", [
+    ("errors", "rho", 1.5, "/errors/params/rho"),
+    ("errors", "amplitude", "nan", "/errors/params/amplitude"),
+    ("solver", "seed", -1, "/solver/seed"),
+    ("solver", "seed", 2.5, "/solver/seed"),
+])
+def test_solve_rejects_bad_error_schedule_entries(tmp_path, capsys, section,
+                                                  key, value, pointer):
+    doc = json.loads((PROBLEMS / "lasso.json").read_text())
+    doc["errors"] = {"name": "geometric", "params": {}}
+    target = doc["errors"]["params"] if section == "errors" else doc["solver"]
+    target[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code = main(["solve", str(path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and pointer in err
+    assert "Traceback" not in err

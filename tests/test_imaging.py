@@ -229,3 +229,32 @@ def test_pgm_roundtrip(tmp_path):
     back = read_pgm(path)
     assert back.height == 5 and back.width == 3
     assert np.max(np.abs(back.pixels - img.pixels)) <= 0.5 / 255 + 1e-12
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"", "header ends early"),
+    (b"P5\n5 3\n", "header ends early"),              # cut in the header
+    (b"P5\n# a comment\n5", "header ends early"),
+    (b"P5\n5 x\n255\n" + bytes(15), "height must be a positive integer"),
+    (b"P5\n5 -3\n255\n" + bytes(15), "height must be a positive integer"),
+    (b"P5\n0 3\n255\n", "width must be a positive integer"),
+    (b"P5\n5 3\n255.0\n" + bytes(15), "maxval must be a positive integer"),
+    (b"P5\n5 3\n255\n" + bytes(14), "holds 14 pixel bytes, expected 15"),
+    (b"P5\n5 3\n255", "holds 0 pixel bytes, expected 15"),
+])
+def test_read_pgm_rejects_malformed_files(tmp_path, data, message):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(data)
+    with pytest.raises(ConfigurationError, match=message):
+        read_pgm(path)
+
+
+def test_read_pgm_rejects_a_truncated_written_image(tmp_path):
+    img = ImageGrid(4, 6, np.linspace(0, 1, 24))
+    path = tmp_path / "img.pgm"
+    write_pgm(path, img)
+    whole = path.read_bytes()
+    for cut in (3, 8, len(whole) - 24, len(whole) - 1):
+        path.write_bytes(whole[:cut])
+        with pytest.raises(ConfigurationError):
+            read_pgm(path)

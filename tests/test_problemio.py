@@ -133,3 +133,53 @@ def test_geometric_error_schedule_from_file():
                                                      "amplitude": 0.1}}
     problem = parse_problem(doc)
     assert "geometric" in problem["errors"].description
+
+
+# tests/test_cli.py runs rho 1.5, amplitude "nan" and seeds -1 and 2.5
+@pytest.mark.parametrize("entry, pointer", [
+    ({"name": "uniform"}, "/errors/name"),
+    ({"name": "zero", "params": {"rho": 0.5}}, "/errors/params"),
+    ({"name": "geometric", "params": {"sigma": 0.1}}, "/errors/params"),
+    ({"name": "geometric", "params": {"amplitude": 1e400}},  # inf
+     "/errors/params/amplitude"),
+])
+def test_error_schedule_entry_reports_pointer(entry, pointer):
+    doc = load_doc("lasso.json")
+    doc["errors"] = entry
+    with pytest.raises(ConfigurationError, match=pointer):
+        parse_problem(doc)
+
+
+def test_nan_amplitude_is_rejected_with_pointer():
+    doc = load_doc("lasso.json")
+    doc["errors"] = {"name": "geometric",
+                     "params": {"amplitude": float("nan")}}
+    with pytest.raises(ConfigurationError, match="/errors/params"):
+        parse_problem(doc)
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_problem_file_rejects_non_json_constants(tmp_path, constant):
+    text = (PROBLEMS / "lasso.json").read_text().replace(
+        '"name": "zero"',
+        f'"name": "geometric", "params": {{"amplitude": {constant}}}')
+    assert constant in text
+    path = tmp_path / "nonfinite.json"
+    path.write_text(text)
+    with pytest.raises(ConfigurationError, match=f"{constant} is not a JSON"):
+        load_problem(path)
+
+
+def test_integral_float_seed_is_accepted():
+    doc = load_doc("lasso.json")
+    doc["errors"] = {"name": "geometric", "params": {}}
+    doc["solver"]["seed"] = 2.0
+    doc_int = load_doc("lasso.json")
+    doc_int["errors"] = {"name": "geometric", "params": {}}
+    doc_int["solver"]["seed"] = 2
+    layout = parse_problem(doc)["system"].layout
+    a = parse_problem(doc)["errors"].realize(3, layout)
+    b = parse_problem(doc_int)["errors"].realize(3, layout)
+    for family in a:
+        for x, y in zip(a[family], b[family]):
+            assert x.tobytes() == y.tobytes()

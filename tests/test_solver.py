@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from monosplit.prox import (
 )
 from monosplit.solver import (
     ERROR_FAMILIES,
+    ErrorSchedule,
     IterateState,
     TraceRecord,
     geometric_schedule,
@@ -617,3 +619,139 @@ def test_copy_is_independent_of_original():
     assert not np.any(twin.x2[1] == 7.0)
     assert_states_equal(step(spec, twin, 0.05)[0],
                         reference_step(spec, twin, 0.05)[0])
+
+
+# ---------------------------------------------------------------------------
+# the batched geometric draws against the keyed default_rng formula
+
+
+def reference_geometric_block(rho, amplitude, seed, n, family, index, dim):
+    """One block of ``geometric_schedule`` as it was computed block by
+    block, with a ``default_rng`` per key."""
+    code = ERROR_FAMILIES.index(family)
+    rng = np.random.default_rng([seed, n, code, index])
+    v = rng.standard_normal(dim)
+    norm = np.linalg.norm(v)
+    if norm == 0.0:
+        return None
+    return v * (amplitude * rho**n / norm)
+
+
+LASSO_LAYOUT = SpaceLayout((10,), (10,), (10,), (10,))
+UNEVEN_LAYOUT = SpaceLayout((3, 7), (5, 2), (4, 1), (2, 6))
+
+
+def family_dims(layout, family):
+    return {"11": layout.h_dims, "12": layout.g_dims,
+            "21": layout.x_dims, "22": layout.y_dims}[family[1:]]
+
+
+def assert_blocks_equal(errs, expected):
+    assert list(errs) == list(ERROR_FAMILIES)
+    for family in ERROR_FAMILIES:
+        assert len(errs[family]) == len(expected[family])
+        for got, want in zip(errs[family], expected[family]):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), family
+
+
+@pytest.mark.parametrize("layout", [LASSO_LAYOUT, UNEVEN_LAYOUT],
+                         ids=["lasso", "uneven"])
+@pytest.mark.parametrize("seed", [0, 2**31 - 1, 2**32, 2**40 + 5, 2**600 + 3])
+def test_geometric_blocks_equal_keyed_default_rng_draws(layout, seed):
+    sched = geometric_schedule(0.9, 0.1, seed=seed)
+    for n in (0, 1, 255, 2**32 + 1):
+        expected = {
+            family: [reference_geometric_block(0.9, 0.1, seed, n, family,
+                                               index, dim)
+                     for index, dim in enumerate(family_dims(layout, family))]
+            for family in ERROR_FAMILIES
+        }
+        assert_blocks_equal(sched.realize(n, layout), expected)
+
+
+def test_geometric_block_draw_ignores_other_blocks_dims():
+    # criterion 10 runs a joint system and its decoupled halves under one
+    # schedule: a block must get the same draw whatever the other blocks are
+    sched = geometric_schedule(0.9, 0.1, seed=12)
+    base = SpaceLayout((3, 7), (5, 2), (4, 1), (2, 6))
+    others = [
+        SpaceLayout((3, 7), (9, 1, 4), (2, 2, 2), (8, 3, 5)),  # H kept
+        SpaceLayout((6,), (5, 2), (4, 1), (2, 6)),             # G, Y, X kept
+        SpaceLayout((3, 1), (5, 8), (4, 9), (2, 3)),           # index 0 kept
+    ]
+    for n in (0, 5, 300):
+        a = sched.realize(n, base)
+        for other in others:
+            b = sched.realize(n, other)
+            shared = 0
+            for family in ERROR_FAMILIES:
+                for x, y in zip(a[family], b[family]):
+                    if x.shape == y.shape:
+                        assert x.tobytes() == y.tobytes(), family
+                        shared += 1
+            assert shared >= 3
+
+
+def test_realize_out_of_order_repeats_blocks():
+    sched = geometric_schedule(0.9, 0.1, seed=4)
+    first = sched.realize(7, UNEVEN_LAYOUT)
+    sched.realize(3, UNEVEN_LAYOUT)
+    assert_blocks_equal(sched.realize(7, UNEVEN_LAYOUT), first)
+
+
+def test_geometric_schedule_is_safe_to_share_across_threads():
+    sched = geometric_schedule(0.9, 0.1, seed=5)
+    layouts = [LASSO_LAYOUT, UNEVEN_LAYOUT]
+
+    def run(offset):
+        return [sched.realize(n, layouts[(n + offset) % 2])
+                for n in range(40)]
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        futures = [pool.submit(run, k) for k in range(8)]
+        results = [f.result(timeout=60) for f in futures]
+    for offset, result in enumerate(results):
+        for n, errs in enumerate(result):
+            assert_blocks_equal(errs, results[offset % 2][n])
+    assert_blocks_equal(results[0][3],
+                        sched.realize(3, layouts[1]))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"seed": -1}, {"seed": 2.5}, {"seed": 2.0}, {"seed": True},
+    {"amplitude": float("nan")}, {"amplitude": float("inf")},
+    {"amplitude": -0.1}, {"rho": 1.0}, {"rho": float("nan")},
+])
+def test_geometric_schedule_rejects_bad_arguments(kwargs):
+    args = {"rho": 0.9, "amplitude": 0.1, "seed": 0, **kwargs}
+    with pytest.raises(ValueError):
+        geometric_schedule(**args)
+
+
+def test_geometric_schedule_accepts_numpy_integer_seed():
+    a = geometric_schedule(0.9, 0.1, seed=np.uint64(7)).realize(2, LASSO_LAYOUT)
+    b = geometric_schedule(0.9, 0.1, seed=7).realize(2, LASSO_LAYOUT)
+    assert_blocks_equal(a, b)
+
+
+def test_custom_per_block_generator_is_read_block_by_block():
+    calls = []
+
+    def generator(n, family, index, dim):
+        calls.append((n, family, index, dim))
+        return np.full(dim, float(index + 1)) if family == "b21" else None
+
+    sched = ErrorSchedule(generator, "b21 only")
+    errs = sched.realize(4, UNEVEN_LAYOUT)
+    assert [c[1:] for c in calls] == [
+        (family, index, dim) for family in ERROR_FAMILIES
+        for index, dim in enumerate(family_dims(UNEVEN_LAYOUT, family))]
+    assert all(c[0] == 4 for c in calls)
+    assert [list(b) for b in errs["b21"]] == [[1.0] * 2, [2.0] * 6]
+    assert all(e is None for family in ERROR_FAMILIES if family != "b21"
+               for e in errs[family])
+    assert ErrorSchedule(lambda *key: None).realize(0, LASSO_LAYOUT) is None
+    wrong = ErrorSchedule(lambda n, family, index, dim: np.zeros(dim + 1))
+    with pytest.raises(SpecificationError, match="family a11 block 0"):
+        wrong.realize(0, LASSO_LAYOUT)
