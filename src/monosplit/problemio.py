@@ -12,11 +12,12 @@ JSON-pointer style paths.
 
 import json
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 from jsonschema import Draft202012Validator
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, MonosplitError
 from .imaging import (
     box_blur_op,
     gaussian_blur_op,
@@ -31,11 +32,25 @@ from .minimization import (
     quadratic_smooth,
     zero_smooth,
 )
-from .prox import make_function, zero_coupling
+from .prox import gradient_coupling, make_function, zero_coupling
 from .solver import geometric_schedule, zero_schedule
 from .system import SpaceLayout, SystemSpec
 
 PROBLEM_VERSION = 1
+
+# name -> (constructor, integer params, number params); the parameter names
+# are the constructor's keyword arguments
+OPERATOR_BUILDERS = {
+    "identity": (identity_op, ("dim",), ()),
+    "scaled_identity": (scaled_identity_op, ("dim",), ("scale",)),
+    "zero": (zero_op, ("in_dim", "out_dim"), ()),
+    "gradient": (gradient_op, ("height", "width"), ()),
+    "second_gradient": (second_gradient_op, ("height", "width"), ()),
+    "haar": (haar_analysis_op, ("height", "width"), ()),
+    "box_blur": (box_blur_op, ("height", "width", "size"), ()),
+    "gaussian_blur": (gaussian_blur_op, ("height", "width", "radius"),
+                      ("sigma",)),
+}
 
 _OPERATOR_SCHEMA = {
     "type": "object",
@@ -46,10 +61,21 @@ _OPERATOR_SCHEMA = {
     "properties": {
         "dense": {"type": "array", "items": {"type": "array",
                                              "items": {"type": "number"}}},
-        "builder": {"type": "string"},
+        "builder": {"enum": list(OPERATOR_BUILDERS)},
         "params": {"type": "object"},
     },
     "additionalProperties": False,
+}
+
+# checked after PROBLEM_SCHEMA: as eight if/then rules in it, they tripled
+# the schema check of a file with three operators (0.6 -> 1.8 ms)
+_PARAMS_VALIDATORS = {
+    name: Draft202012Validator({
+        "properties": {**dict.fromkeys(ints, {"type": "integer"}),
+                       **dict.fromkeys(numbers, {"type": "number"})},
+        "additionalProperties": False,
+    })
+    for name, (_, ints, numbers) in OPERATOR_BUILDERS.items()
 }
 
 _PROX_SCHEMA = {
@@ -62,15 +88,21 @@ _PROX_SCHEMA = {
     "additionalProperties": False,
 }
 
-_NAMED_SCHEMA = {
-    "type": "object",
-    "required": ["name"],
-    "properties": {
-        "name": {"type": "string"},
-        "params": {"type": "object"},
-    },
-    "additionalProperties": False,
-}
+
+def _named_schema(quadratic):
+    """Schema of the smooth or coupling entry: zero, or a quadratic."""
+    return {
+        "type": "object",
+        "required": ["name"],
+        "properties": {
+            "name": {"enum": ["zero", quadratic]},
+            "params": {"type": "object",
+                       "properties": {"terms": {"type": "array"}},
+                       "additionalProperties": False},
+        },
+        "additionalProperties": False,
+    }
+
 
 _ERRORS_SCHEMA = {
     "type": "object",
@@ -96,7 +128,7 @@ _ERRORS_SCHEMA = {
 PROBLEM_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
-    "required": ["version", "kind", "layout"],
+    "required": ["version", "kind", "layout", "operators"],
     "properties": {
         "version": {"const": PROBLEM_VERSION},
         "kind": {"enum": ["inclusion", "minimization"]},
@@ -136,11 +168,11 @@ PROBLEM_SCHEMA = {
             "type": "object",
             "properties": {
                 "f": {"type": "array", "items": _PROX_SCHEMA},
-                "smooth": _NAMED_SCHEMA,
+                "smooth": _named_schema("quadratic_fidelity"),
                 "g": {"type": "array", "items": _PROX_SCHEMA},
                 "ell": {"type": "array", "items": _PROX_SCHEMA},
                 "A": {"type": "array", "items": _PROX_SCHEMA},
-                "coupling": _NAMED_SCHEMA,
+                "coupling": _named_schema("quadratic_gradient"),
                 "B": {"type": "array", "items": _PROX_SCHEMA},
                 "D": {"type": "array", "items": _PROX_SCHEMA},
             },
@@ -175,46 +207,39 @@ DEFAULT_SOLVER_CONFIG = {
 _validator = Draft202012Validator(PROBLEM_SCHEMA)
 
 
-def _schema_errors(doc):
+def _check_schema(validator, doc, where=""):
     msgs = []
-    for err in sorted(_validator.iter_errors(doc), key=lambda e: list(e.path)):
-        pointer = "/" + "/".join(str(p) for p in err.absolute_path)
+    for err in sorted(validator.iter_errors(doc), key=lambda e: list(e.path)):
+        pointer = "/".join([where, *map(str, err.absolute_path)]) or "/"
         msgs.append(f"{pointer}: {err.message}")
-    return msgs
+    if msgs:
+        raise ConfigurationError("problem file is invalid:\n  "
+                                 + "\n  ".join(msgs))
+
+
+@contextmanager
+def _located(pointer):
+    """Report a parameter error raised in the block as an error at pointer."""
+    try:
+        yield
+    except (MonosplitError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"{pointer}: {exc}") from exc
 
 
 def build_operator(entry, in_dim, out_dim, where):
-    """Materialize one operator entry and check its dimensions."""
-    if "dense" in entry:
-        op = dense_op(entry["dense"], tag=where)
-    else:
-        name = entry["builder"]
-        params = entry.get("params", {})
-        builders = {
-            "identity": lambda p: identity_op(int(p["dim"])),
-            "scaled_identity": lambda p: scaled_identity_op(
-                int(p["dim"]), float(p["scale"])),
-            "zero": lambda p: zero_op(int(p["in_dim"]), int(p["out_dim"])),
-            "gradient": lambda p: gradient_op(int(p["height"]), int(p["width"])),
-            "second_gradient": lambda p: second_gradient_op(
-                int(p["height"]), int(p["width"])),
-            "haar": lambda p: haar_analysis_op(int(p["height"]), int(p["width"])),
-            "box_blur": lambda p: box_blur_op(
-                int(p["height"]), int(p["width"]), int(p.get("size", 3))),
-            "gaussian_blur": lambda p: gaussian_blur_op(
-                int(p["height"]), int(p["width"]),
-                float(p.get("sigma", 1.0)), int(p.get("radius", 2))),
-        }
-        if name not in builders:
-            raise ConfigurationError(
-                f"{where}: unknown operator builder '{name}'"
-            )
-        try:
-            op = builders[name](params)
-        except KeyError as exc:
-            raise ConfigurationError(
-                f"{where}: builder '{name}' missing parameter {exc}"
-            ) from exc
+    """Materialize one schema-checked operator entry and check its dims."""
+    params = entry.get("params", {})
+    if "builder" in entry:
+        _check_schema(_PARAMS_VALIDATORS[entry["builder"]], params,
+                      f"{where}/params")
+    with _located(where):
+        if "dense" in entry:
+            op = dense_op(entry["dense"], tag=where)
+        else:
+            constructor, ints, _ = OPERATOR_BUILDERS[entry["builder"]]
+            # typed by now; the schema also admits 10.0 as an integer
+            op = constructor(**{k: int(v) if k in ints else v
+                                for k, v in params.items()})
     if (op.in_dim, op.out_dim) != (in_dim, out_dim):
         raise ConfigurationError(
             f"{where}: operator has dims {op.in_dim}->{op.out_dim}, "
@@ -230,47 +255,26 @@ def _build_prox_list(entries, dims, where):
         )
     out = []
     for j, (entry, dim) in enumerate(zip(entries, dims)):
-        try:
+        with _located(f"/functions/{where}/{j}"):
             out.append(make_function(entry["prox"], entry.get("params", {}), dim))
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"/functions/{where}/{j}: {exc}") from exc
     return out
 
 
-def _quadratic_terms(params):
-    terms = []
-    for t in params.get("terms", []):
-        term = {"weight": float(t.get("weight", 1.0))}
-        term["matrix"] = np.asarray(t["matrix"], dtype=float)
-        if "offset" in t:
-            term["offset"] = np.asarray(t["offset"], dtype=float)
-        else:
-            term["offset"] = np.zeros(term["matrix"].shape[0])
-        terms.append(term)
-    return terms
-
-
 def _build_smooth(entry, dim, where):
-    name = entry.get("name", "zero") if entry else "zero"
-    if name == "zero":
+    if not entry or entry["name"] == "zero":
         return zero_smooth(dim)
-    if name == "quadratic_fidelity":
-        return quadratic_smooth(_quadratic_terms(entry.get("params", {})), dim)
-    raise ConfigurationError(f"{where}: unknown smooth builder '{name}'")
+    with _located(where):
+        return quadratic_smooth(entry.get("params", {}).get("terms", []), dim)
 
 
 def _build_coupling(entry, block_dims, where):
-    from .prox import gradient_coupling
-
-    name = entry.get("name", "zero") if entry else "zero"
-    if name == "zero":
+    if not entry or entry["name"] == "zero":
         return zero_coupling(block_dims)
-    if name == "quadratic_gradient":
-        smooth = quadratic_smooth(
-            _quadratic_terms(entry.get("params", {})), int(sum(block_dims)))
-        return gradient_coupling(smooth.gradient, smooth.lipschitz,
-                                 block_dims, tag="quad_grad")
-    raise ConfigurationError(f"{where}: unknown coupling builder '{name}'")
+    with _located(where):
+        smooth = quadratic_smooth(entry.get("params", {}).get("terms", []),
+                                  int(sum(block_dims)))
+    return gradient_coupling(smooth.gradient, smooth.lipschitz,
+                             block_dims, tag="quad_grad")
 
 
 def _vectors(entries, dims, where):
@@ -298,10 +302,7 @@ def parse_problem(doc):
     inclusion files), ``solver`` (config dict with defaults filled) and
     ``errors`` (an ErrorSchedule).
     """
-    msgs = _schema_errors(doc)
-    if msgs:
-        raise ConfigurationError("problem file is invalid:\n  "
-                                 + "\n  ".join(msgs))
+    _check_schema(_validator, doc)
     lay = doc["layout"]
     if lay["m"] != len(lay["h_dims"]):
         raise ConfigurationError("/layout/m: does not match len(h_dims)")
@@ -314,9 +315,7 @@ def parse_problem(doc):
     z = _vectors(doc.get("z"), layout.h_dims, "z")
     r = _vectors(doc.get("r"), layout.g_dims, "r")
 
-    ops = doc.get("operators")
-    if ops is None:
-        raise ConfigurationError("/operators: section is required")
+    ops = doc["operators"]
     for key in ("M", "N", "L"):
         if len(ops[key]) != layout.s:
             raise ConfigurationError(
@@ -370,13 +369,11 @@ def parse_problem(doc):
         schedule = zero_schedule()
     else:
         params = err_entry.get("params", {})
-        try:
-            # the schema admits an integral float such as 2.0 as a seed
+        # a NaN passes every schema bound; the schema admits 2.0 as a seed
+        with _located("/errors/params"):
             schedule = geometric_schedule(params.get("rho", 0.9),
                                           params.get("amplitude", 0.1),
                                           seed=int(solver_cfg["seed"]))
-        except ValueError as exc:  # a NaN, which no schema bound rejects
-            raise ConfigurationError(f"/errors/params: {exc}") from exc
 
     return {
         "kind": kind,

@@ -28,18 +28,6 @@ INDICATOR_VALUE_SLACK = 1e-5
 # Range membership for conjugates computed through pseudo-inverses.
 CONJUGATE_RANGE_TOL = 1e-6
 
-CATALOG_NAMES = (
-    "l1",
-    "group_l12",
-    "indicator_box",
-    "indicator_zero",
-    "indicator_affine",
-    "quadratic_fidelity",
-    "zero_function",
-    "scaled_translated",
-)
-
-
 @dataclass(frozen=True)
 class ResolventOp:
     """A maximally monotone operator given by its resolvent map.
@@ -184,38 +172,31 @@ def coupling_defects(coupling, trials=50, seed=11):
 
 
 def make_function(name, params, dim):
-    """Build a :class:`ConvexFunction` from the catalog.
+    """Build a :class:`ConvexFunction` from :data:`CATALOG`.
 
-    Supported names: ``l1``, ``group_l12``, ``indicator_box``,
-    ``indicator_zero``, ``indicator_affine``, ``quadratic_fidelity``,
-    ``zero_function``, ``scaled_translated``.
+    ``params`` may hold only the parameter names the catalog lists for
+    ``name``; each builder supplies the defaults of the ones left out.
     """
+    _reject_unknown([name], CATALOG, "prox")
+    builder, names = CATALOG[name]
     params = dict(params or {})
-    if name == "l1":
-        return _make_l1(params, dim)
-    if name == "group_l12":
-        return _make_group_l12(params, dim)
-    if name == "indicator_box":
-        return _make_indicator_box(params, dim)
-    if name == "indicator_zero":
-        return _make_indicator_zero(dim)
-    if name == "indicator_affine":
-        return _make_indicator_affine(params, dim)
-    if name == "quadratic_fidelity":
-        return _make_quadratic_fidelity(params, dim)
-    if name == "zero_function":
-        return _make_zero_function(dim)
-    if name == "scaled_translated":
-        return _make_scaled_translated(params, dim)
-    raise ConfigurationError(
-        f"unknown prox '{name}'; supported: {', '.join(CATALOG_NAMES)}"
-    )
+    _reject_unknown(params, names, f"{name} parameter")
+    return builder(params, dim)
+
+
+def _reject_unknown(keys, accepted, what):
+    unknown = sorted(set(keys) - set(accepted))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown {what} {', '.join(map(repr, unknown))}; "
+            f"accepted: {', '.join(accepted) or 'none'}"
+        )
 
 
 def _weights(params, dim, default=1.0):
     w = np.broadcast_to(np.asarray(params.get("weight", default), dtype=float),
                         (dim,)).copy()
-    if np.any(w < 0):
+    if not np.all(w >= 0):  # also rejects NaN, which null converts to
         raise ConfigurationError("weights must be >= 0")
     return w
 
@@ -265,7 +246,7 @@ def _block_index(params, dim):
 def _make_group_l12(params, dim):
     index, covered = _block_index(params, dim)
     w = float(params.get("weight", 1.0))
-    if w < 0:
+    if not w >= 0:
         raise ConfigurationError("weights must be >= 0")
     nb = len(index)
     sizes = np.array([b.size for b in index])
@@ -339,7 +320,7 @@ def _make_indicator_box(params, dim):
                           conjugate_value, tag="indicator_box")
 
 
-def _make_indicator_zero(dim):
+def _make_indicator_zero(params, dim):
     def value(x):
         return 0.0 if np.all(np.abs(x) <= INDICATOR_VALUE_SLACK) else np.inf
 
@@ -394,12 +375,16 @@ def _assemble_quadratic(params, dim):
     """
     terms = []
     for entry in params.get("terms", []):
+        _reject_unknown(entry, ("matrix", "op", "offset", "weight"),
+                        "quadratic term key")
         if "op" in entry:
             op = entry["op"]
             if not isinstance(op, LinOp):
                 raise ConfigurationError("quadratic term 'op' must be a LinOp")
-        else:
+        elif "matrix" in entry:
             op = dense_op(entry["matrix"], tag="T")
+        else:
+            raise ConfigurationError("quadratic term: needs 'matrix' or 'op'")
         if op.in_dim != dim:
             raise ConfigurationError(
                 f"quadratic term: operator in_dim {op.in_dim} != {dim}"
@@ -408,7 +393,7 @@ def _assemble_quadratic(params, dim):
         if r.shape != (op.out_dim,):
             raise ConfigurationError("quadratic term: offset length mismatch")
         w = float(entry.get("weight", 1.0))
-        if w < 0:
+        if not w >= 0:
             raise ConfigurationError("quadratic term: weight must be >= 0")
         terms.append((op, r, w))
     S = np.zeros((dim, dim))
@@ -459,7 +444,7 @@ def _quadratic_fidelity(S, u0, c0, dim):
                           conjugate_value, tag="quadratic_fidelity")
 
 
-def _make_zero_function(dim):
+def _make_zero_function(params, dim):
     def conjugate_value(u):
         return 0.0 if np.all(np.abs(u) <= FEASIBILITY_SLACK) else np.inf
 
@@ -477,6 +462,7 @@ def _make_scaled_translated(params, dim):
     if isinstance(inner, ConvexFunction):
         base = inner
     elif isinstance(inner, dict):
+        _reject_unknown(inner, ("prox", "params"), "scaled_translated inner key")
         base = make_function(inner.get("prox"), inner.get("params"), dim)
     else:
         raise ConfigurationError(
@@ -486,10 +472,10 @@ def _make_scaled_translated(params, dim):
         np.asarray(params.get("shift", 0.0), dtype=float), (dim,)
     ).copy()
     scale = float(params.get("scale", 1.0))
-    if scale < 0:
+    if not scale >= 0:
         raise ConfigurationError("scaled_translated: scale must be >= 0")
     if scale == 0.0:
-        return _make_zero_function(dim)
+        return _make_zero_function({}, dim)
 
     def value(x):
         return scale * base.value(np.asarray(x, dtype=float) - shift)
@@ -507,3 +493,16 @@ def _make_scaled_translated(params, dim):
 
     return ConvexFunction(dim, value, ResolventOp(dim, resolve, "shifted"),
                           conjugate_value, tag="scaled_translated")
+
+
+# name -> (builder(params, dim), the parameter names it reads)
+CATALOG = {
+    "l1": (_make_l1, ("weight",)),
+    "group_l12": (_make_group_l12, ("blocks", "weight")),
+    "indicator_box": (_make_indicator_box, ("lo", "hi")),
+    "indicator_zero": (_make_indicator_zero, ()),
+    "indicator_affine": (_make_indicator_affine, ("matrix", "offset")),
+    "quadratic_fidelity": (_make_quadratic_fidelity, ("terms",)),
+    "zero_function": (_make_zero_function, ()),
+    "scaled_translated": (_make_scaled_translated, ("inner", "shift", "scale")),
+}

@@ -45,19 +45,20 @@ class SpaceLayout:
     x_dims: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "h_dims", tuple(int(d) for d in self.h_dims))
-        object.__setattr__(self, "g_dims", tuple(int(d) for d in self.g_dims))
-        object.__setattr__(self, "y_dims", tuple(int(d) for d in self.y_dims))
-        object.__setattr__(self, "x_dims", tuple(int(d) for d in self.x_dims))
+        for name in ("h_dims", "g_dims", "y_dims", "x_dims"):
+            given = tuple(getattr(self, name))
+            dims = tuple(int(d) for d in given)
+            # 2 == 2.0 == np.int64(2), but 2.5 would truncate to 2
+            if dims != given or any(d < 1 for d in dims):
+                raise SpecificationError(
+                    f"{name}: dimensions must be integers >= 1, got {given}")
+            object.__setattr__(self, name, dims)
         if not self.h_dims or not self.g_dims:
             raise SpecificationError("layout needs at least one block per side")
         if len(self.y_dims) != self.s or len(self.x_dims) != self.s:
             raise SpecificationError(
                 "y_dims and x_dims must have the same length as g_dims"
             )
-        for dims in (self.h_dims, self.g_dims, self.y_dims, self.x_dims):
-            if any(d < 1 for d in dims):
-                raise SpecificationError("all dimensions must be >= 1")
 
     @property
     def m(self):

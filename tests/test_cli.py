@@ -192,3 +192,63 @@ def test_solve_rejects_bad_error_schedule_entries(tmp_path, capsys, section,
     err = capsys.readouterr().err
     assert err.startswith("error:") and pointer in err
     assert "Traceback" not in err
+
+
+# one edit of problems/lasso.json each: name -> (path to the replaced value,
+# the new value, the pointer the error must name)
+BAD_PARAMS = {
+    "dim-string": ("operators/M/0/params/dim", "ten",
+                   "/operators/M/0/params/dim"),
+    "scale-string": ("operators/M/0", {"builder": "scaled_identity",
+                                       "params": {"dim": 10, "scale": "x"}},
+                     "/operators/M/0/params/scale"),
+    "blur-size-fraction": ("operators/M/0", {
+        "builder": "box_blur", "params": {"height": 2, "width": 5,
+                                          "size": 3.5}},
+        "/operators/M/0/params/size"),
+    "dense-ragged": ("operators/M/0", {"dense": [[1.0, 0.0], [1.0]]},
+                     "/operators/M/0"),
+    "term-without-matrix": ("functions/smooth/params/terms/0",
+                            {"offset": [0.0] * 10}, "/functions/smooth"),
+    "term-weight-string": ("functions/smooth/params/terms/0/weight", "heavy",
+                           "/functions/smooth"),
+    "l1-weight-string": ("functions/f/0/params/weight", "half",
+                         "/functions/f/0"),
+    "l1-weight-length-2": ("functions/f/0/params/weight", [0.5, 0.5],
+                           "/functions/f/0"),
+    "l1-weight-null": ("functions/f/0/params/weight", None,
+                       "/functions/f/0"),
+    "term-weight-nan": ("functions/smooth/params/terms/0/weight", "nan",
+                        "/functions/smooth"),
+    "l1-weigth-typo": ("functions/f/0/params", {"weigth": 0.5},
+                       "/functions/f/0"),
+    "group-weight-string": ("functions/f/0", {
+        "prox": "group_l12", "params": {"blocks": [[0, 1]], "weight": "x"}},
+        "/functions/f/0"),
+    "scaled-scale-string": ("functions/f/0", {
+        "prox": "scaled_translated",
+        "params": {"inner": {"prox": "l1"}, "scale": "x"}},
+        "/functions/f/0"),
+    "box-lo-string": ("functions/f/0", {"prox": "indicator_box",
+                                        "params": {"lo": "low"}},
+                      "/functions/f/0"),
+}
+
+
+@pytest.mark.parametrize("path, value, pointer", BAD_PARAMS.values(),
+                         ids=BAD_PARAMS)
+def test_solve_rejects_bad_params_with_pointer(tmp_path, capsys, path, value,
+                                               pointer):
+    doc = json.loads((PROBLEMS / "lasso.json").read_text())
+    *parents, last = path.split("/")
+    node = doc
+    for key in parents:
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    node[int(last) if isinstance(node, list) else last] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["solve", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and pointer in err
+    assert "Traceback" not in err

@@ -139,6 +139,18 @@ def test_unknown_prox_name_raises():
         make_function("huber", {}, 3)
 
 
+@pytest.mark.parametrize("name, params, dim", [
+    ("l1", {"weigth": 0.5}, 3),
+    ("indicator_zero", {"x": 1}, 2),
+    ("quadratic_fidelity", {"terms": [{"matrix": [[1.0, 0.0]],
+                                       "wieght": 2.0}]}, 2),
+    ("scaled_translated", {"inner": {"prox": "l1", "parms": {}}}, 2),
+])
+def test_unknown_parameter_name_raises(name, params, dim):
+    with pytest.raises(ConfigurationError, match="unknown"):
+        make_function(name, params, dim)
+
+
 def test_malformed_blocks_raise():
     with pytest.raises(ConfigurationError):
         make_function("group_l12", {"blocks": [[0, 1], [1, 2]]}, 3)

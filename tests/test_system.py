@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from monosplit.demos import lasso_demo, lifted_solution_state
-from monosplit.errors import HypothesisError, StepBoundError
+from monosplit.errors import (
+    HypothesisError,
+    SpecificationError,
+    StepBoundError,
+)
 from monosplit.linops import dense_op, identity_op, zero_op
 from monosplit.prox import gradient_coupling, make_function, zero_coupling
 from monosplit.solver import IterateState, make_policy, solve, step
@@ -49,6 +53,21 @@ def all_zero_system():
         M=[zero_op(1, 1)], N=[zero_op(1, 1)],
         L=[[zero_op(1, 1)]],
     )
+
+
+@pytest.mark.parametrize("dims", [(2.5,), (3.9,)])
+def test_layout_rejects_non_integral_dims(dims):
+    with pytest.raises(SpecificationError, match="integers"):
+        SpaceLayout(dims, (1,), (1,), (1,))
+    with pytest.raises(SpecificationError, match="integers"):
+        SpaceLayout((1,), (1,), (1,), dims)
+
+
+def test_layout_accepts_integral_dims_of_any_type():
+    layout = SpaceLayout((np.int64(2),), (3.0,), (np.uint8(1),), (1,))
+    assert layout.h_dims == (2,) and layout.g_dims == (3,)
+    assert all(type(d) is int for d in layout.h_dims + layout.g_dims
+               + layout.y_dims + layout.x_dims)
 
 
 def test_compute_beta_zero_system_is_hypothesis_error():
