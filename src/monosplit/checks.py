@@ -97,7 +97,7 @@ def run_checks(corrupt_adjoint=False):
     ok = by_hand - 1e-8 <= beta <= demo.system.C.nu0 \
         + 1.01 * (by_hand - demo.system.C.nu0) + 1e-8
     record("coupling bound arithmetic", ok,
-           f"power {beta:.6f} vs svd {by_hand:.6f}")
+           f"bound {beta:.6f} vs svd {by_hand:.6f}")
 
     # the lifted oracle solution is a fixed point
     state = lifted_solution_state(demo)

@@ -119,6 +119,7 @@ def _run_and_write(system, init, policy, errors, tol, max_iter, trace_every,
                 trace[-1].displacement if trace else None,
             "transversality_defect": transversality_defect(system, final),
             "beta": policy.beta,
+            "beta_terms": system.beta_report,
             "epsilon": policy.epsilon,
             "gamma": policy.gamma_const,
             "tol": tol,

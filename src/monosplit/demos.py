@@ -263,4 +263,5 @@ def separation_demo(seed=555):
 
 def _coupling_from_smooth(phi, block_dims):
     return gradient_coupling(phi.gradient, phi.lipschitz, block_dims,
-                             tag=f"grad_{phi.tag}")
+                             tag=f"grad_{phi.tag}",
+                             nu0_source=phi.lipschitz_source)

@@ -11,8 +11,10 @@ boundary, a single-level orthonormal Haar analysis operator, and dense blur
 matrices.  The ||.||_{1,2} norm groups the derivative channels per pixel.
 
 Boundary handling is replicate everywhere, which keeps the classical
-``||grad|| <= sqrt(8)`` bound; blur operators are materialized as dense
-matrices so adjoints are exact transposes (desk scale only).
+``||grad|| <= sqrt(8)`` bound (Chambolle 2004), and so ``||grad2|| <= 8``
+for the gradient applied twice; these and the Haar transform's norm 1 are
+the operators' norm certificates.  Blur operators are materialized as
+dense matrices so adjoints are exact transposes (desk scale only).
 """
 
 from dataclasses import dataclass
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, SpecificationError
-from .linops import LinOp, dense_op, identity_op
+from .linops import LinOp, certified, dense_op, identity_op
 from .minimization import MinimizationSpec, quadratic_smooth
 from .prox import make_function
 from .system import SpaceLayout
@@ -114,7 +116,9 @@ def gradient_op(height, width):
         return _grad_adj(np.asarray(y, dtype=float).reshape(2, height, width)
                          ).ravel()
 
-    return LinOp(hw, 2 * hw, apply, adjoint_apply, tag=f"grad{height}x{width}")
+    norm = certified(GRAD_NORM_BOUND)
+    return LinOp(hw, 2 * hw, apply, adjoint_apply, tag=f"grad{height}x{width}",
+                 certificate=lambda: norm)
 
 
 def second_gradient_op(height, width):
@@ -135,8 +139,9 @@ def second_gradient_op(height, width):
         y = np.asarray(y, dtype=float).reshape(2, 2, height, width)
         return _grad_adj(_grad_adj(y)).ravel()
 
+    norm = certified(GRAD_NORM_BOUND ** 2)
     return LinOp(hw, 4 * hw, apply, adjoint_apply,
-                 tag=f"grad2_{height}x{width}")
+                 tag=f"grad2_{height}x{width}", certificate=lambda: norm)
 
 
 def _haar_butterfly(a, b, c, d):
@@ -185,29 +190,42 @@ def haar_analysis_op(height, width):
         out = _haar_butterfly(*bands).reshape((2, 2) + half)
         return out.transpose(2, 0, 3, 1).ravel()
 
-    return LinOp(hw, hw, apply, adjoint_apply, tag=f"haar{height}x{width}")
+    norm = certified(1.0)
+    return LinOp(hw, hw, apply, adjoint_apply, tag=f"haar{height}x{width}",
+                 certificate=lambda: norm)
 
 
 def _stencil_matrix(height, width, kernel):
-    """Dense matrix of a 2-D stencil with replicate boundary."""
+    """Dense matrix of a 2-D stencil with replicate boundary.
+
+    Row ``i * width + j`` gathers ``kernel[di, dj]`` from pixel
+    ``(i + di - kh // 2, j + dj - kw // 2)`` clamped into the grid.  One
+    pass per kernel entry adds it to every row at once; a row meets each
+    pass once, so entries that the boundary folds together are summed in
+    kernel order.
+    """
     kernel = np.asarray(kernel, dtype=float)
     kh, kw = kernel.shape
-    oh, ow = kh // 2, kw // 2
     hw = height * width
     mat = np.zeros((hw, hw))
-    for i in range(height):
-        for j in range(width):
-            row = i * width + j
-            for di in range(kh):
-                for dj in range(kw):
-                    src_i = min(max(i + di - oh, 0), height - 1)
-                    src_j = min(max(j + dj - ow, 0), width - 1)
-                    mat[row, src_i * width + src_j] += kernel[di, dj]
+    rows = np.arange(hw)
+    i, j = np.divmod(rows, width)
+    for di in range(kh):
+        src_i = np.clip(i + di - kh // 2, 0, height - 1)
+        for dj in range(kw):
+            src_j = np.clip(j + dj - kw // 2, 0, width - 1)
+            mat[rows, src_i * width + src_j] += kernel[di, dj]
     return mat
+
+
+def _check_blur_grid(height, width):
+    if height < 1 or width < 1:
+        raise ConfigurationError("blur operators need height, width >= 1")
 
 
 def box_blur_op(height, width, size=3):
     """Dense size x size box blur with replicate boundary."""
+    _check_blur_grid(height, width)
     if size < 1 or size % 2 == 0:
         raise ConfigurationError("box blur size must be odd and >= 1")
     kernel = np.full((size, size), 1.0 / (size * size))
@@ -217,6 +235,7 @@ def box_blur_op(height, width, size=3):
 
 def gaussian_blur_op(height, width, sigma=1.0, radius=2):
     """Dense truncated-Gaussian blur with replicate boundary."""
+    _check_blur_grid(height, width)
     if sigma <= 0 or radius < 0:
         raise ConfigurationError("need sigma > 0 and radius >= 0")
     ax = np.arange(-radius, radius + 1, dtype=float)
@@ -242,8 +261,7 @@ def make_observations(truth, blur_ops, weights, noise_sigma=0.0, seed=0):
 def pixel_groups(height, width, channels):
     """Index blocks grouping the derivative channels of each pixel."""
     hw = height * width
-    base = np.arange(hw)
-    return [list(base[p] + hw * np.arange(channels)) for p in range(hw)]
+    return (np.arange(hw)[:, None] + hw * np.arange(channels)).tolist()
 
 
 def build_app1_instance(truth, obs, alpha, beta, gamma, box=(0.0, 1.0)):

@@ -5,27 +5,61 @@ of callables (forward and adjoint) plus its dimensions.  Operators are
 immutable after construction and must be reentrant; nothing here mutates
 state during ``apply``.
 
-Operator norms are needed for the admissible step-size range and are
-estimated by power iteration.  The estimate is inflated by a fixed safety
-factor so downstream bounds computed from it stay valid even when the power
-iteration exits early.
+Operator norms are needed for the admissible step-size range, and there
+they must be upper bounds.  So each constructor certifies its operator's
+norm (:attr:`LinOp.norm_bound`): closed-form bounds for the identity, the
+scaled identity, the zero map and the imaging operators, and the SVD norm
+plus a stated roundoff margin for a dense matrix; :func:`compose` carries
+the certificates through a product.  Certificates come first.  Power
+iteration (:func:`operator_norm`) is left for opaque operators, built
+straight from a pair of callables, and for the Lipschitz constant of
+:func:`~monosplit.minimization.quadratic_smooth`.  Only its estimates are
+inflated by the safety factor :data:`NORM_SAFETY`, and an estimate that
+did not converge is an error (:class:`~monosplit.errors.HypothesisError`)
+where a bound is needed.
 """
 
 from dataclasses import dataclass
-from typing import Callable
+from functools import cache
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import NumericError, SpecificationError
 
-# Estimated norms are inflated by this factor before entering step-size
-# bounds: underestimating an operator norm would invalidate the bounds,
-# overestimating only makes steps slightly conservative.
+# Power-iteration estimates (and only they) are inflated by this factor
+# before entering step-size bounds: underestimating an operator norm would
+# invalidate the bounds, overestimating only makes steps slightly
+# conservative.
 NORM_SAFETY = 1.01
 
 POWER_TOL = 1e-9
 POWER_MAX_ITER = 5000
 POWER_SEED = 42
+
+
+@dataclass(frozen=True)
+class OpNormEstimate:
+    """An operator norm: an estimate, or a bound that holds by construction.
+
+    ``upper_bound`` is the number that feeds step-size bounds.  ``method``
+    says where it came from: ``"certificate"`` (a closed-form bound, or a
+    product of such bounds), ``"svd"`` (a dense SVD norm plus its roundoff
+    margin) or ``"power"`` (power iteration: ``upper_bound`` is ``value``
+    inflated by :data:`NORM_SAFETY`, and a bound only if it converged).
+    """
+
+    value: float
+    upper_bound: float
+    iterations_used: int
+    converged: bool
+    method: str = "power"
+
+
+def certified(bound, method="certificate"):
+    """An :class:`OpNormEstimate` for a bound that holds by construction."""
+    bound = float(bound)
+    return OpNormEstimate(bound, bound, 0, True, method)
 
 
 @dataclass(frozen=True)
@@ -35,6 +69,13 @@ class LinOp:
     ``apply`` maps vectors of length ``in_dim`` to vectors of length
     ``out_dim``; ``adjoint_apply`` is its adjoint, i.e.
     ``<apply(x), y> == <x, adjoint_apply(y)>`` for all x, y.
+
+    ``certificate`` returns the operator's certified norm (an
+    :class:`OpNormEstimate`, computed at most once); it is None for an
+    opaque operator, whose norm only power iteration can estimate.
+    ``kind`` is ``"identity"`` for :func:`identity_op` and ``"general"``
+    otherwise.  ``matrix`` is set by :func:`dense_op` only: ``apply(x)``
+    is then exactly ``matrix @ x``.
     """
 
     in_dim: int
@@ -42,6 +83,9 @@ class LinOp:
     apply: Callable[[np.ndarray], np.ndarray]
     adjoint_apply: Callable[[np.ndarray], np.ndarray]
     tag: str = ""
+    certificate: Optional[Callable[[], OpNormEstimate]] = None
+    kind: str = "general"
+    matrix: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.in_dim < 1 or self.out_dim < 1:
@@ -50,19 +94,25 @@ class LinOp:
                 f"got {self.in_dim} -> {self.out_dim}"
             )
 
+    @property
+    def norm_bound(self):
+        """Certified upper bound of the operator norm; None when opaque."""
+        if self.certificate is None:
+            return None
+        return self.certificate().upper_bound
 
-@dataclass(frozen=True)
-class OpNormEstimate:
-    """Power-iteration estimate of an operator norm.
 
-    ``upper_bound`` is ``value`` inflated by the safety factor and is the
-    number that feeds step-size bounds.
+def _svd_norm(mat):
+    """Certified norm of a dense matrix: its SVD norm plus a margin.
+
+    LAPACK's SVD is backward stable: the computed singular values are
+    exact for a matrix within ``p(n) eps ||A||`` of the given one, with
+    ``p(n)`` a modest multiple of the order ``n``, so by Weyl's inequality
+    each is off by at most that much.  The margin takes ``p(n) = 8 n``.
     """
-
-    value: float
-    upper_bound: float
-    iterations_used: int
-    converged: bool
+    value = float(np.linalg.norm(mat, 2))
+    margin = 8.0 * max(mat.shape) * np.finfo(float).eps
+    return OpNormEstimate(value, value * (1.0 + margin), 0, True, "svd")
 
 
 def dense_op(matrix, tag=""):
@@ -77,46 +127,79 @@ def dense_op(matrix, tag=""):
         apply=lambda x, _m=mat: _m @ x,
         adjoint_apply=lambda y, _mt=mat_t: _mt @ y,
         tag=tag or f"dense{mat.shape}",
+        certificate=cache(lambda: _svd_norm(mat)),
+        matrix=mat,
     )
 
 
 def identity_op(dim, tag="id"):
     """The identity on R^dim."""
-    return LinOp(dim, dim, lambda x: x, lambda y: y, tag=tag)
+    norm = certified(1.0)
+    return LinOp(dim, dim, lambda x: x, lambda y: y, tag=tag,
+                 certificate=lambda: norm, kind="identity")
 
 
 def scaled_identity_op(dim, scale, tag=""):
     """``x -> scale * x`` on R^dim."""
     s = float(scale)
-    return LinOp(dim, dim, lambda x: s * x, lambda y: s * y, tag=tag or f"{s}*id")
+    norm = certified(abs(s))
+    return LinOp(dim, dim, lambda x: s * x, lambda y: s * y, tag=tag or f"{s}*id",
+                 certificate=lambda: norm)
 
 
 def zero_op(in_dim, out_dim, tag="zero"):
     """The zero map R^in_dim -> R^out_dim."""
+    norm = certified(0.0)
     return LinOp(
         in_dim,
         out_dim,
         lambda x: np.zeros(out_dim),
         lambda y: np.zeros(in_dim),
         tag=tag,
+        certificate=lambda: norm,
     )
 
 
 def compose(outer, inner):
-    """The composition ``outer o inner`` with adjoint ``inner* o outer*``."""
+    """The composition ``outer o inner`` with adjoint ``inner* o outer*``.
+
+    The identity composed with X, on either side, is X itself.  A product
+    of two dense maps is certified by the SVD of the product matrix (the
+    product of the factors' norms can be far from tight); any other
+    product of certified maps by the product of their bounds.  The
+    composition with an opaque map is opaque.
+    """
     if inner.out_dim != outer.in_dim:
         raise SpecificationError(
             f"cannot compose '{outer.tag}' ({outer.in_dim}->{outer.out_dim}) with "
             f"'{inner.tag}' ({inner.in_dim}->{inner.out_dim}): inner output "
             f"{inner.out_dim} != outer input {outer.in_dim}"
         )
+    if outer.kind == "identity":
+        return inner
+    if inner.kind == "identity":
+        return outer
+    certificate = None
+    if outer.matrix is not None and inner.matrix is not None:
+        certificate = cache(lambda: _svd_norm(outer.matrix @ inner.matrix))
+    elif outer.certificate is not None and inner.certificate is not None:
+        certificate = cache(lambda: _product(outer.certificate(),
+                                             inner.certificate()))
     return LinOp(
         in_dim=inner.in_dim,
         out_dim=outer.out_dim,
         apply=lambda x: outer.apply(inner.apply(x)),
         adjoint_apply=lambda y: inner.adjoint_apply(outer.adjoint_apply(y)),
         tag=f"{outer.tag}o{inner.tag}",
+        certificate=certificate,
     )
+
+
+def _product(a, b):
+    """Certified norm of a product from those of its two factors."""
+    methods = {a.method, b.method} - {"certificate"}
+    return certified(a.upper_bound * b.upper_bound,
+                     methods.pop() if methods else "certificate")
 
 
 def materialize(op):

@@ -29,8 +29,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NotComputableError, SpecificationError
-from .linops import operator_norm
+from .errors import HypothesisError, NotComputableError, SpecificationError
+from .linops import OpNormEstimate, certified, operator_norm
 from .prox import (
     FEASIBILITY_SLACK,
     _assemble_quadratic,
@@ -47,7 +47,9 @@ class SmoothFunction:
     """A convex differentiable function with a Lipschitz gradient.
 
     ``lipschitz`` is the asserted gradient Lipschitz constant (it feeds the
-    coupling bound, so an upper bound is safe and an underestimate is not).
+    coupling bound, so an upper bound is safe and an underestimate is not);
+    ``lipschitz_source`` says how it was obtained (see
+    :class:`~monosplit.prox.LipschitzCoupling`).
     """
 
     dim: int
@@ -56,6 +58,7 @@ class SmoothFunction:
     lipschitz: float
     conjugate_value: Optional[Callable[[np.ndarray], float]] = None
     tag: str = ""
+    lipschitz_source: Optional[OpNormEstimate] = None
 
 
 def zero_smooth(dim):
@@ -64,27 +67,38 @@ def zero_smooth(dim):
         return 0.0 if np.all(np.abs(u) <= FEASIBILITY_SLACK) else np.inf
 
     return SmoothFunction(dim, lambda x: 0.0, lambda x: np.zeros(dim), 0.0,
-                          conjugate_value, tag="zero")
+                          conjugate_value, tag="zero",
+                          lipschitz_source=certified(0.0))
 
 
 def quadratic_smooth(terms, dim):
     """phi(x) = 0.5 sum_k w_k ||T_k x - r_k||^2 with assembled gradient.
 
     The Lipschitz constant is the sum of ``w_k ||T_k||^2`` with inflated
-    norm estimates, a safe upper bound for the true constant
-    ``||sum w T'T||``.
+    power-iteration estimates, a safe upper bound for the true constant
+    ``||sum w T'T||``.  Raises :class:`HypothesisError` when an estimate
+    did not converge.
     """
     S, u0, c0, ops = _assemble_quadratic({"terms": terms}, dim)
-    lipschitz = 0.0
+    lipschitz, steps = 0.0, 0
     for op, _r, w in ops:
-        lipschitz += w * operator_norm(op).upper_bound ** 2
+        est = operator_norm(op)
+        if not est.converged:
+            raise HypothesisError(
+                f"quadratic term '{op.tag}': power iteration did not "
+                f"converge in {est.iterations_used} steps")
+        lipschitz += w * est.upper_bound ** 2
+        steps += est.iterations_used
     quad = _quadratic_fidelity(S, u0, c0, dim)
 
     def gradient(x):
         return S @ np.asarray(x, dtype=float) - u0
 
-    return SmoothFunction(dim, quad.value, gradient, float(lipschitz),
-                          quad.conjugate_value, tag="quadratic")
+    lipschitz = float(lipschitz)
+    return SmoothFunction(dim, quad.value, gradient, lipschitz,
+                          quad.conjugate_value, tag="quadratic",
+                          lipschitz_source=OpNormEstimate(
+                              lipschitz, lipschitz, steps, True))
 
 
 def smooth_gradient_defect(phi, trials=10, seed=2):
@@ -159,7 +173,8 @@ def build_system(min_spec):
                 f"ell[{k}]: dim {ms.ell[k].dim} != X dim {layout.x_dims[k]}"
             )
     coupling = gradient_coupling(ms.phi.gradient, ms.phi.lipschitz,
-                                 layout.h_dims, tag=f"grad_{ms.phi.tag}")
+                                 layout.h_dims, tag=f"grad_{ms.phi.tag}",
+                                 nu0_source=ms.phi.lipschitz_source)
     return SystemSpec(
         layout=layout,
         z=ms.z,

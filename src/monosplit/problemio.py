@@ -10,9 +10,11 @@ from a named builder catalog.  Schema violations are reported with
 JSON-pointer style paths.
 """
 
+import inspect
 import json
 import sys
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 from jsonschema import Draft202012Validator
@@ -38,18 +40,35 @@ from .system import SpaceLayout, SystemSpec
 
 PROBLEM_VERSION = 1
 
-# name -> (constructor, integer params, number params); the parameter names
-# are the constructor's keyword arguments
+
+def _square(args):
+    return args["dim"], args["dim"]
+
+
+def _image(channels):
+    def dims(args):
+        pixels = args["height"] * args["width"]
+        return pixels, channels * pixels
+
+    return dims
+
+
+# name -> (constructor, integer params, number params, dims); the parameter
+# names are the constructor's keyword arguments, and dims maps them (with
+# the constructor's defaults filled in) to the operator's (in_dim, out_dim)
+# without building it
 OPERATOR_BUILDERS = {
-    "identity": (identity_op, ("dim",), ()),
-    "scaled_identity": (scaled_identity_op, ("dim",), ("scale",)),
-    "zero": (zero_op, ("in_dim", "out_dim"), ()),
-    "gradient": (gradient_op, ("height", "width"), ()),
-    "second_gradient": (second_gradient_op, ("height", "width"), ()),
-    "haar": (haar_analysis_op, ("height", "width"), ()),
-    "box_blur": (box_blur_op, ("height", "width", "size"), ()),
+    "identity": (identity_op, ("dim",), (), _square),
+    "scaled_identity": (scaled_identity_op, ("dim",), ("scale",), _square),
+    "zero": (zero_op, ("in_dim", "out_dim"), (),
+             lambda args: (args["in_dim"], args["out_dim"])),
+    "gradient": (gradient_op, ("height", "width"), (), _image(2)),
+    "second_gradient": (second_gradient_op, ("height", "width"), (),
+                        _image(4)),
+    "haar": (haar_analysis_op, ("height", "width"), (), _image(1)),
+    "box_blur": (box_blur_op, ("height", "width", "size"), (), _image(1)),
     "gaussian_blur": (gaussian_blur_op, ("height", "width", "radius"),
-                      ("sigma",)),
+                      ("sigma",), _image(1)),
 }
 
 _OPERATOR_SCHEMA = {
@@ -75,7 +94,7 @@ _PARAMS_VALIDATORS = {
                        **dict.fromkeys(numbers, {"type": "number"})},
         "additionalProperties": False,
     })
-    for name, (_, ints, numbers) in OPERATOR_BUILDERS.items()
+    for name, (_, ints, numbers, _) in OPERATOR_BUILDERS.items()
 }
 
 _PROX_SCHEMA = {
@@ -227,7 +246,11 @@ def _located(pointer):
 
 
 def build_operator(entry, in_dim, out_dim, where):
-    """Materialize one schema-checked operator entry and check its dims."""
+    """Materialize one schema-checked operator entry and check its dims.
+
+    A builder's dims are worked out from its params and checked before the
+    builder runs, so a misfit entry allocates nothing.
+    """
     params = entry.get("params", {})
     if "builder" in entry:
         _check_schema(_PARAMS_VALIDATORS[entry["builder"]], params,
@@ -235,17 +258,21 @@ def build_operator(entry, in_dim, out_dim, where):
     with _located(where):
         if "dense" in entry:
             op = dense_op(entry["dense"], tag=where)
+            dims, build = (op.in_dim, op.out_dim), lambda: op
         else:
-            constructor, ints, _ = OPERATOR_BUILDERS[entry["builder"]]
+            constructor, ints, _, dims_of = OPERATOR_BUILDERS[entry["builder"]]
             # typed by now; the schema also admits 10.0 as an integer
-            op = constructor(**{k: int(v) if k in ints else v
-                                for k, v in params.items()})
-    if (op.in_dim, op.out_dim) != (in_dim, out_dim):
+            kwargs = {k: int(v) if k in ints else v for k, v in params.items()}
+            args = inspect.signature(constructor).bind(**kwargs)
+            args.apply_defaults()
+            dims, build = dims_of(args.arguments), partial(constructor, **kwargs)
+    if dims != (in_dim, out_dim):
         raise ConfigurationError(
-            f"{where}: operator has dims {op.in_dim}->{op.out_dim}, "
+            f"{where}: operator has dims {dims[0]}->{dims[1]}, "
             f"layout requires {in_dim}->{out_dim}"
         )
-    return op
+    with _located(where):
+        return build()
 
 
 def _build_prox_list(entries, dims, where):
@@ -274,7 +301,8 @@ def _build_coupling(entry, block_dims, where):
         smooth = quadratic_smooth(entry.get("params", {}).get("terms", []),
                                   int(sum(block_dims)))
     return gradient_coupling(smooth.gradient, smooth.lipschitz,
-                             block_dims, tag="quad_grad")
+                             block_dims, tag="quad_grad",
+                             nu0_source=smooth.lipschitz_source)
 
 
 def _vectors(entries, dims, where):

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, SpecificationError
-from .linops import LinOp, dense_op
+from .linops import LinOp, OpNormEstimate, certified, dense_op, materialize
 
 # Conjugate-side set membership (dual balls, ranges) tolerates only
 # floating-point noise: loosening it would report lower bounds that are not.
@@ -63,7 +63,10 @@ class LipschitzCoupling:
 
     ``apply`` maps the concatenation of the primal blocks to a vector of the
     same total length; ``block_dims`` records how to slice per-block
-    components out of it.  ``nu0`` is the asserted Lipschitz constant.
+    components out of it.  ``nu0`` is the asserted Lipschitz constant;
+    ``nu0_source``, when given, is the :class:`~monosplit.linops.OpNormEstimate`
+    it was obtained as (its ``upper_bound`` is ``nu0``), and None means the
+    caller asserts it.
     """
 
     total_dim: int
@@ -71,6 +74,7 @@ class LipschitzCoupling:
     apply: Callable[[np.ndarray], np.ndarray]
     nu0: float
     tag: str = ""
+    nu0_source: Optional[OpNormEstimate] = None
 
     def __post_init__(self):
         if sum(self.block_dims) != self.total_dim:
@@ -88,14 +92,16 @@ def zero_coupling(block_dims):
     """The zero coupling (nu0 = 0)."""
     total = int(sum(block_dims))
     return LipschitzCoupling(total, tuple(int(d) for d in block_dims),
-                             lambda x: np.zeros(total), 0.0, tag="zero")
+                             lambda x: np.zeros(total), 0.0, tag="zero",
+                             nu0_source=certified(0.0))
 
 
-def gradient_coupling(phi_grad, nu0, block_dims, tag="grad"):
+def gradient_coupling(phi_grad, nu0, block_dims, tag="grad", nu0_source=None):
     """Wrap the gradient of a smooth convex function as a coupling.
 
     The wrapped map is monotone because the function is convex; ``nu0`` is
-    the caller-supplied Lipschitz constant of the gradient.
+    the caller-supplied Lipschitz constant of the gradient, obtained as
+    ``nu0_source`` says (see :class:`LipschitzCoupling`).
     """
     if nu0 < 0:
         raise SpecificationError("nu0 must be >= 0")
@@ -111,7 +117,7 @@ def gradient_coupling(phi_grad, nu0, block_dims, tag="grad"):
         return np.asarray(phi_grad(x), dtype=float)
 
     return LipschitzCoupling(total, tuple(int(d) for d in block_dims),
-                             apply, float(nu0), tag=tag)
+                             apply, float(nu0), tag=tag, nu0_source=nu0_source)
 
 
 def resolvent_of_inverse(op, gamma, x):
@@ -175,12 +181,13 @@ def make_function(name, params, dim):
     """Build a :class:`ConvexFunction` from :data:`CATALOG`.
 
     ``params`` may hold only the parameter names the catalog lists for
-    ``name``; each builder supplies the defaults of the ones left out.
+    ``name``, each of its declared type; each builder supplies the
+    defaults of the ones left out.
     """
     _reject_unknown([name], CATALOG, "prox")
-    builder, names = CATALOG[name]
+    builder, types = CATALOG[name]
     params = dict(params or {})
-    _reject_unknown(params, names, f"{name} parameter")
+    _check_params(params, types, f"{name} parameter")
     return builder(params, dim)
 
 
@@ -191,6 +198,51 @@ def _reject_unknown(keys, accepted, what):
             f"unknown {what} {', '.join(map(repr, unknown))}; "
             f"accepted: {', '.join(accepted) or 'none'}"
         )
+
+
+def _is_number(value):
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
+
+
+def _is_numbers(value):
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "iuf"
+    if isinstance(value, (list, tuple)):
+        # the common case, a flat list of JSON numbers, in one pass
+        return (set(map(type, value)) <= {int, float}
+                or all(map(_is_numbers, value)))
+    return _is_number(value)
+
+
+# The JSON types of catalog parameters: what a value must be, and its test.
+# Library callers may also pass a numpy array where an array is expected,
+# and a ConvexFunction for an object.
+_PARAM_TYPES = {
+    "number": ("a number", _is_number),
+    "numbers": ("a number or an array of numbers", _is_numbers),
+    "array": ("an array",
+              lambda value: isinstance(value, (list, tuple, np.ndarray))),
+    "object": ("an object",
+               lambda value: isinstance(value, (dict, ConvexFunction))),
+}
+
+
+def _check_params(params, types, what):
+    """Reject keys ``types`` does not name and values not of their type.
+
+    A key typed None is checked by its builder alone.
+    """
+    _reject_unknown(params, types, what)
+    for key, value in params.items():
+        if types[key] is None:
+            continue
+        expected, test = _PARAM_TYPES[types[key]]
+        if not test(value):
+            raise ConfigurationError(
+                f"{what} '{key}' must be {expected}, "
+                f"got {type(value).__name__}"
+            )
 
 
 def _weights(params, dim, default=1.0):
@@ -219,6 +271,14 @@ def _make_l1(params, dim):
 
 
 def _block_index(params, dim):
+    """The blocks of ``group_l12``: their indices end to end, their sizes
+    and the mask of the indices they cover.
+
+    Raises for the first block, in list order, that is empty, is not a
+    list of integers, reaches outside ``0..dim-1`` or shares an index with
+    an earlier block, checking a block in that order.  The checks run on
+    all blocks at once.
+    """
     blocks = params.get("blocks")
     if not isinstance(blocks, (list, tuple)) or not blocks:
         raise ConfigurationError(
@@ -229,32 +289,46 @@ def _block_index(params, dim):
         index = [np.asarray(b) for b in blocks]
     except ValueError as exc:  # ragged nesting inside a block
         raise ConfigurationError(not_indices) from exc
-    seen = np.zeros(dim, dtype=bool)
-    for b in index:
-        if b.size == 0:
-            raise ConfigurationError("group_l12: empty block")
-        if b.ndim != 1 or b.dtype.kind not in "iu":
-            raise ConfigurationError(not_indices)
-        if np.any(b < 0) or np.any(b >= dim):
+    sizes = np.array([b.size for b in index])
+    shaped = np.array([b.ndim == 1 and b.dtype.kind in "iu" for b in index])
+    # the blocks before the first empty or malformed one, end to end
+    malformed = np.flatnonzero((sizes == 0) | ~shaped)
+    first = int(malformed[0]) if malformed.size else len(index)
+    order = np.concatenate(index[:first] or [np.zeros(0, dtype=int)],
+                           dtype=np.int64, casting="same_kind")
+    owner = np.repeat(np.arange(first), sizes[:first])
+    outside = np.flatnonzero((order < 0) | (order >= dim))
+    # an index clashes where its first occurrence lies in an earlier block
+    _, seen_at, where = np.unique(order, return_index=True,
+                                  return_inverse=True)
+    clash = np.flatnonzero(owner[seen_at][where] < owner)
+    n = len(index)
+    out_at = int(owner[outside[0]]) if outside.size else n
+    clash_at = int(owner[clash[0]]) if clash.size else n
+    block = min(first, out_at, clash_at)
+    if block < n:
+        if block == out_at:
             raise ConfigurationError("group_l12: block index out of range")
-        if np.any(seen[b]):
+        if block == clash_at:
             raise ConfigurationError("group_l12: blocks must be disjoint")
-        seen[b] = True
-    return index, seen
+        if sizes[block] == 0:
+            raise ConfigurationError("group_l12: empty block")
+        raise ConfigurationError(not_indices)
+    covered = np.zeros(dim, dtype=bool)
+    covered[order] = True
+    return order, sizes, covered
 
 
 def _make_group_l12(params, dim):
-    index, covered = _block_index(params, dim)
+    order, sizes, covered = _block_index(params, dim)
     w = float(params.get("weight", 1.0))
     if not w >= 0:
         raise ConfigurationError("weights must be >= 0")
-    nb = len(index)
-    sizes = np.array([b.size for b in index])
+    nb = len(sizes)
     bs = int(sizes[0])
     # blocks gather into one concatenated index and reduce per block; the
     # channel layout (block p = [p, nb + p, 2 nb + p, ...] covering all of
     # x) is a plain reshape with no gather/scatter
-    order = np.concatenate(index)
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     strided = (order.size == dim and bool(np.all(sizes == bs))
                and np.array_equal(order, (np.arange(nb)[:, None]
@@ -367,16 +441,23 @@ def _make_indicator_affine(params, dim):
                           conjugate_value, tag="indicator_affine")
 
 
+# the keys of a quadratic term and their types; "op" is a LinOp
+_TERM_TYPES = {"matrix": "numbers", "op": None, "offset": "numbers",
+               "weight": "number"}
+
+
 def _assemble_quadratic(params, dim):
     """Shared assembly for 0.5 * sum w_k ||T_k x - r_k||^2.
 
     Returns (S, u0, c0, terms) with S = sum w T'T, u0 = sum w T'r and
-    c0 = 0.5 sum w ||r||^2, so the function is 0.5 x'Sx - <u0, x> + c0.
+    c0 = 0.5 sum w ||r||^2, so the function is 0.5 x'Sx - <u0, x> + c0,
+    and terms the (op, offset, weight) of each term.
     """
     terms = []
     for entry in params.get("terms", []):
-        _reject_unknown(entry, ("matrix", "op", "offset", "weight"),
-                        "quadratic term key")
+        if not isinstance(entry, dict):
+            raise ConfigurationError("quadratic term: must be an object")
+        _check_params(entry, _TERM_TYPES, "quadratic term key")
         if "op" in entry:
             op = entry["op"]
             if not isinstance(op, LinOp):
@@ -399,9 +480,10 @@ def _assemble_quadratic(params, dim):
     S = np.zeros((dim, dim))
     u0 = np.zeros(dim)
     c0 = 0.0
-    eye = np.eye(dim)
     for op, r, w in terms:
-        T = np.stack([np.asarray(op.apply(eye[j])) for j in range(dim)], axis=1)
+        # a dense_op's matrix is the one its matvecs would rebuild column
+        # by column: a matvec with a unit vector only copies a column
+        T = op.matrix if op.matrix is not None else materialize(op)
         S += w * (T.T @ T)
         u0 += w * (T.T @ r)
         c0 += 0.5 * w * float(np.dot(r, r))
@@ -416,23 +498,37 @@ def _make_quadratic_fidelity(params, dim):
 
 def _quadratic_fidelity(S, u0, c0, dim):
     """``quadratic_fidelity`` from an assembled quadratic (see
-    :func:`_assemble_quadratic`)."""
-    # S = V diag(lam) V' serves every gamma: (I + gamma S)^{-1} is
-    # V diag(1/(1 + gamma lam)) V', and the pseudo-inverse and the range
-    # projector keep the eigenvalues above the pinv cutoff
-    lam, V = np.linalg.eigh(S)
-    lam = np.maximum(lam, 0.0)
-    rank = lam > 1e-12 * lam[-1]
+    :func:`_assemble_quadratic`).
+
+    The eigendecomposition of ``S`` is built the first time ``resolve`` or
+    ``conjugate_value`` needs it.  Threads may share the function: two
+    first calls may both build it, but each publishes the whole of it in
+    one assignment, so no call sees half of it.
+    """
+    spectrum = None
+
+    def eigen():
+        # S = V diag(lam) V' serves every gamma: (I + gamma S)^{-1} is
+        # V diag(1/(1 + gamma lam)) V', and the pseudo-inverse and the
+        # range projector keep the eigenvalues above the pinv cutoff
+        nonlocal spectrum
+        if spectrum is None:
+            lam, V = np.linalg.eigh(S)
+            lam = np.maximum(lam, 0.0)
+            spectrum = (lam, V, lam > 1e-12 * lam[-1])
+        return spectrum
 
     def value(x):
         x = np.asarray(x, dtype=float)
         return float(0.5 * x @ S @ x - np.dot(u0, x) + c0)
 
     def resolve(gamma, x):
+        lam, V, _ = eigen()
         y = np.asarray(x, dtype=float) + gamma * u0
         return V @ ((V.T @ y) / (1.0 + gamma * lam))
 
     def conjugate_value(u):
+        lam, V, rank = eigen()
         y = np.asarray(u, dtype=float) + u0
         c = V.T @ y
         off = np.linalg.norm(c[~rank])
@@ -495,14 +591,17 @@ def _make_scaled_translated(params, dim):
                           conjugate_value, tag="scaled_translated")
 
 
-# name -> (builder(params, dim), the parameter names it reads)
+# name -> (builder(params, dim), {parameter name: type in _PARAM_TYPES})
 CATALOG = {
-    "l1": (_make_l1, ("weight",)),
-    "group_l12": (_make_group_l12, ("blocks", "weight")),
-    "indicator_box": (_make_indicator_box, ("lo", "hi")),
-    "indicator_zero": (_make_indicator_zero, ()),
-    "indicator_affine": (_make_indicator_affine, ("matrix", "offset")),
-    "quadratic_fidelity": (_make_quadratic_fidelity, ("terms",)),
-    "zero_function": (_make_zero_function, ()),
-    "scaled_translated": (_make_scaled_translated, ("inner", "shift", "scale")),
+    "l1": (_make_l1, {"weight": "numbers"}),
+    "group_l12": (_make_group_l12, {"blocks": "array", "weight": "number"}),
+    "indicator_box": (_make_indicator_box, {"lo": "numbers", "hi": "numbers"}),
+    "indicator_zero": (_make_indicator_zero, {}),
+    "indicator_affine": (_make_indicator_affine,
+                         {"matrix": "numbers", "offset": "numbers"}),
+    "quadratic_fidelity": (_make_quadratic_fidelity, {"terms": "array"}),
+    "zero_function": (_make_zero_function, {}),
+    "scaled_translated": (_make_scaled_translated,
+                          {"inner": "object", "shift": "numbers",
+                           "scale": "number"}),
 }

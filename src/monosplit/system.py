@@ -114,21 +114,53 @@ class SystemSpec:
                            [np.asarray(v, dtype=float) for v in self.r])
 
     @cached_property
+    def beta_report(self):
+        """Where beta came from: one entry per term of :func:`compute_beta`.
+
+        Each entry is a dict with the term's ``term`` name (``C`` for the
+        coupling constant nu0), its ``value`` (the upper bound that enters
+        beta), its ``method`` (``certificate``, ``svd`` or ``power``, or
+        ``asserted`` for a nu0 given by the caller), the power-iteration
+        steps it took (``iterations``) and whether it ``converged``.
+        Raises :class:`HypothesisError` when a power iteration did not
+        converge, as its estimate bounds nothing.
+        """
+        layout = self.layout
+        source = self.C.nu0_source
+        report = [{"term": "C", "value": float(self.C.nu0),
+                   "method": source.method if source else "asserted",
+                   "iterations": source.iterations_used if source else 0,
+                   "converged": source.converged if source else True}]
+        terms = [(f"N[{k}]oL[{k}][{i}]", compose(self.N[k], self.L[k][i]))
+                 for k in range(layout.s) for i in range(layout.m)]
+        for k in range(layout.s):
+            terms += [(f"N[{k}]", self.N[k]), (f"M[{k}]", self.M[k])]
+        for name, op in terms:
+            if op.certificate is not None:
+                est = op.certificate()
+            else:
+                est = operator_norm(op)
+                if not est.converged:
+                    raise HypothesisError(
+                        f"{name}: power iteration did not converge in "
+                        f"{est.iterations_used} steps, so its estimate "
+                        f"{est.value:.6g} bounds nothing"
+                    )
+            report.append({"term": name, "value": est.upper_bound,
+                           "method": est.method,
+                           "iterations": est.iterations_used,
+                           "converged": est.converged})
+        return tuple(report)
+
+    @cached_property
     def beta(self):
         """Coupling bound; see :func:`compute_beta`."""
-        layout = self.layout
-        total = 0.0
-        for k in range(layout.s):
-            for i in range(layout.m):
-                total += operator_norm(
-                    compose(self.N[k], self.L[k][i])).upper_bound ** 2
-        peak = 0.0
-        for k in range(layout.s):
-            peak = max(
-                peak,
-                operator_norm(self.N[k]).upper_bound ** 2
-                + operator_norm(self.M[k]).upper_bound ** 2,
-            )
+        # the report lists C, then every N_k o L_ki, then N_k, M_k per k
+        bounds = [entry["value"] for entry in self.beta_report[1:]]
+        coupled = self.layout.s * self.layout.m
+        total = sum(b ** 2 for b in bounds[:coupled])
+        peak = max(n ** 2 + m ** 2 for n, m in zip(bounds[coupled::2],
+                                                    bounds[coupled + 1::2]))
         beta = self.C.nu0 + float(np.sqrt(total + peak))
         if beta <= 0.0:
             raise HypothesisError(
@@ -211,11 +243,14 @@ class SolutionPair:
 def compute_beta(spec):
     """Coupling bound: nu0 + sqrt(sum ||N L||^2 + max_k(||N||^2 + ||M||^2)).
 
-    Every norm is the inflated power-iteration upper bound, so the result
+    Every norm is an upper bound: the operator's certificate where it has
+    one (:attr:`~monosplit.linops.LinOp.norm_bound`), else a converged
+    power-iteration estimate inflated by the safety factor.  So the result
     upper-bounds the exact constant and the step range derived from it
-    remains admissible.  Raises :class:`HypothesisError` when the bound is
-    zero (the theory requires it strictly positive).  Results are memoized
-    per spec instance.
+    remains admissible; :attr:`SystemSpec.beta_report` lists the terms.
+    Raises :class:`HypothesisError` when a power iteration did not
+    converge or the bound is zero (the theory requires it strictly
+    positive).  Results are memoized per spec instance.
     """
     return spec.beta
 

@@ -218,6 +218,10 @@ BAD_PARAMS = {
                            "/functions/f/0"),
     "l1-weight-null": ("functions/f/0/params/weight", None,
                        "/functions/f/0"),
+    "l1-weight-numeric-string": ("functions/f/0/params/weight", "0.5",
+                                 "/functions/f/0"),
+    "l1-weight-bool": ("functions/f/0/params/weight", True,
+                       "/functions/f/0"),
     "term-weight-nan": ("functions/smooth/params/terms/0/weight", "nan",
                         "/functions/smooth"),
     "l1-weigth-typo": ("functions/f/0/params", {"weigth": 0.5},
@@ -252,3 +256,51 @@ def test_solve_rejects_bad_params_with_pointer(tmp_path, capsys, path, value,
     err = capsys.readouterr().err
     assert err.startswith("error:") and pointer in err
     assert "Traceback" not in err
+
+
+def test_builder_dims_are_checked_before_the_builder_runs(tmp_path, capsys,
+                                                          monkeypatch):
+    from monosplit import imaging
+
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("the blur matrix was built")
+
+    monkeypatch.setattr(imaging, "_stencil_matrix", no_matrix)
+    doc = json.loads((PROBLEMS / "qp.json").read_text())
+    # a 40000x40000 matrix (12.8 GB) in a layout of dim 4
+    doc["operators"]["M"][0] = {"builder": "box_blur",
+                                "params": {"height": 200, "width": 200}}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["solve", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "/operators/M/0" in err
+    assert "40000->40000" in err and "Traceback" not in err
+
+
+def test_builder_with_a_missing_param_exits_1_with_its_pointer(tmp_path,
+                                                               capsys):
+    doc = json.loads((PROBLEMS / "qp.json").read_text())
+    doc["operators"]["N"][0] = {"builder": "gradient",
+                                "params": {"height": 2}}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["solve", str(bad), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "/operators/N/0" in err
+    assert "width" in err and "Traceback" not in err
+
+
+def test_summary_reports_where_beta_came_from(tmp_path):
+    out = tmp_path / "qp"
+    assert main(["solve", str(PROBLEMS / "qp.json"), "--out", str(out)]) == 0
+    summary = read_summary(out)
+    terms = summary["beta_terms"]
+    assert [t["term"] for t in terms] == ["C", "N[0]oL[0][0]", "N[0]", "M[0]"]
+    assert [t["method"] for t in terms] == ["power", "certificate",
+                                            "certificate", "certificate"]
+    assert [t["value"] for t in terms[1:]] == [1.0, 1.0, 1.0]
+    assert all(t["converged"] for t in terms)
+    assert terms[0]["iterations"] > 0
+    assert summary["beta"] == terms[0]["value"] + np.sqrt(1.0 + 2.0)

@@ -258,3 +258,45 @@ def test_read_pgm_rejects_a_truncated_written_image(tmp_path):
         path.write_bytes(whole[:cut])
         with pytest.raises(ConfigurationError):
             read_pgm(path)
+
+
+def stencil_matrix_by_loops(height, width, kernel):
+    """The stencil matrix entry by entry, in kernel order: the oracle."""
+    kernel = np.asarray(kernel, dtype=float)
+    kh, kw = kernel.shape
+    oh, ow = kh // 2, kw // 2
+    hw = height * width
+    mat = np.zeros((hw, hw))
+    for i in range(height):
+        for j in range(width):
+            row = i * width + j
+            for di in range(kh):
+                for dj in range(kw):
+                    src_i = min(max(i + di - oh, 0), height - 1)
+                    src_j = min(max(j + dj - ow, 0), width - 1)
+                    mat[row, src_i * width + src_j] += kernel[di, dj]
+    return mat
+
+
+@pytest.mark.parametrize("height, width", [(1, 1), (3, 3), (6, 7), (16, 16)])
+def test_stencil_matrix_matches_loop_oracle_bit_for_bit(height, width):
+    for size in (1, 3, 5):
+        op = box_blur_op(height, width, size)
+        kernel = np.full((size, size), 1.0 / (size * size))
+        expected = stencil_matrix_by_loops(height, width, kernel)
+        assert np.array_equal(op.matrix, expected)
+        assert op.matrix.tobytes() == expected.tobytes()
+    for radius in (0, 1, 2):
+        op = gaussian_blur_op(height, width, sigma=0.8, radius=radius)
+        ax = np.arange(-radius, radius + 1, dtype=float)
+        g = np.exp(-0.5 * (ax / 0.8) ** 2)
+        kernel = np.outer(g, g)
+        kernel /= kernel.sum()
+        expected = stencil_matrix_by_loops(height, width, kernel)
+        assert op.matrix.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("builder", [box_blur_op, gaussian_blur_op])
+def test_blurs_reject_empty_grids(builder):
+    with pytest.raises(ConfigurationError, match="height, width >= 1"):
+        builder(-2, -2)

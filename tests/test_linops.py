@@ -2,6 +2,14 @@ import numpy as np
 import pytest
 
 from monosplit.errors import SpecificationError
+from monosplit.imaging import (
+    GRAD_NORM_BOUND,
+    box_blur_op,
+    gaussian_blur_op,
+    gradient_op,
+    haar_analysis_op,
+    second_gradient_op,
+)
 from monosplit.linops import (
     LinOp,
     adjoint_check,
@@ -126,3 +134,134 @@ def test_materialize_roundtrip():
     rng = np.random.default_rng(12)
     mat = rng.standard_normal((3, 4))
     np.testing.assert_allclose(materialize(dense_op(mat)), mat, atol=0)
+
+
+# --- certified norms ---------------------------------------------------------
+
+GRIDS = ((3, 3), (6, 7), (16, 16))
+
+
+def shipped_operators(h, w):
+    """One instance of every constructor on an h x w grid (n = h*w)."""
+    n = h * w
+    rng = np.random.default_rng(n)
+    ops = {
+        "identity": identity_op(n),
+        "scaled_identity": scaled_identity_op(n, -2.5),
+        "zero": zero_op(n, 2 * n),
+        "dense": dense_op(rng.standard_normal((n + 1, n))),
+        "gradient": gradient_op(h, w),
+        "second_gradient": second_gradient_op(h, w),
+        "box_blur": box_blur_op(h, w, 3),
+        "gaussian_blur": gaussian_blur_op(h, w, 1.0, 2),
+    }
+    # the Haar transform needs even sides: take the even grid inside h x w
+    ops["haar"] = haar_analysis_op(h - h % 2 or 2, w - w % 2 or 2)
+    return ops
+
+
+def svd_norm_less_roundoff(mat):
+    """The SVD norm of ``mat`` less the SVD's own roundoff.
+
+    LAPACK's value is off by a few ulps times the order: it reads
+    1 + 1.6e-15 for the 256x256 Haar matrix, which is orthonormal to the
+    last bit.  A certificate must reach the norm, not that error.
+    """
+    eps = np.finfo(float).eps
+    return np.linalg.norm(mat, 2) * (1.0 - 8.0 * max(mat.shape) * eps)
+
+
+@pytest.mark.parametrize("h, w", GRIDS)
+def test_every_constructor_bound_is_sound(h, w):
+    for name, op in shipped_operators(h, w).items():
+        exact = svd_norm_less_roundoff(materialize(op))
+        assert op.norm_bound >= exact, (name, op.norm_bound, exact)
+
+
+def test_haar_matrix_is_orthonormal_to_the_last_bit():
+    for h, w in ((2, 2), (6, 8), (16, 16)):
+        mat = materialize(haar_analysis_op(h, w))
+        assert np.array_equal(mat @ mat.T, np.eye(h * w))
+
+
+def test_closed_form_certificates():
+    assert identity_op(3).norm_bound == 1.0
+    assert scaled_identity_op(3, -2.5).norm_bound == 2.5
+    assert zero_op(3, 4).norm_bound == 0.0
+    assert haar_analysis_op(4, 6).norm_bound == 1.0
+    assert gradient_op(5, 4).norm_bound == GRAD_NORM_BOUND
+    assert second_gradient_op(5, 4).norm_bound == GRAD_NORM_BOUND ** 2
+    for op in (identity_op(3), gradient_op(5, 4), zero_op(2, 2)):
+        est = op.certificate()
+        assert (est.method, est.iterations_used, est.converged) \
+            == ("certificate", 0, True)
+
+
+def test_dense_bound_is_svd_norm_plus_margin():
+    rng = np.random.default_rng(21)
+    mat = rng.standard_normal((7, 5))
+    est = dense_op(mat).certificate()
+    svd = np.linalg.norm(mat, 2)
+    assert est.method == "svd" and est.value == svd
+    # the margin lies past the SVD's own roundoff, and no further than
+    # a few hundred ulps
+    assert svd * (1 + 8 * np.finfo(float).eps) < est.upper_bound
+    assert est.upper_bound <= svd * (1 + 1e-12)
+    assert est.upper_bound >= dense_svd_norm(mat)
+
+
+def test_dense_bound_is_computed_once_on_first_read(monkeypatch):
+    calls = []
+    real_norm = np.linalg.norm
+
+    def counting_norm(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            calls.append(x.shape)
+        return real_norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    op = dense_op(np.arange(6.0).reshape(2, 3))
+    assert calls == []
+    first = op.norm_bound
+    assert op.norm_bound == first and calls == [(2, 3)]
+
+
+def test_compose_with_identity_is_the_other_map():
+    a = dense_op(np.arange(6.0).reshape(2, 3))
+    assert compose(identity_op(2), a) is a
+    assert compose(a, identity_op(3)) is a
+
+
+@pytest.mark.parametrize("h, w", GRIDS)
+def test_compose_bounds_are_sound(h, w):
+    n = h * w
+    rng = np.random.default_rng(n + 1)
+    dense = dense_op(rng.standard_normal((n, n)))
+    blur = box_blur_op(h, w, 3)
+    cases = {
+        # dense o dense: the SVD of the product, as tight as the SVD
+        "dense o dense": (compose(dense, blur), "svd"),
+        # otherwise the product of the two bounds
+        "gradient o dense": (compose(gradient_op(h, w), dense), "svd"),
+        "grad2 o scaled": (compose(second_gradient_op(h, w),
+                                   scaled_identity_op(n, 0.5)),
+                           "certificate"),
+        "zero o gradient": (compose(zero_op(2 * n, 3), gradient_op(h, w)),
+                            "certificate"),
+    }
+    for name, (op, method) in cases.items():
+        est = op.certificate()
+        exact = svd_norm_less_roundoff(materialize(op))
+        assert est.method == method, name
+        assert est.upper_bound >= exact, (name, est.upper_bound, exact)
+    product = compose(dense, blur).certificate()
+    assert product.upper_bound <= np.linalg.norm(
+        dense.matrix @ blur.matrix, 2) * (1 + 1e-12)
+
+
+def test_compose_with_opaque_map_is_opaque():
+    mat = np.arange(6.0).reshape(2, 3)
+    opaque = LinOp(3, 2, lambda x: mat @ x, lambda y: mat.T @ y)
+    assert opaque.norm_bound is None
+    assert compose(dense_op(np.eye(2)), opaque).norm_bound is None
+    assert compose(opaque, dense_op(np.eye(3))).certificate is None

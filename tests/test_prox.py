@@ -1,9 +1,14 @@
+import threading
+
 import numpy as np
 import pytest
 
 from monosplit.errors import ConfigurationError
+from monosplit.linops import LinOp, dense_op
 from monosplit.oracles import grid_refine_minimize
 from monosplit.prox import (
+    _assemble_quadratic,
+    _block_index,
     coupling_defects,
     firm_nonexpansiveness_defect,
     gradient_coupling,
@@ -332,3 +337,125 @@ def test_gradient_coupling_finite_difference_check():
 def test_soft_threshold_basics():
     np.testing.assert_allclose(soft_threshold(np.array([2.0, -0.5, 0.0]), 1.0),
                                [1.0, 0.0, 0.0], atol=0)
+
+
+def block_index_errors_by_loop(blocks, dim):
+    """The message the first bad block raises, checked block by block."""
+    if not isinstance(blocks, (list, tuple)) or not blocks:
+        return "group_l12 requires params['blocks'], a non-empty list of blocks"
+    not_indices = "group_l12: a block must be a list of integer indices"
+    try:
+        index = [np.asarray(b) for b in blocks]
+    except ValueError:
+        return not_indices
+    seen = np.zeros(dim, dtype=bool)
+    for b in index:
+        if b.size == 0:
+            return "group_l12: empty block"
+        if b.ndim != 1 or b.dtype.kind not in "iu":
+            return not_indices
+        if np.any(b < 0) or np.any(b >= dim):
+            return "group_l12: block index out of range"
+        if np.any(seen[b]):
+            return "group_l12: blocks must be disjoint"
+        seen[b] = True
+    return None
+
+
+@pytest.mark.parametrize("blocks", [
+    [[0, 1], [2]], [[0, 1], [1, 2]], [[0, 9]], [[0, 1.5]], [[0, [1, 2]]],
+    [], [[]], [[0], []], [[0, 1], [2, -1]], [[2], [0, 0]],
+    [[0, 1], [5], [1]], [[0, 1], [1], []], [[0, "a"]], [[True, False]],
+    [[0], [1, 9], [1]], [[[0, 1]]], [[0], [1], [[2]]], [[0, 1], [2, 9], [1]],
+    [[0, 0], [1]], [[2], [2]], [(0,), (1, 2)], [[1], [0, 7], []],
+    [np.array([2**64 - 1], dtype=np.uint64), [1]], ([0], [2, 1]),
+])
+def test_block_checks_raise_what_the_block_by_block_loop_raises(blocks):
+    expected = block_index_errors_by_loop(blocks, 3)
+    if expected is None:
+        order, sizes, covered = _block_index({"blocks": blocks}, 3)
+        flat = np.concatenate([np.asarray(b) for b in blocks])
+        assert np.array_equal(order, flat)
+        assert list(sizes) == [len(b) for b in blocks]
+        assert list(covered) == [j in flat for j in range(3)]
+    else:
+        with pytest.raises(ConfigurationError) as info:
+            _block_index({"blocks": blocks}, 3)
+        assert str(info.value) == expected
+
+
+@pytest.mark.parametrize("weight", ["0.5", True, None, [0.5, "0.5"],
+                                    [[1.0], [False]]])
+def test_catalog_params_are_typed(weight):
+    with pytest.raises(ConfigurationError, match="'weight' must be a number"):
+        make_function("l1", {"weight": weight}, 2)
+
+
+def test_catalog_params_accept_numpy_values():
+    fn = make_function("l1", {"weight": np.array([0.5, 1.0])}, 2)
+    assert fn.value(np.array([2.0, -1.0])) == 2.0
+    make_function("indicator_box", {"lo": np.float64(-1.0), "hi": 2}, 2)
+    make_function("scaled_translated",
+                  {"inner": make_function("l1", {}, 2), "scale": np.int64(2)},
+                  2)
+    with pytest.raises(ConfigurationError, match="'inner' must be an object"):
+        make_function("scaled_translated", {"inner": "l1"}, 2)
+
+
+@pytest.mark.parametrize("term", [
+    {"matrix": [[1.0, "2"]]},
+    {"matrix": [[1.0, 0.0]], "weight": "2"},
+    {"matrix": [[1.0, 0.0]], "offset": [True]},
+    [1.0, 0.0],
+])
+def test_quadratic_terms_are_typed(term):
+    with pytest.raises(ConfigurationError):
+        make_function("quadratic_fidelity", {"terms": [term]}, 2)
+
+
+def test_assembly_takes_a_dense_matrix_as_it_is():
+    rng = np.random.default_rng(31)
+    mat = rng.standard_normal((7, 5))
+    r = rng.standard_normal(7)
+    opaque = LinOp(5, 7, lambda x: mat @ x, lambda y: mat.T @ y)
+    direct = _assemble_quadratic(
+        {"terms": [{"op": dense_op(mat), "offset": r, "weight": 0.7}]}, 5)
+    by_columns = _assemble_quadratic(
+        {"terms": [{"op": opaque, "offset": r, "weight": 0.7}]}, 5)
+    for a, b in zip(direct[:3], by_columns[:3]):
+        assert np.array_equal(a, b)
+
+
+def test_quadratic_fidelity_builds_its_eigenbasis_once_on_first_use(
+        monkeypatch):
+    calls = []
+    real_eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(a.shape)
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    rng = np.random.default_rng(32)
+    mat = rng.standard_normal((6, 4))
+    fn = make_function("quadratic_fidelity",
+                       {"terms": [{"matrix": mat, "offset": np.ones(6)}]}, 4)
+    assert calls == []
+    x = rng.standard_normal(4)
+    expected = np.linalg.solve(np.eye(4) + 0.3 * mat.T @ mat,
+                               x + 0.3 * mat.T @ np.ones(6))
+    results = []
+    threads = [threading.Thread(
+        target=lambda: results.append(fn.operator.resolve(0.3, x)))
+        for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert 1 <= len(calls) <= 4
+    for out in results:
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
+    seen = len(calls)
+    fn.conjugate_value(np.zeros(4))
+    fn.operator.resolve(1.0, x)
+    assert len(calls) == seen

@@ -7,7 +7,7 @@ from monosplit.errors import (
     SpecificationError,
     StepBoundError,
 )
-from monosplit.linops import dense_op, identity_op, zero_op
+from monosplit.linops import LinOp, dense_op, identity_op, zero_op
 from monosplit.prox import gradient_coupling, make_function, zero_coupling
 from monosplit.solver import IterateState, make_policy, solve, step
 from monosplit.system import (
@@ -85,6 +85,56 @@ def test_compute_beta_with_coupling_constant():
     beta = compute_beta(identity_system(nu0=2.0))
     exact = 2.0 + np.sqrt(3.0)
     assert exact - 1e-9 <= beta <= 2.0 + 1.01 * np.sqrt(3.0) + 1e-9
+
+
+def test_compute_beta_rejects_a_power_estimate_that_did_not_converge():
+    # an opaque map whose adjoint_apply is a rotation, not its adjoint:
+    # power iteration on "L* L" then turns forever and never settles
+    scale = np.diag([1.0, 2.0])
+    turn = np.array([[np.cos(1.0), -np.sin(1.0)], [np.sin(1.0), np.cos(1.0)]])
+    cycling = LinOp(2, 2, lambda x: scale @ x, lambda y: turn @ y)
+    layout = SpaceLayout((2,), (2,), (2,), (2,))
+    spec = SystemSpec(
+        layout=layout, z=[np.zeros(2)], r=[np.zeros(2)],
+        A=[zero_fn(2).operator], C=zero_coupling((2,)),
+        B=[zero_fn(2).operator], D=[zero_fn(2).operator],
+        M=[cycling], N=[identity_op(2)], L=[[identity_op(2)]],
+    )
+    with pytest.raises(HypothesisError, match="M\\[0\\].*did not converge"):
+        compute_beta(spec)
+    assert any("did not converge" in v for v in validate(spec))
+
+
+def test_beta_report_names_each_term_and_its_source():
+    spec = lasso_demo().system
+    report = spec.beta_report
+    assert [e["term"] for e in report] == ["C", "N[0]oL[0][0]", "N[0]",
+                                           "M[0]"]
+    # the identity maps are certified; the data term's Lipschitz constant
+    # is a converged power estimate
+    assert [e["method"] for e in report] == ["power", "certificate",
+                                             "certificate", "certificate"]
+    assert report[0]["iterations"] > 0 and report[0]["value"] == spec.C.nu0
+    assert all(e["converged"] for e in report)
+    assert [e["iterations"] for e in report[1:]] == [0, 0, 0]
+    assert compute_beta(spec) == spec.C.nu0 + np.sqrt(1.0 + (1.0 + 1.0))
+
+
+def test_beta_report_of_an_opaque_map_is_a_power_estimate():
+    mat = np.array([[2.0, 0.0], [0.0, 0.5]])
+    opaque = LinOp(2, 2, lambda x: mat @ x, lambda y: mat.T @ y)
+    layout = SpaceLayout((2,), (2,), (2,), (2,))
+    spec = SystemSpec(
+        layout=layout, z=[np.zeros(2)], r=[np.zeros(2)],
+        A=[zero_fn(2).operator], C=gradient_coupling(lambda x: x, 1.0, (2,)),
+        B=[zero_fn(2).operator], D=[zero_fn(2).operator],
+        M=[opaque], N=[identity_op(2)], L=[[identity_op(2)]],
+    )
+    by_term = {e["term"]: e for e in spec.beta_report}
+    assert by_term["C"]["method"] == "asserted"
+    assert by_term["M[0]"]["method"] == "power"
+    assert by_term["M[0]"]["converged"] and by_term["M[0]"]["iterations"] > 0
+    assert 2.0 <= by_term["M[0]"]["value"] <= 2.0 * 1.01 + 1e-9
 
 
 def test_validate_lasso_demo_clean():
