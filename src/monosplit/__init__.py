@@ -29,6 +29,7 @@ from .minimization import (
     dual_surrogate,
     primal_surrogate,
     quadratic_smooth,
+    smooth_coupling,
     zero_smooth,
 )
 from .prox import (
@@ -72,7 +73,7 @@ __all__ = [
     "LinOp", "OpNormEstimate", "adjoint_check", "compose", "dense_op",
     "identity_op", "operator_norm", "scaled_identity_op", "zero_op",
     "MinimizationSpec", "SmoothFunction", "build_system", "dual_surrogate",
-    "primal_surrogate", "quadratic_smooth", "zero_smooth",
+    "primal_surrogate", "quadratic_smooth", "smooth_coupling", "zero_smooth",
     "ConvexFunction", "LipschitzCoupling", "ResolventOp", "gradient_coupling",
     "make_function", "resolvent_of_inverse", "soft_threshold", "zero_coupling",
     "ErrorSchedule", "IterateState", "StepPolicy", "TraceRecord",

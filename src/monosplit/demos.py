@@ -18,9 +18,10 @@ from .imaging import (
     make_observations,
 )
 from .linops import dense_op, identity_op, zero_op
-from .minimization import MinimizationSpec, build_system, quadratic_smooth
+from .minimization import (MinimizationSpec, build_system, quadratic_smooth,
+                           smooth_coupling)
 from .oracles import kkt_quadratic_solve
-from .prox import gradient_coupling, make_function, soft_threshold, zero_coupling
+from .prox import make_function, soft_threshold, zero_coupling
 from .solver import IterateState
 from .system import SpaceLayout, SystemSpec
 
@@ -223,7 +224,7 @@ def separation_demo(seed=555):
         layout=joint_layout,
         z=[z1], r=[r1],
         A=[f1.operator],
-        C=_coupling_from_smooth(phi, (n,)),
+        C=smooth_coupling(phi, (n,)),
         B=[g1.operator], D=[ell1.operator],
         M=[dense_op(m_mat, tag="M")], N=[dense_op(n_mat, tag="N")],
         L=[[zero_op(n, p)]],
@@ -234,7 +235,7 @@ def separation_demo(seed=555):
         layout=primal_layout,
         z=[z1], r=[np.zeros(1)],
         A=[f1.operator],
-        C=_coupling_from_smooth(phi, (n,)),
+        C=smooth_coupling(phi, (n,)),
         B=[make_function("zero_function", {}, 1).operator],
         D=[make_function("zero_function", {}, 1).operator],
         M=[zero_op(1, 1)], N=[zero_op(1, 1)],
@@ -259,9 +260,3 @@ def separation_demo(seed=555):
         oracle_solution=None,
         extras={"primal_only": primal_only, "dual_only": dual_only},
     )
-
-
-def _coupling_from_smooth(phi, block_dims):
-    return gradient_coupling(phi.gradient, phi.lipschitz, block_dims,
-                             tag=f"grad_{phi.tag}",
-                             nu0_source=phi.lipschitz_source)

@@ -192,7 +192,7 @@ def haar_analysis_op(height, width):
 
     norm = certified(1.0)
     return LinOp(hw, hw, apply, adjoint_apply, tag=f"haar{height}x{width}",
-                 certificate=lambda: norm)
+                 certificate=lambda: norm, kind="orthogonal")
 
 
 def _stencil_matrix(height, width, kernel):

@@ -73,9 +73,11 @@ class LinOp:
     ``certificate`` returns the operator's certified norm (an
     :class:`OpNormEstimate`, computed at most once); it is None for an
     opaque operator, whose norm only power iteration can estimate.
-    ``kind`` is ``"identity"`` for :func:`identity_op` and ``"general"``
-    otherwise.  ``matrix`` is set by :func:`dense_op` only: ``apply(x)``
-    is then exactly ``matrix @ x``.
+    ``kind`` is ``"identity"`` for :func:`identity_op`, ``"orthogonal"``
+    for the Haar analysis, a scaled identity with ``|scale| = 1`` and a
+    product of orthogonal maps, and ``"general"`` otherwise (opaque maps
+    too).  ``matrix`` is set by :func:`dense_op` only: ``apply(x)`` is
+    then exactly ``matrix @ x``.
     """
 
     in_dim: int
@@ -140,11 +142,12 @@ def identity_op(dim, tag="id"):
 
 
 def scaled_identity_op(dim, scale, tag=""):
-    """``x -> scale * x`` on R^dim."""
+    """``x -> scale * x`` on R^dim; orthogonal when ``|scale| = 1``."""
     s = float(scale)
     norm = certified(abs(s))
     return LinOp(dim, dim, lambda x: s * x, lambda y: s * y, tag=tag or f"{s}*id",
-                 certificate=lambda: norm)
+                 certificate=lambda: norm,
+                 kind="orthogonal" if abs(s) == 1.0 else "general")
 
 
 def zero_op(in_dim, out_dim, tag="zero"):
@@ -167,7 +170,8 @@ def compose(outer, inner):
     of two dense maps is certified by the SVD of the product matrix (the
     product of the factors' norms can be far from tight); any other
     product of certified maps by the product of their bounds.  The
-    composition with an opaque map is opaque.
+    composition with an opaque map is opaque, and that of two orthogonal
+    maps is orthogonal.
     """
     if inner.out_dim != outer.in_dim:
         raise SpecificationError(
@@ -192,6 +196,8 @@ def compose(outer, inner):
         adjoint_apply=lambda y: inner.adjoint_apply(outer.adjoint_apply(y)),
         tag=f"{outer.tag}o{inner.tag}",
         certificate=certificate,
+        kind="orthogonal" if outer.kind == inner.kind == "orthogonal"
+        else "general",
     )
 
 
@@ -240,7 +246,7 @@ def adjoint_check(op, trials=100, seed=0):
     return worst
 
 
-def operator_norm(op, tol=POWER_TOL, max_iter=POWER_MAX_ITER, seed=POWER_SEED):
+def operator_norm(op):
     """Spectral norm estimate by power iteration on ``L* L``.
 
     Returns an :class:`OpNormEstimate` whose ``value`` is the square root of
@@ -248,18 +254,14 @@ def operator_norm(op, tol=POWER_TOL, max_iter=POWER_MAX_ITER, seed=POWER_SEED):
     inflated by the fixed safety factor.  A zero operator yields value 0 with
     ``converged=True``.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(POWER_SEED)
     x = rng.standard_normal(op.in_dim)
     x /= np.linalg.norm(x)
     prev_rayleigh = None
     rayleigh = 0.0
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, POWER_MAX_ITER + 1):
         y = np.asarray(op.apply(x))
         if not np.all(np.isfinite(y)):
             raise NumericError("operator_norm: non-finite forward value",
@@ -283,7 +285,7 @@ def operator_norm(op, tol=POWER_TOL, max_iter=POWER_MAX_ITER, seed=POWER_SEED):
             return OpNormEstimate(0.0, 0.0, iterations, True)
         x = z / nz
         if prev_rayleigh is not None:
-            if abs(rayleigh - prev_rayleigh) < tol * max(rayleigh, 1e-300):
+            if abs(rayleigh - prev_rayleigh) < POWER_TOL * max(rayleigh, 1e-300):
                 converged = True
                 break
         prev_rayleigh = rayleigh

@@ -39,8 +39,6 @@ from .prox import (
 )
 from .system import SpaceLayout, SystemSpec
 
-FD_STEP = 1e-5  # relative central-difference step for gradient spot checks
-
 
 @dataclass(frozen=True)
 class SmoothFunction:
@@ -101,22 +99,11 @@ def quadratic_smooth(terms, dim):
                               lipschitz, lipschitz, steps, True))
 
 
-def smooth_gradient_defect(phi, trials=10, seed=2):
-    """Largest relative central-difference defect of the gradient."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        x = rng.standard_normal(phi.dim)
-        grad = np.asarray(phi.gradient(x))
-        fd = np.zeros(phi.dim)
-        for j in range(phi.dim):
-            h = FD_STEP * (1.0 + abs(x[j]))
-            e = np.zeros(phi.dim)
-            e[j] = h
-            fd[j] = (phi.value(x + e) - phi.value(x - e)) / (2.0 * h)
-        worst = max(worst, float(np.linalg.norm(fd - grad))
-                    / (1.0 + float(np.linalg.norm(grad))))
-    return worst
+def smooth_coupling(phi, block_dims):
+    """The gradient of ``phi`` as a coupling over blocks of ``block_dims``."""
+    return gradient_coupling(phi.gradient, phi.lipschitz, block_dims,
+                             tag=f"grad_{phi.tag}",
+                             nu0_source=phi.lipschitz_source)
 
 
 @dataclass(frozen=True)
@@ -172,15 +159,12 @@ def build_system(min_spec):
             raise SpecificationError(
                 f"ell[{k}]: dim {ms.ell[k].dim} != X dim {layout.x_dims[k]}"
             )
-    coupling = gradient_coupling(ms.phi.gradient, ms.phi.lipschitz,
-                                 layout.h_dims, tag=f"grad_{ms.phi.tag}",
-                                 nu0_source=ms.phi.lipschitz_source)
     return SystemSpec(
         layout=layout,
         z=ms.z,
         r=ms.r,
         A=[fi.operator for fi in ms.f],
-        C=coupling,
+        C=smooth_coupling(ms.phi, layout.h_dims),
         B=[gk.operator for gk in ms.g],
         D=[lk.operator for lk in ms.ell],
         M=list(ms.M),
@@ -224,7 +208,8 @@ def dual_surrogate(min_spec, v, w):
     optimal quadruple.
 
     Raises :class:`NotComputableError` when a required conjugate is not
-    catalog-expressible (e.g. a composition with a non-orthogonal map).
+    catalog-expressible (e.g. a composition with a map that is neither the
+    identity nor declared or tested orthogonal).
     """
     ms = min_spec
     if ms.phi.conjugate_value is None:
@@ -250,38 +235,21 @@ def dual_surrogate(min_spec, v, w):
 
 
 def _composed_conjugate(fn, op, v):
-    """Value of ``(fn o op)*`` at v, for identity or orthogonal op."""
+    """Value of ``(fn o op)*`` at v, for an identity or orthogonal op.
+
+    ``op.kind`` is as op's constructor declared it; a square dense map is
+    orthogonal too if its matrix has ``||Q'Q - I||_F <= 1e-9``.
+    """
     if fn.conjugate_value is None:
         raise NotComputableError(f"conjugate of '{fn.tag}' is unavailable")
-    kind = _map_kind(op)
-    if kind == "identity":
+    if op.kind == "identity":
         return fn.conjugate_value(v)
-    if kind == "orthogonal":
+    mat = op.matrix
+    if op.kind == "orthogonal" or (
+            mat is not None and mat.shape[0] == mat.shape[1]
+            and np.linalg.norm(mat.T @ mat - np.eye(len(mat))) <= 1e-9):
         # (fn o Q)* = fn* o Q for orthogonal Q
         return fn.conjugate_value(op.apply(v))
     raise NotComputableError(
         f"conjugate of composition with '{op.tag}' is not catalog-expressible"
     )
-
-
-def _map_kind(op, probes=3, tol=1e-9):
-    """Classify a map as 'identity', 'orthogonal' or 'general' by probing."""
-    if op.in_dim != op.out_dim:
-        return "general"
-    rng = np.random.default_rng(17)
-    identity = True
-    orthogonal = True
-    for _ in range(probes):
-        x = rng.standard_normal(op.in_dim)
-        nx = np.linalg.norm(x)
-        ax = np.asarray(op.apply(x))
-        if np.linalg.norm(ax - x) > tol * nx:
-            identity = False
-        if np.linalg.norm(np.asarray(op.adjoint_apply(ax)) - x) > tol * nx:
-            orthogonal = False
-        if np.linalg.norm(np.asarray(op.apply(op.adjoint_apply(x))) - x) \
-                > tol * nx:
-            orthogonal = False
-        if not identity and not orthogonal:
-            return "general"
-    return "identity" if identity else "orthogonal"

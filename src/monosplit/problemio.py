@@ -32,9 +32,10 @@ from .minimization import (
     MinimizationSpec,
     build_system,
     quadratic_smooth,
+    smooth_coupling,
     zero_smooth,
 )
-from .prox import gradient_coupling, make_function, zero_coupling
+from .prox import make_function, zero_coupling
 from .solver import geometric_schedule, zero_schedule
 from .system import SpaceLayout, SystemSpec
 
@@ -297,12 +298,8 @@ def _build_smooth(entry, dim, where):
 def _build_coupling(entry, block_dims, where):
     if not entry or entry["name"] == "zero":
         return zero_coupling(block_dims)
-    with _located(where):
-        smooth = quadratic_smooth(entry.get("params", {}).get("terms", []),
-                                  int(sum(block_dims)))
-    return gradient_coupling(smooth.gradient, smooth.lipschitz,
-                             block_dims, tag="quad_grad",
-                             nu0_source=smooth.lipschitz_source)
+    return smooth_coupling(_build_smooth(entry, int(sum(block_dims)), where),
+                           block_dims)
 
 
 def _vectors(entries, dims, where):

@@ -138,21 +138,6 @@ def soft_threshold(x, t):
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
 
-def firm_nonexpansiveness_defect(op, trials=50, seed=7):
-    """Worst violation of ||Jx-Jy||^2 <= <Jx-Jy, x-y> over random probes."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        gamma = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
-        x = rng.standard_normal(op.dim)
-        y = rng.standard_normal(op.dim)
-        jx = np.asarray(op.resolve(gamma, x))
-        jy = np.asarray(op.resolve(gamma, y))
-        diff = jx - jy
-        worst = max(worst, float(np.dot(diff, diff) - np.dot(diff, x - y)))
-    return worst
-
-
 def coupling_defects(coupling, trials=50, seed=11):
     """Worst Lipschitz and monotonicity violations over random probes.
 

@@ -48,8 +48,10 @@ class SpaceLayout:
         for name in ("h_dims", "g_dims", "y_dims", "x_dims"):
             given = tuple(getattr(self, name))
             dims = tuple(int(d) for d in given)
-            # 2 == 2.0 == np.int64(2), but 2.5 would truncate to 2
-            if dims != given or any(d < 1 for d in dims):
+            # 2 == 2.0 == np.int64(2), but 2.5 would truncate to 2, and
+            # True == 1 is no dimension
+            if dims != given or any(d < 1 for d in dims) or any(
+                    isinstance(d, (bool, np.bool_)) for d in given):
                 raise SpecificationError(
                     f"{name}: dimensions must be integers >= 1, got {given}")
             object.__setattr__(self, name, dims)
@@ -363,7 +365,7 @@ def fixed_point_residual(spec, state, gamma):
         raise StepBoundError(
             f"gamma = {gamma} outside (0, {hi}] for beta = {beta}"
         )
-    _, record = _solver.step(spec, state.copy(), gamma, None,
+    _, record = _solver.step(spec, state, gamma, None,
                              with_transversality=False)
     return record.displacement
 

@@ -265,3 +265,23 @@ def test_compose_with_opaque_map_is_opaque():
     assert opaque.norm_bound is None
     assert compose(dense_op(np.eye(2)), opaque).norm_bound is None
     assert compose(opaque, dense_op(np.eye(3))).certificate is None
+
+
+def test_constructors_declare_their_kind():
+    assert identity_op(3).kind == "identity"
+    assert haar_analysis_op(4, 6).kind == "orthogonal"
+    assert scaled_identity_op(3, -1.0).kind == "orthogonal"
+    assert scaled_identity_op(3, 1.0).kind == "orthogonal"
+    assert scaled_identity_op(3, 0.5).kind == "general"
+    assert dense_op(np.eye(3)).kind == "general"
+    assert zero_op(3, 3).kind == "general"
+    assert gradient_op(4, 4).kind == "general"
+
+
+def test_compose_keeps_orthogonal_only_from_two_orthogonal_maps():
+    haar = haar_analysis_op(2, 2)
+    flip = scaled_identity_op(4, -1.0)
+    assert compose(haar, flip).kind == "orthogonal"
+    assert compose(flip, haar).kind == "orthogonal"
+    assert compose(haar, scaled_identity_op(4, 2.0)).kind == "general"
+    assert compose(dense_op(np.eye(4)), haar).kind == "general"

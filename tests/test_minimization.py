@@ -4,20 +4,39 @@ import pytest
 from monosplit.demos import lasso_demo, qp_demo, _trivial_tail
 from monosplit.errors import NotComputableError
 from monosplit.imaging import haar_analysis_op
-from monosplit.linops import dense_op, identity_op
+from monosplit.linops import LinOp, dense_op, identity_op
 from monosplit.minimization import (
     MinimizationSpec,
     build_system,
     dual_surrogate,
     primal_surrogate,
     quadratic_smooth,
-    smooth_gradient_defect,
     zero_smooth,
 )
 from monosplit.oracles import grid_refine_minimize
 from monosplit.prox import make_function
 from monosplit.solver import IterateState, make_policy, solve
 from monosplit.system import SpaceLayout, compute_beta
+
+FD_STEP = 1e-5  # relative central-difference step for gradient spot checks
+
+
+def smooth_gradient_defect(phi, trials=10, seed=2):
+    """Largest relative central-difference defect of the gradient."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        x = rng.standard_normal(phi.dim)
+        grad = np.asarray(phi.gradient(x))
+        fd = np.zeros(phi.dim)
+        for j in range(phi.dim):
+            h = FD_STEP * (1.0 + abs(x[j]))
+            e = np.zeros(phi.dim)
+            e[j] = h
+            fd[j] = (phi.value(x + e) - phi.value(x - e)) / (2.0 * h)
+        worst = max(worst, float(np.linalg.norm(fd - grad))
+                    / (1.0 + float(np.linalg.norm(grad))))
+    return worst
 
 
 def all_zero_instance(n=2):
@@ -196,6 +215,40 @@ def test_dual_surrogate_orthogonal_composition():
     outside = np.asarray(haar.adjoint_apply(np.array([2.0, 0.0, 0.0, 0.0])))
     assert np.isfinite(dual_surrogate(ms, [inside], [np.zeros(4)]))
     assert dual_surrogate(ms, [outside], [np.zeros(4)]) == -np.inf
+
+
+def composed_l1_instance(M):
+    """g = |.| composed with M, on dims of 4, with a wide dual box for f."""
+    layout = SpaceLayout((4,), (4,), (4,), (4,))
+    return MinimizationSpec(
+        layout=layout,
+        f=[make_function("l1", {"weight": 5.0}, 4)],
+        phi=zero_smooth(4),
+        g=[make_function("l1", {"weight": 1.0}, 4)],
+        ell=[make_function("indicator_zero", {}, 4)],
+        M=[M], N=[identity_op(4)], L=[[identity_op(4)]],
+        z=[np.zeros(4)], r=[np.zeros(4)],
+    )
+
+
+def test_dual_surrogate_dense_orthogonal_matrix():
+    # a square dense map is tested on its matrix: Q from a QR is orthogonal
+    q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((4, 4)))
+    ms = composed_l1_instance(dense_op(q))
+    inside = q.T @ np.array([0.5, -0.5, 0.2, 0.0])
+    outside = q.T @ np.array([2.0, 0.0, 0.0, 0.0])
+    assert np.isfinite(dual_surrogate(ms, [inside], [np.zeros(4)]))
+    assert dual_surrogate(ms, [outside], [np.zeros(4)]) == -np.inf
+
+
+def test_dual_surrogate_not_computable_for_opaque_orthogonal_map():
+    # an opaque map declares nothing, so its orthogonality is not assumed
+    q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((4, 4)))
+    opaque = LinOp(4, 4, lambda x: q @ x, lambda y: q.T @ y, tag="opaque")
+    assert opaque.kind == "general"
+    with pytest.raises(NotComputableError, match="opaque"):
+        dual_surrogate(composed_l1_instance(opaque), [np.zeros(4)],
+                       [np.zeros(4)])
 
 
 def test_smooth_gradient_defect_quadratic():

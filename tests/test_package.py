@@ -1,4 +1,13 @@
+import dataclasses
+import importlib
+from functools import reduce
+from pathlib import Path
+
+import pytest
+
 import monosplit
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_every_exported_name_resolves():
@@ -10,10 +19,37 @@ def test_every_exported_name_resolves():
     assert len(set(monosplit.__all__)) == len(monosplit.__all__)
 
 
-def test_operator_norm_resolves_where_the_benchmark_patches_it():
-    # perfbench/tracing.py patches operator_norm in these two modules; an
-    # import cleanup there would break the traced benchmark run only
+def test_operator_norm_resolves_where_the_benchmark_patches_it(monkeypatch):
+    # perfbench/tracing.py patches each function of its PATCHES table in the
+    # modules where callers look it up; an import cleanup there would break
+    # the traced benchmark run only
     from monosplit import linops, minimization, system
 
     assert system.operator_norm is linops.operator_norm
     assert minimization.operator_norm is linops.operator_norm
+    if not PERFBENCH.is_dir():
+        pytest.skip("perfbench/ is not in this checkout")
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    for owner, attr, _ in tracing.PATCHES:
+        patched = getattr(owner, attr)
+        home = importlib.import_module(patched.__module__)
+        defined = reduce(getattr, patched.__qualname__.split("."), home)
+        assert patched is defined, (owner, attr)
+
+
+def test_step_state_is_what_the_benchmark_compares():
+    # perfbench/test_perfbench.py compares two states through
+    # dataclasses.astuple and checks only the fields that are lists, so
+    # the block families must stay lists for that check to compare anything
+    from monosplit.demos import lasso_demo
+    from monosplit.solver import IterateState, make_policy, step
+    from monosplit.system import compute_beta
+
+    spec = lasso_demo().system
+    gamma = make_policy(compute_beta(spec)).gamma_at(0)
+    state, _ = step(spec, IterateState.zeros(spec.layout), gamma)
+    assert dataclasses.is_dataclass(state)
+    families = dataclasses.astuple(state)[:4]
+    assert [type(f) for f in families] == [list] * 4
+    assert all(len(f) > 0 for f in families)

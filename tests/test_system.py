@@ -55,7 +55,7 @@ def all_zero_system():
     )
 
 
-@pytest.mark.parametrize("dims", [(2.5,), (3.9,)])
+@pytest.mark.parametrize("dims", [(2.5,), (3.9,), (True,), (np.True_,)])
 def test_layout_rejects_non_integral_dims(dims):
     with pytest.raises(SpecificationError, match="integers"):
         SpaceLayout(dims, (1,), (1,), (1,))
