@@ -19,9 +19,13 @@ terms perturb forward (operator) evaluations and ``b`` terms perturb
 resolvent outputs.  Built-in schedules are zero and geometrically decaying
 noise, both absolutely summable.  The geometric schedule's draws are keyed:
 each block's direction is exactly what
-``np.random.default_rng([seed, n, code, index])`` draws, but all blocks of
-an iteration are seeded together, by NumPy's ``SeedSequence`` hash run as
-one pass of uint32 array arithmetic, and no ``SeedSequence`` is built.
+``np.random.default_rng([seed, n, code, index])`` draws, but no
+``SeedSequence`` is built.  The seeds of every block of a chunk of
+``_CHUNK`` consecutive iterations are hashed together, by NumPy's
+``SeedSequence`` hash run as one pass of uint32 array arithmetic, and each
+iteration draws from its rows of that pass.  Big layouts take shorter
+chunks, so a schedule holds at most ``_CHUNK_ROWS`` seeds (128 KB) however
+many blocks the layout has, unless one iteration alone has more.
 """
 
 import csv
@@ -29,7 +33,8 @@ import math
 import operator
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from numbers import Integral
+from itertools import islice
+from numbers import Integral, Real
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -193,7 +198,8 @@ class ErrorSchedule:
     that makes every block of an iteration at once gives ``draws(n, lanes)``
     instead, which yields them in the order of ``lanes.keys``: the
     ``(family, index, dim)`` of each block, by family in
-    ``ERROR_FAMILIES`` order and then by index.  :meth:`realize` reads
+    ``ERROR_FAMILIES`` order and then by index, one entry per block: more
+    or fewer is a :class:`SpecificationError`.  :meth:`realize` reads
     every schedule through ``draws``; for a generator, ``draws`` calls it
     block by block.  Absolute summability over n is the caller's
     obligation for custom generators; the built-in schedules satisfy it by
@@ -218,9 +224,18 @@ class ErrorSchedule:
         if self.always_zero:
             return None
         lanes = _lanes(layout)
+        expected = len(lanes.keys)
+        # one past the layout's blocks is enough to tell that there are more
+        blocks = list(islice(self.draws(n, lanes), expected + 1))
+        if len(blocks) != expected:
+            got = len(blocks) if len(blocks) < expected \
+                else f"more than {expected}"
+            raise SpecificationError(
+                f"error schedule: draws yielded {got} error blocks at "
+                f"iteration {n}, expected {expected}")
         out = {family: [] for family in ERROR_FAMILIES}
         any_nonzero = False
-        for (family, index, dim), e in zip(lanes.keys, self.draws(n, lanes)):
+        for (family, index, dim), e in zip(lanes.keys, blocks):
             if e is not None:
                 e = np.asarray(e, dtype=float)
                 if e.shape != (dim,):
@@ -277,13 +292,22 @@ def geometric_schedule(rho, amplitude, seed=0):
     ``np.random.default_rng([seed, n, code, index]).standard_normal(dim)``,
     so it depends only on that key: identical schedules reproduce
     identical errors across runs and across structurally matching specs,
-    and a block's draw does not depend on the other blocks.
+    and a block's draw does not depend on the other blocks or on the order
+    in which iterations are realized.
 
     The draws are computed without a ``SeedSequence`` per block: one
     vectorized pass of NumPy's ``SeedSequence`` hash (:func:`_pcg_seeds`)
-    gives the PCG64 seed of every block of an iteration, and each block's
-    generator starts from its row.
+    gives the PCG64 seeds of every block of the chunk of iterations
+    ``[n - n % C, n - n % C + C)``, and each block's generator starts from
+    its row.  ``C`` is ``_CHUNK`` (64), halved while ``C`` times the number
+    of blocks exceeds ``_CHUNK_ROWS`` (4096), so the seeds a schedule holds
+    take at most 128 KB, or one iteration's seeds when those are more.  The
+    schedule keeps only the chunk it hashed last, in one slot that is
+    replaced whole, so it may be shared across threads without a lock.
     """
+    for name, value in (("rho", rho), ("amplitude", amplitude)):
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
     if not (0.0 <= rho < 1.0):
         raise ValueError(f"rho must be in [0, 1), got {rho!r}")
     if not (math.isfinite(amplitude) and amplitude >= 0.0):
@@ -292,17 +316,38 @@ def geometric_schedule(rho, amplitude, seed=0):
     if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     head = _words(int(seed))
+    held = None  # (lanes, first n of the chunk, the chunk's seeds)
 
     def draws(n, lanes):
+        nonlocal held
+        slot = held
+        if slot is None or slot[0] is not lanes \
+                or not 0 <= n - slot[1] < len(slot[2]):
+            size = _CHUNK
+            while size > 1 and size * len(lanes.keys) > _CHUNK_ROWS:
+                size //= 2
+            start = n - n % size
+            # a chunk never crosses a multiple of 2**32: only the low word
+            # of n varies within it
+            n_words = np.repeat(np.array(_words(start), np.uint32)[:, None],
+                                size, axis=1)
+            n_words[0] += np.arange(size, dtype=np.uint32)
+            slot = held = (lanes, start, _pcg_seeds(head, n_words, lanes))
+        _, start, seeds = slot
         scale = amplitude * rho**n
-        for row, (_, _, dim) in zip(_pcg_seeds(head + _words(n), lanes),
-                                    lanes.keys):
+        for row, (_, _, dim) in zip(seeds[n - start], lanes.keys):
             v = Generator(PCG64(_GivenState(row))).standard_normal(dim)
             norm = math.sqrt(v @ v)  # np.linalg.norm(v), bit for bit
             yield None if norm == 0.0 else v * (scale / norm)
 
     return ErrorSchedule(description=f"geometric(rho={rho}, amp={amplitude})",
                          draws=draws)
+
+
+# Iterations whose seeds are hashed in one pass, and the most seeds (rows of
+# four uint64 words) a pass makes when a layout has many blocks.
+_CHUNK = 64
+_CHUNK_ROWS = 4096
 
 
 # NumPy's SeedSequence hash, as numpy/random/bit_generator.pyx runs it for
@@ -361,18 +406,25 @@ def _mix(x, h):
     return out
 
 
-def _pcg_seeds(head, lanes):
-    """PCG64 seeds of the keys ``head + [code, index]``, one row per lane.
+def _pcg_seeds(head, n_words, lanes):
+    """PCG64 seeds of the keys ``head + [n, code, index]`` for a chunk of n.
 
-    Row j is ``SeedSequence(head + list(lanes.words[:, j]))
-    .generate_state(4, np.uint64)``, from the same uint32 arithmetic run
-    for every lane at once.  ``head`` holds the 32-bit words of the seed
-    and of n.
+    ``head`` holds the 32-bit words of the seed, and column i of the
+    uint32 array ``n_words`` those of the chunk's i-th n (all n of a chunk
+    have the same number of words).  Entry ``[i, j]`` of the read-only
+    ``(chunk, lanes, 4)`` result is ``SeedSequence(head +
+    list(n_words[:, i]) + list(lanes.words[:, j])).generate_state(4,
+    np.uint64)``, from one pass of uint32 arithmetic over every (n, lane)
+    column, so numpy's per-call cost is paid once per chunk.
     """
-    count, lanes_count = len(head) + 2, len(lanes.keys)
-    entropy = np.empty((count, lanes_count), np.uint32)
-    entropy[:-2] = np.array(head, np.uint32)[:, None]
-    entropy[-2:] = lanes.words
+    width, chunk = n_words.shape
+    lanes_count = len(lanes.keys)
+    count = len(head) + width + 2
+    entropy = np.empty((count, chunk, lanes_count), np.uint32)
+    entropy[:len(head)] = np.array(head, np.uint32)[:, None, None]
+    entropy[len(head):-2] = n_words[:, :, None]
+    entropy[-2:] = lanes.words[:, None, :]
+    entropy = entropy.reshape(count, chunk * lanes_count)
     xor, mul = _MIX_CONSTS
     if 4 * count > len(xor):
         xor, mul = _hash_constants(_INIT_A, _MULT_A, 4 * count)
@@ -389,9 +441,12 @@ def _pcg_seeds(head, lanes):
         pool = _mix(pool, _hashmix(word, xor[j:j + 4], mul[j:j + 4]))
         j += 4
     state = _hashmix(pool[_OUT_CYCLE], *_OUT_CONSTS)
-    out = np.empty((lanes_count, 8), "<u4")
+    out = np.empty((chunk * lanes_count, 8), "<u4")
     out.T[...] = state
-    return out.view("<u8").astype(np.uint64)
+    seeds = out.view("<u8").astype(np.uint64, copy=False)
+    seeds = seeds.reshape(chunk, lanes_count, 4)
+    seeds.flags.writeable = False
+    return seeds
 
 
 class _GivenState(ISeedSequence):

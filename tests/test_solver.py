@@ -1,6 +1,9 @@
 import copy
+import itertools
 import math
 import pickle
+import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -14,6 +17,7 @@ from monosplit.demos import (
     separation_demo,
 )
 from monosplit.errors import NumericError, SpecificationError, StepBoundError
+from monosplit import solver
 from monosplit.linops import dense_op, zero_op
 from monosplit.minimization import MinimizationSpec, build_system
 from monosplit.prox import (
@@ -660,7 +664,8 @@ def assert_blocks_equal(errs, expected):
 @pytest.mark.parametrize("seed", [0, 2**31 - 1, 2**32, 2**40 + 5, 2**600 + 3])
 def test_geometric_blocks_equal_keyed_default_rng_draws(layout, seed):
     sched = geometric_schedule(0.9, 0.1, seed=seed)
-    for n in (0, 1, 255, 2**32 + 1):
+    # chunk edges, and the last n of one 32-bit word and the first of two
+    for n in (0, 1, 63, 64, 65, 127, 255, 2**32 - 1, 2**32, 2**32 + 1):
         expected = {
             family: [reference_geometric_block(0.9, 0.1, seed, n, family,
                                                index, dim)
@@ -703,30 +708,99 @@ def test_realize_out_of_order_repeats_blocks():
 def test_geometric_schedule_is_safe_to_share_across_threads():
     sched = geometric_schedule(0.9, 0.1, seed=5)
     layouts = [LASSO_LAYOUT, UNEVEN_LAYOUT]
+    ns = range(151)  # crosses the chunk edges at 64 and 128
 
     def run(offset):
-        return [sched.realize(n, layouts[(n + offset) % 2])
-                for n in range(40)]
+        order = list(ns)
+        random.Random(offset).shuffle(order)
+        return {n: sched.realize(n, layouts[(n + offset) % 2])
+                for n in order}
 
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        futures = [pool.submit(run, k) for k in range(8)]
-        results = [f.result(timeout=60) for f in futures]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(run, k) for k in range(8)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    alone = geometric_schedule(0.9, 0.1, seed=5)
+    expected = [{n: alone.realize(n, layout) for n in ns}
+                for layout in layouts]
     for offset, result in enumerate(results):
-        for n, errs in enumerate(result):
-            assert_blocks_equal(errs, results[offset % 2][n])
-    assert_blocks_equal(results[0][3],
-                        sched.realize(3, layouts[1]))
+        assert sorted(result) == list(ns)
+        for n, errs in result.items():
+            assert_blocks_equal(errs, expected[(n + offset) % 2][n])
+
+
+def test_geometric_seeds_are_hashed_once_per_chunk(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return hashed(*args)
+
+    hashed = solver._pcg_seeds
+    monkeypatch.setattr(solver, "_pcg_seeds", counted)
+    demo = lasso_demo()
+    policy = make_policy(compute_beta(demo.system))
+    iterations = 150
+    _, _, status = solve(demo.system, IterateState.zeros(demo.system.layout),
+                         policy, errors=geometric_schedule(0.9, 0.1, seed=0),
+                         tol=0.0, max_iter=iterations)
+    assert status == "max_iter"
+    assert len(calls) == math.ceil(iterations / solver._CHUNK) == 3
+
+
+@pytest.mark.parametrize("s", [60, 120, 300])
+def test_geometric_seed_cache_stays_within_the_row_cap(monkeypatch, s):
+    # 3 + 8 s blocks: 483, 963 and 2403 of them, which take chunks of 8, 4
+    # and 1 iterations
+    seeds = []
+
+    def kept(*args):
+        seeds.append(hashed(*args))
+        return seeds[-1]
+
+    hashed = solver._pcg_seeds
+    monkeypatch.setattr(solver, "_pcg_seeds", kept)
+    layout = SpaceLayout((2,), (1,) * s, (1,) * s, (1,) * s)
+    blocks = 3 + 8 * s
+    sched = geometric_schedule(0.9, 0.1, seed=3)
+    for n in (0, 9):
+        errs = sched.realize(n, layout)
+        assert errs["c22"][-1].tobytes() == reference_geometric_block(
+            0.9, 0.1, 3, n, "c22", s - 1, 1).tobytes()
+    chunk = {60: 8, 120: 4, 300: 1}[s]
+    assert len(seeds) == 2
+    for held in seeds:
+        assert held.shape == (chunk, blocks, 4)
+        assert chunk * blocks <= solver._CHUNK_ROWS
+        assert held.nbytes <= 32 * solver._CHUNK_ROWS
+        assert not held.flags.writeable
+        with pytest.raises(ValueError):
+            held[0, 0, 0] = 0
 
 
 @pytest.mark.parametrize("kwargs", [
     {"seed": -1}, {"seed": 2.5}, {"seed": 2.0}, {"seed": True},
     {"amplitude": float("nan")}, {"amplitude": float("inf")},
     {"amplitude": -0.1}, {"rho": 1.0}, {"rho": float("nan")},
+    {"rho": True}, {"rho": False}, {"amplitude": True}, {"rho": "0.9"},
+    {"amplitude": "0.1"}, {"amplitude": None}, {"rho": 0.5j},
+    {"amplitude": np.bool_(True)},
 ])
 def test_geometric_schedule_rejects_bad_arguments(kwargs):
     args = {"rho": 0.9, "amplitude": 0.1, "seed": 0, **kwargs}
     with pytest.raises(ValueError):
         geometric_schedule(**args)
+
+
+def test_geometric_schedule_accepts_numpy_floats():
+    a = geometric_schedule(np.float64(0.9), np.float64(0.1)).realize(
+        3, LASSO_LAYOUT)
+    b = geometric_schedule(0.9, 0.1).realize(3, LASSO_LAYOUT)
+    assert_blocks_equal(a, b)
 
 
 def test_geometric_schedule_accepts_numpy_integer_seed():
@@ -755,3 +829,14 @@ def test_custom_per_block_generator_is_read_block_by_block():
     wrong = ErrorSchedule(lambda n, family, index, dim: np.zeros(dim + 1))
     with pytest.raises(SpecificationError, match="family a11 block 0"):
         wrong.realize(0, LASSO_LAYOUT)
+
+
+@pytest.mark.parametrize("draws, got", [
+    (lambda n, lanes: iter([np.ones(3)]), "yielded 1 error blocks"),
+    (lambda n, lanes: [None] * 12, "yielded more than 11 error blocks"),
+    (lambda n, lanes: itertools.repeat(None), "more than 11"),
+], ids=["short", "long", "endless"])
+def test_realize_rejects_draws_of_the_wrong_length(draws, got):
+    layout = SpaceLayout((3,), (3,), (3,), (3,))
+    with pytest.raises(SpecificationError, match=f"{got}.*expected 11"):
+        ErrorSchedule(draws=draws).realize(0, layout)
