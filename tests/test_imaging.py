@@ -1,7 +1,11 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from monosplit.errors import ConfigurationError
+from monosplit.demos import deblur_demo
+from monosplit.errors import ConfigurationError, NumericError
 from monosplit.imaging import (
     GRAD_NORM_BOUND,
     ImageGrid,
@@ -300,3 +304,190 @@ def test_stencil_matrix_matches_loop_oracle_bit_for_bit(height, width):
 def test_blurs_reject_empty_grids(builder):
     with pytest.raises(ConfigurationError, match="height, width >= 1"):
         builder(-2, -2)
+
+
+# ---------------------------------------------------------------------------
+# The gather kernels against the straightforward evaluation, byte for byte
+
+
+def grad_fwd_oracle(img):
+    """Forward differences over the last two axes, from a zero array."""
+    out = np.zeros(img.shape[:-2] + (2,) + img.shape[-2:])
+    np.subtract(img[..., 1:, :], img[..., :-1, :], out=out[..., 0, :-1, :])
+    np.subtract(img[..., :, 1:], img[..., :, :-1], out=out[..., 1, :, :-1])
+    return out
+
+
+def grad_adj_oracle(grad):
+    """Negative divergence: from 0.0, +v[i-1], -v[i], +h[j-1], -h[j]."""
+    vert, horz = grad[..., 0, :, :], grad[..., 1, :, :]
+    out = np.zeros(vert.shape)
+    out[..., 1:, :] += vert[..., :-1, :]
+    out[..., :-1, :] -= vert[..., :-1, :]
+    out[..., :, 1:] += horz[..., :, :-1]
+    out[..., :, :-1] -= horz[..., :, :-1]
+    return out
+
+
+def haar_butterfly_oracle(a, b, c, d):
+    total, diff = a + b, a - b
+    return np.stack([(total + c) + d, (diff + c) - d,
+                     (total - c) - d, (diff - c) + d]) / 2.0
+
+
+def oracle_maps(name, h, w):
+    """(apply, adjoint) of the straightforward kernels on flat vectors."""
+    if name == "grad":
+        return (lambda x: grad_fwd_oracle(x.reshape(h, w)).ravel(),
+                lambda y: grad_adj_oracle(y.reshape(2, h, w)).ravel())
+    if name == "grad2":
+        return (lambda x: grad_fwd_oracle(grad_fwd_oracle(x.reshape(h, w))
+                                          ).ravel(),
+                lambda y: grad_adj_oracle(grad_adj_oracle(
+                    y.reshape(2, 2, h, w))).ravel())
+
+    def haar(x):
+        quads = x.reshape(h // 2, 2, w // 2, 2).transpose(1, 3, 0, 2)
+        return haar_butterfly_oracle(*quads.reshape(4, -1)).ravel()
+
+    def haar_adjoint(y):
+        out = haar_butterfly_oracle(*y.reshape(4, -1))
+        return out.reshape(2, 2, h // 2, w // 2).transpose(2, 0, 3, 1).ravel()
+
+    return haar, haar_adjoint
+
+
+BUILDERS = {"grad": gradient_op, "grad2": second_gradient_op,
+            "haar": haar_analysis_op}
+KERNEL_CASES = [("grad", 2, 2), ("grad", 3, 3), ("grad", 5, 6),
+                ("grad", 7, 3), ("grad", 6, 4), ("grad", 16, 16),
+                ("grad2", 3, 3), ("grad2", 5, 6), ("grad2", 7, 3),
+                ("grad2", 6, 4), ("grad2", 16, 16),
+                ("haar", 2, 2), ("haar", 6, 4), ("haar", 16, 16)]
+
+
+def signed_zero_inputs(rng, n, count):
+    """Gaussian vectors and small-integer vectors, both with +0.0 and -0.0
+    mixed in; the integers make differences and sums cancel exactly, so
+    the sign of every zero result is exercised."""
+    for k in range(count):
+        if k % 2:
+            x = rng.integers(-2, 3, n).astype(float)
+        else:
+            x = rng.standard_normal(n)
+        u = rng.random(n)
+        x[u < 0.2] = 0.0
+        x[u > 0.8] = -0.0
+        yield x
+
+
+@pytest.mark.parametrize("name, h, w", KERNEL_CASES)
+def test_kernels_match_straightforward_evaluation_bit_for_bit(name, h, w):
+    op = BUILDERS[name](h, w)
+    oracle, oracle_adjoint = oracle_maps(name, h, w)
+    rng = np.random.default_rng(h * 100 + w)
+    for x in signed_zero_inputs(rng, op.in_dim, 100):
+        assert op.apply(x).tobytes() == oracle(x).tobytes()
+    for y in signed_zero_inputs(rng, op.out_dim, 100):
+        assert op.adjoint_apply(y).tobytes() == oracle_adjoint(y).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_kernels_take_views_images_lists_and_ints(name):
+    h, w = 6, 4
+    op = BUILDERS[name](h, w)
+    oracle, oracle_adjoint = oracle_maps(name, h, w)
+    rng = np.random.default_rng(12)
+    x, y = rng.standard_normal(op.in_dim), rng.standard_normal(op.out_dim)
+    strided = np.repeat(x, 2)[::2]
+    assert not strided.flags.contiguous
+    assert op.apply(strided).tobytes() == oracle(x).tobytes()
+    assert op.apply(x.reshape(h, w)).tobytes() == oracle(x).tobytes()
+    assert op.adjoint_apply(np.repeat(y, 2)[::2]).tobytes() == \
+        oracle_adjoint(y).tobytes()
+    ints = rng.integers(-3, 4, op.in_dim)
+    for arg in (ints, ints.tolist()):
+        out = op.apply(arg)
+        assert out.dtype == np.float64
+        assert out.tobytes() == oracle(ints.astype(float)).tobytes()
+    out = op.adjoint_apply(rng.integers(-3, 4, op.out_dim).tolist())
+    assert out.dtype == np.float64
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_kernels_reject_vectors_one_too_long_or_short(name):
+    op = BUILDERS[name](4, 4)
+    for fn, dim in ((op.apply, op.in_dim), (op.adjoint_apply, op.out_dim)):
+        for n in (dim - 1, dim + 1):
+            with pytest.raises(ValueError):
+                fn(np.ones(n))
+
+
+@pytest.mark.parametrize("name", ["grad", "grad2"])
+def test_inf_at_a_boundary_pixel_stays_non_finite(name):
+    # on the last row the difference is x - x: inf - inf is NaN where the
+    # zero-started evaluation left 0, and the inner differences are inf
+    h, w = 5, 4
+    op = BUILDERS[name](h, w)
+    for pixel in (0, w - 1, h * w - w, h * w - 1):
+        x = np.ones(h * w)
+        x[pixel] = np.inf
+        with np.errstate(invalid="ignore"):
+            assert not np.all(np.isfinite(op.apply(x)))
+
+
+def test_solve_from_inf_boundary_pixel_raises_at_first_iteration():
+    demo = deblur_demo(size=16, seed=2024)
+    policy = make_policy(compute_beta(demo.system))
+    init = demo.extras["init"].copy()
+    init.x1[0][255] = np.inf
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(NumericError, match="p11, block 0") as info:
+        solve(demo.system, init, policy, max_iter=50)
+    assert info.value.iteration == 0
+
+
+def plan_arrays(op):
+    """The arrays the operator's apply and adjoint hold between calls."""
+    found = {}
+    for fn in (op.apply, op.adjoint_apply):
+        for cell in fn.__closure__ or ():
+            value = cell.cell_contents
+            if isinstance(value, np.ndarray):
+                found[id(value)] = value
+    return list(found.values())
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_plans_are_read_only_and_bounded(name):
+    op = BUILDERS[name](64, 64)
+    plans = plan_arrays(op)
+    assert plans
+    assert all(not a.flags.writeable for a in plans)
+    # at most eight float64 outputs' worth of index and sign data
+    assert sum(a.nbytes for a in plans) <= 8 * op.out_dim * 8
+    with pytest.raises(ValueError):
+        plans[0][0] = 0
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_shared_operator_gives_serial_bytes_across_threads(name):
+    op = BUILDERS[name](16, 16)
+    rng = np.random.default_rng(21)
+    inputs = [(rng.standard_normal(op.in_dim), rng.standard_normal(op.out_dim))
+              for _ in range(16)]
+
+    def run(pairs):
+        return [(op.apply(x).tobytes(), op.adjoint_apply(y).tobytes())
+                for _ in range(20) for x, y in pairs]
+
+    expected = run(inputs)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(run, inputs) for _ in range(4)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(result == expected for result in results)
