@@ -26,10 +26,12 @@ the bit as that evaluation's, signed zeros included; only a non-finite
 pixel on the last row or column differs, giving NaN (``inf - inf``) in
 place of its zero boundary difference.  The plans take under 112 bytes
 per pixel for the gradient, under 176 for the second gradient and 16 for
-the Haar transform's two permutations.
+the Haar transform's two permutations; the gradient's plans are shared by
+every first and second gradient of the same image size.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -85,6 +87,7 @@ class ObservationSet:
                 raise SpecificationError("weights must be > 0")
 
 
+@lru_cache(maxsize=4)
 def _difference_plans(height, width):
     """Gather plans of the forward differences and of their adjoint.
 
@@ -105,7 +108,9 @@ def _difference_plans(height, width):
 
     The four arrays take ``112 h w - 48 (h + w)`` bytes: ``plus`` 16 per
     pixel, the other three 8 per adjoint term, of which there are about
-    four per pixel.
+    four per pixel.  The arrays are read-only, so the plans of one image
+    size are built once and shared by every operator of that size; the
+    cache holds the last four sizes.
     """
     hw = height * width
     pixel = np.arange(hw, dtype=np.intp).reshape(height, width)
@@ -128,8 +133,8 @@ def gradient_op(height, width):
     Output stacks the vertical then the horizontal differences
     (2*height*width values); the adjoint is the matching negative
     divergence.  Both are gathers from the plans of
-    :func:`_difference_plans`, built here once: ``112 h w - 48 (h + w)``
-    bytes, under 112 per pixel.
+    :func:`_difference_plans`, built once per image size: ``112 h w -
+    48 (h + w)`` bytes, under 112 per pixel.
     """
     if height < 2 or width < 2:
         raise ConfigurationError("gradient_op needs height, width >= 2")
@@ -159,7 +164,8 @@ def second_gradient_op(height, width):
     the same replicate boundary; the adjoint follows by composition.  The
     second step runs the gradient's plans over the two channels at once,
     and its adjoint needs one more array, the bins of both channels:
-    ``176 h w - 80 (h + w)`` bytes in all, under 176 per pixel.
+    ``176 h w - 80 (h + w)`` bytes in all, under 176 per pixel, of which
+    the gradient's plans are shared.
     """
     if height < 3 or width < 3:
         raise ConfigurationError("second_gradient_op needs height, width >= 3")

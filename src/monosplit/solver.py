@@ -16,9 +16,13 @@ separation check (a joint run against its decoupled halves) relies on.
 
 Inexact evaluations are modeled by additive error sequences: ``a``/``c``
 terms perturb forward (operator) evaluations and ``b`` terms perturb
-resolvent outputs.  Built-in schedules are zero and geometrically decaying
-noise, both absolutely summable.  The geometric schedule's draws are keyed:
-each block's direction is exactly what
+resolvent outputs.  The errors of one iteration are realized as one
+``(3, size)`` record laid out like z, a row per letter, holding -0.0
+wherever an evaluation is exact; as ``x + (-0.0)`` is ``x`` bit for bit,
+the step adds each row with one operation and rounds as if it had added
+only the erroneous blocks.  Built-in schedules are zero and geometrically
+decaying noise, both absolutely summable.  The geometric schedule's draws
+are keyed: each block's direction is exactly what
 ``np.random.default_rng([seed, n, code, index])`` draws, but no
 ``SeedSequence`` is built.  The seeds of every block of a chunk of
 ``_CHUNK`` consecutive iterations are hashed together, by NumPy's
@@ -33,7 +37,7 @@ import math
 import operator
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import islice
+from itertools import accumulate, groupby
 from numbers import Integral, Real
 from typing import Callable, NamedTuple, Optional
 
@@ -193,13 +197,24 @@ def make_policy(beta, epsilon=None, gamma_const=None, gamma_seq=None):
 class ErrorSchedule:
     """Source of the additive error vectors.
 
+    :meth:`realize` gives the errors of one iteration as one record, a
+    ``(3, size)`` float array laid out like the flat iterate
+    ``[x1 | x2 | v1 | v2]``: row 0 holds the ``a`` terms (``a11 | a12 |
+    a21 | a22``), row 1 the ``b`` terms and row 2 the ``c`` terms.  Every
+    element that carries no error holds -0.0: the blocks of an exact
+    evaluation and the x2 part of row 1, as there is no ``b12``.  In IEEE
+    arithmetic ``x + (-0.0)`` is ``x`` bit for bit, signed zeros, infinities
+    and NaN included, so :func:`step` adds a whole row where the per-block
+    update lines add their blocks.
+
     ``generator(n, family, index, dim)`` returns the error vector for one
     block at iteration ``n`` or None for an exact evaluation.  A schedule
     that makes every block of an iteration at once gives ``draws(n, lanes)``
-    instead, which yields them in the order of ``lanes.keys``: the
-    ``(family, index, dim)`` of each block, by family in
-    ``ERROR_FAMILIES`` order and then by index, one entry per block: more
-    or fewer is a :class:`SpecificationError`.  :meth:`realize` reads
+    instead, which returns one vector of ``lanes.size`` elements, the blocks
+    concatenated in the order of ``lanes.keys`` (the ``(family, index,
+    dim)`` of each block, by family in ``ERROR_FAMILIES`` order and then by
+    index) with -0.0 in exact blocks, or None when all are exact.  Any
+    other length is a :class:`SpecificationError`.  :meth:`realize` reads
     every schedule through ``draws``; for a generator, ``draws`` calls it
     block by block.  Absolute summability over n is the caller's
     obligation for custom generators; the built-in schedules satisfy it by
@@ -220,22 +235,33 @@ class ErrorSchedule:
             object.__setattr__(self, "draws", _block_by_block(self.generator))
 
     def realize(self, n, layout):
-        """Materialize all error blocks for iteration n (None if all zero)."""
+        """The error record of iteration n: a fresh ``(3, size)`` array with
+        -0.0 wherever there is no error, or None if all are exact."""
         if self.always_zero:
             return None
         lanes = _lanes(layout)
-        expected = len(lanes.keys)
-        # one past the layout's blocks is enough to tell that there are more
-        blocks = list(islice(self.draws(n, lanes), expected + 1))
-        if len(blocks) != expected:
-            got = len(blocks) if len(blocks) < expected \
-                else f"more than {expected}"
+        drawn = self.draws(n, lanes)
+        if drawn is None:
+            return None
+        if not isinstance(drawn, np.ndarray) or drawn.dtype.kind != "f" \
+                or drawn.shape != (lanes.size,):
+            got = f"{drawn.dtype} array of shape {drawn.shape}" \
+                if isinstance(drawn, np.ndarray) else type(drawn).__name__
             raise SpecificationError(
-                f"error schedule: draws yielded {got} error blocks at "
-                f"iteration {n}, expected {expected}")
-        out = {family: [] for family in ERROR_FAMILIES}
-        any_nonzero = False
-        for (family, index, dim), e in zip(lanes.keys, blocks):
+                f"error schedule: draws gave a {got} at iteration {n}, "
+                f"expected a float array of shape ({lanes.size},)")
+        # one gather places every lane, and the -0.0 appended past the last
+        # where the record has no error
+        return np.concatenate((drawn, [-0.0])).take(lanes.gather)
+
+
+def _block_by_block(generator):
+    """``draws`` that calls a per-block ``generator`` for each block."""
+    def draws(n, lanes):
+        out = np.full(lanes.size, -0.0)
+        exact = True
+        for (family, index, dim), lo in zip(lanes.keys, lanes.starts):
+            e = generator(n, family, index, dim)
             if e is not None:
                 e = np.asarray(e, dtype=float)
                 if e.shape != (dim,):
@@ -243,16 +269,9 @@ class ErrorSchedule:
                         f"error generator: family {family} block {index} "
                         f"returned shape {e.shape}, expected ({dim},)"
                     )
-                any_nonzero = True
-            out[family].append(e)
-        return out if any_nonzero else None
-
-
-def _block_by_block(generator):
-    """``draws`` that calls a per-block ``generator`` for each block."""
-    def draws(n, lanes):
-        for family, index, dim in lanes.keys:
-            yield generator(n, family, index, dim)
+                out[lo:lo + dim] = e
+                exact = False
+        return None if exact else out
     return draws
 
 
@@ -262,19 +281,39 @@ class _Lanes(NamedTuple):
     keys: tuple        # (family, index, dim) of each block
     words: np.ndarray  # uint32 rows: the place of the family in
                        # ERROR_FAMILIES, and the block's index within it
+    size: int          # the length of a draws vector: the sum of the dims
+    starts: tuple      # where each lane starts in a draws vector
+    runs: tuple        # (first lane, lane count, dim) of each run of
+                       # consecutive lanes of equal dim
+    gather: np.ndarray  # (3, state size) intp: the draws element of each
+                        # element of the error record, ``size`` for none
 
 
 @lru_cache(maxsize=16)
 def _lanes(layout):
-    # a family's last two digits name its space: H_i, G_k, X_k, Y_k
-    space = {"11": layout.h_dims, "12": layout.g_dims,
-             "21": layout.x_dims, "22": layout.y_dims}
-    keys = [(family, index, dim) for family in ERROR_FAMILIES
-            for index, dim in enumerate(space[family[1:]])]
+    # a family's last two digits name its space: H_i, G_k, X_k, Y_k, and
+    # its letter the row of the error record
+    place = {"11": 0, "12": 1, "21": 2, "22": 3}
+    blocks = layout.blocks
+    keys = [(family, index, sl.stop - sl.start) for family in ERROR_FAMILIES
+            for index, sl in enumerate(blocks[place[family[1:]]])]
     words = np.array([[ERROR_FAMILIES.index(family) for family, _, _ in keys],
                       [index for _, index, _ in keys]], np.uint32)
-    words.flags.writeable = False
-    return _Lanes(tuple(keys), words)
+    dims = [dim for _, _, dim in keys]
+    *starts, size = accumulate(dims, initial=0)
+    gather = np.full((3, blocks[-1][-1].stop), size, np.intp)
+    for (family, index, dim), lo in zip(keys, starts):
+        sl = blocks[place[family[1:]]][index]
+        gather["abc".index(family[0]), sl] = np.arange(lo, lo + dim)
+    runs, first = [], 0
+    for dim, run in groupby(dims):
+        count = len(list(run))
+        runs.append((first, count, dim))
+        first += count
+    for array in (words, gather):
+        array.flags.writeable = False
+    return _Lanes(tuple(keys), words, size, tuple(starts), tuple(runs),
+                  gather)
 
 
 def zero_schedule():
@@ -299,11 +338,15 @@ def geometric_schedule(rho, amplitude, seed=0):
     vectorized pass of NumPy's ``SeedSequence`` hash (:func:`_pcg_seeds`)
     gives the PCG64 seeds of every block of the chunk of iterations
     ``[n - n % C, n - n % C + C)``, and each block's generator starts from
-    its row.  ``C`` is ``_CHUNK`` (64), halved while ``C`` times the number
-    of blocks exceeds ``_CHUNK_ROWS`` (4096), so the seeds a schedule holds
-    take at most 128 KB, or one iteration's seeds when those are more.  The
-    schedule keeps only the chunk it hashed last, in one slot that is
-    replaced whole, so it may be shared across threads without a lock.
+    its row and draws straight into the block's slice of the ``draws``
+    vector.  The norms of each run of equal-size blocks come from one
+    batched dot and the run is scaled by one multiply; a draw of norm zero
+    leaves its block exact (-0.0).  ``C`` is ``_CHUNK`` (64), halved while
+    ``C`` times the number of blocks exceeds ``_CHUNK_ROWS`` (4096), so the
+    seeds a schedule holds take at most 128 KB, or one iteration's seeds
+    when those are more.  The schedule keeps only the chunk it hashed last,
+    in one slot that is replaced whole, so it may be shared across threads
+    without a lock.
     """
     for name, value in (("rho", rho), ("amplitude", amplitude)):
         if isinstance(value, bool) or not isinstance(value, Real):
@@ -334,11 +377,23 @@ def geometric_schedule(rho, amplitude, seed=0):
             n_words[0] += np.arange(size, dtype=np.uint32)
             slot = held = (lanes, start, _pcg_seeds(head, n_words, lanes))
         _, start, seeds = slot
+        out = np.empty(lanes.size)
+        for row, lo, (_, _, dim) in zip(seeds[n - start], lanes.starts,
+                                        lanes.keys):
+            Generator(PCG64(_GivenState(row))).standard_normal(
+                out=out[lo:lo + dim])
         scale = amplitude * rho**n
-        for row, (_, _, dim) in zip(seeds[n - start], lanes.keys):
-            v = Generator(PCG64(_GivenState(row))).standard_normal(dim)
-            norm = math.sqrt(v @ v)  # np.linalg.norm(v), bit for bit
-            yield None if norm == 0.0 else v * (scale / norm)
+        for first, count, dim in lanes.runs:
+            lo = lanes.starts[first]
+            v = out[lo:lo + count * dim].reshape(count, dim)
+            # each row's v @ v, the same BLAS dot as np.linalg.norm(v) takes
+            norms = np.sqrt(np.vecdot(v, v))
+            if not norms.all():  # a zero-norm draw is an exact block:
+                exact = norms == 0.0  # -0.0 times scale / inf is -0.0
+                v[exact] = -0.0
+                norms[exact] = np.inf
+            v *= (scale / norms)[:, None]
+        return out
 
     return ErrorSchedule(description=f"geometric(rho={rho}, amp={amplitude})",
                          draws=draws)
@@ -503,18 +558,6 @@ def _packed(state, blocks):
                       state.n)
 
 
-def _add_errors(out, errs, families, blocks):
-    """Add the realized error blocks of ``families`` (one name per block
-    family, None to skip one) into ``out``."""
-    for family, slices in zip(families, blocks):
-        if family is None:
-            continue
-        for e, sl in zip(errs[family], slices):
-            if e is not None:
-                view = out[sl]
-                view += e
-
-
 def _check_finite(whole, y, checks, n):
     """Raise :class:`NumericError` naming the first non-finite block.
 
@@ -566,14 +609,21 @@ def step(spec, state, gamma, errors_at_n=None, with_transversality=True):
     forward terms of the four families and J the per-block resolvents (the
     identity on x2).  Returns the new state (counter incremented, its
     blocks views of a fresh flat vector) together with a
-    :class:`TraceRecord`.  ``errors_at_n`` is a realized error record as
-    produced by :meth:`ErrorSchedule.realize` (None for exact evaluation).
+    :class:`TraceRecord`.
+
+    ``errors_at_n`` is an error record as :meth:`ErrorSchedule.realize`
+    makes it, or None for exact evaluation.  Its rows are added whole: the
+    ``a`` row to F(z) before it is scaled by gamma, the ``b`` row to J(s)
+    and the ``c`` row to F(p).  Its -0.0 elements leave their lines
+    unchanged bit for bit, so the step rounds as when only the erroneous
+    blocks were added.  The record is only read.
 
     Raises :class:`NumericError` naming the offending line and block if the
     intermediate points ``p11`` or any block of the new state are
-    non-finite, and ``ValueError`` for a non-positive step.  The
-    admissible-interval bound on gamma is the step policy's
-    responsibility; here only positivity is enforced.
+    non-finite, :class:`SpecificationError` for an error record that is
+    not an array of shape ``(3, size)``, and ``ValueError`` for a
+    non-positive step.  The admissible-interval bound on gamma is the step
+    policy's responsibility; here only positivity is enforced.
     """
     if not (gamma > 0.0 and math.isfinite(gamma)):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
@@ -586,6 +636,12 @@ def step(spec, state, gamma, errors_at_n=None, with_transversality=True):
     g = float(gamma)
     n = state.n
     errs = errors_at_n
+    if errs is not None and (not isinstance(errs, np.ndarray)
+                             or errs.shape != (3, size)):
+        got = errs.shape if isinstance(errs, np.ndarray) \
+            else type(errs).__name__
+        raise SpecificationError(
+            f"error record: expected an array of shape (3, {size}), got {got}")
     signed_g = plan.sign * g  # -g over x1, +g elsewhere
     x1_, v1_, dual = plan.x1, plan.v1, plan.dual
 
@@ -598,7 +654,7 @@ def step(spec, state, gamma, errors_at_n=None, with_transversality=True):
             nl_x += spec.N[k].apply(spec.L[k][i].apply(x1i))
         nl_x -= spec.N[k].apply(state.x2[k])
     if errs is not None:
-        _add_errors(s, errs, ("a11", "a12", "a21", "a22"), blocks)
+        s += errs[0]
     s *= signed_g
     s += z
 
@@ -620,7 +676,7 @@ def step(spec, state, gamma, errors_at_n=None, with_transversality=True):
     pv = p[v1_]
     np.add(plan.nr, pv, pv)
     if errs is not None:
-        _add_errors(p, errs, ("b11", None, "b21", "b22"), blocks)
+        p += errs[1]
     _check_finite(p[x1_], p, (("p11", i, sl) for i, sl in enumerate(b11)), n)
     pd = p[dual]
     pd *= g
@@ -637,7 +693,7 @@ def step(spec, state, gamma, errors_at_n=None, with_transversality=True):
             l_p11 = l_p11 + spec.L[k][i].apply(p11[i])
         np.subtract(spec.N[k].apply(l_p11), spec.N[k].apply(p[sl12]), q[sl21])
     if errs is not None:
-        _add_errors(q, errs, ("c11", "c12", "c21", "c22"), blocks)
+        q += errs[2]
     q *= signed_g
     q += p
     z_new = z - s

@@ -10,7 +10,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import pytest
 
 from monosplit.demos import deblur_demo, lasso_demo, qp_demo, separation_demo
-from monosplit.solver import IterateState, make_policy, solve
+from monosplit.solver import ERROR_FAMILIES, IterateState, make_policy, solve
 from monosplit.system import compute_beta
 
 
@@ -45,3 +45,16 @@ def separation_run():
 def deblur_run():
     return run_demo(deblur_demo(), tol=1e-6, max_iter=20000,
                     trace_every=1000)
+
+
+def error_blocks(record, layout):
+    """The blocks of an error record by family, in ``ERROR_FAMILIES`` order.
+
+    Family ``a12``, say, is row 0 (its letter) of the record, cut by the
+    blocks of the flat iterate's x2 family (its digits, the space G_k);
+    each block is a view of the record.
+    """
+    place = {"11": 0, "12": 1, "21": 2, "22": 3}
+    return {family: [record["abc".index(family[0])][sl]
+                     for sl in layout.blocks[place[family[1:]]]]
+            for family in ERROR_FAMILIES}

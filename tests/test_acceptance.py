@@ -11,6 +11,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from monosplit.cli import main as cli_main
 from monosplit.demos import lasso_demo, separation_demo
@@ -90,6 +91,7 @@ def grid_catalog():
     ]
 
 
+@pytest.mark.slow
 def test_criterion_03_prox_grid_oracle():
     rng = np.random.default_rng(42)
     worst = 0.0
@@ -313,6 +315,7 @@ def test_criterion_11_strong_convergence_probe():
                            f"{final.n} iterations")
 
 
+@pytest.mark.slow
 def test_criterion_12_imaging_demo(deblur_run):
     demo = deblur_run["demo"]
     final = deblur_run["final"]

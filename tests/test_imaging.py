@@ -4,6 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from monosplit import imaging
 from monosplit.demos import deblur_demo
 from monosplit.errors import ConfigurationError, NumericError
 from monosplit.imaging import (
@@ -468,6 +469,21 @@ def test_plans_are_read_only_and_bounded(name):
     assert sum(a.nbytes for a in plans) <= 8 * op.out_dim * 8
     with pytest.raises(ValueError):
         plans[0][0] = 0
+
+
+def test_gradients_of_one_size_share_their_difference_plans():
+    grad_plans = plan_arrays(gradient_op(12, 9))
+    grad2_plans = plan_arrays(second_gradient_op(12, 9))
+    assert all(any(np.shares_memory(a, b) for b in grad2_plans)
+               for a in grad_plans)
+    assert not any(np.shares_memory(a, b) for a in grad_plans
+                   for b in plan_arrays(gradient_op(9, 12)))
+    cache = imaging._difference_plans
+    for size in range(3, 10):
+        second_gradient_op(size, size + 1)
+    info = cache.cache_info()
+    assert info.maxsize == 4
+    assert info.currsize <= info.maxsize
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))

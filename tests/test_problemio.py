@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import error_blocks
 from monosplit.errors import ConfigurationError
 from monosplit.problemio import load_problem, parse_problem
 from monosplit.prox import soft_threshold
@@ -178,8 +179,9 @@ def test_integral_float_seed_is_accepted():
     doc_int["errors"] = {"name": "geometric", "params": {}}
     doc_int["solver"]["seed"] = 2
     layout = parse_problem(doc)["system"].layout
-    a = parse_problem(doc)["errors"].realize(3, layout)
-    b = parse_problem(doc_int)["errors"].realize(3, layout)
+    a = error_blocks(parse_problem(doc)["errors"].realize(3, layout), layout)
+    b = error_blocks(parse_problem(doc_int)["errors"].realize(3, layout),
+                     layout)
     for family in a:
         for x, y in zip(a[family], b[family]):
             assert x.tobytes() == y.tobytes()

@@ -287,6 +287,7 @@ def test_catalog_resolvents_one_lipschitz(name, fn):
         assert np.linalg.norm(jx - jy) <= np.linalg.norm(x - y) + 1e-10
 
 
+@pytest.mark.slow
 def test_prox_variational_inequality_by_grid():
     # f(y) + ||y - x||^2 / (2 gamma) is minimized at the prox output
     rng = np.random.default_rng(29)

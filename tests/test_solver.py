@@ -8,7 +8,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from numpy.random import Generator
 
+from conftest import error_blocks
 from monosplit.demos import (
     deblur_demo,
     lasso_demo,
@@ -223,16 +225,15 @@ def test_geometric_schedule_is_summable_and_reproducible():
     layout = SpaceLayout((3,), (2,), (2,), (2,))
     total = 0.0
     for n in range(200):
-        errs = sched.realize(n, layout)
-        assert errs is not None
+        errs = error_blocks(sched.realize(n, layout), layout)
         for family in ERROR_FAMILIES:
             for block in errs[family]:
                 total += float(np.linalg.norm(block))
                 assert np.linalg.norm(block) <= 0.1 * 0.9**n + 1e-15
     # geometric bound on the whole tail
     assert total <= 0.1 * len(ERROR_FAMILIES) / (1 - 0.9) + 1e-9
-    again = sched.realize(7, layout)
-    errs = sched.realize(7, layout)
+    again = error_blocks(sched.realize(7, layout), layout)
+    errs = error_blocks(sched.realize(7, layout), layout)
     for family in ERROR_FAMILIES:
         for a, b in zip(again[family], errs[family]):
             np.testing.assert_array_equal(a, b)
@@ -536,7 +537,9 @@ def test_flat_step_matches_per_block_step_exactly(name):
     for it in range(50):
         errs = errors.realize(it, spec.layout) if errors else None
         flat, rec = step(spec, flat, gamma, errs)
-        ref, ref_rec = reference_step(spec, ref, gamma, errs)
+        ref, ref_rec = reference_step(
+            spec, ref, gamma,
+            None if errs is None else error_blocks(errs, spec.layout))
         assert_states_equal(flat, ref)
         assert rec == ref_rec
 
@@ -548,17 +551,13 @@ def test_flat_step_matches_per_block_step_exactly(name):
 def test_nonfinite_value_names_line_and_block(family, index, name):
     spec = dense_two_by_two()
     state = random_state(spec.layout)
-    layout = spec.layout
-    dims = {"11": layout.h_dims, "12": layout.g_dims, "21": layout.x_dims,
-            "22": layout.y_dims}
-    errs = {fam: [None] * len(dims[fam[1:]]) for fam in ERROR_FAMILIES}
-    bad = np.zeros(dims[family[1:]][index])
-    bad[-1] = np.inf
-    errs[family][index] = bad
+    record = np.full((3, spec.plan.blocks[-1][-1].stop), -0.0)
+    errs = error_blocks(record, spec.layout)
+    errs[family][index][-1] = np.inf
     expected = f"non-finite value in {name}, block {index}"
-    for run in (step, reference_step):
+    for run, given in ((step, record), (reference_step, errs)):
         with pytest.raises(NumericError) as err:
-            run(spec, state.copy(), 0.05, errs)
+            run(spec, state.copy(), 0.05, given)
         assert expected in str(err.value)
 
 
@@ -637,7 +636,7 @@ def reference_geometric_block(rho, amplitude, seed, n, family, index, dim):
     v = rng.standard_normal(dim)
     norm = np.linalg.norm(v)
     if norm == 0.0:
-        return None
+        return np.full(dim, -0.0)  # an exact block
     return v * (amplitude * rho**n / norm)
 
 
@@ -650,6 +649,11 @@ def family_dims(layout, family):
             "21": layout.x_dims, "22": layout.y_dims}[family[1:]]
 
 
+def is_exact(block):
+    """Whether ``block`` is -0.0 throughout, which adds as no error."""
+    return not block.any() and bool(np.signbit(block).all())
+
+
 def assert_blocks_equal(errs, expected):
     assert list(errs) == list(ERROR_FAMILIES)
     for family in ERROR_FAMILIES:
@@ -657,6 +661,11 @@ def assert_blocks_equal(errs, expected):
         for got, want in zip(errs[family], expected[family]):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes(), family
+
+
+def assert_records_equal(a, b, layout):
+    assert a.shape == b.shape == (3, layout.blocks[-1][-1].stop)
+    assert_blocks_equal(error_blocks(a, layout), error_blocks(b, layout))
 
 
 @pytest.mark.parametrize("layout", [LASSO_LAYOUT, UNEVEN_LAYOUT],
@@ -672,7 +681,11 @@ def test_geometric_blocks_equal_keyed_default_rng_draws(layout, seed):
                      for index, dim in enumerate(family_dims(layout, family))]
             for family in ERROR_FAMILIES
         }
-        assert_blocks_equal(sched.realize(n, layout), expected)
+        record = sched.realize(n, layout)
+        assert_blocks_equal(error_blocks(record, layout), expected)
+        # the x2 part of the b row, where no error enters, is -0.0
+        assert is_exact(record[1][layout.blocks[1][0].start:
+                                  layout.blocks[1][-1].stop])
 
 
 def test_geometric_block_draw_ignores_other_blocks_dims():
@@ -686,9 +699,9 @@ def test_geometric_block_draw_ignores_other_blocks_dims():
         SpaceLayout((3, 1), (5, 8), (4, 9), (2, 3)),           # index 0 kept
     ]
     for n in (0, 5, 300):
-        a = sched.realize(n, base)
+        a = error_blocks(sched.realize(n, base), base)
         for other in others:
-            b = sched.realize(n, other)
+            b = error_blocks(sched.realize(n, other), other)
             shared = 0
             for family in ERROR_FAMILIES:
                 for x, y in zip(a[family], b[family]):
@@ -702,7 +715,12 @@ def test_realize_out_of_order_repeats_blocks():
     sched = geometric_schedule(0.9, 0.1, seed=4)
     first = sched.realize(7, UNEVEN_LAYOUT)
     sched.realize(3, UNEVEN_LAYOUT)
-    assert_blocks_equal(sched.realize(7, UNEVEN_LAYOUT), first)
+    again = sched.realize(7, UNEVEN_LAYOUT)
+    assert_records_equal(again, first, UNEVEN_LAYOUT)
+    # each record is fresh: writing one changes no later one
+    again[:] = 1.0
+    assert_records_equal(sched.realize(7, UNEVEN_LAYOUT), first,
+                         UNEVEN_LAYOUT)
 
 
 def test_geometric_schedule_is_safe_to_share_across_threads():
@@ -730,7 +748,8 @@ def test_geometric_schedule_is_safe_to_share_across_threads():
     for offset, result in enumerate(results):
         assert sorted(result) == list(ns)
         for n, errs in result.items():
-            assert_blocks_equal(errs, expected[(n + offset) % 2][n])
+            which = (n + offset) % 2
+            assert_records_equal(errs, expected[which][n], layouts[which])
 
 
 def test_geometric_seeds_are_hashed_once_per_chunk(monkeypatch):
@@ -768,7 +787,7 @@ def test_geometric_seed_cache_stays_within_the_row_cap(monkeypatch, s):
     blocks = 3 + 8 * s
     sched = geometric_schedule(0.9, 0.1, seed=3)
     for n in (0, 9):
-        errs = sched.realize(n, layout)
+        errs = error_blocks(sched.realize(n, layout), layout)
         assert errs["c22"][-1].tobytes() == reference_geometric_block(
             0.9, 0.1, 3, n, "c22", s - 1, 1).tobytes()
     chunk = {60: 8, 120: 4, 300: 1}[s]
@@ -780,6 +799,47 @@ def test_geometric_seed_cache_stays_within_the_row_cap(monkeypatch, s):
         assert not held.flags.writeable
         with pytest.raises(ValueError):
             held[0, 0, 0] = 0
+
+
+def test_zero_norm_draw_is_an_exact_block(monkeypatch):
+    # the fifth lane (c12, block 0) of the lasso layout draws zeros
+    calls = []
+
+    class ZeroFifth(Generator):
+        def standard_normal(self, *args, out=None, **kwargs):
+            calls.append(out)
+            drawn = super().standard_normal(*args, out=out, **kwargs)
+            if len(calls) == 5:
+                out[:] = 0.0
+            return drawn
+
+    monkeypatch.setattr(solver, "Generator", ZeroFifth)
+    n = 3
+    record = geometric_schedule(0.9, 0.1, seed=1).realize(n, LASSO_LAYOUT)
+    assert len(calls) == 11
+    errs = error_blocks(record, LASSO_LAYOUT)
+    for family in ERROR_FAMILIES:
+        block = errs[family][0]
+        if family == "c12":
+            assert is_exact(block)
+        else:
+            assert block.tobytes() == reference_geometric_block(
+                0.9, 0.1, 1, n, family, 0, 10).tobytes(), family
+
+
+@pytest.mark.parametrize("layout", [LASSO_LAYOUT, UNEVEN_LAYOUT],
+                         ids=["lasso", "uneven"])
+def test_lanes_place_each_block_once_and_are_read_only(layout):
+    lanes = solver._lanes(layout)
+    size = layout.blocks[-1][-1].stop
+    assert lanes.size == sum(dim for _, _, dim in lanes.keys)
+    assert lanes.gather.shape == (3, size)
+    placed = lanes.gather[lanes.gather < lanes.size]
+    assert sorted(placed.tolist()) == list(range(lanes.size))
+    for array in (lanes.gather, lanes.words):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 0
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -800,13 +860,17 @@ def test_geometric_schedule_accepts_numpy_floats():
     a = geometric_schedule(np.float64(0.9), np.float64(0.1)).realize(
         3, LASSO_LAYOUT)
     b = geometric_schedule(0.9, 0.1).realize(3, LASSO_LAYOUT)
-    assert_blocks_equal(a, b)
+    assert_records_equal(a, b, LASSO_LAYOUT)
 
 
 def test_geometric_schedule_accepts_numpy_integer_seed():
     a = geometric_schedule(0.9, 0.1, seed=np.uint64(7)).realize(2, LASSO_LAYOUT)
     b = geometric_schedule(0.9, 0.1, seed=7).realize(2, LASSO_LAYOUT)
-    assert_blocks_equal(a, b)
+    assert_records_equal(a, b, LASSO_LAYOUT)
+
+
+def b21_only(n, family, index, dim):
+    return np.full(dim, float(index + 1)) if family == "b21" else None
 
 
 def test_custom_per_block_generator_is_read_block_by_block():
@@ -814,16 +878,16 @@ def test_custom_per_block_generator_is_read_block_by_block():
 
     def generator(n, family, index, dim):
         calls.append((n, family, index, dim))
-        return np.full(dim, float(index + 1)) if family == "b21" else None
+        return b21_only(n, family, index, dim)
 
     sched = ErrorSchedule(generator, "b21 only")
-    errs = sched.realize(4, UNEVEN_LAYOUT)
+    errs = error_blocks(sched.realize(4, UNEVEN_LAYOUT), UNEVEN_LAYOUT)
     assert [c[1:] for c in calls] == [
         (family, index, dim) for family in ERROR_FAMILIES
         for index, dim in enumerate(family_dims(UNEVEN_LAYOUT, family))]
     assert all(c[0] == 4 for c in calls)
     assert [list(b) for b in errs["b21"]] == [[1.0] * 2, [2.0] * 6]
-    assert all(e is None for family in ERROR_FAMILIES if family != "b21"
+    assert all(is_exact(e) for family in ERROR_FAMILIES if family != "b21"
                for e in errs[family])
     assert ErrorSchedule(lambda *key: None).realize(0, LASSO_LAYOUT) is None
     wrong = ErrorSchedule(lambda n, family, index, dim: np.zeros(dim + 1))
@@ -831,12 +895,52 @@ def test_custom_per_block_generator_is_read_block_by_block():
         wrong.realize(0, LASSO_LAYOUT)
 
 
+def test_exact_blocks_keep_signed_zeros_bit_for_bit():
+    # from a state of -0.0, the lines of the exact blocks must come out as
+    # they do when nothing is added to them
+    spec = dense_two_by_two()
+    layout = spec.layout
+    state = IterateState.zeros(layout)
+    for block in state.x1 + state.x2 + state.v1 + state.v2:
+        block[:] = -0.0
+    sched = ErrorSchedule(b21_only, "b21 only")
+    ref = state.copy()
+    for n in range(3):
+        record = sched.realize(n, layout)
+        state, rec = step(spec, state, 0.05, record)
+        # the per-block step reads None, not -0.0, for the exact blocks
+        ref, ref_rec = reference_step(spec, ref, 0.05, {
+            family: [b21_only(n, family, index, dim)
+                     for index, dim in enumerate(family_dims(layout, family))]
+            for family in ERROR_FAMILIES})
+        for x, y in zip(state.x1 + state.x2 + state.v1 + state.v2,
+                        ref.x1 + ref.x2 + ref.v1 + ref.v2):
+            assert x.tobytes() == y.tobytes()
+        assert rec == ref_rec
+
+
+@pytest.mark.parametrize("record", [
+    np.full((3, 39), -0.0), np.full((2, 40), -0.0), np.full((3, 41), -0.0),
+    np.full(120, -0.0), [[-0.0] * 40] * 3,
+    {family: [None] for family in ERROR_FAMILIES},
+], ids=["short", "family-missing", "long", "flat", "list", "per-block"])
+def test_step_rejects_an_error_record_of_the_wrong_shape(record):
+    demo = lasso_demo()
+    state = IterateState.zeros(demo.system.layout)
+    with pytest.raises(SpecificationError, match=r"shape \(3, 40\)"):
+        step(demo.system, state, 0.1, record)
+
+
 @pytest.mark.parametrize("draws, got", [
-    (lambda n, lanes: iter([np.ones(3)]), "yielded 1 error blocks"),
-    (lambda n, lanes: [None] * 12, "yielded more than 11 error blocks"),
-    (lambda n, lanes: itertools.repeat(None), "more than 11"),
-], ids=["short", "long", "endless"])
+    (lambda n, lanes: np.ones(3), r"\(3,\)"),
+    (lambda n, lanes: np.zeros(34), r"\(34,\)"),
+    (lambda n, lanes: np.zeros((11, 3)), r"\(11, 3\)"),
+    (lambda n, lanes: [None] * 11, "list"),
+    (lambda n, lanes: itertools.repeat(None), "repeat"),
+    (lambda n, lanes: np.zeros(33, int), "int64"),
+], ids=["short", "long", "per-lane-rows", "per-block-list", "endless",
+        "integers"])
 def test_realize_rejects_draws_of_the_wrong_length(draws, got):
     layout = SpaceLayout((3,), (3,), (3,), (3,))
-    with pytest.raises(SpecificationError, match=f"{got}.*expected 11"):
+    with pytest.raises(SpecificationError, match=f"{got}.*expected.*33"):
         ErrorSchedule(draws=draws).realize(0, layout)
