@@ -65,15 +65,20 @@ def _trace_every(default):
     override = os.environ.get(TRACE_ENV)
     if not override:
         return default
-    try:
-        every = int(override)
-    except ValueError:
-        every = 0
+    # int() would also read "3_0", "+3", " 3" and non-ASCII digits
+    every = int(override) if override.isascii() and override.isdigit() else 0
     if every < 1:
-        raise ConfigurationError(
-            f"{TRACE_ENV} must be a positive integer, got {override!r}"
-        )
+        raise ConfigurationError(f"{TRACE_ENV} must be a positive integer "
+                                 f"in ASCII digits, got {override!r}")
     return every
+
+
+def _make_out_dir(out_dir):
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot create output directory "
+                                 f"{out_dir}: {exc.strerror or exc}") from exc
 
 
 def _run_and_write(system, init, policy, errors, tol, max_iter, trace_every,
@@ -85,7 +90,7 @@ def _run_and_write(system, init, policy, errors, tol, max_iter, trace_every,
     fields to add to the summary; after a failed solve ``status`` is
     ``"numeric_error"`` and ``final`` is the initial state.
     """
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     started = time.perf_counter()
     status = "numeric_error"
     trace = []
@@ -200,7 +205,7 @@ def cmd_demo(name, out_dir):
 
 def _run_separation(demo, policy, out_dir):
     """Run the joint system and its two halves; report trajectory equality."""
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     joint = demo.system
     primal = demo.extras["primal_only"]
     dual = demo.extras["dual_only"]

@@ -19,6 +19,7 @@ did not converge is an error (:class:`~monosplit.errors.HypothesisError`)
 where a bound is needed.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Optional
@@ -263,10 +264,12 @@ def operator_norm(op):
     iterations = 0
     for iterations in range(1, POWER_MAX_ITER + 1):
         y = np.asarray(op.apply(x))
-        if not np.all(np.isfinite(y)):
+        # ||x|| == 1, so this is the quotient; a non-finite entry of y makes
+        # it non-finite, and only then (or on overflow) is y looked at
+        rayleigh = float(y.dot(y))
+        if not math.isfinite(rayleigh) and not np.all(np.isfinite(y)):
             raise NumericError("operator_norm: non-finite forward value",
                                iteration=iterations)
-        rayleigh = float(np.dot(y, y))  # ||x|| == 1, so this is the quotient
         if rayleigh == 0.0:
             # x in the kernel; restart once from a fresh direction, then
             # declare the operator zero.
@@ -277,10 +280,10 @@ def operator_norm(op):
             if rayleigh == 0.0:
                 return OpNormEstimate(0.0, 0.0, iterations, True)
         z = np.asarray(op.adjoint_apply(y))
-        if not np.all(np.isfinite(z)):
+        nz = math.sqrt(z.dot(z))  # what np.linalg.norm(z) computes
+        if not math.isfinite(nz) and not np.all(np.isfinite(z)):
             raise NumericError("operator_norm: non-finite adjoint value",
                                iteration=iterations)
-        nz = np.linalg.norm(z)
         if nz == 0.0:
             return OpNormEstimate(0.0, 0.0, iterations, True)
         x = z / nz

@@ -415,9 +415,15 @@ def _reject_constant(name):
 
 def load_problem(path):
     """Read and parse a problem file from disk."""
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh, parse_constant=_reject_constant)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"not valid JSON: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot read problem file {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(
+            f"problem file {path} is not UTF-8 text: {exc}") from exc
     return parse_problem(doc)

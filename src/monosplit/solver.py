@@ -9,9 +9,10 @@ iteration is Tseng's forward-backward-forward step on it:
 ``z+ = (z - s) + q``.  F stacks the forward terms of the families (the
 coupling C and the linear maps) and J the resolvents, applied block by
 block.  Each update line is one array operation over the whole of z; the
-sign of gamma is carried per family, so every element is computed by the
-same expression, with the same rounding, as when the blocks were iterated
-one at a time.  That keeps runs reproducible bit for bit, which the
+sign of gamma is carried per family, so every element has the same value
+as when the blocks were iterated one at a time.  Only the sign of a zero
+may differ, as sums start at their first term, not at +0.0, and zero
+offsets are left out.  Runs are reproducible bit for bit, which the
 separation check (a joint run against its decoupled halves) relies on.
 
 Inexact evaluations are modeled by additive error sequences: ``a``/``c``
@@ -35,7 +36,7 @@ many blocks the layout has, unless one iteration alone has more.
 import csv
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, groupby
 from numbers import Integral, Real
@@ -565,13 +566,14 @@ def _check_finite(whole, y, checks, n):
     ``(name, index, slice)`` in checking order.  A single non-finite entry
     poisons a dot product, so one dot over ``whole`` clears the common case;
     only then are the blocks looked at one by one (a huge but finite family
-    can overflow the first dot).
+    can overflow the first dot).  ``a.dot(a)`` is the BLAS dot that
+    ``a @ a`` takes, without matmul's dispatch.
     """
-    if math.isfinite(whole @ whole):
+    if math.isfinite(whole.dot(whole)):
         return
     for name, index, sl in checks:
         block = y[sl]
-        if not math.isfinite(block @ block):
+        if not math.isfinite(block.dot(block)):
             raise NumericError(
                 f"non-finite value in {name}, block {index}", iteration=n
             )
@@ -648,11 +650,13 @@ def step(spec, state, gamma, errors_at_n=None, with_transversality=True):
     # forward step at z: s = z - gamma F(z), built in place in F's buffer
     s = _forward(spec, plan, z, [N.adjoint_apply(v) for N, v in
                                  zip(spec.N, state.v1)])
-    for k, sl in enumerate(b21):
-        nl_x = s[sl]
-        for i, x1i in enumerate(state.x1):
-            nl_x += spec.N[k].apply(spec.L[k][i].apply(x1i))
-        nl_x -= spec.N[k].apply(state.x2[k])
+    # sums start at their first term and never write into one: an
+    # identity map hands back its argument, a view of the iterate
+    for k, (N, sl) in enumerate(zip(spec.N, b21)):
+        nl_x = N.apply(spec.L[k][0].apply(state.x1[0]))
+        for i in range(1, len(state.x1)):
+            nl_x = nl_x + N.apply(spec.L[k][i].apply(state.x1[i]))
+        np.subtract(nl_x, N.apply(state.x2[k]), s[sl])
     if errs is not None:
         s += errs[0]
     s *= signed_g
@@ -662,22 +666,23 @@ def step(spec, state, gamma, errors_at_n=None, with_transversality=True):
     # inverse-resolvent identity on the dual families,
     # p_dual = s_dual - gamma (nr + J(s_dual / gamma - nr))
     p = np.empty(size)
-    arg = s[x1_] + g * plan.z
+    arg = s if plan.z is None else s[x1_] + g * plan.z
     for i, sl in enumerate(b11):
         p[sl] = spec.A[i].resolve(g, arg[sl])
     p[plan.x2] = s[plan.x2]
     t = s / g
-    tv = t[v1_]
-    tv -= plan.nr
+    if plan.nr is not None:
+        t[v1_] -= plan.nr
     inv_g = 1.0 / g
     for k, (sl21, sl22) in enumerate(zip(b21, b22)):
         p[sl21] = spec.D[k].resolve(inv_g, t[sl21])
         p[sl22] = spec.B[k].resolve(inv_g, t[sl22])
-    pv = p[v1_]
-    np.add(plan.nr, pv, pv)
+    if plan.nr is not None:
+        pv = p[v1_]
+        np.add(plan.nr, pv, pv)
     if errs is not None:
         p += errs[1]
-    _check_finite(p[x1_], p, (("p11", i, sl) for i, sl in enumerate(b11)), n)
+    _check_finite(p[x1_], p, plan.p11_order, n)
     pd = p[dual]
     pd *= g
     np.subtract(s[dual], pd, pd)
@@ -729,7 +734,7 @@ def step(spec, state, gamma, errors_at_n=None, with_transversality=True):
 
 
 def _forward(spec, plan, y, nstar1):
-    """F at the flat point ``y``, but for its v1 family, which is left 0.
+    """F at the flat point ``y``, but for its v1 family, which is left unset.
 
     ``nstar1`` holds ``N_k* y_v1k``.  The x1 family is
     ``C(y_x1) + sum_k L_ki* N_k* y_v1k``, x2 is ``N_k* y_v1k - M_k* y_v2k``
@@ -738,13 +743,13 @@ def _forward(spec, plan, y, nstar1):
     writes it.
     """
     b11, b12, _, b22 = plan.blocks
-    out = np.zeros(y.size)
+    out = np.empty(y.size)
     c = np.asarray(spec.C.apply(y[plan.x1]))
     for i, sl in enumerate(b11):
-        acc = out[sl]
-        for k, nstar1k in enumerate(nstar1):
-            acc += spec.L[k][i].adjoint_apply(nstar1k)
-        np.add(c[sl], acc, acc)
+        acc = spec.L[0][i].adjoint_apply(nstar1[0])
+        for k in range(1, len(nstar1)):
+            acc = acc + spec.L[k][i].adjoint_apply(nstar1[k])
+        np.add(c[sl], acc, out[sl])
     for k, (sl12, sl22) in enumerate(zip(b12, b22)):
         np.subtract(nstar1[k], spec.M[k].adjoint_apply(y[sl22]), out[sl12])
         out[sl22] = spec.M[k].apply(y[sl12])
@@ -797,10 +802,11 @@ def solve(spec, init, policy, errors=None, tol=DEFAULT_TOL,
         sums = tuple(map(operator.add, sums, rec.partial_sums))
         done = rec.displacement <= tol
         if keep or done or it == max_iter - 1:
-            if not keep:  # final record needs the defect after all
-                rec = replace(
-                    rec, transversality_defect=transversality_defect(spec, state))
-            trace.append(replace(rec, partial_sums=sums))
+            # a final record off the trace_every grid needs its defect now
+            defect = rec.transversality_defect if keep \
+                else transversality_defect(spec, state)
+            trace.append(TraceRecord(rec.n, rec.gamma, rec.displacement,
+                                     rec.block_displacements, sums, defect))
         if done:
             status = "converged"
             break

@@ -23,6 +23,7 @@ membership test.
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
+from typing import Optional
 
 import numpy as np
 
@@ -192,11 +193,14 @@ class StepPlan:
     -1 over x1 and +1 elsewhere, so ``y + (gamma * sign) * F`` is
     ``y - gamma * F`` on the primal family and ``y + gamma * F`` on the
     others, the signs of the update lines.  ``z`` and ``nr`` lay the
-    offsets ``z_i`` and ``N_k r_k`` flat over x1 and v1.  ``finite_order``
-    lists the blocks of the new state as ``(family, index, slice)`` in the
-    order their finiteness is checked, and ``runs`` groups consecutive
-    blocks of equal size as ``(slice, count, size)``.  The arrays are
-    read-only, so a plan is safe to share across threads.
+    offsets ``z_i`` and ``N_k r_k`` flat over x1 and v1; each is None when
+    all its elements are zero, and the step then leaves it out, as adding
+    a zero changes at most the sign of a zero.  ``finite_order`` and
+    ``p11_order`` list the blocks of the new state and of ``p11`` as
+    ``(name, index, slice)`` in the order their finiteness is checked, and
+    ``runs`` groups consecutive blocks of equal size as ``(slice, count,
+    size)``.  The arrays are read-only, so a plan is safe to share across
+    threads.
     """
 
     blocks: tuple
@@ -205,9 +209,10 @@ class StepPlan:
     v1: slice
     dual: slice
     sign: np.ndarray
-    z: np.ndarray
-    nr: np.ndarray
+    z: Optional[np.ndarray]
+    nr: Optional[np.ndarray]
     finite_order: tuple
+    p11_order: tuple
     runs: tuple
 
     @staticmethod
@@ -219,19 +224,21 @@ class StepPlan:
         z = np.concatenate([np.asarray(zi, dtype=float) for zi in spec.z])
         nr = np.concatenate([np.asarray(N.apply(r), dtype=float)
                              for N, r in zip(spec.N, spec.r)])
+        z, nr = (_read_only(a) if a.any() else None for a in (z, nr))
         order = []
         for k in range(spec.layout.s):
             order += [("v1", k, blocks[2][k]), ("v2", k, blocks[3][k]),
                       ("x2", k, blocks[1][k])]
         order += [("x1", i, sl) for i, sl in enumerate(blocks[0])]
+        p11_order = tuple(("p11", i, sl) for i, sl in enumerate(blocks[0]))
         runs = []
         for size, run in groupby((sl for family in blocks for sl in family),
                                  key=lambda sl: sl.stop - sl.start):
             run = list(run)
             runs.append((slice(run[0].start, run[-1].stop), len(run), size))
         return StepPlan(blocks, x1, x2, v1, slice(v1.start, v2.stop),
-                        _read_only(sign), _read_only(z), _read_only(nr),
-                        tuple(order), tuple(runs))
+                        _read_only(sign), z, nr,
+                        tuple(order), p11_order, tuple(runs))
 
 
 @dataclass(frozen=True)

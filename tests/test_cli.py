@@ -87,7 +87,8 @@ def test_trace_every_env_override(tmp_path, monkeypatch):
     assert len(rows) - 1 == iters
 
 
-@pytest.mark.parametrize("value", ["x", "0", "-3", "2.5"])
+@pytest.mark.parametrize("value", ["x", "0", "-3", "2.5",
+                                   "3_0", "\u0663", "+3", " 3"])
 def test_trace_every_env_rejects_other_than_positive_integers(
         tmp_path, monkeypatch, capsys, value):
     monkeypatch.setenv("SOLVER_TRACE_EVERY", value)
@@ -96,6 +97,41 @@ def test_trace_every_env_rejects_other_than_positive_integers(
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "SOLVER_TRACE_EVERY" in err
+    assert "Traceback" not in err
+
+
+def unreadable_case(case, tmp_path):
+    """The command line of one unreadable-input case, and the path that
+    its error line must name."""
+    a_file = tmp_path / "a_file"
+    a_file.write_text("not a directory")
+    lasso = str(PROBLEMS / "lasso.json")
+    out = str(tmp_path / "out")
+    if case == "missing":
+        missing = str(tmp_path / "missing.json")
+        return ["solve", missing, "--out", out], missing
+    if case == "directory":
+        return ["solve", str(tmp_path), "--out", out], str(tmp_path)
+    if case == "not-utf8":
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes(b'{"version": 1, "kind": "caf\xe9"}')
+        return ["solve", str(latin1), "--out", out], str(latin1)
+    if case == "out-is-a-file":
+        return ["solve", lasso, "--out", str(a_file)], str(a_file)
+    under = str(a_file / "run")
+    if case == "out-under-a-file":
+        return ["solve", lasso, "--out", under], under
+    return ["demo", "lasso", "--out", under], under
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8",
+                                  "out-is-a-file", "out-under-a-file",
+                                  "demo-out-under-a-file"])
+def test_unreadable_inputs_are_errors_not_tracebacks(tmp_path, capsys, case):
+    argv, path = unreadable_case(case, tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and path in err
     assert "Traceback" not in err
 
 

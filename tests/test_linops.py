@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from monosplit.errors import SpecificationError
+from monosplit.errors import NumericError, SpecificationError
 from monosplit.imaging import (
     GRAD_NORM_BOUND,
     box_blur_op,
@@ -11,11 +11,16 @@ from monosplit.imaging import (
     second_gradient_op,
 )
 from monosplit.linops import (
+    NORM_SAFETY,
+    POWER_MAX_ITER,
+    POWER_SEED,
+    POWER_TOL,
     LinOp,
     adjoint_check,
     compose,
     dense_op,
     identity_op,
+    OpNormEstimate,
     materialize,
     operator_norm,
     scaled_identity_op,
@@ -83,6 +88,112 @@ def test_operator_norm_zero_operator():
     assert est.value == 0.0
     assert est.upper_bound == 0.0
     assert est.converged
+
+
+def reference_operator_norm(op):
+    """The power iteration with an element-wise finiteness check of every
+    forward and adjoint value, as :func:`operator_norm` once ran it."""
+    rng = np.random.default_rng(POWER_SEED)
+    x = rng.standard_normal(op.in_dim)
+    x /= np.linalg.norm(x)
+    prev_rayleigh = None
+    rayleigh = 0.0
+    converged = False
+    iterations = 0
+    for iterations in range(1, POWER_MAX_ITER + 1):
+        y = np.asarray(op.apply(x))
+        if not np.all(np.isfinite(y)):
+            raise NumericError("operator_norm: non-finite forward value",
+                               iteration=iterations)
+        rayleigh = float(np.dot(y, y))
+        if rayleigh == 0.0:
+            x = rng.standard_normal(op.in_dim)
+            x /= np.linalg.norm(x)
+            y = np.asarray(op.apply(x))
+            rayleigh = float(np.dot(y, y))
+            if rayleigh == 0.0:
+                return OpNormEstimate(0.0, 0.0, iterations, True)
+        z = np.asarray(op.adjoint_apply(y))
+        if not np.all(np.isfinite(z)):
+            raise NumericError("operator_norm: non-finite adjoint value",
+                               iteration=iterations)
+        nz = np.linalg.norm(z)
+        if nz == 0.0:
+            return OpNormEstimate(0.0, 0.0, iterations, True)
+        x = z / nz
+        if prev_rayleigh is not None:
+            if abs(rayleigh - prev_rayleigh) < POWER_TOL * max(rayleigh, 1e-300):
+                converged = True
+                break
+        prev_rayleigh = rayleigh
+    value = float(np.sqrt(rayleigh))
+    return OpNormEstimate(value, NORM_SAFETY * value, iterations, converged)
+
+
+def opaque(mat):
+    return LinOp(mat.shape[1], mat.shape[0], lambda x: mat @ x,
+                 lambda y: mat.T @ y, tag="opaque")
+
+
+def norm_cases():
+    rng = np.random.default_rng(17)
+    cases = {f"dense{n}x{n}": dense_op(rng.standard_normal((n, n)))
+             for n in (4, 16, 64, 256)}
+    cases["dense9x16"] = dense_op(rng.standard_normal((9, 16)))
+    cases["box16"] = box_blur_op(16, 16, 3)
+    cases["gaussian16"] = gaussian_blur_op(16, 16, 1.0, 2)
+    cases["opaque"] = opaque(rng.standard_normal((12, 7)))
+    # y @ y overflows while y is finite: the iteration goes on, and stops
+    # at the adjoint, which is infinite
+    cases["overflow"] = opaque(np.full((3, 3), 1e200))
+    return cases
+
+
+def outcome(norm, op):
+    try:
+        with np.errstate(over="ignore"):
+            return norm(op)
+    except NumericError as exc:
+        return str(exc), exc.iteration
+
+
+@pytest.mark.parametrize("name", sorted(norm_cases()))
+def test_operator_norm_matches_the_elementwise_checked_loop(name):
+    op = norm_cases()[name]
+    got, want = outcome(operator_norm, op), outcome(reference_operator_norm, op)
+    assert got == want
+    if isinstance(got, OpNormEstimate):
+        assert got.value.hex() == want.value.hex()
+
+
+def failing_at(call, side):
+    """An opaque 4x4 diagonal map whose ``side`` value holds a NaN (or an
+    inf) from its ``call``-th evaluation on."""
+    calls = {"apply": 0, "adjoint": 0}
+    diagonal = np.array([2.0, 1.9, 1.0, 0.5])
+
+    def evaluate(which, v):
+        calls[which] += 1
+        out = diagonal * v
+        if which == side and calls[which] >= call:
+            out[2] = np.nan if call % 2 else np.inf
+        return out
+
+    return LinOp(4, 4, lambda x: evaluate("apply", x),
+                 lambda y: evaluate("adjoint", y))
+
+
+@pytest.mark.parametrize("side, message", [
+    ("apply", "non-finite forward value"),
+    ("adjoint", "non-finite adjoint value"),
+])
+@pytest.mark.parametrize("call", [1, 2, 3])
+def test_operator_norm_reports_a_nonfinite_value_as_before(side, message, call):
+    with pytest.raises(NumericError, match=message) as err:
+        operator_norm(failing_at(call, side))
+    assert err.value.iteration == call
+    assert outcome(operator_norm, failing_at(call, side)) == \
+        outcome(reference_operator_norm, failing_at(call, side))
 
 
 def test_compose_identity_acts_like_original():

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import math
 import pickle
@@ -199,6 +200,35 @@ def test_trace_partial_sums_nondecreasing():
     for fam in range(4):
         sums = [rec.partial_sums[fam] for rec in trace]
         assert all(b >= a for a, b in zip(sums, sums[1:]))
+
+
+@pytest.mark.parametrize("trace_every, max_iter, stop", [
+    (1, 12, None), (3, 12, None),   # 11 is off the grid of 3: needs the defect
+    (3, 40, 10), (3, 40, 9),        # converged off and on the grid
+])
+def test_kept_records_are_step_records_with_running_sums(trace_every,
+                                                         max_iter, stop):
+    spec = dense_two_by_two()
+    init = random_state(spec.layout)
+    policy = make_policy(compute_beta(spec))
+    errors = geometric_schedule(0.8, 0.05, seed=6)
+    expected, state, sums = [], init, (0.0, 0.0, 0.0, 0.0)
+    for it in range(stop + 1 if stop is not None else max_iter):
+        state, rec = step(spec, state, policy.gamma_at(it),
+                          errors.realize(it, spec.layout))
+        sums = tuple(a + b for a, b in zip(sums, rec.partial_sums))
+        expected.append(dataclasses.replace(rec, partial_sums=sums))
+    # the displacement of iteration stop, if no earlier one reached it,
+    # stops the run there
+    tol = 0.0 if stop is None else expected[-1].displacement
+    assert all(rec.displacement > tol for rec in expected[:-1])
+    final, trace, status = solve(spec, init, policy, errors=errors, tol=tol,
+                                 max_iter=max_iter, trace_every=trace_every)
+    kept = [rec for rec in expected
+            if rec.n % trace_every == 0 or rec is expected[-1]]
+    assert trace == kept
+    assert status == ("max_iter" if stop is None else "converged")
+    assert_states_equal(final, state)
 
 
 def test_solve_deterministic_repeat_is_bitwise_identical():
@@ -511,25 +541,44 @@ def assert_states_equal(a, b):
             assert np.array_equal(x, y), fam
 
 
+def with_offsets(spec, offsets):
+    """``spec`` with only its z offsets (``"z_only"``) or only its r offsets
+    (``"r_only"``) nonzero, drawn at random."""
+    rng = np.random.default_rng(31)
+    z = [rng.standard_normal(zi.size) for zi in spec.z]
+    r = [rng.standard_normal(rk.size) for rk in spec.r]
+    if offsets == "z_only":
+        r = [np.zeros(rk.size) for rk in r]
+    else:
+        z = [np.zeros(zi.size) for zi in z]
+    return dataclasses.replace(spec, z=z, r=r)
+
+
 def exactness_case(name):
     if name == "deblur16":
         demo = deblur_demo()
         return demo.system, demo.extras["init"], None
-    if name == "lasso_geometric":
-        demo = lasso_demo()
-        return (demo.system, IterateState.zeros(demo.system.layout),
+    if name.startswith("lasso"):
+        system = lasso_demo().system
+        if name != "lasso_geometric":
+            system = with_offsets(system, name[len("lasso_"):])
+        return (system, IterateState.zeros(system.layout),
                 geometric_schedule(0.9, 0.1))
     if name == "qp_demo":
         demo = qp_demo()
         return demo.system, IterateState.zeros(demo.system.layout), None
     spec = dense_two_by_two()
+    if name in ("dense_z_only", "dense_r_only"):
+        spec = with_offsets(spec, name[len("dense_"):])
     errors = geometric_schedule(0.8, 0.05, seed=2) if name == "dense_noisy" \
         else None
     return spec, random_state(spec.layout), errors
 
 
 @pytest.mark.parametrize("name", ["deblur16", "lasso_geometric", "qp_demo",
-                                  "dense", "dense_noisy"])
+                                  "dense", "dense_noisy", "dense_z_only",
+                                  "dense_r_only", "lasso_z_only",
+                                  "lasso_r_only"])
 def test_flat_step_matches_per_block_step_exactly(name):
     spec, init, errors = exactness_case(name)
     gamma = make_policy(compute_beta(spec)).gamma_at(0)
