@@ -36,7 +36,6 @@ from .prox import (
     ConvexFunction,
     LipschitzCoupling,
     ResolventOp,
-    gradient_coupling,
     make_function,
     resolvent_of_inverse,
     soft_threshold,
@@ -74,8 +73,8 @@ __all__ = [
     "identity_op", "operator_norm", "scaled_identity_op", "zero_op",
     "MinimizationSpec", "SmoothFunction", "build_system", "dual_surrogate",
     "primal_surrogate", "quadratic_smooth", "smooth_coupling", "zero_smooth",
-    "ConvexFunction", "LipschitzCoupling", "ResolventOp", "gradient_coupling",
-    "make_function", "resolvent_of_inverse", "soft_threshold", "zero_coupling",
+    "ConvexFunction", "LipschitzCoupling", "ResolventOp", "make_function",
+    "resolvent_of_inverse", "soft_threshold", "zero_coupling",
     "ErrorSchedule", "IterateState", "StepPolicy", "TraceRecord",
     "geometric_schedule", "make_policy", "solve", "step", "write_trace_csv",
     "zero_schedule",

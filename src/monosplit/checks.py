@@ -11,7 +11,6 @@ import numpy as np
 from .demos import lasso_demo, lifted_solution_state
 from .imaging import gradient_op, haar_analysis_op, second_gradient_op
 from .linops import (
-    LinOp,
     adjoint_check,
     compose,
     dense_op,
@@ -26,12 +25,8 @@ from .system import compute_beta, fixed_point_residual
 CHECK_SEED = 42
 
 
-def run_checks(corrupt_adjoint=False):
-    """Run the battery; returns a list of (name, passed, detail) triples.
-
-    ``corrupt_adjoint`` is a debug hook that deliberately breaks one
-    adjoint so the failure path of the battery itself can be exercised.
-    """
+def run_checks():
+    """Run the battery; returns a list of (name, passed, detail) triples."""
     results = []
 
     def record(name, passed, detail=""):
@@ -48,15 +43,6 @@ def run_checks(corrupt_adjoint=False):
     }
     ops["compose"] = compose(ops["dense(5x3)"], dense_op(
         rng.standard_normal((3, 4))))
-    if corrupt_adjoint:
-        base = ops["dense(5x3)"]
-        bad = np.zeros(3)
-        bad[0] = 1.0
-        ops["dense(5x3)"] = LinOp(
-            base.in_dim, base.out_dim, base.apply,
-            lambda y, _b=base: _b.adjoint_apply(y) + bad * y[0],
-            tag="corrupted",
-        )
     for name, op in ops.items():
         defect = adjoint_check(op, trials=50, seed=CHECK_SEED)
         record(f"adjoint {name}", defect <= 1e-10, f"defect {defect:.2e}")

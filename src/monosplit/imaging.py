@@ -61,9 +61,6 @@ class ImageGrid:
                 f"{self.height}x{self.width}"
             )
 
-    def as_array(self):
-        return self.pixels.reshape(self.height, self.width)
-
 
 @dataclass(frozen=True)
 class ObservationSet:

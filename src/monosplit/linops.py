@@ -63,6 +63,21 @@ def certified(bound, method="certificate"):
     return OpNormEstimate(bound, bound, 0, True, method)
 
 
+def integer_dims(given, what):
+    """``given`` as a tuple of ints, each >= 1, or :class:`SpecificationError`.
+
+    2 == 2.0 == np.int64(2), but 2.5 would truncate to 2, and True == 1 is
+    no dimension.
+    """
+    given = tuple(given)
+    dims = tuple(int(d) for d in given)
+    if dims != given or any(d < 1 for d in dims) or any(
+            isinstance(d, (bool, np.bool_)) for d in given):
+        raise SpecificationError(
+            f"{what}: dimensions must be integers >= 1, got {given}")
+    return dims
+
+
 @dataclass(frozen=True)
 class LinOp:
     """A bounded linear operator between Euclidean spaces.

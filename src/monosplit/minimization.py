@@ -33,9 +33,9 @@ from .errors import HypothesisError, NotComputableError, SpecificationError
 from .linops import OpNormEstimate, certified, operator_norm
 from .prox import (
     FEASIBILITY_SLACK,
+    LipschitzCoupling,
     _assemble_quadratic,
     _quadratic_fidelity,
-    gradient_coupling,
 )
 from .system import SpaceLayout, SystemSpec
 
@@ -100,8 +100,16 @@ def quadratic_smooth(terms, dim):
 
 
 def smooth_coupling(phi, block_dims):
-    """The gradient of ``phi`` as a coupling over blocks of ``block_dims``."""
-    return gradient_coupling(phi.gradient, phi.lipschitz, block_dims,
+    """The gradient of ``phi``, as given, as a coupling over ``block_dims``.
+
+    It is monotone because ``phi`` is convex; ``nu0`` is ``phi.lipschitz``.
+    """
+    if sum(block_dims) != phi.dim:
+        raise SpecificationError(
+            f"smooth '{phi.tag}' has dim {phi.dim}, but block dims "
+            f"{tuple(block_dims)} sum to {sum(block_dims)}"
+        )
+    return LipschitzCoupling(block_dims, phi.gradient, phi.lipschitz,
                              tag=f"grad_{phi.tag}",
                              nu0_source=phi.lipschitz_source)
 

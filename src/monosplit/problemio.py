@@ -36,7 +36,13 @@ from .minimization import (
     zero_smooth,
 )
 from .prox import make_function, zero_coupling
-from .solver import geometric_schedule, zero_schedule
+from .solver import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    DEFAULT_TRACE_EVERY,
+    geometric_schedule,
+    zero_schedule,
+)
 from .system import SpaceLayout, SystemSpec
 
 PROBLEM_VERSION = 1
@@ -218,10 +224,10 @@ PROBLEM_SCHEMA = {
 DEFAULT_SOLVER_CONFIG = {
     "epsilon": None,
     "gamma": None,
-    "tol": 1e-8,
-    "max_iter": 100_000,
+    "tol": DEFAULT_TOL,
+    "max_iter": DEFAULT_MAX_ITER,
     "seed": 42,
-    "trace_every": 10,
+    "trace_every": DEFAULT_TRACE_EVERY,
 }
 
 _validator = Draft202012Validator(PROBLEM_SCHEMA)
@@ -388,17 +394,20 @@ def parse_problem(doc):
 
     solver_cfg = dict(DEFAULT_SOLVER_CONFIG)
     solver_cfg.update(doc.get("solver", {}))
+    # the schema admits 50.0 as an integer; the solver counts with ints
+    for key in ("max_iter", "seed", "trace_every"):
+        solver_cfg[key] = int(solver_cfg[key])
 
     err_entry = doc.get("errors", {"name": "zero"})
     if err_entry["name"] == "zero":
         schedule = zero_schedule()
     else:
         params = err_entry.get("params", {})
-        # a NaN passes every schema bound; the schema admits 2.0 as a seed
+        # a NaN passes every schema bound
         with _located("/errors/params"):
             schedule = geometric_schedule(params.get("rho", 0.9),
                                           params.get("amplitude", 0.1),
-                                          seed=int(solver_cfg["seed"]))
+                                          seed=solver_cfg["seed"])
 
     return {
         "kind": kind,

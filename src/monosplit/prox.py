@@ -1,4 +1,4 @@
-"""Resolvents, proximity operators and the smooth-coupling wrapper.
+"""Resolvents, proximity operators and the Lipschitz coupling.
 
 Maximally monotone operators enter the solver only through their resolvents
 ``(gamma, x) -> J_{gamma A}(x)``.  For subdifferentials the resolvent is the
@@ -17,7 +17,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, SpecificationError
-from .linops import LinOp, OpNormEstimate, certified, dense_op, materialize
+from .linops import (LinOp, OpNormEstimate, certified, dense_op, integer_dims,
+                     materialize)
 
 # Conjugate-side set membership (dual balls, ranges) tolerates only
 # floating-point noise: loosening it would report lower bounds that are not.
@@ -62,14 +63,13 @@ class LipschitzCoupling:
     """A monotone, Lipschitz coupling acting across all primal blocks.
 
     ``apply`` maps the concatenation of the primal blocks to a vector of the
-    same total length; ``block_dims`` records how to slice per-block
-    components out of it.  ``nu0`` is the asserted Lipschitz constant;
-    ``nu0_source``, when given, is the :class:`~monosplit.linops.OpNormEstimate`
-    it was obtained as (its ``upper_bound`` is ``nu0``), and None means the
-    caller asserts it.
+    same length, ``total_dim = sum(block_dims)``; the solver calls it as
+    given, and :func:`~monosplit.system.validate` checks its output shape.
+    ``nu0`` is the asserted Lipschitz constant; ``nu0_source``, when given,
+    is the :class:`~monosplit.linops.OpNormEstimate` it was obtained as
+    (its ``upper_bound`` is ``nu0``), and None means the caller asserts it.
     """
 
-    total_dim: int
     block_dims: tuple
     apply: Callable[[np.ndarray], np.ndarray]
     nu0: float
@@ -77,47 +77,24 @@ class LipschitzCoupling:
     nu0_source: Optional[OpNormEstimate] = None
 
     def __post_init__(self):
-        if sum(self.block_dims) != self.total_dim:
-            raise SpecificationError(
-                f"coupling '{self.tag}': block dims {self.block_dims} do not "
-                f"sum to total_dim {self.total_dim}"
-            )
+        object.__setattr__(self, "block_dims", integer_dims(
+            self.block_dims, f"coupling '{self.tag}': block_dims"))
+        object.__setattr__(self, "nu0", float(self.nu0))
         if not np.isfinite(self.nu0) or self.nu0 < 0:
             raise SpecificationError(
                 f"coupling '{self.tag}': nu0 must be finite and >= 0"
             )
 
+    @property
+    def total_dim(self):
+        return sum(self.block_dims)
+
 
 def zero_coupling(block_dims):
     """The zero coupling (nu0 = 0)."""
     total = int(sum(block_dims))
-    return LipschitzCoupling(total, tuple(int(d) for d in block_dims),
-                             lambda x: np.zeros(total), 0.0, tag="zero",
-                             nu0_source=certified(0.0))
-
-
-def gradient_coupling(phi_grad, nu0, block_dims, tag="grad", nu0_source=None):
-    """Wrap the gradient of a smooth convex function as a coupling.
-
-    The wrapped map is monotone because the function is convex; ``nu0`` is
-    the caller-supplied Lipschitz constant of the gradient, obtained as
-    ``nu0_source`` says (see :class:`LipschitzCoupling`).
-    """
-    if nu0 < 0:
-        raise SpecificationError("nu0 must be >= 0")
-    total = int(sum(block_dims))
-
-    def apply(x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (total,):
-            raise SpecificationError(
-                f"coupling '{tag}': expected vector of length {total}, "
-                f"got shape {x.shape}"
-            )
-        return np.asarray(phi_grad(x), dtype=float)
-
-    return LipschitzCoupling(total, tuple(int(d) for d in block_dims),
-                             apply, float(nu0), tag=tag, nu0_source=nu0_source)
+    return LipschitzCoupling(block_dims, lambda x: np.zeros(total), 0.0,
+                             tag="zero", nu0_source=certified(0.0))
 
 
 def resolvent_of_inverse(op, gamma, x):
@@ -143,14 +120,21 @@ def coupling_defects(coupling, trials=50, seed=11):
 
     Returns ``(lipschitz_defect, monotonicity_defect)`` where the first is
     ``max ||Cx-Cy|| - nu0 ||x-y||`` and the second ``max -( <Cx-Cy, x-y> )``.
+    Raises :class:`SpecificationError` when ``apply`` returns anything but
+    a vector of length ``total_dim``.
     """
     rng = np.random.default_rng(seed)
+    n = coupling.total_dim
     lip = 0.0
     mono = 0.0
     for _ in range(trials):
-        x = rng.standard_normal(coupling.total_dim)
-        y = rng.standard_normal(coupling.total_dim)
+        x = rng.standard_normal(n)
+        y = rng.standard_normal(n)
         cx = np.asarray(coupling.apply(x))
+        if cx.shape != (n,):
+            raise SpecificationError(
+                f"coupling '{coupling.tag}': apply returned shape {cx.shape}, "
+                f"expected ({n},)")
         cy = np.asarray(coupling.apply(y))
         lip = max(lip, float(np.linalg.norm(cx - cy)
                              - coupling.nu0 * np.linalg.norm(x - y)))

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import solver as _solver
 from .errors import HypothesisError, SpecificationError, StepBoundError
-from .linops import adjoint_check, compose, operator_norm
+from .linops import adjoint_check, compose, integer_dims, operator_norm
 from .prox import coupling_defects
 
 VALIDATE_ADJOINT_TOL = 1e-8
@@ -47,15 +47,8 @@ class SpaceLayout:
 
     def __post_init__(self):
         for name in ("h_dims", "g_dims", "y_dims", "x_dims"):
-            given = tuple(getattr(self, name))
-            dims = tuple(int(d) for d in given)
-            # 2 == 2.0 == np.int64(2), but 2.5 would truncate to 2, and
-            # True == 1 is no dimension
-            if dims != given or any(d < 1 for d in dims) or any(
-                    isinstance(d, (bool, np.bool_)) for d in given):
-                raise SpecificationError(
-                    f"{name}: dimensions must be integers >= 1, got {given}")
-            object.__setattr__(self, name, dims)
+            object.__setattr__(self, name,
+                               integer_dims(getattr(self, name), name))
         if not self.h_dims or not self.g_dims:
             raise SpecificationError("layout needs at least one block per side")
         if len(self.y_dims) != self.s or len(self.x_dims) != self.s:
@@ -269,8 +262,8 @@ def validate(spec):
 
     Returns a list of human-readable strings, empty iff all dimension
     checks pass, every linear operator passes the adjoint check, beta is
-    strictly positive, and the coupling respects its Lipschitz constant and
-    monotonicity on random probes.
+    strictly positive, and the coupling returns vectors of its total length
+    and respects its Lipschitz constant and monotonicity on random probes.
     """
     out = []
     layout = spec.layout
@@ -301,8 +294,6 @@ def validate(spec):
         out.append(
             f"C: block dims {spec.C.block_dims} != layout {layout.h_dims}"
         )
-    if not np.isfinite(spec.C.nu0):
-        out.append("C: nu0 is not finite")
     for k in range(s):
         gd, yd, xd = layout.g_dims[k], layout.y_dims[k], layout.x_dims[k]
         if spec.r[k].shape != (gd,):
@@ -343,14 +334,18 @@ def validate(spec):
             if defect > VALIDATE_ADJOINT_TOL:
                 out.append(f"L[{k}][{i}]: adjoint defect {defect:.2e}")
 
-    lip, mono = coupling_defects(spec.C, trials=30, seed=13)
-    if lip > VALIDATE_COUPLING_TOL * (1.0 + spec.C.nu0):
-        out.append(
-            f"C: Lipschitz defect {lip:.2e} exceeds tolerance for nu0 = "
-            f"{spec.C.nu0}"
-        )
-    if mono > VALIDATE_COUPLING_TOL:
-        out.append(f"C: monotonicity defect {mono:.2e}")
+    try:
+        lip, mono = coupling_defects(spec.C, trials=30, seed=13)
+    except SpecificationError as exc:
+        out.append(f"C: {exc}")
+    else:
+        if lip > VALIDATE_COUPLING_TOL * (1.0 + spec.C.nu0):
+            out.append(
+                f"C: Lipschitz defect {lip:.2e} exceeds tolerance for nu0 = "
+                f"{spec.C.nu0}"
+            )
+        if mono > VALIDATE_COUPLING_TOL:
+            out.append(f"C: monotonicity defect {mono:.2e}")
 
     try:
         compute_beta(spec)

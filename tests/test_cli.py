@@ -66,6 +66,23 @@ def test_solve_budget_exhausted_exits_2(tmp_path):
     assert read_summary(tmp_path / "o")["status"] == "max_iter"
 
 
+def test_integral_float_counts_are_solved_as_written(tmp_path, capsys):
+    doc = json.loads((PROBLEMS / "qp.json").read_text())
+    outputs = {}
+    for count in (50, 50.0):
+        doc["solver"].update(max_iter=count, seed=count,
+                             trace_every=count // 10)
+        path = tmp_path / f"{count!r}.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / f"out_{count!r}"
+        assert main(["solve", str(path), "--out", str(out)]) == 2
+        assert '"max_iter": 50,' in (out / "summary.json").read_text()
+        outputs[count] = [(out / name).read_bytes()
+                          for name in ("trace.csv", "solution.json")]
+    assert capsys.readouterr().err == ""
+    assert outputs[50] == outputs[50.0]
+
+
 def test_solve_schema_error_exits_1(tmp_path, capsys):
     doc = json.loads((PROBLEMS / "lasso.json").read_text())
     doc["kind"] = "mystery"

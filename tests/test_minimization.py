@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from monosplit.demos import lasso_demo, qp_demo, _trivial_tail
-from monosplit.errors import NotComputableError
+from monosplit.errors import NotComputableError, SpecificationError
 from monosplit.imaging import haar_analysis_op
 from monosplit.linops import LinOp, dense_op, identity_op
 from monosplit.minimization import (
@@ -11,6 +11,7 @@ from monosplit.minimization import (
     dual_surrogate,
     primal_surrogate,
     quadratic_smooth,
+    smooth_coupling,
     zero_smooth,
 )
 from monosplit.oracles import grid_refine_minimize
@@ -266,3 +267,23 @@ def test_quadratic_smooth_lipschitz_upper_bounds_hessian():
                              "weight": 2.0}], 4)
     hess_norm = 2.0 * np.linalg.norm(T, 2) ** 2
     assert phi.lipschitz >= hess_norm - 1e-9
+
+
+def quadratic_phi(dim=3, seed=4):
+    rng = np.random.default_rng(seed)
+    return quadratic_smooth([{"matrix": rng.standard_normal((4, dim)),
+                              "offset": rng.standard_normal(4)}], dim)
+
+
+def test_smooth_coupling_applies_the_gradient_as_given():
+    phi = quadratic_phi()
+    c = smooth_coupling(phi, (1, 2))
+    assert c.apply is phi.gradient
+    assert c.block_dims == (1, 2) and c.total_dim == 3
+    assert c.nu0 == phi.lipschitz and c.nu0_source is phi.lipschitz_source
+
+
+@pytest.mark.parametrize("dims", [(2,), (2, 2)])
+def test_smooth_coupling_rejects_blocks_that_miss_the_dim(dims):
+    with pytest.raises(SpecificationError, match=f"sum to {sum(dims)}"):
+        smooth_coupling(quadratic_phi(), dims)

@@ -1,16 +1,17 @@
+import dataclasses
 import threading
 
 import numpy as np
 import pytest
 
-from monosplit.errors import ConfigurationError
+from monosplit.errors import ConfigurationError, SpecificationError
 from monosplit.linops import LinOp, dense_op
 from monosplit.oracles import grid_refine_minimize
 from monosplit.prox import (
     _assemble_quadratic,
     _block_index,
+    LipschitzCoupling,
     coupling_defects,
-    gradient_coupling,
     make_function,
     resolvent_of_inverse,
     soft_threshold,
@@ -319,7 +320,7 @@ def test_gradient_coupling_zero():
 
 
 def test_gradient_coupling_half_squared_norm():
-    c = gradient_coupling(lambda x: x, 1.0, (2, 3))
+    c = LipschitzCoupling((2, 3), lambda x: x, 1.0)
     x = np.arange(5.0)
     np.testing.assert_allclose(c.apply(x), x, atol=0)
     lip, mono = coupling_defects(c, trials=30)
@@ -337,7 +338,7 @@ def test_gradient_coupling_finite_difference_check():
     def grad(x):
         return T.T @ (T @ x - r)
 
-    c = gradient_coupling(grad, float(np.linalg.norm(T, 2) ** 2), (3,))
+    c = LipschitzCoupling((3,), grad, float(np.linalg.norm(T, 2) ** 2))
     for _ in range(10):
         x = rng.standard_normal(3)
         fd = np.zeros(3)
@@ -347,6 +348,20 @@ def test_gradient_coupling_finite_difference_check():
             e[j] = h
             fd[j] = (value(x + e) - value(x - e)) / (2 * h)
         assert np.linalg.norm(fd - c.apply(x)) <= 1e-6 * (1 + np.linalg.norm(fd))
+
+
+def test_coupling_total_dim_is_the_sum_of_its_integer_blocks():
+    c = LipschitzCoupling([np.int64(2), 3.0], lambda x: x, 1)
+    assert c.block_dims == (2, 3) and c.total_dim == sum(c.block_dims) == 5
+    assert all(type(d) is int for d in c.block_dims)
+    assert type(c.nu0) is float
+    assert "total_dim" not in {f.name for f in dataclasses.fields(c)}
+
+
+@pytest.mark.parametrize("dims", [(2.5,), (0, 2), (True,)])
+def test_coupling_rejects_non_integral_blocks(dims):
+    with pytest.raises(SpecificationError, match="integers"):
+        LipschitzCoupling(dims, lambda x: x, 1.0)
 
 
 def test_soft_threshold_basics():

@@ -25,8 +25,8 @@ from monosplit.linops import dense_op, zero_op
 from monosplit.minimization import MinimizationSpec, build_system
 from monosplit.prox import (
     ConvexFunction,
+    LipschitzCoupling,
     ResolventOp,
-    gradient_coupling,
     make_function,
     soft_threshold,
     zero_coupling,
@@ -499,8 +499,8 @@ def dense_two_by_two(seed=21):
 
     q = rng.standard_normal((7, 7))
     hess = q.T @ q / 7 + np.eye(7)
-    coupling = gradient_coupling(lambda x: hess @ x - 0.3,
-                                 float(np.linalg.norm(hess, 2)), h)
+    coupling = LipschitzCoupling(h, lambda x: hess @ x - 0.3,
+                                 float(np.linalg.norm(hess, 2)))
     quad = make_function("quadratic_fidelity", {"terms": [
         {"matrix": rng.standard_normal((3, 2)), "offset": rng.standard_normal(3)}
     ]}, 2)

@@ -8,7 +8,7 @@ from monosplit.errors import (
     StepBoundError,
 )
 from monosplit.linops import LinOp, dense_op, identity_op, zero_op
-from monosplit.prox import gradient_coupling, make_function, zero_coupling
+from monosplit.prox import LipschitzCoupling, make_function, zero_coupling
 from monosplit.solver import IterateState, make_policy, solve, step
 from monosplit.system import (
     SpaceLayout,
@@ -31,7 +31,7 @@ def zero_fn(dim):
 def identity_system(nu0=0.0):
     """m = s = 1, L = M = N = Id on dim 1, trivial operators."""
     layout = scalar_layout()
-    coupling = gradient_coupling(lambda x: nu0 * x, nu0, (1,)) if nu0 \
+    coupling = LipschitzCoupling((1,), lambda x: nu0 * x, nu0) if nu0 \
         else zero_coupling((1,))
     return SystemSpec(
         layout=layout,
@@ -126,7 +126,7 @@ def test_beta_report_of_an_opaque_map_is_a_power_estimate():
     layout = SpaceLayout((2,), (2,), (2,), (2,))
     spec = SystemSpec(
         layout=layout, z=[np.zeros(2)], r=[np.zeros(2)],
-        A=[zero_fn(2).operator], C=gradient_coupling(lambda x: x, 1.0, (2,)),
+        A=[zero_fn(2).operator], C=LipschitzCoupling((2,), lambda x: x, 1.0),
         B=[zero_fn(2).operator], D=[zero_fn(2).operator],
         M=[opaque], N=[identity_op(2)], L=[[identity_op(2)]],
     )
@@ -156,7 +156,7 @@ def test_validate_flags_transposed_coupling_block():
 def test_validate_flags_false_lipschitz_constant():
     # identity coupling advertising nu0 = 0.1: random pairs expose ratio 1
     layout = scalar_layout()
-    lying = gradient_coupling(lambda x: x, 0.1, (1,))
+    lying = LipschitzCoupling((1,), lambda x: x, 0.1)
     spec = SystemSpec(
         layout=layout, z=[np.zeros(1)], r=[np.zeros(1)],
         A=[zero_fn(1).operator], C=lying,
@@ -165,6 +165,23 @@ def test_validate_flags_false_lipschitz_constant():
     )
     violations = validate(spec)
     assert any("Lipschitz" in v for v in violations)
+
+
+@pytest.mark.parametrize("apply, shape", [
+    (lambda x: np.zeros(3), (3,)),
+    (lambda x: np.zeros(1), (1,)),
+    (lambda x: 0.0, ()),
+], ids=["long", "short", "scalar"])
+def test_validate_reports_a_misshaped_coupling(apply, shape):
+    spec = SystemSpec(
+        layout=SpaceLayout((2,), (2,), (2,), (2,)),
+        z=[np.zeros(2)], r=[np.zeros(2)],
+        A=[zero_fn(2).operator], C=LipschitzCoupling((2,), apply, 1.0, "bad"),
+        B=[zero_fn(2).operator], D=[zero_fn(2).operator],
+        M=[identity_op(2)], N=[identity_op(2)], L=[[identity_op(2)]],
+    )
+    assert validate(spec) == [
+        f"C: coupling 'bad': apply returned shape {shape}, expected (2,)"]
 
 
 def test_fixed_point_residual_trivial_zero_system():
