@@ -150,11 +150,6 @@ def build_system(min_spec):
     """
     ms = min_spec
     layout = ms.layout
-    total = sum(layout.h_dims)
-    if ms.phi.dim != total:
-        raise SpecificationError(
-            f"phi acts on dim {ms.phi.dim}, layout total is {total}"
-        )
     for i, fi in enumerate(ms.f):
         if fi.dim != layout.h_dims[i]:
             raise SpecificationError(f"f[{i}]: dim {fi.dim} != {layout.h_dims[i]}")

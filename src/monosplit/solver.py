@@ -21,11 +21,12 @@ resolvent outputs.  The errors of one iteration are realized as one
 ``(3, size)`` record laid out like z, a row per letter, holding -0.0
 wherever an evaluation is exact; as ``x + (-0.0)`` is ``x`` bit for bit,
 the step adds each row with one operation and rounds as if it had added
-only the erroneous blocks.  Built-in schedules are zero and geometrically
-decaying noise, both absolutely summable.  The geometric schedule's draws
-are keyed: each block's direction is exactly what
-``np.random.default_rng([seed, n, code, index])`` draws, but no
-``SeedSequence`` is built.  The seeds of every block of a chunk of
+only the erroneous blocks.  A custom schedule supplies its errors through
+a per-block generator; a schedule without one is exact.  Built-in
+schedules are zero and geometrically decaying noise, both absolutely
+summable.  The geometric schedule's draws are keyed: each block's
+direction is exactly what ``np.random.default_rng([seed, n, code,
+index])`` draws, but no ``SeedSequence`` is built.  The seeds of every block of a chunk of
 ``_CHUNK`` consecutive iterations are hashed together, by NumPy's
 ``SeedSequence`` hash run as one pass of uint32 array arithmetic, and each
 iteration draws from its rows of that pass.  Big layouts take shorter
@@ -33,7 +34,6 @@ chunks, so a schedule holds at most ``_CHUNK_ROWS`` seeds (128 KB) however
 many blocks the layout has, unless one iteration alone has more.
 """
 
-import csv
 import math
 import operator
 from dataclasses import dataclass, field
@@ -209,55 +209,43 @@ class ErrorSchedule:
     update lines add their blocks.
 
     ``generator(n, family, index, dim)`` returns the error vector for one
-    block at iteration ``n`` or None for an exact evaluation.  A schedule
-    that makes every block of an iteration at once gives ``draws(n, lanes)``
-    instead, which returns one vector of ``lanes.size`` elements, the blocks
-    concatenated in the order of ``lanes.keys`` (the ``(family, index,
-    dim)`` of each block, by family in ``ERROR_FAMILIES`` order and then by
-    index) with -0.0 in exact blocks, or None when all are exact.  Any
-    other length is a :class:`SpecificationError`.  :meth:`realize` reads
-    every schedule through ``draws``; for a generator, ``draws`` calls it
-    block by block.  Absolute summability over n is the caller's
-    obligation for custom generators; the built-in schedules satisfy it by
-    construction.  ``always_zero`` short-circuits realization for exact
-    runs.
+    block at iteration ``n``, or None for an exact evaluation; each vector
+    it returns must have shape ``(dim,)``, else :meth:`realize` raises
+    :class:`SpecificationError`.  A schedule without a generator is exact
+    everywhere, and its :meth:`realize` returns None at once.  Absolute
+    summability over n is the caller's obligation for a generator; the
+    built-in schedules satisfy it by construction.
     """
 
     generator: Optional[Callable[[int, str, int, int],
                                  Optional[np.ndarray]]] = None
-    description: str = ""
-    always_zero: bool = False
-    draws: Optional[Callable] = field(default=None, repr=False)
+    # draws(n, lanes): the errors of every block of iteration n as one
+    # vector of lanes.size elements, the blocks concatenated in the order
+    # of lanes.keys with -0.0 in exact blocks, or None when all are exact
+    _draws: Optional[Callable] = field(default=None, repr=False,
+                                       kw_only=True)
 
     def __post_init__(self):
-        if (self.generator is None) == (self.draws is None):
-            raise ValueError("give an ErrorSchedule a generator or draws")
-        if self.draws is None:
-            object.__setattr__(self, "draws", _block_by_block(self.generator))
+        if self.generator is not None:
+            object.__setattr__(self, "_draws", _block_by_block(self.generator))
 
     def realize(self, n, layout):
         """The error record of iteration n: a fresh ``(3, size)`` array with
         -0.0 wherever there is no error, or None if all are exact."""
-        if self.always_zero:
+        if self._draws is None:
             return None
         lanes = _lanes(layout)
-        drawn = self.draws(n, lanes)
+        drawn = self._draws(n, lanes)
         if drawn is None:
             return None
-        if not isinstance(drawn, np.ndarray) or drawn.dtype.kind != "f" \
-                or drawn.shape != (lanes.size,):
-            got = f"{drawn.dtype} array of shape {drawn.shape}" \
-                if isinstance(drawn, np.ndarray) else type(drawn).__name__
-            raise SpecificationError(
-                f"error schedule: draws gave a {got} at iteration {n}, "
-                f"expected a float array of shape ({lanes.size},)")
         # one gather places every lane, and the -0.0 appended past the last
         # where the record has no error
         return np.concatenate((drawn, [-0.0])).take(lanes.gather)
 
 
 def _block_by_block(generator):
-    """``draws`` that calls a per-block ``generator`` for each block."""
+    """The batched draws of a per-block ``generator``, whose output is
+    checked block by block."""
     def draws(n, lanes):
         out = np.full(lanes.size, -0.0)
         exact = True
@@ -318,9 +306,9 @@ def _lanes(layout):
 
 
 def zero_schedule():
-    """All evaluations exact."""
-    return ErrorSchedule(lambda n, family, index, dim: None, "zero",
-                         always_zero=True)
+    """All evaluations exact: ``ErrorSchedule()``, a schedule without a
+    generator, whose :meth:`~ErrorSchedule.realize` returns None."""
+    return ErrorSchedule()
 
 
 def geometric_schedule(rho, amplitude, seed=0):
@@ -335,12 +323,13 @@ def geometric_schedule(rho, amplitude, seed=0):
     and a block's draw does not depend on the other blocks or on the order
     in which iterations are realized.
 
-    The draws are computed without a ``SeedSequence`` per block: one
+    The schedule has no per-block generator: it draws every block of an
+    iteration at once, without a ``SeedSequence`` per block.  One
     vectorized pass of NumPy's ``SeedSequence`` hash (:func:`_pcg_seeds`)
     gives the PCG64 seeds of every block of the chunk of iterations
     ``[n - n % C, n - n % C + C)``, and each block's generator starts from
-    its row and draws straight into the block's slice of the ``draws``
-    vector.  The norms of each run of equal-size blocks come from one
+    its row and draws straight into the block's slice of one vector of all
+    blocks.  The norms of each run of equal-size blocks come from one
     batched dot and the run is scaled by one multiply; a draw of norm zero
     leaves its block exact (-0.0).  ``C`` is ``_CHUNK`` (64), halved while
     ``C`` times the number of blocks exceeds ``_CHUNK_ROWS`` (4096), so the
@@ -396,8 +385,7 @@ def geometric_schedule(rho, amplitude, seed=0):
             v *= (scale / norms)[:, None]
         return out
 
-    return ErrorSchedule(description=f"geometric(rho={rho}, amp={amplitude})",
-                         draws=draws)
+    return ErrorSchedule(_draws=draws)
 
 
 # Iterations whose seeds are hashed in one pass, and the most seeds (rows of
@@ -814,16 +802,17 @@ def solve(spec, init, policy, errors=None, tol=DEFAULT_TOL,
 
 
 def write_trace_csv(trace, path):
-    """Write trace records with the stable column set."""
+    """Write trace records with the stable column set.
+
+    The file holds the bytes ``csv.writer`` would write: no field ever
+    needs quoting, so a row is its fields joined by commas and ended by
+    ``\\r\\n``, the floats written by ``repr``.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for rec in trace:
-            dx1, dx2, dv1, dv2 = rec.block_displacements
-            s1, s2, s3, s4 = rec.partial_sums
-            writer.writerow([
-                rec.n, repr(rec.gamma), repr(rec.displacement),
-                repr(dx1), repr(dx2), repr(dv1), repr(dv2),
-                repr(s1), repr(s2), repr(s3), repr(s4),
-                repr(rec.transversality_defect),
-            ])
+        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
+        fh.writelines(
+            f"{rec.n},{rec.gamma!r},{rec.displacement!r},"
+            + ",".join(map(repr, (*rec.block_displacements,
+                                  *rec.partial_sums)))
+            + f",{rec.transversality_defect!r}\r\n"
+            for rec in trace)

@@ -261,9 +261,11 @@ def validate(spec):
     """Collect violations of the structural and stochastic contracts.
 
     Returns a list of human-readable strings, empty iff all dimension
-    checks pass, every linear operator passes the adjoint check, beta is
-    strictly positive, and the coupling returns vectors of its total length
-    and respects its Lipschitz constant and monotonicity on random probes.
+    checks pass, every linear operator returns vectors of its declared
+    lengths and passes the adjoint check, beta is strictly positive, and
+    the coupling returns vectors of its total length and respects its
+    Lipschitz constant and monotonicity on random probes.  A mis-shaped
+    map is listed by name, and beta is then not computed.
     """
     out = []
     layout = spec.layout
@@ -324,15 +326,19 @@ def validate(spec):
     if out:
         return out
 
+    shaped = True  # every map returns vectors of its declared lengths
     for k in range(s):
-        for name, op in (("M", spec.M[k]), ("N", spec.N[k])):
-            defect = adjoint_check(op, trials=20, seed=3 + k)
-            if defect > VALIDATE_ADJOINT_TOL:
-                out.append(f"{name}[{k}]: adjoint defect {defect:.2e}")
-        for i in range(m):
-            defect = adjoint_check(spec.L[k][i], trials=20, seed=5 + k + i)
-            if defect > VALIDATE_ADJOINT_TOL:
-                out.append(f"L[{k}][{i}]: adjoint defect {defect:.2e}")
+        maps = [(f"M[{k}]", spec.M[k], 3 + k), (f"N[{k}]", spec.N[k], 3 + k)]
+        maps += [(f"L[{k}][{i}]", spec.L[k][i], 5 + k + i) for i in range(m)]
+        for name, op, seed in maps:
+            try:
+                defect = adjoint_check(op, trials=20, seed=seed)
+            except SpecificationError as exc:
+                out.append(f"{name}: {exc}")
+                shaped = False
+            else:
+                if defect > VALIDATE_ADJOINT_TOL:
+                    out.append(f"{name}: adjoint defect {defect:.2e}")
 
     try:
         lip, mono = coupling_defects(spec.C, trials=30, seed=13)
@@ -347,6 +353,8 @@ def validate(spec):
         if mono > VALIDATE_COUPLING_TOL:
             out.append(f"C: monotonicity defect {mono:.2e}")
 
+    if not shaped:
+        return out  # beta's norms of a mis-shaped map bound nothing
     try:
         compute_beta(spec)
     except HypothesisError as exc:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -287,3 +289,12 @@ def test_smooth_coupling_applies_the_gradient_as_given():
 def test_smooth_coupling_rejects_blocks_that_miss_the_dim(dims):
     with pytest.raises(SpecificationError, match=f"sum to {sum(dims)}"):
         smooth_coupling(quadratic_phi(), dims)
+
+
+@pytest.mark.parametrize("dim", [3, 11])
+def test_build_system_rejects_a_phi_that_misses_the_layout(dim):
+    # lasso's one primal block has dim 10
+    min_spec = dataclasses.replace(lasso_demo().min_spec,
+                                   phi=quadratic_phi(dim))
+    with pytest.raises(SpecificationError, match=f"has dim {dim}.*sum to 10"):
+        build_system(min_spec)

@@ -8,7 +8,8 @@ from conftest import error_blocks
 from monosplit.errors import ConfigurationError
 from monosplit.problemio import load_problem, parse_problem
 from monosplit.prox import soft_threshold
-from monosplit.solver import IterateState, make_policy, solve
+from monosplit.solver import (IterateState, geometric_schedule, make_policy,
+                              solve)
 from monosplit.system import compute_beta, validate
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -133,7 +134,12 @@ def test_geometric_error_schedule_from_file():
     doc["errors"] = {"name": "geometric", "params": {"rho": 0.9,
                                                      "amplitude": 0.1}}
     problem = parse_problem(doc)
-    assert "geometric" in problem["errors"].description
+    layout = problem["system"].layout
+    seed = problem["solver"]["seed"]
+    for n in (0, 7):
+        record = problem["errors"].realize(n, layout)
+        expected = geometric_schedule(0.9, 0.1, seed=seed).realize(n, layout)
+        assert record.tobytes() == expected.tobytes()
 
 
 # tests/test_cli.py runs rho 1.5, amplitude "nan" and seeds -1 and 2.5

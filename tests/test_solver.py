@@ -1,6 +1,6 @@
 import copy
+import csv
 import dataclasses
-import itertools
 import math
 import pickle
 import random
@@ -929,7 +929,7 @@ def test_custom_per_block_generator_is_read_block_by_block():
         calls.append((n, family, index, dim))
         return b21_only(n, family, index, dim)
 
-    sched = ErrorSchedule(generator, "b21 only")
+    sched = ErrorSchedule(generator)
     errs = error_blocks(sched.realize(4, UNEVEN_LAYOUT), UNEVEN_LAYOUT)
     assert [c[1:] for c in calls] == [
         (family, index, dim) for family in ERROR_FAMILIES
@@ -952,7 +952,7 @@ def test_exact_blocks_keep_signed_zeros_bit_for_bit():
     state = IterateState.zeros(layout)
     for block in state.x1 + state.x2 + state.v1 + state.v2:
         block[:] = -0.0
-    sched = ErrorSchedule(b21_only, "b21 only")
+    sched = ErrorSchedule(b21_only)
     ref = state.copy()
     for n in range(3):
         record = sched.realize(n, layout)
@@ -980,16 +980,47 @@ def test_step_rejects_an_error_record_of_the_wrong_shape(record):
         step(demo.system, state, 0.1, record)
 
 
-@pytest.mark.parametrize("draws, got", [
-    (lambda n, lanes: np.ones(3), r"\(3,\)"),
-    (lambda n, lanes: np.zeros(34), r"\(34,\)"),
-    (lambda n, lanes: np.zeros((11, 3)), r"\(11, 3\)"),
-    (lambda n, lanes: [None] * 11, "list"),
-    (lambda n, lanes: itertools.repeat(None), "repeat"),
-    (lambda n, lanes: np.zeros(33, int), "int64"),
-], ids=["short", "long", "per-lane-rows", "per-block-list", "endless",
-        "integers"])
-def test_realize_rejects_draws_of_the_wrong_length(draws, got):
-    layout = SpaceLayout((3,), (3,), (3,), (3,))
-    with pytest.raises(SpecificationError, match=f"{got}.*expected.*33"):
-        ErrorSchedule(draws=draws).realize(0, layout)
+def test_error_schedule_takes_a_generator_or_nothing():
+    assert [f.name for f in dataclasses.fields(ErrorSchedule)
+            if f.init and not f.kw_only] == ["generator"]
+    assert zero_schedule() == ErrorSchedule()
+    with pytest.raises(TypeError):
+        ErrorSchedule(b21_only, "b21 only")
+
+
+@pytest.mark.parametrize("schedule", [zero_schedule(), ErrorSchedule()],
+                         ids=["zero_schedule", "no-generator"])
+def test_exact_schedules_realize_without_looking_up_lanes(monkeypatch,
+                                                          schedule):
+    def no_lanes(layout):
+        raise AssertionError("an exact schedule looked up its lanes")
+
+    monkeypatch.setattr(solver, "_lanes", no_lanes)
+    for n, layout in ((0, LASSO_LAYOUT), (12345, UNEVEN_LAYOUT)):
+        assert schedule.realize(n, layout) is None
+
+
+def test_trace_csv_bytes_are_what_csv_writer_writes(tmp_path):
+    values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+              1.7976931348623157e308, 0.1, 1.0 / 3.0, 1e22, 123456789.0]
+    rng = random.Random(13)
+
+    def pick():
+        return rng.choice(values) if rng.random() < 0.7 \
+            else rng.uniform(-1e3, 1e3)
+
+    trace = [TraceRecord(n, pick(), pick(), tuple(pick() for _ in range(4)),
+                         tuple(pick() for _ in range(4)), pick())
+             for n in (0, 1, 9, 10, 99999, 10**12)
+             for _ in range(40)]
+    solver.write_trace_csv(trace, tmp_path / "trace.csv")
+    with open(tmp_path / "reference.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(solver.TRACE_COLUMNS)
+        for rec in trace:
+            writer.writerow([rec.n, *map(repr, (
+                rec.gamma, rec.displacement, *rec.block_displacements,
+                *rec.partial_sums, rec.transversality_defect))])
+    got = (tmp_path / "trace.csv").read_bytes()
+    assert got == (tmp_path / "reference.csv").read_bytes()
+    assert got.count(b"\r\n") == len(trace) + 1

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from monosplit.demos import lasso_demo, lifted_solution_state
+from monosplit.demos import lasso_demo, lifted_solution_state, qp_demo
 from monosplit.errors import (
     HypothesisError,
     SpecificationError,
@@ -182,6 +184,31 @@ def test_validate_reports_a_misshaped_coupling(apply, shape):
     )
     assert validate(spec) == [
         f"C: coupling 'bad': apply returned shape {shape}, expected (2,)"]
+
+
+def test_validate_lists_misshaped_maps_instead_of_raising():
+    # a 4->4 map whose apply returns length 3, as M and N of the qp demo
+    bad = LinOp(4, 4, lambda x: x[:3], lambda y: y, tag="bad")
+    spec = dataclasses.replace(qp_demo().system, M=[bad], N=[bad])
+    assert validate(spec) == [
+        "M[0]: operator 'bad': apply returned shape (3,), expected (4,)",
+        "N[0]: operator 'bad': apply returned shape (3,), expected (4,)",
+    ]
+
+
+@pytest.mark.parametrize("apply, adjoint, message", [
+    (lambda x: x[:3], lambda y: y,
+     "apply returned shape (3,), expected (4,)"),
+    (lambda x: x, lambda y: np.append(y, 0.0),
+     "adjoint_apply returned shape (5,), expected (4,)"),
+], ids=["apply-short", "adjoint-long"])
+def test_validate_skips_beta_after_a_misshaped_map(apply, adjoint, message):
+    # a dense N would fail on the short vector while computing beta, so
+    # beta is not computed once a map is listed
+    bad = LinOp(4, 4, apply, adjoint, tag="bad")
+    spec = dataclasses.replace(qp_demo().system,
+                               N=[dense_op(2.0 * np.eye(4))], L=[[bad]])
+    assert validate(spec) == [f"L[0][0]: operator 'bad': {message}"]
 
 
 def test_fixed_point_residual_trivial_zero_system():
