@@ -204,33 +204,21 @@ def cmd_demo(name, out_dir):
 
 
 def _run_separation(demo, policy, out_dir):
-    """Run the joint system and its two halves; report trajectory equality."""
+    """Step the joint system and its two halves side by side; report
+    whether the joint trajectory matches theirs bit for bit."""
     _make_out_dir(out_dir)
     joint = demo.system
-    primal = demo.extras["primal_only"]
-    dual = demo.extras["dual_only"]
-    iters = 200
-
-    def run(system):
-        states = []
-        state = IterateState.zeros(system.layout)
-        for it in range(iters):
-            state, _ = step(system, state, policy.gamma_at(it),
-                            with_transversality=False)
-            states.append(state)
-        return states
-
-    joint_states = run(joint)
-    primal_states = run(primal)
-    dual_states = run(dual)
-
+    systems = (joint, demo.extras["primal_only"], demo.extras["dual_only"])
+    states = [IterateState.zeros(system.layout) for system in systems]
     identical = True
-    for js, ps, ds in zip(joint_states, primal_states, dual_states):
-        for a, b in zip(js.x1, ps.x1):
-            identical &= a.tobytes() == b.tobytes()
-        for fam in ("x2", "v1", "v2"):
-            for a, b in zip(getattr(js, fam), getattr(ds, fam)):
-                identical &= a.tobytes() == b.tobytes()
+    for it in range(200):
+        gamma = policy.gamma_at(it)
+        states = [step(system, state, gamma)[0]
+                  for system, state in zip(systems, states)]
+        js, ps, ds = states
+        pairs = [*zip(js.x1, ps.x1), *zip(js.x2, ds.x2), *zip(js.v1, ds.v1),
+                 *zip(js.v2, ds.v2)]
+        identical &= all(a.tobytes() == b.tobytes() for a, b in pairs)
 
     final, trace, status = _run_and_write(
         joint, IterateState.zeros(joint.layout), policy, zero_schedule(),

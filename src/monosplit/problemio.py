@@ -12,6 +12,7 @@ JSON-pointer style paths.
 
 import inspect
 import json
+import math
 import sys
 from contextlib import contextmanager
 from functools import partial
@@ -317,7 +318,8 @@ def _vectors(entries, dims, where):
         )
     out = []
     for j, (entry, dim) in enumerate(zip(entries, dims)):
-        vec = np.asarray(entry, dtype=float)
+        with _located(f"/{where}/{j}"):
+            vec = np.asarray(entry, dtype=float)
         if vec.shape != (dim,):
             raise ConfigurationError(
                 f"/{where}/{j}: expected length {dim}, got {vec.size}"
@@ -397,6 +399,11 @@ def parse_problem(doc):
     # the schema admits 50.0 as an integer; the solver counts with ints
     for key in ("max_iter", "seed", "trace_every"):
         solver_cfg[key] = int(solver_cfg[key])
+    # and 10**400 as a number, which no double holds
+    for key in ("tol", "epsilon", "gamma"):
+        if solver_cfg[key] is not None:
+            with _located(f"/solver/{key}"):
+                solver_cfg[key] = float(solver_cfg[key])
 
     err_entry = doc.get("errors", {"name": "zero"})
     if err_entry["name"] == "zero":
@@ -422,11 +429,25 @@ def _reject_constant(name):
     raise ConfigurationError(f"not valid JSON: {name} is not a JSON number")
 
 
+def _finite_float(literal):
+    """``float(literal)``, refusing a literal that rounds to an infinity."""
+    value = float(literal)
+    if math.isinf(value):
+        raise ConfigurationError(
+            f"number {literal} is out of the range of a double")
+    return value
+
+
 def load_problem(path):
-    """Read and parse a problem file from disk."""
+    """Read and parse a problem file from disk.
+
+    A number literal too large for a double, which ``json`` would read as
+    an infinity, is a :class:`ConfigurationError`.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh, parse_constant=_reject_constant)
+            doc = json.load(fh, parse_float=_finite_float,
+                            parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"not valid JSON: {exc}") from exc
     except OSError as exc:

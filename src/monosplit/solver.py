@@ -7,13 +7,16 @@ flat vector ``z = [x1 | x2 | v1 | v2]`` of the product space, and one
 iteration is Tseng's forward-backward-forward step on it:
 ``s = z - gamma F(z)``, ``p = J(s)``, ``q = p - gamma F(p)`` and
 ``z+ = (z - s) + q``.  F stacks the forward terms of the families (the
-coupling C and the linear maps) and J the resolvents, applied block by
-block.  Each update line is one array operation over the whole of z; the
-sign of gamma is carried per family, so every element has the same value
-as when the blocks were iterated one at a time.  Only the sign of a zero
-may differ, as sums start at their first term, not at +0.0, and zero
-offsets are left out.  Runs are reproducible bit for bit, which the
-separation check (a joint run against its decoupled halves) relies on.
+coupling C and the linear maps), one map evaluated alike at z and at p,
+and J the resolvents, applied block by block.  Each update line is one
+array operation over the whole of z; the sign of gamma is carried per
+family, so every element has the same value as when the blocks were
+iterated one at a time.  Only the sign of a zero may differ, as sums
+start at their first term, not at +0.0, and zero offsets are left out.
+Runs are reproducible bit for bit, which the separation check (a joint
+run against its decoupled halves) relies on.  The transversality defect
+is a diagnostic of the trace: :func:`solve` evaluates it once for each
+record it keeps, and a bare step leaves it out.
 
 Inexact evaluations are modeled by additive error sequences: ``a``/``c``
 terms perturb forward (operator) evaluations and ``b`` terms perturb
@@ -119,7 +122,8 @@ class TraceRecord:
     family).  ``partial_sums`` holds running totals of those squares; a bare
     :func:`step` call reports just its own contribution, :func:`solve`
     accumulates across iterations.  ``transversality_defect`` is
-    ``||M* v2 - N* v1||`` at the new state (NaN when not evaluated).
+    ``||M* v2 - N* v1||`` at the new state in the records :func:`solve`
+    keeps, and None in the record of a bare :func:`step`.
     """
 
     n: int
@@ -127,7 +131,7 @@ class TraceRecord:
     displacement: float
     block_displacements: tuple
     partial_sums: tuple
-    transversality_defect: float
+    transversality_defect: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -590,16 +594,16 @@ def _sqnorm(d):
     return float(np.add.reduce(d * d))
 
 
-def step(spec, state, gamma, errors_at_n=None, with_transversality=True):
+def step(spec, state, gamma, errors_at_n=None):
     """One full iteration from ``state`` with step ``gamma``.
 
     Runs the forward-backward-forward step on the flat iterate
     ``z = [x1 | x2 | v1 | v2]``: ``s = z - gamma F(z)``, ``p = J(s)``,
-    ``q = p - gamma F(p)`` and ``z+ = (z - s) + q``, where F stacks the
-    forward terms of the four families and J the per-block resolvents (the
+    ``q = p - gamma F(p)`` and ``z+ = (z - s) + q``, where F is one map,
+    :func:`_forward`, at both points and J the per-block resolvents (the
     identity on x2).  Returns the new state (counter incremented, its
-    blocks views of a fresh flat vector) together with a
-    :class:`TraceRecord`.
+    blocks views of a fresh flat vector) and a :class:`TraceRecord` whose
+    ``transversality_defect`` is None: :func:`solve` evaluates it.
 
     ``errors_at_n`` is an error record as :meth:`ErrorSchedule.realize`
     makes it, or None for exact evaluation.  Its rows are added whole: the
@@ -619,7 +623,7 @@ def step(spec, state, gamma, errors_at_n=None, with_transversality=True):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     plan = spec.plan
     blocks = plan.blocks
-    b11, b12, b21, b22 = blocks
+    b11, _, b21, b22 = blocks
     state = _packed(state, blocks)
     z = state._flat[0]
     size = z.size
@@ -636,15 +640,7 @@ def step(spec, state, gamma, errors_at_n=None, with_transversality=True):
     x1_, v1_, dual = plan.x1, plan.v1, plan.dual
 
     # forward step at z: s = z - gamma F(z), built in place in F's buffer
-    s = _forward(spec, plan, z, [N.adjoint_apply(v) for N, v in
-                                 zip(spec.N, state.v1)])
-    # sums start at their first term and never write into one: an
-    # identity map hands back its argument, a view of the iterate
-    for k, (N, sl) in enumerate(zip(spec.N, b21)):
-        nl_x = N.apply(spec.L[k][0].apply(state.x1[0]))
-        for i in range(1, len(state.x1)):
-            nl_x = nl_x + N.apply(spec.L[k][i].apply(state.x1[i]))
-        np.subtract(nl_x, N.apply(state.x2[k]), s[sl])
+    s = _forward(spec, plan, z)
     if errs is not None:
         s += errs[0]
     s *= signed_g
@@ -676,15 +672,7 @@ def step(spec, state, gamma, errors_at_n=None, with_transversality=True):
     np.subtract(s[dual], pd, pd)
 
     # forward correction at p: q = p - gamma F(p), z+ = (z - s) + q
-    p11 = [p[sl] for sl in b11]
-    p21 = [p[sl] for sl in b21]
-    q = _forward(spec, plan, p, [N.adjoint_apply(v) for N, v in
-                                 zip(spec.N, p21)])
-    for k, (sl12, sl21) in enumerate(zip(b12, b21)):
-        l_p11 = spec.L[k][0].apply(p11[0])
-        for i in range(1, len(p11)):
-            l_p11 = l_p11 + spec.L[k][i].apply(p11[i])
-        np.subtract(spec.N[k].apply(l_p11), spec.N[k].apply(p[sl12]), q[sl21])
+    q = _forward(spec, plan, p)
     if errs is not None:
         q += errs[2]
     q *= signed_g
@@ -699,48 +687,41 @@ def step(spec, state, gamma, errors_at_n=None, with_transversality=True):
     np.subtract(z_new, z, diffs[1])
     gap, moved = _block_sqnorms(diffs, plan.runs)
     m, nk = len(b11), len(b21)
-    dx1 = sum(gap[:m])
-    dx2 = sum(gap[m:m + nk])
-    dv1 = sum(gap[m + nk:m + 2 * nk])
-    dv2 = sum(gap[m + 2 * nk:])
+    sums = (sum(gap[:m]), sum(gap[m:m + nk]), sum(gap[m + nk:m + 2 * nk]),
+            sum(gap[m + 2 * nk:]))
     move = 0.0
     for sq in moved:
         move += sq
-
-    defect = transversality_defect(spec, new_state) if with_transversality \
-        else float("nan")
-    record = TraceRecord(
-        n=n,
-        gamma=g,
-        displacement=math.sqrt(move),
-        block_displacements=(math.sqrt(dx1), math.sqrt(dx2),
-                             math.sqrt(dv1), math.sqrt(dv2)),
-        partial_sums=(dx1, dx2, dv1, dv2),
-        transversality_defect=defect,
-    )
-    return new_state, record
+    return new_state, TraceRecord(n, g, math.sqrt(move),
+                                  tuple(map(math.sqrt, sums)), sums, None)
 
 
-def _forward(spec, plan, y, nstar1):
-    """F at the flat point ``y``, but for its v1 family, which is left unset.
+def _forward(spec, plan, y):
+    """F at the flat point ``y``, as a fresh flat vector: x1 is ``C(y_x1) +
+    sum_k L_ki* N_k* y_v1k``, x2 is ``N_k* y_v1k - M_k* y_v2k``, v1 is
+    ``N_k(sum_i L_ki y_x1i) - N_k y_x2k`` and v2 is ``M_k y_x2k``.
 
-    ``nstar1`` holds ``N_k* y_v1k``.  The x1 family is
-    ``C(y_x1) + sum_k L_ki* N_k* y_v1k``, x2 is ``N_k* y_v1k - M_k* y_v2k``
-    and v2 is ``M_k y_x2k``.  The v1 family (``N_k`` applied to the
-    coupling residual) is summed differently at z and at p, so each caller
-    writes it.
+    Sums start at their first term and never write into one: an identity
+    map hands back its argument, a view of ``y``.
     """
-    b11, b12, _, b22 = plan.blocks
+    b11, b12, b21, b22 = plan.blocks
     out = np.empty(y.size)
+    x1 = [y[sl] for sl in b11]
+    nstar1 = [N.adjoint_apply(y[sl]) for N, sl in zip(spec.N, b21)]
     c = np.asarray(spec.C.apply(y[plan.x1]))
     for i, sl in enumerate(b11):
         acc = spec.L[0][i].adjoint_apply(nstar1[0])
         for k in range(1, len(nstar1)):
             acc = acc + spec.L[k][i].adjoint_apply(nstar1[k])
         np.add(c[sl], acc, out[sl])
-    for k, (sl12, sl22) in enumerate(zip(b12, b22)):
-        np.subtract(nstar1[k], spec.M[k].adjoint_apply(y[sl22]), out[sl12])
-        out[sl22] = spec.M[k].apply(y[sl12])
+    for k, (sl12, sl21, sl22) in enumerate(zip(b12, b21, b22)):
+        N, M, L = spec.N[k], spec.M[k], spec.L[k]
+        np.subtract(nstar1[k], M.adjoint_apply(y[sl22]), out[sl12])
+        l_x = L[0].apply(x1[0])
+        for i in range(1, len(x1)):
+            l_x = l_x + L[i].apply(x1[i])
+        np.subtract(N.apply(l_x), N.apply(y[sl12]), out[sl21])
+        out[sl22] = M.apply(y[sl12])
     return out
 
 
@@ -763,8 +744,10 @@ def solve(spec, init, policy, errors=None, tol=DEFAULT_TOL,
     admissible and merely conservative) and for ``spec`` having passed
     validation.  Returns ``(final_state, trace, status)`` with status
     ``"converged"`` or ``"max_iter"``; a trace record is kept every
-    ``trace_every`` iterations and at the final one.  Numeric failures
-    propagate as :class:`NumericError` tagged with the iteration index.
+    ``trace_every`` iterations and at the final one, with the running
+    ``partial_sums`` and the :func:`transversality_defect` of its state,
+    evaluated once per kept record.  Numeric failures propagate as
+    :class:`NumericError` tagged with the iteration index.
     """
     if trace_every < 1:
         raise ValueError("trace_every must be >= 1")
@@ -780,21 +763,17 @@ def solve(spec, init, policy, errors=None, tol=DEFAULT_TOL,
     for it in range(max_iter):
         gamma = policy.gamma_at(it)
         errs = errors.realize(it, layout)
-        keep = (it % trace_every == 0)
         try:
-            state, rec = step(spec, state, gamma, errs,
-                              with_transversality=keep)
+            state, rec = step(spec, state, gamma, errs)
         except NumericError as exc:
             exc.iteration = it
             raise
         sums = tuple(map(operator.add, sums, rec.partial_sums))
         done = rec.displacement <= tol
-        if keep or done or it == max_iter - 1:
-            # a final record off the trace_every grid needs its defect now
-            defect = rec.transversality_defect if keep \
-                else transversality_defect(spec, state)
+        if it % trace_every == 0 or done or it == max_iter - 1:
             trace.append(TraceRecord(rec.n, rec.gamma, rec.displacement,
-                                     rec.block_displacements, sums, defect))
+                                     rec.block_displacements, sums,
+                                     transversality_defect(spec, state)))
         if done:
             status = "converged"
             break

@@ -375,8 +375,7 @@ def fixed_point_residual(spec, state, gamma):
         raise StepBoundError(
             f"gamma = {gamma} outside (0, {hi}] for beta = {beta}"
         )
-    _, record = _solver.step(spec, state, gamma, None,
-                             with_transversality=False)
+    _, record = _solver.step(spec, state, gamma)
     return record.displacement
 
 

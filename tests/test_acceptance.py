@@ -272,8 +272,7 @@ def test_criterion_10_separation_bitwise():
             states = []
             for it in range(200):
                 errs = schedule.realize(it, system.layout)
-                state, _ = step(system, state, policy.gamma_at(it), errs,
-                                with_transversality=False)
+                state, _ = step(system, state, policy.gamma_at(it), errs)
                 states.append(state)
             runs[name] = states
         for js, ps in zip(runs["joint"], runs["primal"]):

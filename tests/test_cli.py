@@ -357,3 +357,40 @@ def test_summary_reports_where_beta_came_from(tmp_path):
     assert all(t["converged"] for t in terms)
     assert terms[0]["iterations"] > 0
     assert summary["beta"] == terms[0]["value"] + np.sqrt(1.0 + 2.0)
+
+
+# where a number goes in problems/lasso.json, and the pointer that an
+# integer too large for a double there must name
+OVERFLOW_PLACES = {
+    "z": ("z", "/z/0"),
+    "r": ("r", "/r/0"),
+    "tol": ("solver/tol", "/solver/tol"),
+    "epsilon": ("solver/epsilon", "/solver/epsilon"),
+    "gamma": ("solver/gamma", "/solver/gamma"),
+    "l1-weight": ("functions/f/0/params/weight", "/functions/f/0"),
+}
+
+
+@pytest.mark.parametrize("literal", ["1e400", "-1e400", "1" + "0" * 400],
+                         ids=["1e400", "-1e400", "401-digits"])
+@pytest.mark.parametrize("place", OVERFLOW_PLACES)
+def test_numbers_beyond_a_double_are_errors(tmp_path, capsys, place,
+                                            literal):
+    path, pointer = OVERFLOW_PLACES[place]
+    doc = json.loads((PROBLEMS / "lasso.json").read_text())
+    *parents, last = path.split("/")
+    node = doc
+    for key in parents:
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    token = "@@number@@"
+    node[last] = [[token] + [0.0] * 9] if place in ("z", "r") else token
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc).replace(f'"{token}"', literal))
+    code = main(["solve", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    if "e" in literal:
+        assert f"number {literal} is out of the range of a double" in err
+    else:
+        assert pointer in err

@@ -217,7 +217,9 @@ def test_kept_records_are_step_records_with_running_sums(trace_every,
         state, rec = step(spec, state, policy.gamma_at(it),
                           errors.realize(it, spec.layout))
         sums = tuple(a + b for a, b in zip(sums, rec.partial_sums))
-        expected.append(dataclasses.replace(rec, partial_sums=sums))
+        expected.append(dataclasses.replace(
+            rec, partial_sums=sums,
+            transversality_defect=transversality_defect(spec, state)))
     # the displacement of iteration stop, if no earlier one reached it,
     # stops the run there
     tol = 0.0 if stop is None else expected[-1].displacement
@@ -296,8 +298,7 @@ def separation_runs(errors=None, iters=150):
         states = []
         for it in range(iters):
             errs = sched.realize(it, system.layout)
-            state, _ = step(system, state, policy.gamma_at(it), errs,
-                            with_transversality=False)
+            state, _ = step(system, state, policy.gamma_at(it), errs)
             states.append(state)
         out[name] = states
     return out
@@ -367,8 +368,7 @@ def _ref_sqnorm(d):
     return float(np.add.reduce(d * d))
 
 
-def reference_step(spec, state, gamma, errors_at_n=None,
-                   with_transversality=True):
+def reference_step(spec, state, gamma, errors_at_n=None):
     """The per-block step, line for line, with its update lines in order."""
     m = len(state.x1)
     s = len(state.x2)
@@ -409,10 +409,11 @@ def reference_step(spec, state, gamma, errors_at_n=None,
         p12_k = x2[k] + g * _maybe_add(
             nstar_v1[k] - Mk.adjoint_apply(v2[k]), errs, "a12", k)
 
-        nl_x = np.zeros(v1[k].size)
-        for i in range(m):
-            nl_x = nl_x + Nk.apply(spec.L[k][i].apply(x1[i]))
-        s21_k = v1[k] + g * _maybe_add(nl_x - Nk.apply(x2[k]), errs, "a21", k)
+        l_x1 = spec.L[k][0].apply(x1[0])
+        for i in range(1, m):
+            l_x1 = l_x1 + spec.L[k][i].apply(x1[i])
+        s21_k = v1[k] + g * _maybe_add(
+            Nk.apply(l_x1) - Nk.apply(x2[k]), errs, "a21", k)
 
         nr_k = nr[k]
         jd = np.asarray(Dk.resolve(1.0 / g, s21_k / g - nr_k))
@@ -473,8 +474,6 @@ def reference_step(spec, state, gamma, errors_at_n=None,
         for k in range(len(old)):
             move += _ref_sqnorm(new[k] - old[k])
 
-    defect = transversality_defect(spec, new_state) if with_transversality \
-        else float("nan")
     record = TraceRecord(
         n=n,
         gamma=g,
@@ -482,7 +481,7 @@ def reference_step(spec, state, gamma, errors_at_n=None,
         block_displacements=(float(np.sqrt(dx1)), float(np.sqrt(dx2)),
                              float(np.sqrt(dv1)), float(np.sqrt(dv2))),
         partial_sums=(dx1, dx2, dv1, dv2),
-        transversality_defect=defect,
+        transversality_defect=None,
     )
     return new_state, record
 
@@ -643,6 +642,32 @@ def test_state_not_matching_layout_is_rejected():
         step(spec, state, 0.05)
 
 
+def test_one_step_applies_each_n_four_times():
+    """F is one map at z and at p: each evaluation applies N_k twice, to
+    the L-sum and to x2, and its adjoint once; the step itself evaluates no
+    transversality defect."""
+    spec = dense_two_by_two()
+    applies, adjoints = [0, 0], [0, 0]
+
+    def counted(k, N):
+        def apply(x):
+            applies[k] += 1
+            return N.apply(x)
+
+        def adjoint_apply(y):
+            adjoints[k] += 1
+            return N.adjoint_apply(y)
+        return dataclasses.replace(N, apply=apply, adjoint_apply=adjoint_apply)
+
+    spec = dataclasses.replace(
+        spec, N=[counted(k, N) for k, N in enumerate(spec.N)])
+    spec.plan  # applies each N_k to r_k once
+    applies[:] = adjoints[:] = [0, 0]
+    step(spec, random_state(spec.layout), 0.05)
+    assert applies == [4, 4]
+    assert adjoints == [2, 2]
+
+
 def test_states_never_alias_input_or_each_other():
     spec = dense_two_by_two()
     gamma = 0.05
@@ -651,7 +676,7 @@ def test_states_never_alias_input_or_each_other():
     state.x1 = [b.copy() for b in init.x1]
     states, snapshots = [state], []
     for _ in range(200):
-        state, _ = step(spec, state, gamma, with_transversality=False)
+        state, _ = step(spec, state, gamma)
         states.append(state)
         snapshots.append(state.copy())
     for i, a in enumerate(states):
