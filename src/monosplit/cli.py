@@ -122,7 +122,10 @@ def _run_and_write(system, init, policy, errors, tol, max_iter, trace_every,
             "iterations": final.n,
             "final_displacement":
                 trace[-1].displacement if trace else None,
-            "transversality_defect": transversality_defect(system, final),
+            # solve's last record is always the final state's
+            "transversality_defect":
+                trace[-1].transversality_defect if trace
+                else transversality_defect(system, final),
             "beta": policy.beta,
             "beta_terms": system.beta_report,
             "epsilon": policy.epsilon,

@@ -309,9 +309,15 @@ def _build_coupling(entry, block_dims, where):
                            block_dims)
 
 
-def _vectors(entries, dims, where):
+def _vectors(entries, dims, where, dims_where):
     if entries is None:
-        return [np.zeros(d) for d in dims]
+        # the schema bounds no dim, so numpy may refuse or fail to allocate
+        try:
+            return [np.zeros(d) for d in dims]
+        except (ValueError, MemoryError) as exc:
+            raise ConfigurationError(
+                f"/{dims_where}: cannot allocate the zero {where} vectors: "
+                f"{exc}") from exc
     if len(entries) != len(dims):
         raise ConfigurationError(
             f"/{where}: expected {len(dims)} vectors, got {len(entries)}"
@@ -345,8 +351,8 @@ def parse_problem(doc):
     layout = SpaceLayout(lay["h_dims"], lay["g_dims"], lay["y_dims"],
                          lay["x_dims"])
 
-    z = _vectors(doc.get("z"), layout.h_dims, "z")
-    r = _vectors(doc.get("r"), layout.g_dims, "r")
+    z = _vectors(doc.get("z"), layout.h_dims, "z", "layout/h_dims")
+    r = _vectors(doc.get("r"), layout.g_dims, "r", "layout/g_dims")
 
     ops = doc["operators"]
     for key in ("M", "N", "L"):

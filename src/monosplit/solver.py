@@ -2,9 +2,9 @@
 
 The iterate holds four block families: the primal points ``x1`` (one per
 primal space), the auxiliary splitting points ``x2`` (one per coupling
-space) and the two dual families ``v1``, ``v2``.  They are laid out as one
-flat vector ``z = [x1 | x2 | v1 | v2]`` of the product space, and one
-iteration is Tseng's forward-backward-forward step on it:
+space) and the two dual families ``v1``, ``v2``.  Each step lays them out
+as one flat vector ``z = [x1 | x2 | v1 | v2]`` of the product space, and
+one iteration is Tseng's forward-backward-forward step on it:
 ``s = z - gamma F(z)``, ``p = J(s)``, ``q = p - gamma F(p)`` and
 ``z+ = (z - s) + q``.  F stacks the forward terms of the families (the
 coupling C and the linear maps), one map evaluated alike at z and at p,
@@ -29,12 +29,13 @@ a per-block generator; a schedule without one is exact.  Built-in
 schedules are zero and geometrically decaying noise, both absolutely
 summable.  The geometric schedule's draws are keyed: each block's
 direction is exactly what ``np.random.default_rng([seed, n, code,
-index])`` draws, but no ``SeedSequence`` is built.  The seeds of every block of a chunk of
-``_CHUNK`` consecutive iterations are hashed together, by NumPy's
-``SeedSequence`` hash run as one pass of uint32 array arithmetic, and each
-iteration draws from its rows of that pass.  Big layouts take shorter
-chunks, so a schedule holds at most ``_CHUNK_ROWS`` seeds (128 KB) however
-many blocks the layout has, unless one iteration alone has more.
+index])`` draws, but no ``SeedSequence`` is built.  The seeds of every
+block of a chunk of ``_CHUNK`` consecutive iterations are hashed together,
+by NumPy's ``SeedSequence`` hash run as one pass of uint32 array
+arithmetic, and each iteration draws from its rows of that pass.  Big
+layouts take shorter chunks, so a schedule holds at most ``_CHUNK_ROWS``
+seeds (128 KB) however many blocks the layout has, unless one iteration
+alone has more.
 """
 
 import math
@@ -78,11 +79,12 @@ ERROR_FAMILIES = (
 class IterateState:
     """The four block families of the iteration plus the iteration counter.
 
-    States made by :meth:`zeros`, :meth:`copy` and :func:`step` hold their
-    blocks as views of one private flat vector ``[x1 | x2 | v1 | v2]``, so
-    writing into a block writes into that vector.  A block or a list
-    replaced by another array is fine too: :func:`step` notices that the
-    blocks are no longer views of the vector and packs them afresh.
+    Each family is a list of 1-D float blocks, one per space of its kind,
+    and the state holds nothing else.  A caller may write into a block,
+    replace a block or assign a whole family: :func:`step` reads the blocks
+    the state holds when it is called.  The blocks of a state that
+    :meth:`zeros` or :func:`step` makes are views of one fresh vector, so a
+    write into one block leaves every other state alone.
     """
 
     x1: list
@@ -90,8 +92,6 @@ class IterateState:
     v1: list
     v2: list
     n: int = 0
-    # (flat vector, layout block slices, the block views handed out)
-    _flat: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def zeros(layout):
@@ -99,9 +99,6 @@ class IterateState:
         return _on_buffer(np.zeros(blocks[-1][-1].stop), blocks, 0)
 
     def copy(self):
-        if _is_packed(self):
-            z, blocks, _ = self._flat
-            return _on_buffer(z.copy(), blocks, self.n)
         return IterateState(
             x1=[b.copy() for b in self.x1],
             x2=[b.copy() for b in self.x2],
@@ -511,44 +508,12 @@ class _GivenState(ISeedSequence):
 
 
 def _on_buffer(z, blocks, n):
-    """A state at iteration ``n`` whose blocks are views of the flat ``z``."""
+    """A state at iteration ``n`` whose blocks are views of the flat vector
+    ``z``, cut at the layout's block slices ``blocks``."""
     views = [z[sl] for family in blocks for sl in family]
     m, s = len(blocks[0]), len(blocks[1])
-    state = IterateState(views[:m], views[m:m + s], views[m + s:m + 2 * s],
-                         views[m + 2 * s:], n)
-    state._flat = (z, blocks, views)
-    return state
-
-
-def _is_packed(state):
-    """Whether every block of ``state`` is still a view of its flat vector.
-
-    The blocks must be the very views handed out, and those must still
-    view the vector (a deep copy or a pickle round trip copies them apart).
-    """
-    held = state._flat
-    if held is None:
-        return False
-    z, _, views = held
-    current = state.x1 + state.x2 + state.v1 + state.v2
-    return len(current) == len(views) and views[0].base is z \
-        and all(map(operator.is_, current, views))
-
-
-def _packed(state, blocks):
-    """``state`` if its blocks are still views of its flat vector with the
-    slices ``blocks``, else a packed copy of it."""
-    if _is_packed(state) and state._flat[1] is blocks:
-        return state
-    families = (state.x1, state.x2, state.v1, state.v2)
-    for name, family, slices in zip(FAMILIES, families, blocks):
-        if len(family) != len(slices) or any(
-                np.shape(b) != (sl.stop - sl.start,)
-                for b, sl in zip(family, slices)):
-            raise SpecificationError(
-                f"state family {name} does not match the system layout")
-    return _on_buffer(np.concatenate(sum(families, []), dtype=float), blocks,
-                      state.n)
+    return IterateState(views[:m], views[m:m + s], views[m + s:m + 2 * s],
+                        views[m + 2 * s:], n)
 
 
 def _check_finite(whole, y, checks, n):
@@ -597,13 +562,15 @@ def _sqnorm(d):
 def step(spec, state, gamma, errors_at_n=None):
     """One full iteration from ``state`` with step ``gamma``.
 
-    Runs the forward-backward-forward step on the flat iterate
-    ``z = [x1 | x2 | v1 | v2]``: ``s = z - gamma F(z)``, ``p = J(s)``,
-    ``q = p - gamma F(p)`` and ``z+ = (z - s) + q``, where F is one map,
-    :func:`_forward`, at both points and J the per-block resolvents (the
-    identity on x2).  Returns the new state (counter incremented, its
-    blocks views of a fresh flat vector) and a :class:`TraceRecord` whose
-    ``transversality_defect`` is None: :func:`solve` evaluates it.
+    Lays the blocks ``state`` holds end to end in one fresh vector
+    ``z = [x1 | x2 | v1 | v2]``, after checking that each family has the
+    layout's blocks, each of shape ``(dim,)``.  Then runs the
+    forward-backward-forward step on it: ``s = z - gamma F(z)``,
+    ``p = J(s)``, ``q = p - gamma F(p)`` and ``z+ = (z - s) + q``, where F
+    is one map, :func:`_forward`, at both points and J the per-block
+    resolvents (the identity on x2).  Returns the new state (counter
+    incremented, its blocks views of ``z+``) and a :class:`TraceRecord`
+    whose ``transversality_defect`` is None: :func:`solve` evaluates it.
 
     ``errors_at_n`` is an error record as :meth:`ErrorSchedule.realize`
     makes it, or None for exact evaluation.  Its rows are added whole: the
@@ -614,8 +581,9 @@ def step(spec, state, gamma, errors_at_n=None):
 
     Raises :class:`NumericError` naming the offending line and block if the
     intermediate points ``p11`` or any block of the new state are
-    non-finite, :class:`SpecificationError` for an error record that is
-    not an array of shape ``(3, size)``, and ``ValueError`` for a
+    non-finite, :class:`SpecificationError` naming the family for a state
+    that does not match the layout and for an error record that is not an
+    array of shape ``(3, size)``, and ``ValueError`` for a
     non-positive step.  The admissible-interval bound on gamma is the step
     policy's responsibility; here only positivity is enforced.
     """
@@ -624,8 +592,13 @@ def step(spec, state, gamma, errors_at_n=None):
     plan = spec.plan
     blocks = plan.blocks
     b11, _, b21, b22 = blocks
-    state = _packed(state, blocks)
-    z = state._flat[0]
+    families = (state.x1, state.x2, state.v1, state.v2)
+    for name, family, shapes in zip(FAMILIES, families, plan.shapes):
+        if tuple(map(np.shape, family)) != shapes:
+            raise SpecificationError(
+                f"state family {name} does not match the system layout")
+    z = np.concatenate((*state.x1, *state.x2, *state.v1, *state.v2),
+                       dtype=float)
     size = z.size
     g = float(gamma)
     n = state.n

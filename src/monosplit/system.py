@@ -180,23 +180,25 @@ def _read_only(array):
 class StepPlan:
     """What the flat step needs of a system besides its operators.
 
-    The iterate is one vector ``[x1 | x2 | v1 | v2]`` whose block slices
-    are ``blocks`` (:attr:`SpaceLayout.blocks`); ``x1``, ``x2`` and ``v1``
-    slice out whole families and ``dual`` covers ``v1 | v2``.  ``sign`` is
-    -1 over x1 and +1 elsewhere, so ``y + (gamma * sign) * F`` is
-    ``y - gamma * F`` on the primal family and ``y + gamma * F`` on the
-    others, the signs of the update lines.  ``z`` and ``nr`` lay the
-    offsets ``z_i`` and ``N_k r_k`` flat over x1 and v1; each is None when
-    all its elements are zero, and the step then leaves it out, as adding
-    a zero changes at most the sign of a zero.  ``finite_order`` and
-    ``p11_order`` list the blocks of the new state and of ``p11`` as
-    ``(name, index, slice)`` in the order their finiteness is checked, and
-    ``runs`` groups consecutive blocks of equal size as ``(slice, count,
-    size)``.  The arrays are read-only, so a plan is safe to share across
-    threads.
+    The step lays the iterate out as one vector ``[x1 | x2 | v1 | v2]``
+    whose block slices are ``blocks`` (:attr:`SpaceLayout.blocks`), and
+    ``shapes`` holds, family by family, the shape ``(dim,)`` each block of
+    a state must have; ``x1``, ``x2`` and ``v1`` slice out whole families
+    and ``dual`` covers ``v1 | v2``.  ``sign`` is -1 over x1 and +1
+    elsewhere, so ``y + (gamma * sign) * F`` is ``y - gamma * F`` on the
+    primal family and ``y + gamma * F`` on the others, the signs of the
+    update lines.  ``z`` and ``nr`` lay the offsets ``z_i`` and
+    ``N_k r_k`` flat over x1 and v1; each is None when all its elements are
+    zero, and the step then leaves it out, as adding a zero changes at most
+    the sign of a zero.  ``finite_order`` and ``p11_order`` list the blocks
+    of the new state and of ``p11`` as ``(name, index, slice)`` in the
+    order their finiteness is checked, and ``runs`` groups consecutive
+    blocks of equal size as ``(slice, count, size)``.  The arrays are
+    read-only, so a plan is safe to share across threads.
     """
 
     blocks: tuple
+    shapes: tuple
     x1: slice
     x2: slice
     v1: slice
@@ -229,7 +231,9 @@ class StepPlan:
                                  key=lambda sl: sl.stop - sl.start):
             run = list(run)
             runs.append((slice(run[0].start, run[-1].stop), len(run), size))
-        return StepPlan(blocks, x1, x2, v1, slice(v1.start, v2.stop),
+        shapes = tuple(tuple((sl.stop - sl.start,) for sl in family)
+                       for family in blocks)
+        return StepPlan(blocks, shapes, x1, x2, v1, slice(v1.start, v2.stop),
                         _read_only(sign), z, nr,
                         tuple(order), p11_order, tuple(runs))
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from monosplit import cli, solver
 from monosplit.cli import main
 from monosplit.prox import soft_threshold
 from monosplit.solver import TRACE_COLUMNS
@@ -394,3 +395,35 @@ def test_numbers_beyond_a_double_are_errors(tmp_path, capsys, place,
         assert f"number {literal} is out of the range of a double" in err
     else:
         assert pointer in err
+
+
+@pytest.mark.parametrize("key", ["h_dims", "g_dims"])
+def test_dims_numpy_cannot_allocate_are_errors(tmp_path, capsys, key):
+    # np.zeros refuses 10**30 outright; a dim that needs a real allocation
+    # to fail would fail or not depending on the machine's overcommit
+    doc = json.loads((PROBLEMS / "lasso.json").read_text())
+    doc["layout"][key] = [10**30]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["solve", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"/layout/{key}" in err
+    assert "Traceback" not in err
+
+
+def test_summary_defect_comes_from_the_last_trace_record(tmp_path,
+                                                         monkeypatch):
+    calls = []
+
+    def counted(system, state):
+        calls.append(state.n)
+        return solver.transversality_defect(system, state)
+
+    monkeypatch.setattr(cli, "transversality_defect", counted)
+    out = tmp_path / "qp"
+    assert main(["solve", str(PROBLEMS / "qp.json"), "--out", str(out)]) == 0
+    with open(out / "trace.csv") as fh:
+        last = list(csv.reader(fh))[-1]
+    assert read_summary(out)["transversality_defect"] == float(last[-1])
+    assert calls == []

@@ -50,6 +50,9 @@ def test_step_state_is_what_the_benchmark_compares():
     gamma = make_policy(compute_beta(spec)).gamma_at(0)
     state, _ = step(spec, IterateState.zeros(spec.layout), gamma)
     assert dataclasses.is_dataclass(state)
+    # the families and the counter, and no hidden copy of them
+    assert [f.name for f in dataclasses.fields(state)] == [
+        "x1", "x2", "v1", "v2", "n"]
     families = dataclasses.astuple(state)[:4]
     assert [type(f) for f in families] == [list] * 4
     assert all(len(f) > 0 for f in families)

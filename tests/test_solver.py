@@ -634,11 +634,38 @@ def test_deep_copied_state_is_not_read_from_a_stale_buffer():
         assert rec == ref_rec
 
 
-def test_state_not_matching_layout_is_rejected():
+def drop_a_v1_block(state):
+    state.v1 = [state.v1[0]]
+
+
+def swap_the_x1_blocks(state):
+    state.x1 = state.x1[::-1]           # lengths 4, 3: the total still fits
+
+
+def make_an_x2_block_a_column(state):
+    state.x2[0] = state.x2[0].reshape(-1, 1)
+
+
+def make_a_v2_block_0d(state):
+    state.v2[0] = np.array(1.0)
+
+
+def move_an_x1_block_into_x2(state):
+    state.x1, state.x2 = state.x1[:1], state.x1[1:] + state.x2
+
+
+@pytest.mark.parametrize("mismatch, family", [
+    (drop_a_v1_block, "v1"),
+    (swap_the_x1_blocks, "x1"),
+    (make_an_x2_block_a_column, "x2"),
+    (make_a_v2_block_0d, "v2"),
+    (move_an_x1_block_into_x2, "x1"),
+])
+def test_state_not_matching_layout_is_rejected(mismatch, family):
     spec = dense_two_by_two()
     state = random_state(spec.layout)
-    state.v1 = [state.v1[0]]
-    with pytest.raises(SpecificationError, match="v1"):
+    mismatch(state)
+    with pytest.raises(SpecificationError, match=f"family {family} "):
         step(spec, state, 0.05)
 
 
