@@ -41,7 +41,7 @@ alone has more.
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate, groupby
 from numbers import Integral, Real
 from typing import Callable, NamedTuple, Optional
@@ -509,11 +509,20 @@ class _GivenState(ISeedSequence):
 
 def _on_buffer(z, blocks, n):
     """A state at iteration ``n`` whose blocks are views of the flat vector
-    ``z``, cut at the layout's block slices ``blocks``."""
-    views = [z[sl] for family in blocks for sl in family]
-    m, s = len(blocks[0]), len(blocks[1])
-    return IterateState(views[:m], views[m:m + s], views[m + s:m + 2 * s],
-                        views[m + 2 * s:], n)
+    ``z``, cut family by family at the layout's block slices ``blocks``."""
+    cut = z.__getitem__
+    b11, b12, b21, b22 = blocks
+    return IterateState(list(map(cut, b11)), list(map(cut, b12)),
+                        list(map(cut, b21)), list(map(cut, b22)), n)
+
+
+def _check_shapes(families, dims):
+    """Raise :class:`SpecificationError` naming the first family whose
+    blocks' shapes are not ``(d,)`` for its ``dims``."""
+    for name, family, family_dims in zip(FAMILIES, families, dims):
+        if list(map(np.shape, family)) != [(d,) for d in family_dims]:
+            raise SpecificationError(
+                f"state family {name} does not match the system layout")
 
 
 def _check_finite(whole, y, checks, n):
@@ -524,7 +533,8 @@ def _check_finite(whole, y, checks, n):
     poisons a dot product, so one dot over ``whole`` clears the common case;
     only then are the blocks looked at one by one (a huge but finite family
     can overflow the first dot).  ``a.dot(a)`` is the BLAS dot that
-    ``a @ a`` takes, without matmul's dispatch.
+    ``a @ a`` takes, without matmul's dispatch.  :func:`step` checks the
+    new state only when the displacement's square sum is not finite.
     """
     if math.isfinite(whole.dot(whole)):
         return
@@ -563,8 +573,10 @@ def step(spec, state, gamma, errors_at_n=None):
     """One full iteration from ``state`` with step ``gamma``.
 
     Lays the blocks ``state`` holds end to end in one fresh vector
-    ``z = [x1 | x2 | v1 | v2]``, after checking that each family has the
-    layout's blocks, each of shape ``(dim,)``.  Then runs the
+    ``z = [x1 | x2 | v1 | v2]`` and checks that z is 1-D and each family's
+    block lengths are the layout's dims, so a block may be a plain list.
+    Only on a mismatch, or a ``ValueError`` from laying them out, are the
+    blocks' shapes read, to name the family.  Then runs the
     forward-backward-forward step on it: ``s = z - gamma F(z)``,
     ``p = J(s)``, ``q = p - gamma F(p)`` and ``z+ = (z - s) + q``, where F
     is one map, :func:`_forward`, at both points and J the per-block
@@ -581,24 +593,28 @@ def step(spec, state, gamma, errors_at_n=None):
 
     Raises :class:`NumericError` naming the offending line and block if the
     intermediate points ``p11`` or any block of the new state are
-    non-finite, :class:`SpecificationError` naming the family for a state
-    that does not match the layout and for an error record that is not an
-    array of shape ``(3, size)``, and ``ValueError`` for a
-    non-positive step.  The admissible-interval bound on gamma is the step
-    policy's responsibility; here only positivity is enforced.
+    non-finite (the new state is looked at only when the displacement's
+    square sum is not, as a non-finite ``z+`` makes it),
+    :class:`SpecificationError` naming the family for a state that does not
+    match the layout and for an error record that is not an array of shape
+    ``(3, size)``, and ``ValueError`` for a non-positive step.  The
+    admissible-interval bound on gamma is the step policy's responsibility;
+    here only positivity is enforced.
     """
     if not (gamma > 0.0 and math.isfinite(gamma)):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     plan = spec.plan
     blocks = plan.blocks
     b11, _, b21, b22 = blocks
-    families = (state.x1, state.x2, state.v1, state.v2)
-    for name, family, shapes in zip(FAMILIES, families, plan.shapes):
-        if tuple(map(np.shape, family)) != shapes:
-            raise SpecificationError(
-                f"state family {name} does not match the system layout")
-    z = np.concatenate((*state.x1, *state.x2, *state.v1, *state.v2),
-                       dtype=float)
+    families = x1, x2, v1, v2 = state.x1, state.x2, state.v1, state.v2
+    try:
+        z = np.concatenate((*x1, *x2, *v1, *v2), dtype=float)
+    except ValueError:
+        _check_shapes(families, plan.dims)
+        raise
+    if z.ndim != 1 or (tuple(map(len, x1)), tuple(map(len, x2)),
+                       tuple(map(len, v1)), tuple(map(len, v2))) != plan.dims:
+        _check_shapes(families, plan.dims)
     size = z.size
     g = float(gamma)
     n = state.n
@@ -613,20 +629,19 @@ def step(spec, state, gamma, errors_at_n=None):
     x1_, v1_, dual = plan.x1, plan.v1, plan.dual
 
     # forward step at z: s = z - gamma F(z), built in place in F's buffer
-    s = _forward(spec, plan, z)
+    s = _forward(plan, z)
     if errs is not None:
         s += errs[0]
     s *= signed_g
     s += z
 
-    # backward step: the per-block resolvents, the identity on x2 and the
-    # inverse-resolvent identity on the dual families,
+    # backward step: p starts as s, the identity on x2; then the per-block
+    # resolvents and the inverse-resolvent identity on the dual families,
     # p_dual = s_dual - gamma (nr + J(s_dual / gamma - nr))
-    p = np.empty(size)
+    p = s.copy()
     arg = s if plan.z is None else s[x1_] + g * plan.z
     for i, sl in enumerate(b11):
         p[sl] = spec.A[i].resolve(g, arg[sl])
-    p[plan.x2] = s[plan.x2]
     t = s / g
     if plan.nr is not None:
         t[v1_] -= plan.nr
@@ -645,15 +660,13 @@ def step(spec, state, gamma, errors_at_n=None):
     np.subtract(s[dual], pd, pd)
 
     # forward correction at p: q = p - gamma F(p), z+ = (z - s) + q
-    q = _forward(spec, plan, p)
+    q = _forward(plan, p)
     if errs is not None:
         q += errs[2]
     q *= signed_g
     q += p
     z_new = z - s
     z_new += q
-    _check_finite(z_new, z_new, plan.finite_order, n)
-    new_state = _on_buffer(z_new, blocks, n + 1)
 
     diffs = np.empty((2, size))
     np.subtract(z, p, diffs[0])
@@ -665,36 +678,40 @@ def step(spec, state, gamma, errors_at_n=None):
     move = 0.0
     for sq in moved:
         move += sq
+    # z+ - z, and so its square sum, is non-finite when z+ is
+    if not math.isfinite(move):
+        _check_finite(z_new, z_new, plan.finite_order, n)
+    new_state = _on_buffer(z_new, blocks, n + 1)
     return new_state, TraceRecord(n, g, math.sqrt(move),
                                   tuple(map(math.sqrt, sums)), sums, None)
 
 
-def _forward(spec, plan, y):
+def _forward(plan, y):
     """F at the flat point ``y``, as a fresh flat vector: x1 is ``C(y_x1) +
     sum_k L_ki* N_k* y_v1k``, x2 is ``N_k* y_v1k - M_k* y_v2k``, v1 is
     ``N_k(sum_i L_ki y_x1i) - N_k y_x2k`` and v2 is ``M_k y_x2k``.
 
-    Sums start at their first term and never write into one: an identity
-    map hands back its argument, a view of ``y``.
+    It calls the operators ``plan`` bound (see
+    :class:`~monosplit.system.StepPlan`) through ``map``.  Sums start at
+    their first term and never write into one: an identity map hands back
+    its argument, a view of ``y``.
     """
-    b11, b12, b21, b22 = plan.blocks
     out = np.empty(y.size)
-    x1 = [y[sl] for sl in b11]
-    nstar1 = [N.adjoint_apply(y[sl]) for N, sl in zip(spec.N, b21)]
-    c = np.asarray(spec.C.apply(y[plan.x1]))
-    for i, sl in enumerate(b11):
-        acc = spec.L[0][i].adjoint_apply(nstar1[0])
-        for k in range(1, len(nstar1)):
-            acc = acc + spec.L[k][i].adjoint_apply(nstar1[k])
-        np.add(c[sl], acc, out[sl])
-    for k, (sl12, sl21, sl22) in enumerate(zip(b12, b21, b22)):
-        N, M, L = spec.N[k], spec.M[k], spec.L[k]
-        np.subtract(nstar1[k], M.adjoint_apply(y[sl22]), out[sl12])
-        l_x = L[0].apply(x1[0])
-        for i in range(1, len(x1)):
-            l_x = l_x + L[i].apply(x1[i])
-        np.subtract(N.apply(l_x), N.apply(y[sl12]), out[sl21])
-        out[sl22] = M.apply(y[sl12])
+    cut = y.__getitem__
+    x1 = list(map(cut, plan.blocks[0]))
+    nstar1 = list(map(operator.call, plan.n_adjoints,
+                      map(cut, plan.blocks[2])))
+    c = np.asarray(plan.c_apply(y[plan.x1]))
+    for sl, adjoints in plan.primal:
+        np.add(c[sl], reduce(operator.add,
+                             map(operator.call, adjoints, nstar1)), out[sl])
+    for (n_apply, m_apply, m_adjoint, row, sl12, sl21, sl22), nstar in zip(
+            plan.couplings, nstar1):
+        x2 = y[sl12]
+        np.subtract(nstar, m_adjoint(y[sl22]), out[sl12])
+        l_x = reduce(operator.add, map(operator.call, row, x1))
+        np.subtract(n_apply(l_x), n_apply(x2), out[sl21])
+        out[sl22] = m_apply(x2)
     return out
 
 

@@ -56,3 +56,31 @@ def test_step_state_is_what_the_benchmark_compares():
     families = dataclasses.astuple(state)[:4]
     assert [type(f) for f in families] == [list] * 4
     assert all(len(f) > 0 for f in families)
+
+
+def test_step_plan_holds_only_immutable_values():
+    # a plan is built once per system, shared by every step that runs it on
+    # any thread, and holds the system's bound operators
+    import numpy as np
+
+    from monosplit.demos import lasso_demo
+
+    spec = lasso_demo().system
+    spec = dataclasses.replace(spec, z=[np.ones(d) for d in spec.layout.h_dims],
+                               r=[np.ones(d) for d in spec.layout.g_dims])
+    plan = spec.plan
+
+    def immutable(value):
+        if isinstance(value, tuple):
+            return all(map(immutable, value))
+        if isinstance(value, np.ndarray):
+            return not value.flags.writeable
+        return value is None or callable(value) or isinstance(
+            value, (slice, int, str))
+
+    assert dataclasses.fields(plan)
+    assert plan.z is not None and plan.nr is not None
+    for f in dataclasses.fields(plan):
+        assert immutable(getattr(plan, f.name)), f.name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.dims = ()

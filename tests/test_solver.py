@@ -728,6 +728,68 @@ def test_copy_is_independent_of_original():
                         reference_step(spec, twin, 0.05)[0])
 
 
+def blocks_of(state):
+    return [b for fam in (state.x1, state.x2, state.v1, state.v2) for b in fam]
+
+
+def state_bytes(state):
+    """The counter and the bytes of every block, family by family."""
+    return state.n, [np.asarray(b, dtype=float).tobytes()
+                     for b in blocks_of(state)]
+
+
+def test_plain_list_blocks_step_like_arrays():
+    spec = dense_two_by_two()
+    state = random_state(spec.layout)
+    listed = IterateState(*([b.tolist() for b in family] for family in (
+        state.x1, state.x2, state.v1, state.v2)))
+    flat, rec = step(spec, state, 0.05)
+    from_lists, list_rec = step(spec, listed, 0.05)
+    assert state_bytes(from_lists) == state_bytes(flat)
+    assert list_rec == rec
+    listed.x2[0] = [[v] for v in listed.x2[0]]
+    with pytest.raises(SpecificationError, match="family x2 "):
+        step(spec, listed, 0.05)
+
+
+def test_block_of_strings_raises_what_laying_it_out_raises():
+    spec = dense_two_by_two()
+    state = random_state(spec.layout)
+    state.x1[1] = np.array(["a"] * 4)   # the right shape, not numbers
+    with pytest.raises(TypeError, match="Cannot cast array data"):
+        step(spec, state, 0.05)
+
+
+def test_overflowing_displacement_is_no_numeric_error():
+    """z+ is finite but |z+ - z|^2 overflows: the step reports an infinite
+    displacement, and a non-finite z+ is still named by its block.  Which
+    overflow warnings numpy emits on the way is not part of the contract."""
+    spec = dense_two_by_two()
+    state = IterateState.zeros(spec.layout)
+    state.x1[1] = np.full(4, 1e160)     # the box resolvent pulls it to 0.5
+    with np.errstate(over="ignore", invalid="ignore"):
+        new, rec = step(spec, state, 1e-10)
+        assert rec.displacement == math.inf
+        assert all(np.isfinite(b).all() for b in blocks_of(new))
+        record = np.full((3, spec.plan.blocks[-1][-1].stop), -0.0)
+        record[2, spec.plan.blocks[3][0]] = np.inf
+        with pytest.raises(NumericError, match="value in v2, block 0"):
+            step(spec, state, 1e-10, record)
+
+
+def test_step_is_pure():
+    """Two calls with the same arguments give the same bytes and records,
+    and neither writes into the state or the error record it was given."""
+    spec, state, errors = exactness_case("dense_noisy")
+    errs = errors.realize(0, spec.layout)
+    given = state_bytes(state), errs.tobytes()
+    first, first_rec = step(spec, state, 0.05, errs)
+    second, second_rec = step(spec, state, 0.05, errs)
+    assert state_bytes(first) == state_bytes(second)
+    assert first_rec == second_rec
+    assert (state_bytes(state), errs.tobytes()) == given
+
+
 # ---------------------------------------------------------------------------
 # the batched geometric draws against the keyed default_rng formula
 
