@@ -36,10 +36,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, SpecificationError
-from .linops import LinOp, certified, dense_op, identity_op
+from .linops import LinOp, _read_only, certified, dense_op, identity_op
 from .minimization import MinimizationSpec, quadratic_smooth
 from .prox import make_function
-from .system import SpaceLayout, _read_only
+from .system import SpaceLayout
 
 GRAD_NORM_BOUND = np.sqrt(8.0)
 

@@ -78,6 +78,11 @@ def integer_dims(given, what):
     return dims
 
 
+def _read_only(array):
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class LinOp:
     """A bounded linear operator between Euclidean spaces.

@@ -51,6 +51,7 @@ from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import NumericError, SpecificationError, StepBoundError
+from .linops import _read_only
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 100_000
@@ -300,10 +301,8 @@ def _lanes(layout):
         count = len(list(run))
         runs.append((first, count, dim))
         first += count
-    for array in (words, gather):
-        array.flags.writeable = False
-    return _Lanes(tuple(keys), words, size, tuple(starts), tuple(runs),
-                  gather)
+    return _Lanes(tuple(keys), _read_only(words), size, tuple(starts),
+                  tuple(runs), _read_only(gather))
 
 
 def zero_schedule():
@@ -411,7 +410,7 @@ def _hash_constants(init, mult, calls):
     consts = np.empty((calls + 1, 1), np.uint32)
     consts[0] = init
     consts[1:, 0] = powers * np.uint32(init)
-    consts.flags.writeable = False
+    _read_only(consts)
     return consts[:-1], consts[1:]
 
 
@@ -489,9 +488,7 @@ def _pcg_seeds(head, n_words, lanes):
     out = np.empty((chunk * lanes_count, 8), "<u4")
     out.T[...] = state
     seeds = out.view("<u8").astype(np.uint64, copy=False)
-    seeds = seeds.reshape(chunk, lanes_count, 4)
-    seeds.flags.writeable = False
-    return seeds
+    return _read_only(seeds.reshape(chunk, lanes_count, 4))
 
 
 class _GivenState(ISeedSequence):
@@ -505,6 +502,83 @@ class _GivenState(ISeedSequence):
 
     def generate_state(self, n_words, dtype=np.uint32):
         return self.words
+
+
+@dataclass(frozen=True)
+class StepPlan:
+    """What :func:`step` needs of a system, its operators bound once.
+
+    The step lays the iterate out as one vector ``[x1 | x2 | v1 | v2]``
+    whose block slices are the layout's ``blocks``, and ``dims`` holds,
+    family by family, the length each block of a state must have; ``x1`` and
+    ``v1`` slice out whole families and ``dual`` covers ``v1 | v2``.
+    ``sign`` is -1 over x1 and +1 elsewhere, so ``y + (gamma * sign) * F``
+    is ``y - gamma * F`` on the primal family and ``y + gamma * F`` on the
+    others, the signs of the update lines.  ``z`` and ``nr`` lay the offsets
+    ``z_i`` and ``N_k r_k`` flat over x1 and v1; each is None when all its
+    elements are zero, and the step then leaves it out, as adding a zero
+    changes at most the sign of a zero.  ``runs`` groups consecutive blocks
+    of equal size as ``(slice, count, size)``.  The rest binds the operators
+    once per system.  F's: ``c_apply`` is ``C.apply``, ``n_adjoints`` the
+    ``N_k.adjoint_apply``, ``primal`` per x1 block its slice and
+    ``L_ki.adjoint_apply`` over k, and ``couplings`` per k ``N_k.apply``,
+    ``M_k.apply``, ``M_k.adjoint_apply``, ``L_ki.apply`` over i and the
+    slices of x2, v1 and v2.  J's: ``primal_resolvents`` per x1 block its
+    slice and ``A_i.resolve``, and ``dual_resolvents`` per k
+    ``D_k.resolve``, v1's slice, ``B_k.resolve`` and v2's slice.  So
+    :func:`step` reads a system only through its plan, and a copy of the
+    spec (``dataclasses.replace``) builds its own.  Every field is a tuple,
+    slice, callable, None or read-only array, so a plan is safe to share
+    across threads.
+    """
+
+    blocks: tuple
+    dims: tuple
+    x1: slice
+    v1: slice
+    dual: slice
+    sign: np.ndarray
+    z: Optional[np.ndarray]
+    nr: Optional[np.ndarray]
+    runs: tuple
+    c_apply: Callable
+    n_adjoints: tuple
+    primal: tuple
+    couplings: tuple
+    primal_resolvents: tuple
+    dual_resolvents: tuple
+
+    @staticmethod
+    def of(spec):
+        layout = spec.layout
+        blocks = layout.blocks
+        x1, _, v1, v2 = (slice(fam[0].start, fam[-1].stop) for fam in blocks)
+        sign = np.ones(v2.stop)
+        sign[x1] = -1.0
+        z = np.concatenate([np.asarray(zi, dtype=float) for zi in spec.z])
+        nr = np.concatenate([np.asarray(N.apply(r), dtype=float)
+                             for N, r in zip(spec.N, spec.r)])
+        z, nr = (_read_only(a) if a.any() else None for a in (z, nr))
+        runs = []
+        for size, run in groupby((sl for family in blocks for sl in family),
+                                 key=lambda sl: sl.stop - sl.start):
+            run = list(run)
+            runs.append((slice(run[0].start, run[-1].stop), len(run), size))
+        primal = tuple((sl, tuple(row[i].adjoint_apply for row in spec.L))
+                       for i, sl in enumerate(blocks[0]))
+        couplings = tuple(
+            (N.apply, M.apply, M.adjoint_apply, tuple(L.apply for L in row),
+             *slices)
+            for N, M, row, *slices in zip(spec.N, spec.M, spec.L, *blocks[1:]))
+        return StepPlan(
+            blocks,
+            (layout.h_dims, layout.g_dims, layout.x_dims, layout.y_dims),
+            x1, v1, slice(v1.start, v2.stop), _read_only(sign), z, nr,
+            tuple(runs), spec.C.apply, tuple(N.adjoint_apply for N in spec.N),
+            primal, couplings,
+            tuple((sl, A.resolve) for sl, A in zip(blocks[0], spec.A)),
+            tuple((D.resolve, sl21, B.resolve, sl22) for D, B, sl21, sl22
+                  in zip(spec.D, spec.B, blocks[2], blocks[3])))
 
 
 def _on_buffer(z, blocks, n):
@@ -525,22 +599,25 @@ def _check_shapes(families, dims):
                 f"state family {name} does not match the system layout")
 
 
-def _check_finite(whole, y, checks, n):
+def _check_finite(whole, y, blocks, n, line=None):
     """Raise :class:`NumericError` naming the first non-finite block.
 
-    ``whole`` is the part of ``y`` the blocks ``checks`` cover, which hold
-    ``(name, index, slice)`` in checking order.  A single non-finite entry
-    poisons a dot product, so one dot over ``whole`` clears the common case;
-    only then are the blocks looked at one by one (a huge but finite family
-    can overflow the first dot).  ``a.dot(a)`` is the BLAS dot that
-    ``a @ a`` takes, without matmul's dispatch.  :func:`step` checks the
-    new state only when the displacement's square sum is not finite.
+    ``whole`` is the x1 family of ``y``, its blocks named ``line``, or with
+    no ``line`` all of the new state ``y``, named v1, v2 and x2 for each k,
+    then x1.  One non-finite entry poisons a dot product, so one dot over
+    ``whole`` (``a.dot(a)``, the BLAS dot of ``a @ a``) clears the common
+    case.  Only when it fails are the ``blocks`` walked, each tested by
+    ``np.isfinite``, so a finite block whose squares overflow is not named.
     """
     if math.isfinite(whole.dot(whole)):
         return
-    for name, index, sl in checks:
-        block = y[sl]
-        if not math.isfinite(block.dot(block)):
+    b11, b12, b21, b22 = blocks
+    order = [] if line else [
+        (name, k, sl) for k, per_k in enumerate(zip(b21, b22, b12))
+        for name, sl in zip(("v1", "v2", "x2"), per_k)]
+    order += [(line or "x1", i, sl) for i, sl in enumerate(b11)]
+    for name, index, sl in order:
+        if not np.isfinite(y[sl]).all():
             raise NumericError(
                 f"non-finite value in {name}, block {index}", iteration=n
             )
@@ -592,9 +669,12 @@ def step(spec, state, gamma, errors_at_n=None):
     blocks were added.  The record is only read.
 
     Raises :class:`NumericError` naming the offending line and block if the
-    intermediate points ``p11`` or any block of the new state are
-    non-finite (the new state is looked at only when the displacement's
-    square sum is not, as a non-finite ``z+`` makes it),
+    intermediate points ``p11`` or any block of the new state hold a
+    non-finite value.  Each is tested by one dot first (the new state only
+    when the displacement's square sum is not finite, as a non-finite
+    ``z+`` makes it), and its blocks are walked only when that fails, so a
+    finite block is never named: a finite state whose squares overflow
+    steps on, with an infinite displacement.  It raises
     :class:`SpecificationError` naming the family for a state that does not
     match the layout and for an error record that is not an array of shape
     ``(3, size)``, and ``ValueError`` for a non-positive step.  The
@@ -605,7 +685,6 @@ def step(spec, state, gamma, errors_at_n=None):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     plan = spec.plan
     blocks = plan.blocks
-    b11, _, b21, b22 = blocks
     families = x1, x2, v1, v2 = state.x1, state.x2, state.v1, state.v2
     try:
         z = np.concatenate((*x1, *x2, *v1, *v2), dtype=float)
@@ -640,21 +719,21 @@ def step(spec, state, gamma, errors_at_n=None):
     # p_dual = s_dual - gamma (nr + J(s_dual / gamma - nr))
     p = s.copy()
     arg = s if plan.z is None else s[x1_] + g * plan.z
-    for i, sl in enumerate(b11):
-        p[sl] = spec.A[i].resolve(g, arg[sl])
+    for sl, resolve in plan.primal_resolvents:
+        p[sl] = resolve(g, arg[sl])
     t = s / g
     if plan.nr is not None:
         t[v1_] -= plan.nr
     inv_g = 1.0 / g
-    for k, (sl21, sl22) in enumerate(zip(b21, b22)):
-        p[sl21] = spec.D[k].resolve(inv_g, t[sl21])
-        p[sl22] = spec.B[k].resolve(inv_g, t[sl22])
+    for resolve_d, sl21, resolve_b, sl22 in plan.dual_resolvents:
+        p[sl21] = resolve_d(inv_g, t[sl21])
+        p[sl22] = resolve_b(inv_g, t[sl22])
     if plan.nr is not None:
         pv = p[v1_]
         np.add(plan.nr, pv, pv)
     if errs is not None:
         p += errs[1]
-    _check_finite(p[x1_], p, plan.p11_order, n)
+    _check_finite(p[x1_], p, blocks, n, "p11")
     pd = p[dual]
     pd *= g
     np.subtract(s[dual], pd, pd)
@@ -672,7 +751,7 @@ def step(spec, state, gamma, errors_at_n=None):
     np.subtract(z, p, diffs[0])
     np.subtract(z_new, z, diffs[1])
     gap, moved = _block_sqnorms(diffs, plan.runs)
-    m, nk = len(b11), len(b21)
+    m, nk = len(blocks[0]), len(blocks[2])
     sums = (sum(gap[:m]), sum(gap[m:m + nk]), sum(gap[m + nk:m + 2 * nk]),
             sum(gap[m + 2 * nk:]))
     move = 0.0
@@ -680,7 +759,7 @@ def step(spec, state, gamma, errors_at_n=None):
         move += sq
     # z+ - z, and so its square sum, is non-finite when z+ is
     if not math.isfinite(move):
-        _check_finite(z_new, z_new, plan.finite_order, n)
+        _check_finite(z_new, z_new, blocks, n)
     new_state = _on_buffer(z_new, blocks, n + 1)
     return new_state, TraceRecord(n, g, math.sqrt(move),
                                   tuple(map(math.sqrt, sums)), sums, None)
@@ -692,7 +771,7 @@ def _forward(plan, y):
     ``N_k(sum_i L_ki y_x1i) - N_k y_x2k`` and v2 is ``M_k y_x2k``.
 
     It calls the operators ``plan`` bound (see
-    :class:`~monosplit.system.StepPlan`) through ``map``.  Sums start at
+    :class:`~monosplit.solver.StepPlan`) through ``map``.  Sums start at
     their first term and never write into one: an identity map hands back
     its argument, a view of ``y``.
     """

@@ -22,8 +22,6 @@ membership test.
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -167,92 +165,8 @@ class SystemSpec:
 
     @cached_property
     def plan(self):
-        """The per-system constants of :func:`~monosplit.solver.step`."""
-        return StepPlan.of(self)
-
-
-def _read_only(array):
-    array.flags.writeable = False
-    return array
-
-
-@dataclass(frozen=True)
-class StepPlan:
-    """What the flat step needs of a system, its operators bound once.
-
-    The step lays the iterate out as one vector ``[x1 | x2 | v1 | v2]``
-    whose block slices are ``blocks`` (:attr:`SpaceLayout.blocks`), and
-    ``dims`` holds, family by family, the length each block of a state must
-    have; ``x1`` and ``v1`` slice out whole families and ``dual`` covers
-    ``v1 | v2``.  ``sign`` is -1 over x1 and +1 elsewhere, so
-    ``y + (gamma * sign) * F`` is ``y - gamma * F`` on the primal family and
-    ``y + gamma * F`` on the others, the signs of the update lines.  ``z``
-    and ``nr`` lay the offsets ``z_i`` and ``N_k r_k`` flat over x1 and v1;
-    each is None when all its elements are zero, and the step then leaves
-    it out, as adding a zero changes at most the sign of a zero.
-    ``finite_order`` and ``p11_order`` list the blocks of the new state and
-    of ``p11`` as ``(name, index, slice)`` in the order their finiteness is
-    checked, and ``runs`` groups consecutive blocks of equal size as
-    ``(slice, count, size)``.  The rest binds F's operators once per
-    system: ``c_apply`` is ``C.apply``, ``n_adjoints`` the
-    ``N_k.adjoint_apply``, ``primal`` per x1 block its slice and
-    ``L_ki.adjoint_apply`` over k, and ``couplings`` per k ``N_k.apply``,
-    ``M_k.apply``, ``M_k.adjoint_apply``, ``L_ki.apply`` over i and the
-    slices of x2, v1 and v2; a copy of the spec (``dataclasses.replace``)
-    builds its own plan.  Every field is a tuple, slice, callable, None or
-    read-only array, so a plan is safe to share across threads.
-    """
-
-    blocks: tuple
-    dims: tuple
-    x1: slice
-    v1: slice
-    dual: slice
-    sign: np.ndarray
-    z: Optional[np.ndarray]
-    nr: Optional[np.ndarray]
-    finite_order: tuple
-    p11_order: tuple
-    runs: tuple
-    c_apply: Callable
-    n_adjoints: tuple
-    primal: tuple
-    couplings: tuple
-
-    @staticmethod
-    def of(spec):
-        layout = spec.layout
-        blocks = layout.blocks
-        x1, _, v1, v2 = (slice(fam[0].start, fam[-1].stop) for fam in blocks)
-        sign = np.ones(v2.stop)
-        sign[x1] = -1.0
-        z = np.concatenate([np.asarray(zi, dtype=float) for zi in spec.z])
-        nr = np.concatenate([np.asarray(N.apply(r), dtype=float)
-                             for N, r in zip(spec.N, spec.r)])
-        z, nr = (_read_only(a) if a.any() else None for a in (z, nr))
-        order = []
-        for k in range(layout.s):
-            order += [("v1", k, blocks[2][k]), ("v2", k, blocks[3][k]),
-                      ("x2", k, blocks[1][k])]
-        order += [("x1", i, sl) for i, sl in enumerate(blocks[0])]
-        p11_order = tuple(("p11", i, sl) for i, sl in enumerate(blocks[0]))
-        runs = []
-        for size, run in groupby((sl for family in blocks for sl in family),
-                                 key=lambda sl: sl.stop - sl.start):
-            run = list(run)
-            runs.append((slice(run[0].start, run[-1].stop), len(run), size))
-        primal = tuple((sl, tuple(row[i].adjoint_apply for row in spec.L))
-                       for i, sl in enumerate(blocks[0]))
-        couplings = tuple(
-            (N.apply, M.apply, M.adjoint_apply, tuple(L.apply for L in row),
-             *slices)
-            for N, M, row, *slices in zip(spec.N, spec.M, spec.L, *blocks[1:]))
-        return StepPlan(blocks, (layout.h_dims, layout.g_dims, layout.x_dims,
-                                 layout.y_dims),
-                        x1, v1, slice(v1.start, v2.stop), _read_only(sign),
-                        z, nr, tuple(order), p11_order, tuple(runs),
-                        spec.C.apply, tuple(N.adjoint_apply for N in spec.N),
-                        primal, couplings)
+        """This system's :class:`~monosplit.solver.StepPlan`, built once."""
+        return _solver.StepPlan.of(self)
 
 
 @dataclass(frozen=True)

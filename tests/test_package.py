@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib
 from functools import reduce
@@ -8,6 +9,7 @@ import pytest
 import monosplit
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PACKAGE = Path(monosplit.__file__).resolve().parent
 
 
 def test_every_exported_name_resolves():
@@ -84,3 +86,40 @@ def test_step_plan_holds_only_immutable_values():
         assert immutable(getattr(plan, f.name)), f.name
     with pytest.raises(dataclasses.FrozenInstanceError):
         plan.dims = ()
+
+
+def _package_imports(path):
+    """``(module, names)`` for each package module that ``path`` imports,
+    named relative to the package, with the names it takes from it
+    (``from . import solver`` takes none from ``solver``)."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "monosplit":
+                    continue
+                module = module.partition(".")[2]
+            if module:
+                out.append((module, [alias.name for alias in node.names]))
+            else:
+                out += [(alias.name, []) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            out += [(alias.name.partition(".")[2], []) for alias in node.names
+                    if alias.name.split(".")[0] == "monosplit"]
+    return out
+
+
+def test_the_step_and_its_plan_sit_below_the_system_model():
+    # the solver prepares and runs the step on its own: the system model
+    # builds on it, not the other way round
+    solver_imports = _package_imports(PACKAGE / "solver.py")
+    assert {module for module, _ in solver_imports} <= {"errors", "linops"}
+    system_tree = ast.parse((PACKAGE / "system.py").read_text())
+    defined = {node.name for node in system_tree.body
+               if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    assert "StepPlan" not in defined
+    for path in sorted(PACKAGE.glob("*.py")):
+        for module, names in _package_imports(path):
+            private = [name for name in names if name.startswith("_")]
+            assert module != "system" or not private, (path.name, private)
