@@ -146,33 +146,23 @@ def build_system(min_spec):
 
     Primal operators are subdifferentials of the f_i, the coupling is the
     gradient of phi, and the k-block operators are subdifferentials of g_k
-    and ell_k; the resolvents are then proximity operators.
+    and ell_k; the resolvents are then proximity operators.  The
+    :class:`SystemSpec` checks the layout as it is built, so an ``f``,
+    ``g`` or ``ell`` entry that misses its space is reported as the ``A``,
+    ``B`` or ``D`` entry it becomes.
     """
     ms = min_spec
-    layout = ms.layout
-    for i, fi in enumerate(ms.f):
-        if fi.dim != layout.h_dims[i]:
-            raise SpecificationError(f"f[{i}]: dim {fi.dim} != {layout.h_dims[i]}")
-    for k in range(layout.s):
-        if ms.g[k].dim != layout.y_dims[k]:
-            raise SpecificationError(
-                f"g[{k}]: dim {ms.g[k].dim} != Y dim {layout.y_dims[k]}"
-            )
-        if ms.ell[k].dim != layout.x_dims[k]:
-            raise SpecificationError(
-                f"ell[{k}]: dim {ms.ell[k].dim} != X dim {layout.x_dims[k]}"
-            )
     return SystemSpec(
-        layout=layout,
+        layout=ms.layout,
         z=ms.z,
         r=ms.r,
         A=[fi.operator for fi in ms.f],
-        C=smooth_coupling(ms.phi, layout.h_dims),
+        C=smooth_coupling(ms.phi, ms.layout.h_dims),
         B=[gk.operator for gk in ms.g],
         D=[lk.operator for lk in ms.ell],
-        M=list(ms.M),
-        N=list(ms.N),
-        L=[list(row) for row in ms.L],
+        M=ms.M,
+        N=ms.N,
+        L=ms.L,
     )
 
 

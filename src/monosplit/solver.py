@@ -555,7 +555,7 @@ class StepPlan:
         x1, _, v1, v2 = (slice(fam[0].start, fam[-1].stop) for fam in blocks)
         sign = np.ones(v2.stop)
         sign[x1] = -1.0
-        z = np.concatenate([np.asarray(zi, dtype=float) for zi in spec.z])
+        z = np.concatenate(spec.z)
         nr = np.concatenate([np.asarray(N.apply(r), dtype=float)
                              for N, r in zip(spec.N, spec.r)])
         z, nr = (_read_only(a) if a.any() else None for a in (z, nr))

@@ -22,12 +22,14 @@ membership test.
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
 from . import solver as _solver
 from .errors import HypothesisError, SpecificationError, StepBoundError
-from .linops import adjoint_check, compose, integer_dims, operator_norm
+from .linops import (_read_only, adjoint_check, compose, integer_dims,
+                     operator_norm)
 from .prox import coupling_defects
 
 VALIDATE_ADJOINT_TOL = 1e-8
@@ -86,26 +88,38 @@ class SystemSpec:
     ``A[i]``, ``B[k]``, ``D[k]`` are :class:`~monosplit.prox.ResolventOp`;
     ``C`` a :class:`~monosplit.prox.LipschitzCoupling` over the primal
     product space; ``M[k]: G_k -> Y_k``, ``N[k]: G_k -> X_k`` and
-    ``L[k][i]: H_i -> G_k`` are :class:`~monosplit.linops.LinOp`.  Instances
+    ``L[k][i]: H_i -> G_k`` are :class:`~monosplit.linops.LinOp`.  The
+    families are frozen into tuples (``L`` a tuple of rows) and ``z``, ``r``
+    into read-only float copies, so the caller's arrays stay its own and the
+    cached :attr:`plan`, :attr:`beta_report` and :attr:`beta` cannot go
+    stale.  Construction checks that every family matches the layout and
+    raises one :class:`SpecificationError` listing each misfit.  Instances
     are immutable and safe to share across threads.
     """
 
     layout: SpaceLayout
-    z: list
-    r: list
-    A: list
+    z: tuple
+    r: tuple
+    A: tuple
     C: object
-    B: list
-    D: list
-    M: list
-    N: list
-    L: list
+    B: tuple
+    D: tuple
+    M: tuple
+    N: tuple
+    L: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "z",
-                           [np.asarray(v, dtype=float) for v in self.z])
-        object.__setattr__(self, "r",
-                           [np.asarray(v, dtype=float) for v in self.r])
+        for name in ("z", "r"):
+            object.__setattr__(self, name, tuple(
+                _read_only(np.array(v, dtype=float))
+                for v in getattr(self, name)))
+        for name in ("A", "B", "D", "M", "N"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "L", tuple(map(tuple, self.L)))
+        misfits = _layout_misfits(self)
+        if misfits:
+            raise SpecificationError(
+                "system does not match its layout: " + "; ".join(misfits))
 
     @cached_property
     def beta_report(self):
@@ -169,6 +183,46 @@ class SystemSpec:
         return _solver.StepPlan.of(self)
 
 
+def _layout_misfits(spec):
+    """Every way ``spec`` misses its layout, one line each, named by family
+    and index.
+
+    Each row of the table gives a family, what is read from each entry and
+    the values the layout expects; a family of the wrong length is named
+    once and its entries are not read.  ``L``'s row checks its count of
+    rows, and each of its rows is a family of its own.
+    """
+    lay = spec.layout
+    dims = attrgetter("in_dim", "out_dim")
+    dim = attrgetter("dim")
+    rows = [
+        ("z", spec.z, np.shape, [(d,) for d in lay.h_dims]),
+        ("r", spec.r, np.shape, [(d,) for d in lay.g_dims]),
+        ("A", spec.A, dim, lay.h_dims),
+        ("B", spec.B, dim, lay.y_dims),
+        ("D", spec.D, dim, lay.x_dims),
+        ("M", spec.M, dims, list(zip(lay.g_dims, lay.y_dims))),
+        ("N", spec.N, dims, list(zip(lay.g_dims, lay.x_dims))),
+        ("L", spec.L, None, lay.g_dims),
+    ]
+    rows += [(f"L[{k}]", row, dims, [(h, g) for h in lay.h_dims])
+             for k, (row, g) in enumerate(zip(spec.L, lay.g_dims))]
+    out = []
+    for name, family, read, expected in rows:
+        if len(family) != len(expected):
+            out.append(f"{name}: expected {len(expected)} entries, "
+                       f"got {len(family)}")
+        elif read:
+            out += [f"{name}[{j}]: expected {want}, got {got}"
+                    for j, (got, want) in enumerate(zip(map(read, family),
+                                                        expected))
+                    if got != want]
+    if spec.C.block_dims != lay.h_dims:
+        out.append(f"C: expected block dims {lay.h_dims}, "
+                   f"got {spec.C.block_dims}")
+    return out
+
+
 @dataclass(frozen=True)
 class SolutionPair:
     """A primal tuple and the dual multipliers of the coupled system."""
@@ -193,78 +247,21 @@ def compute_beta(spec):
 
 
 def validate(spec):
-    """Collect violations of the structural and stochastic contracts.
+    """Probe the behaviour that construction cannot check.
 
-    Returns a list of human-readable strings, empty iff all dimension
-    checks pass, every linear operator returns vectors of its declared
-    lengths and passes the adjoint check, beta is strictly positive, and
-    the coupling returns vectors of its total length and respects its
-    Lipschitz constant and monotonicity on random probes.  A mis-shaped
-    map is listed by name, and beta is then not computed.
+    Returns a list of human-readable strings, empty iff every linear
+    operator returns vectors of its declared lengths and passes the
+    adjoint check, the coupling returns vectors of its total length and
+    respects its Lipschitz constant and monotonicity on random probes, and
+    beta is strictly positive.  A mis-shaped map is listed by name, and
+    beta is then not computed.  The layout itself is checked when the
+    :class:`SystemSpec` is built.
     """
     out = []
-    layout = spec.layout
-    m, s = layout.m, layout.s
-
-    def check_len(name, seq, expect):
-        if len(seq) != expect:
-            out.append(f"{name}: expected {expect} entries, got {len(seq)}")
-            return False
-        return True
-
-    ok = True
-    ok &= check_len("z", spec.z, m)
-    ok &= check_len("A", spec.A, m)
-    ok &= check_len("r", spec.r, s)
-    for name in ("B", "D", "M", "N", "L"):
-        ok &= check_len(name, getattr(spec, name), s)
-    if not ok:
-        return out
-
-    for i in range(m):
-        d = layout.h_dims[i]
-        if spec.z[i].shape != (d,):
-            out.append(f"z[{i}]: expected length {d}, got {spec.z[i].shape}")
-        if spec.A[i].dim != d:
-            out.append(f"A[{i}]: dim {spec.A[i].dim} != H_{i} dim {d}")
-    if spec.C.block_dims != layout.h_dims:
-        out.append(
-            f"C: block dims {spec.C.block_dims} != layout {layout.h_dims}"
-        )
-    for k in range(s):
-        gd, yd, xd = layout.g_dims[k], layout.y_dims[k], layout.x_dims[k]
-        if spec.r[k].shape != (gd,):
-            out.append(f"r[{k}]: expected length {gd}, got {spec.r[k].shape}")
-        if spec.B[k].dim != yd:
-            out.append(f"B[{k}]: dim {spec.B[k].dim} != Y_{k} dim {yd}")
-        if spec.D[k].dim != xd:
-            out.append(f"D[{k}]: dim {spec.D[k].dim} != X_{k} dim {xd}")
-        if (spec.M[k].in_dim, spec.M[k].out_dim) != (gd, yd):
-            out.append(
-                f"M[{k}]: dims {spec.M[k].in_dim}->{spec.M[k].out_dim}, "
-                f"expected {gd}->{yd}"
-            )
-        if (spec.N[k].in_dim, spec.N[k].out_dim) != (gd, xd):
-            out.append(
-                f"N[{k}]: dims {spec.N[k].in_dim}->{spec.N[k].out_dim}, "
-                f"expected {gd}->{xd}"
-            )
-        if not check_len(f"L[{k}]", spec.L[k], m):
-            continue
-        for i in range(m):
-            hd = layout.h_dims[i]
-            if (spec.L[k][i].in_dim, spec.L[k][i].out_dim) != (hd, gd):
-                out.append(
-                    f"L[{k}][{i}]: dims {spec.L[k][i].in_dim}->"
-                    f"{spec.L[k][i].out_dim}, expected {hd}->{gd}"
-                )
-    if out:
-        return out
-
     shaped = True  # every map returns vectors of its declared lengths
-    for k in range(s):
-        maps = [(f"M[{k}]", spec.M[k], 3 + k), (f"N[{k}]", spec.N[k], 3 + k)]
-        maps += [(f"L[{k}][{i}]", spec.L[k][i], 5 + k + i) for i in range(m)]
+    for k, (M, N, row) in enumerate(zip(spec.M, spec.N, spec.L)):
+        maps = [(f"M[{k}]", M, 3 + k), (f"N[{k}]", N, 3 + k)]
+        maps += [(f"L[{k}][{i}]", L, 5 + k + i) for i, L in enumerate(row)]
         for name, op, seed in maps:
             try:
                 defect = adjoint_check(op, trials=20, seed=seed)
@@ -288,12 +285,11 @@ def validate(spec):
         if mono > VALIDATE_COUPLING_TOL:
             out.append(f"C: monotonicity defect {mono:.2e}")
 
-    if not shaped:
-        return out  # beta's norms of a mis-shaped map bound nothing
-    try:
-        compute_beta(spec)
-    except HypothesisError as exc:
-        out.append(str(exc))
+    if shaped:  # beta's norms of a mis-shaped map bound nothing
+        try:
+            compute_beta(spec)
+        except HypothesisError as exc:
+            out.append(str(exc))
     return out
 
 

@@ -146,13 +146,73 @@ def test_validate_lasso_demo_clean():
 def test_validate_flags_transposed_coupling_block():
     demo = lasso_demo()
     spec = demo.system
-    bad = SystemSpec(
-        layout=spec.layout, z=spec.z, r=spec.r, A=spec.A, C=spec.C,
-        B=spec.B, D=spec.D, M=spec.M, N=spec.N,
-        L=[[dense_op(np.zeros((3, spec.layout.g_dims[0])))]],
+    with pytest.raises(SpecificationError, match=r"L\[0\]\[0\]"):
+        SystemSpec(
+            layout=spec.layout, z=spec.z, r=spec.r, A=spec.A, C=spec.C,
+            B=spec.B, D=spec.D, M=spec.M, N=spec.N,
+            L=[[dense_op(np.zeros((3, spec.layout.g_dims[0])))]],
+        )
+
+
+def two_by_one(**changes):
+    """The families of an m = 2, s = 1 system on H = (2, 3), G = 4, Y = 5,
+    X = 6, with ``changes`` in place of the named ones."""
+    families = dict(
+        layout=SpaceLayout((2, 3), (4,), (5,), (6,)),
+        z=[np.zeros(2), np.zeros(3)], r=[np.zeros(4)],
+        A=[zero_fn(2).operator, zero_fn(3).operator],
+        C=zero_coupling((2, 3)),
+        B=[zero_fn(5).operator], D=[zero_fn(6).operator],
+        M=[zero_op(4, 5)], N=[zero_op(4, 6)],
+        L=[[zero_op(2, 4), zero_op(3, 4)]],
     )
-    violations = validate(bad)
-    assert any("L[0][0]" in v for v in violations)
+    families.update(changes)
+    return families
+
+
+@pytest.mark.parametrize("changes, message", [
+    (dict(A=[zero_fn(2).operator]), "A: expected 2 entries, got 1"),
+    (dict(z=[np.zeros(2)]), "z: expected 2 entries, got 1"),
+    (dict(L=[[zero_op(2, 4)]]), "L[0]: expected 2 entries, got 1"),
+    (dict(B=[zero_fn(5).operator] * 2), "B: expected 1 entries, got 2"),
+    (dict(D=[zero_fn(5).operator]), "D[0]: expected 6, got 5"),
+    (dict(r=[np.zeros(3)]), "r[0]: expected (4,), got (3,)"),
+    (dict(M=[zero_op(5, 4)]), "M[0]: expected (4, 5), got (5, 4)"),
+    (dict(L=[[zero_op(2, 4), zero_op(4, 3)]]),
+     "L[0][1]: expected (3, 4), got (4, 3)"),
+    (dict(C=zero_coupling((5,))), "C: expected block dims (2, 3), got (5,)"),
+], ids=["A-short", "z-short", "L-row-short", "B-long", "D-dim", "r-length",
+        "M-dims", "L01-dims", "C-block-dims"])
+def test_a_system_that_misses_its_layout_is_not_built(changes, message):
+    SystemSpec(**two_by_one())
+    with pytest.raises(SpecificationError) as err:
+        SystemSpec(**two_by_one(**changes))
+    assert message in str(err.value)
+
+
+def test_one_error_lists_every_misfit():
+    with pytest.raises(SpecificationError) as err:
+        SystemSpec(**two_by_one(A=[zero_fn(2).operator],
+                                D=[zero_fn(5).operator]))
+    assert "A: expected 2 entries, got 1" in str(err.value)
+    assert "D[0]: expected 6, got 5" in str(err.value)
+
+
+def test_a_built_system_cannot_go_stale():
+    demo = lasso_demo().system
+    z = [np.ones(d) for d in demo.layout.h_dims]
+    r = [np.ones(d) for d in demo.layout.g_dims]
+    spec = dataclasses.replace(demo, z=z, r=r)
+    spec.plan, spec.beta  # fill the caches that a change would leave stale
+    with pytest.raises(TypeError):
+        spec.A[0] = zero_fn(spec.layout.h_dims[0]).operator
+    with pytest.raises(TypeError):
+        spec.N[0] = dense_op(2.0 * np.eye(spec.layout.g_dims[0]))
+    with pytest.raises(ValueError):
+        spec.z[0][0] = 1.0
+    for mine, held in zip(z + r, spec.z + spec.r):
+        assert mine.flags.writeable
+        assert not np.shares_memory(mine, held)
 
 
 def test_validate_flags_false_lipschitz_constant():
