@@ -109,8 +109,7 @@ class IterateState:
         )
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """Per-iteration diagnostics.
 
     ``displacement`` is the full-state one-step movement.  The block
@@ -509,9 +508,10 @@ class StepPlan:
     """What :func:`step` needs of a system, its operators bound once.
 
     The step lays the iterate out as one vector ``[x1 | x2 | v1 | v2]``
-    whose block slices are the layout's ``blocks``, and ``dims`` holds,
-    family by family, the length each block of a state must have; ``x1`` and
-    ``v1`` slice out whole families and ``dual`` covers ``v1 | v2``.
+    whose block slices are the layout's ``blocks``, and ``lengths`` holds
+    the block count of each family, then the length of each block in flat
+    order, which a state must match; ``x1`` and ``v1`` slice out whole
+    families and ``dual`` covers ``v1 | v2``.
     ``sign`` is -1 over x1 and +1 elsewhere, so ``y + (gamma * sign) * F``
     is ``y - gamma * F`` on the primal family and ``y + gamma * F`` on the
     others, the signs of the update lines.  ``z`` and ``nr`` lay the offsets
@@ -533,7 +533,7 @@ class StepPlan:
     """
 
     blocks: tuple
-    dims: tuple
+    lengths: tuple
     x1: slice
     v1: slice
     dual: slice
@@ -572,7 +572,8 @@ class StepPlan:
             for N, M, row, *slices in zip(spec.N, spec.M, spec.L, *blocks[1:]))
         return StepPlan(
             blocks,
-            (layout.h_dims, layout.g_dims, layout.x_dims, layout.y_dims),
+            (*map(len, blocks),
+             *(sl.stop - sl.start for family in blocks for sl in family)),
             x1, v1, slice(v1.start, v2.stop), _read_only(sign), z, nr,
             tuple(runs), spec.C.apply, tuple(N.adjoint_apply for N in spec.N),
             primal, couplings,
@@ -590,27 +591,25 @@ def _on_buffer(z, blocks, n):
                         list(map(cut, b21)), list(map(cut, b22)), n)
 
 
-def _check_shapes(families, dims):
+def _check_shapes(families, blocks):
     """Raise :class:`SpecificationError` naming the first family whose
-    blocks' shapes are not ``(d,)`` for its ``dims``."""
-    for name, family, family_dims in zip(FAMILIES, families, dims):
-        if list(map(np.shape, family)) != [(d,) for d in family_dims]:
+    blocks' shapes are not ``(d,)`` for the lengths of its ``blocks``."""
+    for name, family, slices in zip(FAMILIES, families, blocks):
+        if list(map(np.shape, family)) != [(sl.stop - sl.start,)
+                                           for sl in slices]:
             raise SpecificationError(
                 f"state family {name} does not match the system layout")
 
 
-def _check_finite(whole, y, blocks, n, line=None):
-    """Raise :class:`NumericError` naming the first non-finite block.
+def _check_finite(y, blocks, n, line=None):
+    """Raise :class:`NumericError` naming the first non-finite block of the
+    flat vector ``y``.
 
-    ``whole`` is the x1 family of ``y``, its blocks named ``line``, or with
-    no ``line`` all of the new state ``y``, named v1, v2 and x2 for each k,
-    then x1.  One non-finite entry poisons a dot product, so one dot over
-    ``whole`` (``a.dot(a)``, the BLAS dot of ``a @ a``) clears the common
-    case.  Only when it fails are the ``blocks`` walked, each tested by
-    ``np.isfinite``, so a finite block whose squares overflow is not named.
+    With a ``line``, the x1 blocks are walked, named ``line``; without one,
+    all of the new state, named v1, v2 and x2 for each k, then x1.  Each
+    block is tested by ``np.isfinite``, so a finite block whose squares
+    overflow is not named.
     """
-    if math.isfinite(whole.dot(whole)):
-        return
     b11, b12, b21, b22 = blocks
     order = [] if line else [
         (name, k, sl) for k, per_k in enumerate(zip(b21, b22, b12))
@@ -641,19 +640,15 @@ def _block_sqnorms(d, runs):
     return first, second
 
 
-def _sqnorm(d):
-    # np.sum(d**2) as the bare ufunc reduction, without np.sum's wrapper
-    return float(np.add.reduce(d * d))
-
-
 def step(spec, state, gamma, errors_at_n=None):
     """One full iteration from ``state`` with step ``gamma``.
 
     Lays the blocks ``state`` holds end to end in one fresh vector
-    ``z = [x1 | x2 | v1 | v2]`` and checks that z is 1-D and each family's
-    block lengths are the layout's dims, so a block may be a plain list.
-    Only on a mismatch, or a ``ValueError`` from laying them out, are the
-    blocks' shapes read, to name the family.  Then runs the
+    ``z = [x1 | x2 | v1 | v2]`` and checks, in one comparison with the
+    plan's ``lengths``, that z is 1-D and that each family's block count
+    and each block's length are the layout's, so a block may be a plain
+    list.  Only on a mismatch, or a ``ValueError`` from laying them out,
+    are the blocks' shapes read, to name the family.  Then runs the
     forward-backward-forward step on it: ``s = z - gamma F(z)``,
     ``p = J(s)``, ``q = p - gamma F(p)`` and ``z+ = (z - s) + q``, where F
     is one map, :func:`_forward`, at both points and J the per-block
@@ -670,11 +665,11 @@ def step(spec, state, gamma, errors_at_n=None):
 
     Raises :class:`NumericError` naming the offending line and block if the
     intermediate points ``p11`` or any block of the new state hold a
-    non-finite value.  Each is tested by one dot first (the new state only
-    when the displacement's square sum is not finite, as a non-finite
-    ``z+`` makes it), and its blocks are walked only when that fails, so a
-    finite block is never named: a finite state whose squares overflow
-    steps on, with an infinite displacement.  It raises
+    non-finite value.  ``p11`` is tested by one dot and the new state by the
+    displacement's square sum, which a non-finite ``z+`` makes non-finite;
+    the blocks are walked only when that fails, so a finite block is never
+    named: a finite state whose squares overflow steps on, with an
+    infinite displacement.  It raises
     :class:`SpecificationError` naming the family for a state that does not
     match the layout and for an error record that is not an array of shape
     ``(3, size)``, and ``ValueError`` for a non-positive step.  The
@@ -686,14 +681,17 @@ def step(spec, state, gamma, errors_at_n=None):
     plan = spec.plan
     blocks = plan.blocks
     families = x1, x2, v1, v2 = state.x1, state.x2, state.v1, state.v2
+    flat = (*x1, *x2, *v1, *v2)
     try:
-        z = np.concatenate((*x1, *x2, *v1, *v2), dtype=float)
+        z = np.concatenate(flat, dtype=float)
     except ValueError:
-        _check_shapes(families, plan.dims)
+        _check_shapes(families, blocks)
         raise
-    if z.ndim != 1 or (tuple(map(len, x1)), tuple(map(len, x2)),
-                       tuple(map(len, v1)), tuple(map(len, v2))) != plan.dims:
-        _check_shapes(families, plan.dims)
+    # the family counts too: a block moved to another family keeps the
+    # flat lengths
+    if z.ndim != 1 or (len(x1), len(x2), len(v1), len(v2),
+                       *map(len, flat)) != plan.lengths:
+        _check_shapes(families, blocks)
     size = z.size
     g = float(gamma)
     n = state.n
@@ -733,7 +731,11 @@ def step(spec, state, gamma, errors_at_n=None):
         np.add(plan.nr, pv, pv)
     if errs is not None:
         p += errs[1]
-    _check_finite(p[x1_], p, blocks, n, "p11")
+    p11 = p[x1_]
+    # one non-finite entry poisons a dot (``a.dot(a)``, the BLAS dot of
+    # ``a @ a``), so the blocks are walked only when it fails
+    if not math.isfinite(p11.dot(p11)):
+        _check_finite(p, blocks, n, "p11")
     pd = p[dual]
     pd *= g
     np.subtract(s[dual], pd, pd)
@@ -759,7 +761,7 @@ def step(spec, state, gamma, errors_at_n=None):
         move += sq
     # z+ - z, and so its square sum, is non-finite when z+ is
     if not math.isfinite(move):
-        _check_finite(z_new, z_new, blocks, n)
+        _check_finite(z_new, blocks, n)
     new_state = _on_buffer(z_new, blocks, n + 1)
     return new_state, TraceRecord(n, g, math.sqrt(move),
                                   tuple(map(math.sqrt, sums)), sums, None)
@@ -795,12 +797,17 @@ def _forward(plan, y):
 
 
 def transversality_defect(spec, state):
-    """``sqrt(sum_k ||M_k* v2_k - N_k* v1_k||^2)`` at the given state."""
+    """``sqrt(sum_k ||M_k* v2_k - N_k* v1_k||^2)`` at the given state.
+
+    Reads the system only through ``spec.plan``, the adjoints it binds.
+    """
+    plan = spec.plan
     total = 0.0
-    for k in range(len(state.v1)):
-        diff = spec.M[k].adjoint_apply(state.v2[k]) \
-            - spec.N[k].adjoint_apply(state.v1[k])
-        total += _sqnorm(diff)
+    for n_adjoint, (_, _, m_adjoint, *_), v1, v2 in zip(
+            plan.n_adjoints, plan.couplings, state.v1, state.v2):
+        d = m_adjoint(v2) - n_adjoint(v1)
+        # np.sum(d**2) as the bare ufunc reduction, without np.sum's wrapper
+        total += float(np.add.reduce(d * d))
     return math.sqrt(total)
 
 
@@ -816,17 +823,22 @@ def solve(spec, init, policy, errors=None, tol=DEFAULT_TOL,
     ``trace_every`` iterations and at the final one, with the running
     ``partial_sums`` and the :func:`transversality_defect` of its state,
     evaluated once per kept record.  Numeric failures propagate as
-    :class:`NumericError` tagged with the iteration index.
+    :class:`NumericError` tagged with the iteration index.  A
+    ``trace_every`` below 1, a negative ``max_iter`` and a negative or NaN
+    ``tol`` raise ``ValueError``; ``tol = 0`` runs ``max_iter`` iterations
+    unless a step stands still.
     """
     if trace_every < 1:
         raise ValueError("trace_every must be >= 1")
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
+    if not tol >= 0.0:  # NaN too, which no displacement would ever meet
+        raise ValueError(f"tol must be >= 0, got {tol}")
     if errors is None:
         errors = zero_schedule()
     state = init.copy()
     layout = spec.layout
-    sums = (0.0, 0.0, 0.0, 0.0)
+    sum1 = sum2 = sum3 = sum4 = 0.0
     trace = []
     status = "max_iter"
     for it in range(max_iter):
@@ -837,11 +849,16 @@ def solve(spec, init, policy, errors=None, tol=DEFAULT_TOL,
         except NumericError as exc:
             exc.iteration = it
             raise
-        sums = tuple(map(operator.add, sums, rec.partial_sums))
+        d1, d2, d3, d4 = rec.partial_sums
+        sum1 += d1
+        sum2 += d2
+        sum3 += d3
+        sum4 += d4
         done = rec.displacement <= tol
         if it % trace_every == 0 or done or it == max_iter - 1:
             trace.append(TraceRecord(rec.n, rec.gamma, rec.displacement,
-                                     rec.block_displacements, sums,
+                                     rec.block_displacements,
+                                     (sum1, sum2, sum3, sum4),
                                      transversality_defect(spec, state)))
         if done:
             status = "converged"

@@ -187,20 +187,20 @@ def _layout_misfits(spec):
     """Every way ``spec`` misses its layout, one line each, named by family
     and index.
 
-    Each row of the table gives a family, what is read from each entry and
-    the values the layout expects; a family of the wrong length is named
-    once and its entries are not read.  ``L``'s row checks its count of
-    rows, and each of its rows is a family of its own.
+    Each row of the table gives a family, the attributes read from each
+    entry and the values the layout expects; a family of the wrong length is
+    named once and its entries are not read, and an entry that lacks an
+    attribute its row reads is named with its type.  ``L``'s row checks its
+    count of rows, and each of its rows is a family of its own.
     """
     lay = spec.layout
-    dims = attrgetter("in_dim", "out_dim")
-    dim = attrgetter("dim")
+    dims = ("in_dim", "out_dim")
     rows = [
-        ("z", spec.z, np.shape, [(d,) for d in lay.h_dims]),
-        ("r", spec.r, np.shape, [(d,) for d in lay.g_dims]),
-        ("A", spec.A, dim, lay.h_dims),
-        ("B", spec.B, dim, lay.y_dims),
-        ("D", spec.D, dim, lay.x_dims),
+        ("z", spec.z, ("shape",), [(d,) for d in lay.h_dims]),
+        ("r", spec.r, ("shape",), [(d,) for d in lay.g_dims]),
+        ("A", spec.A, ("dim",), lay.h_dims),
+        ("B", spec.B, ("dim",), lay.y_dims),
+        ("D", spec.D, ("dim",), lay.x_dims),
         ("M", spec.M, dims, list(zip(lay.g_dims, lay.y_dims))),
         ("N", spec.N, dims, list(zip(lay.g_dims, lay.x_dims))),
         ("L", spec.L, None, lay.g_dims),
@@ -208,19 +208,27 @@ def _layout_misfits(spec):
     rows += [(f"L[{k}]", row, dims, [(h, g) for h in lay.h_dims])
              for k, (row, g) in enumerate(zip(spec.L, lay.g_dims))]
     out = []
-    for name, family, read, expected in rows:
+    for name, family, attrs, expected in rows:
         if len(family) != len(expected):
             out.append(f"{name}: expected {len(expected)} entries, "
                        f"got {len(family)}")
-        elif read:
-            out += [f"{name}[{j}]: expected {want}, got {got}"
-                    for j, (got, want) in enumerate(zip(map(read, family),
-                                                        expected))
-                    if got != want]
-    if spec.C.block_dims != lay.h_dims:
-        out.append(f"C: expected block dims {lay.h_dims}, "
-                   f"got {spec.C.block_dims}")
-    return out
+        elif attrs:
+            out += [_misfit(f"{name}[{j}]", entry, attrs, want)
+                    for j, (entry, want) in enumerate(zip(family, expected))]
+    out.append(_misfit("C", spec.C, ("block_dims",), lay.h_dims,
+                       "block dims "))
+    return [line for line in out if line]
+
+
+def _misfit(name, entry, attrs, want, what=""):
+    """The line naming how ``entry``'s ``attrs`` miss ``want``, or None."""
+    try:
+        got = attrgetter(*attrs)(entry)
+    except AttributeError:
+        return f"{name}: a {type(entry).__name__} has no {'/'.join(attrs)}"
+    if got != want:
+        return f"{name}: expected {what}{want}, got {got}"
+    return None
 
 
 @dataclass(frozen=True)

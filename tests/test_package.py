@@ -85,7 +85,7 @@ def test_step_plan_holds_only_immutable_values():
     for f in dataclasses.fields(plan):
         assert immutable(getattr(plan, f.name)), f.name
     with pytest.raises(dataclasses.FrozenInstanceError):
-        plan.dims = ()
+        plan.lengths = ()
 
 
 def _package_imports(path):

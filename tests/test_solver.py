@@ -203,6 +203,28 @@ def test_trace_partial_sums_nondecreasing():
         assert all(b >= a for a, b in zip(sums, sums[1:]))
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"tol": float("nan")}, {"tol": -1e-8}, {"tol": -math.inf},
+    {"max_iter": -1}, {"trace_every": 0},
+], ids=["tol-nan", "tol-negative", "tol-minus-inf", "max_iter-negative",
+        "trace_every-zero"])
+def test_solve_rejects_bad_arguments(kwargs):
+    demo = qp_demo()
+    policy = make_policy(compute_beta(demo.system))
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        solve(demo.system, IterateState.zeros(demo.system.layout), policy,
+              **{"max_iter": 50, **kwargs})
+
+
+def test_zero_tol_runs_the_whole_budget():
+    demo = qp_demo()
+    policy = make_policy(compute_beta(demo.system))
+    final, trace, status = solve(demo.system,
+                                 IterateState.zeros(demo.system.layout),
+                                 policy, tol=0.0, max_iter=50)
+    assert (final.n, trace[-1].n, status) == (50, 49, "max_iter")
+
+
 @pytest.mark.parametrize("trace_every, max_iter, stop", [
     (1, 12, None), (3, 12, None),   # 11 is off the grid of 3: needs the defect
     (3, 40, 10), (3, 40, 9),        # converged off and on the grid
@@ -218,8 +240,8 @@ def test_kept_records_are_step_records_with_running_sums(trace_every,
         state, rec = step(spec, state, policy.gamma_at(it),
                           errors.realize(it, spec.layout))
         sums = tuple(a + b for a, b in zip(sums, rec.partial_sums))
-        expected.append(dataclasses.replace(
-            rec, partial_sums=sums,
+        expected.append(rec._replace(
+            partial_sums=sums,
             transversality_defect=transversality_defect(spec, state)))
     # the displacement of iteration stop, if no earlier one reached it,
     # stops the run there
@@ -802,6 +824,16 @@ def test_step_reads_a_system_only_through_its_plan():
     expected, expected_rec = step(spec, state, 0.05, errs)
     assert state_bytes(new) == state_bytes(expected)
     assert rec == expected_rec
+
+
+def test_transversality_defect_reads_a_system_only_through_its_plan():
+    spec, state, _ = exactness_case("dense")
+    expected = math.sqrt(sum(
+        np.sum((M.adjoint_apply(v2) - N.adjoint_apply(v1)) ** 2)
+        for M, N, v1, v2 in zip(spec.M, spec.N, state.v1, state.v2)))
+    assert transversality_defect(spec, state) == expected
+    only_plan = types.SimpleNamespace(plan=spec.plan)
+    assert transversality_defect(only_plan, state) == expected
 
 
 def test_step_is_pure():

@@ -181,8 +181,14 @@ def two_by_one(**changes):
     (dict(L=[[zero_op(2, 4), zero_op(4, 3)]]),
      "L[0][1]: expected (3, 4), got (4, 3)"),
     (dict(C=zero_coupling((5,))), "C: expected block dims (2, 3), got (5,)"),
+    (dict(A=[identity_op(2), zero_fn(3).operator]),
+     "A[0]: a LinOp has no dim"),
+    (dict(M=[zero_fn(4).operator]),
+     "M[0]: a ResolventOp has no in_dim/out_dim"),
+    (dict(C=identity_op(5)), "C: a LinOp has no block_dims"),
 ], ids=["A-short", "z-short", "L-row-short", "B-long", "D-dim", "r-length",
-        "M-dims", "L01-dims", "C-block-dims"])
+        "M-dims", "L01-dims", "C-block-dims", "A-a-linop", "M-a-resolvent",
+        "C-a-linop"])
 def test_a_system_that_misses_its_layout_is_not_built(changes, message):
     SystemSpec(**two_by_one())
     with pytest.raises(SpecificationError) as err:
