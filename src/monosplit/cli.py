@@ -1,7 +1,8 @@
 """Command-line front end: solve problem files, run demos, self-check.
 
 Exit codes: 0 on success/convergence, 2 when the iteration budget ran out,
-1 on any error (bad file, step-bound violation, numeric failure).
+1 on any error (bad file, failed validation, step-bound violation, numeric
+failure).
 """
 
 import argparse
@@ -14,7 +15,7 @@ import numpy as np
 
 from .checks import format_report, run_checks
 from .demos import DEMO_NAMES, get_demo
-from .errors import ConfigurationError, MonosplitError
+from .errors import ConfigurationError, MonosplitError, SpecificationError
 from .imaging import ImageGrid, write_pgm
 from .minimization import primal_surrogate
 from .problemio import load_problem
@@ -71,6 +72,16 @@ def _trace_every(default):
         raise ConfigurationError(f"{TRACE_ENV} must be a positive integer "
                                  f"in ASCII digits, got {override!r}")
     return every
+
+
+def _policy(system, epsilon=None, gamma=None):
+    """The step policy of ``system``; one error lists validate's faults."""
+    violations = validate(system)
+    if violations:
+        raise SpecificationError("problem failed validation:\n  "
+                                 + "\n  ".join(violations))
+    return make_policy(compute_beta(system), epsilon=epsilon,
+                       gamma_const=gamma)
 
 
 def _make_out_dir(out_dir):
@@ -144,15 +155,8 @@ def _run_and_write(system, init, policy, errors, tol, max_iter, trace_every,
 def cmd_solve(path, out_dir):
     problem = load_problem(path)
     system = problem["system"]
-    violations = validate(system)
-    if violations:
-        print("problem failed validation:", file=sys.stderr)
-        for v in violations:
-            print(f"  {v}", file=sys.stderr)
-        return 1
     cfg = problem["solver"]
-    beta = compute_beta(system)
-    policy = make_policy(beta, epsilon=cfg["epsilon"], gamma_const=cfg["gamma"])
+    policy = _policy(system, cfg["epsilon"], cfg["gamma"])
     init = IterateState.zeros(system.layout)
     _, _, status = _run_and_write(
         system, init, policy, problem["errors"], cfg["tol"], cfg["max_iter"],
@@ -164,8 +168,7 @@ def cmd_solve(path, out_dir):
 def cmd_demo(name, out_dir):
     demo = get_demo(name)
     system = demo.system
-    beta = compute_beta(system)
-    policy = make_policy(beta)
+    policy = _policy(system)
     init = demo.extras.get("init") or IterateState.zeros(system.layout)
 
     if name == "separation":

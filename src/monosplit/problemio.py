@@ -1,9 +1,9 @@
 """Problem-file ingestion: JSON schema, operator/prox builders, assembly.
 
-A problem file describes either an inclusion system directly (resolvent
-slots ``A``/``B``/``D`` plus a coupling) or a minimization instance
-(``f``/``smooth``/``g``/``ell``); both share the layout, offsets, linear
-operators, solver configuration and error-schedule sections.
+A problem file describes a minimization instance (``f``/``smooth``/``g``/
+``ell``) or, under other names, an inclusion system (``A``/``coupling``/
+``B``/``D``); both are built as the minimization instance and share the
+layout, offsets, linear operators, solver and error-schedule sections.
 
 Dense operators are row-major nested arrays; matrix-free operators come
 from a named builder catalog.  Schema violations are reported with
@@ -33,10 +33,9 @@ from .minimization import (
     MinimizationSpec,
     build_system,
     quadratic_smooth,
-    smooth_coupling,
     zero_smooth,
 )
-from .prox import make_function, zero_coupling
+from .prox import make_function
 from .solver import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -44,9 +43,15 @@ from .solver import (
     geometric_schedule,
     zero_schedule,
 )
-from .system import SpaceLayout, SystemSpec
+from .system import SpaceLayout
 
 PROBLEM_VERSION = 1
+
+# the function keys of each kind, in the places of f, g, ell and smooth
+_FUNCTION_KEYS = {
+    "minimization": ("f", "g", "ell", "smooth"),
+    "inclusion": ("A", "B", "D", "coupling"),
+}
 
 
 def _square(args):
@@ -253,8 +258,18 @@ def _located(pointer):
         raise ConfigurationError(f"{pointer}: {exc}") from exc
 
 
-def build_operator(entry, in_dim, out_dim, where):
-    """Materialize one schema-checked operator entry and check its dims.
+def _blocks(entries, wants, where, build):
+    """``build(entry, want, pointer)`` for each entry, after checking that
+    there is one entry per ``want``, what the layout asks of a block."""
+    if len(entries) != len(wants):
+        raise ConfigurationError(
+            f"{where}: expected {len(wants)} entries, got {len(entries)}")
+    return [build(entry, want, f"{where}/{j}")
+            for j, (entry, want) in enumerate(zip(entries, wants))]
+
+
+def build_operator(entry, want, where):
+    """Materialize one schema-checked operator entry of dims ``want``.
 
     A builder's dims are worked out from its params and checked before the
     builder runs, so a misfit entry allocates nothing.
@@ -274,25 +289,18 @@ def build_operator(entry, in_dim, out_dim, where):
             args = inspect.signature(constructor).bind(**kwargs)
             args.apply_defaults()
             dims, build = dims_of(args.arguments), partial(constructor, **kwargs)
-    if dims != (in_dim, out_dim):
+    if dims != want:
         raise ConfigurationError(
             f"{where}: operator has dims {dims[0]}->{dims[1]}, "
-            f"layout requires {in_dim}->{out_dim}"
+            f"layout requires {want[0]}->{want[1]}"
         )
     with _located(where):
         return build()
 
 
-def _build_prox_list(entries, dims, where):
-    if len(entries) != len(dims):
-        raise ConfigurationError(
-            f"/functions/{where}: expected {len(dims)} entries, got {len(entries)}"
-        )
-    out = []
-    for j, (entry, dim) in enumerate(zip(entries, dims)):
-        with _located(f"/functions/{where}/{j}"):
-            out.append(make_function(entry["prox"], entry.get("params", {}), dim))
-    return out
+def _function(entry, dim, where):
+    with _located(where):
+        return make_function(entry["prox"], entry.get("params", {}), dim)
 
 
 def _build_smooth(entry, dim, where):
@@ -302,11 +310,13 @@ def _build_smooth(entry, dim, where):
         return quadratic_smooth(entry.get("params", {}).get("terms", []), dim)
 
 
-def _build_coupling(entry, block_dims, where):
-    if not entry or entry["name"] == "zero":
-        return zero_coupling(block_dims)
-    return smooth_coupling(_build_smooth(entry, int(sum(block_dims)), where),
-                           block_dims)
+def _vector(entry, dim, where):
+    with _located(where):
+        vec = np.asarray(entry, dtype=float)
+    if vec.shape != (dim,):
+        raise ConfigurationError(
+            f"{where}: expected length {dim}, got {vec.size}")
+    return vec
 
 
 def _vectors(entries, dims, where, dims_where):
@@ -318,27 +328,18 @@ def _vectors(entries, dims, where, dims_where):
             raise ConfigurationError(
                 f"/{dims_where}: cannot allocate the zero {where} vectors: "
                 f"{exc}") from exc
-    if len(entries) != len(dims):
-        raise ConfigurationError(
-            f"/{where}: expected {len(dims)} vectors, got {len(entries)}"
-        )
-    out = []
-    for j, (entry, dim) in enumerate(zip(entries, dims)):
-        with _located(f"/{where}/{j}"):
-            vec = np.asarray(entry, dtype=float)
-        if vec.shape != (dim,):
-            raise ConfigurationError(
-                f"/{where}/{j}: expected length {dim}, got {vec.size}"
-            )
-        out.append(vec)
-    return out
+    return _blocks(entries, dims, f"/{where}", _vector)
 
 
 def parse_problem(doc):
     """Validate a problem document and assemble the runnable pieces.
 
-    Returns a dict with keys ``kind``, ``system``, ``min_spec`` (None for
-    inclusion files), ``solver`` (config dict with defaults filled) and
+    An inclusion file is the minimization instance under other names:
+    ``A``/``B``/``D``/``coupling`` in the places of ``f``/``g``/``ell``/
+    ``smooth``.  A function key of the other kind is a
+    :class:`ConfigurationError`.  Returns a dict with keys ``kind``,
+    ``system``, ``min_spec`` (the system's :class:`MinimizationSpec`, for
+    both kinds), ``solver`` (config dict with defaults filled) and
     ``errors`` (an ErrorSchedule).
     """
     _check_schema(_validator, doc)
@@ -355,50 +356,32 @@ def parse_problem(doc):
     r = _vectors(doc.get("r"), layout.g_dims, "r", "layout/g_dims")
 
     ops = doc["operators"]
-    for key in ("M", "N", "L"):
-        if len(ops[key]) != layout.s:
-            raise ConfigurationError(
-                f"/operators/{key}: expected {layout.s} entries"
-            )
-    M = [build_operator(ops["M"][k], layout.g_dims[k], layout.y_dims[k],
-                        f"/operators/M/{k}") for k in range(layout.s)]
-    N = [build_operator(ops["N"][k], layout.g_dims[k], layout.x_dims[k],
-                        f"/operators/N/{k}") for k in range(layout.s)]
-    L = []
-    for k in range(layout.s):
-        if len(ops["L"][k]) != layout.m:
-            raise ConfigurationError(
-                f"/operators/L/{k}: expected {layout.m} entries"
-            )
-        L.append([
-            build_operator(ops["L"][k][i], layout.h_dims[i], layout.g_dims[k],
-                           f"/operators/L/{k}/{i}")
-            for i in range(layout.m)
-        ])
+    M = _blocks(ops["M"], list(zip(layout.g_dims, layout.y_dims)),
+                "/operators/M", build_operator)
+    N = _blocks(ops["N"], list(zip(layout.g_dims, layout.x_dims)),
+                "/operators/N", build_operator)
+    L = _blocks(ops["L"], layout.g_dims, "/operators/L",
+                lambda row, g, where: _blocks(
+                    row, [(h, g) for h in layout.h_dims], where,
+                    build_operator))
 
     funcs = doc.get("functions", {})
     kind = doc["kind"]
-    min_spec = None
-    if kind == "minimization":
-        f = _build_prox_list(funcs.get("f", []), layout.h_dims, "f")
-        g = _build_prox_list(funcs.get("g", []), layout.y_dims, "g")
-        ell = _build_prox_list(funcs.get("ell", []), layout.x_dims, "ell")
-        phi = _build_smooth(funcs.get("smooth"), int(sum(layout.h_dims)),
-                            "/functions/smooth")
-        min_spec = MinimizationSpec(layout=layout, f=f, phi=phi, g=g, ell=ell,
-                                    M=M, N=N, L=L, z=z, r=r)
-        system = build_system(min_spec)
-    else:
-        A = [fn.operator for fn in
-             _build_prox_list(funcs.get("A", []), layout.h_dims, "A")]
-        B = [fn.operator for fn in
-             _build_prox_list(funcs.get("B", []), layout.y_dims, "B")]
-        D = [fn.operator for fn in
-             _build_prox_list(funcs.get("D", []), layout.x_dims, "D")]
-        C = _build_coupling(funcs.get("coupling"), layout.h_dims,
-                            "/functions/coupling")
-        system = SystemSpec(layout=layout, z=z, r=r, A=A, C=C, B=B, D=D,
-                            M=M, N=N, L=L)
+    keys = _FUNCTION_KEYS[kind]
+    for key in funcs:
+        if key not in keys:
+            raise ConfigurationError(
+                f"/functions/{key}: not a key of a {kind} file, which "
+                f"takes {', '.join(keys)}")
+    f, g, ell = (_blocks(funcs.get(key, []), dims, f"/functions/{key}",
+                         _function)
+                 for key, dims in zip(keys, (layout.h_dims, layout.y_dims,
+                                             layout.x_dims)))
+    phi = _build_smooth(funcs.get(keys[3]), int(sum(layout.h_dims)),
+                        f"/functions/{keys[3]}")
+    min_spec = MinimizationSpec(layout=layout, f=f, phi=phi, g=g, ell=ell,
+                                M=M, N=N, L=L, z=z, r=r)
+    system = build_system(min_spec)
 
     solver_cfg = dict(DEFAULT_SOLVER_CONFIG)
     solver_cfg.update(doc.get("solver", {}))

@@ -427,3 +427,26 @@ def test_summary_defect_comes_from_the_last_trace_record(tmp_path,
         last = list(csv.reader(fh))[-1]
     assert read_summary(out)["transversality_defect"] == float(last[-1])
     assert calls == []
+
+
+def test_failed_validation_is_an_error_line(tmp_path, capsys):
+    # every map is zero, so beta = 0 and the step range is empty
+    zero = {"builder": "zero", "params": {"in_dim": 2, "out_dim": 2}}
+    doc = {
+        "version": 1,
+        "kind": "inclusion",
+        "layout": {"m": 1, "s": 1, "h_dims": [2], "g_dims": [2],
+                   "y_dims": [2], "x_dims": [2]},
+        "operators": {"M": [zero], "N": [zero], "L": [[zero]]},
+        "functions": {"A": [{"prox": "l1", "params": {"weight": 0.3}}],
+                      "B": [{"prox": "zero_function"}],
+                      "D": [{"prox": "zero_function"}]},
+    }
+    path = tmp_path / "uncoupled.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["solve", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "beta = 0" in err
+    assert "Traceback" not in err
+    assert not out.exists()

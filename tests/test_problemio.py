@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import error_blocks
+from conftest import as_inclusion, error_blocks
 from monosplit.errors import ConfigurationError
 from monosplit.problemio import load_problem, parse_problem
 from monosplit.prox import soft_threshold
@@ -191,3 +191,55 @@ def test_integral_float_seed_is_accepted():
     for family in a:
         for x, y in zip(a[family], b[family]):
             assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("kind, key", [
+    ("minimization", "A"),
+    ("minimization", "coupling"),
+    ("inclusion", "f"),
+    ("inclusion", "smooth"),
+])
+def test_a_function_key_of_the_other_kind_is_an_error(kind, key):
+    doc = load_doc("lasso.json")
+    if kind == "inclusion":
+        doc = as_inclusion(doc)
+    entry = {"name": "zero"} if key in ("smooth", "coupling") else [
+        {"prox": "indicator_box", "params": {"lo": 100, "hi": 200}}]
+    doc["functions"][key] = entry
+    with pytest.raises(ConfigurationError) as err:
+        parse_problem(doc)
+    accepted = ("f, g, ell, smooth" if kind == "minimization"
+                else "A, B, D, coupling")
+    assert f"/functions/{key}:" in str(err.value)
+    assert accepted in str(err.value)
+
+
+def _record_bits(record):
+    return np.array([record.n, record.gamma, record.displacement,
+                     *record.block_displacements, *record.partial_sums,
+                     record.transversality_defect]).tobytes()
+
+
+@pytest.mark.parametrize("name, iterations", [("lasso.json", 100),
+                                              ("qp.json", 4227)])
+def test_an_inclusion_file_is_its_minimization_problem(name, iterations):
+    runs = []
+    for doc in (load_doc(name), as_inclusion(load_doc(name))):
+        problem = parse_problem(doc)
+        assert problem["min_spec"] is not None
+        system, cfg = problem["system"], problem["solver"]
+        policy = make_policy(compute_beta(system), epsilon=cfg["epsilon"],
+                             gamma_const=cfg["gamma"])
+        final, trace, _ = solve(system, IterateState.zeros(system.layout),
+                                policy, errors=problem["errors"],
+                                tol=cfg["tol"], max_iter=cfg["max_iter"],
+                                trace_every=1)
+        runs.append((system.beta_report, final, trace))
+    (report, final, trace), (inc_report, inc_final, inc_trace) = runs
+    assert inc_report == report
+    assert final.n == inc_final.n == iterations
+    for family in ("x1", "x2", "v1", "v2"):
+        for a, b in zip(getattr(final, family), getattr(inc_final, family)):
+            assert a.tobytes() == b.tobytes()
+    assert len(trace) == len(inc_trace)
+    assert list(map(_record_bits, trace)) == list(map(_record_bits, inc_trace))
