@@ -27,15 +27,13 @@ the step adds each row with one operation and rounds as if it had added
 only the erroneous blocks.  A custom schedule supplies its errors through
 a per-block generator; a schedule without one is exact.  Built-in
 schedules are zero and geometrically decaying noise, both absolutely
-summable.  The geometric schedule's draws are keyed: each block's
-direction is exactly what ``np.random.default_rng([seed, n, code,
-index])`` draws, but no ``SeedSequence`` is built.  The seeds of every
-block of a chunk of ``_CHUNK`` consecutive iterations are hashed together,
-by NumPy's ``SeedSequence`` hash run as one pass of uint32 array
-arithmetic, and each iteration draws from its rows of that pass.  Big
-layouts take shorter chunks, so a schedule holds at most ``_CHUNK_ROWS``
-seeds (128 KB) however many blocks the layout has, unless one iteration
-alone has more.
+summable.  The geometric schedule's draws are keyed and stateless: each
+element's draw is a function of (seed, n, family, index, place in the
+block) alone, one splitmix64 hash of those followed by Box–Muller, run as
+one pass of uint64 array arithmetic over every element of an iteration.
+The draws repeat exactly for a given NumPy build: ``log``, ``cos`` and the
+``vecdot`` of the norms are NumPy kernels, which another build may round
+differently in the last bit.
 """
 
 import math
@@ -47,8 +45,6 @@ from numbers import Integral, Real
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from numpy.random import PCG64, Generator
-from numpy.random.bit_generator import ISeedSequence
 
 from .errors import NumericError, SpecificationError, StepBoundError
 from .linops import _read_only
@@ -211,9 +207,11 @@ class ErrorSchedule:
 
     ``generator(n, family, index, dim)`` returns the error vector for one
     block at iteration ``n``, or None for an exact evaluation; each vector
-    it returns must have shape ``(dim,)``, else :meth:`realize` raises
-    :class:`SpecificationError`.  A schedule without a generator is exact
-    everywhere, and its :meth:`realize` returns None at once.  Absolute
+    it returns must be real (float, int or uint entries) and of shape
+    ``(dim,)``, else :meth:`realize` raises :class:`SpecificationError`.
+    A schedule without a generator is exact everywhere, and its
+    :meth:`realize` returns None at once; any other schedule raises
+    ``ValueError`` for an ``n`` that is not a non-negative integer.  Absolute
     summability over n is the caller's obligation for a generator; the
     built-in schedules satisfy it by construction.
     """
@@ -235,6 +233,8 @@ class ErrorSchedule:
         -0.0 wherever there is no error, or None if all are exact."""
         if self._draws is None:
             return None
+        if isinstance(n, bool) or not isinstance(n, Integral) or n < 0:
+            raise ValueError(f"n must be a non-negative integer, got {n!r}")
         lanes = _lanes(layout)
         drawn = self._draws(n, lanes)
         if drawn is None:
@@ -253,11 +253,14 @@ def _block_by_block(generator):
         for (family, index, dim), lo in zip(lanes.keys, lanes.starts):
             e = generator(n, family, index, dim)
             if e is not None:
-                e = np.asarray(e, dtype=float)
-                if e.shape != (dim,):
+                e = np.asarray(e)
+                # complex, bool, str and object entries are refused, not
+                # coerced
+                if e.dtype.kind not in "fiu" or e.shape != (dim,):
                     raise SpecificationError(
                         f"error generator: family {family} block {index} "
-                        f"returned shape {e.shape}, expected ({dim},)"
+                        f"returned {e.dtype} of shape {e.shape}, expected "
+                        f"({dim},) real numbers"
                     )
                 out[lo:lo + dim] = e
                 exact = False
@@ -269,8 +272,11 @@ class _Lanes(NamedTuple):
     """The error blocks of a layout, one lane each, in realization order."""
 
     keys: tuple        # (family, index, dim) of each block
-    words: np.ndarray  # uint32 rows: the place of the family in
-                       # ERROR_FAMILIES, and the block's index within it
+    counters: np.ndarray  # uint64, one per element of a draws vector: the
+                          # family's place in ERROR_FAMILIES << 60 | the
+                          # block's index << 32 | the element's place in
+                          # the block, distinct below 2**28 blocks per
+                          # family and 2**32 elements per block
     size: int          # the length of a draws vector: the sum of the dims
     starts: tuple      # where each lane starts in a draws vector
     runs: tuple        # (first lane, lane count, dim) of each run of
@@ -287,8 +293,10 @@ def _lanes(layout):
     blocks = layout.blocks
     keys = [(family, index, sl.stop - sl.start) for family in ERROR_FAMILIES
             for index, sl in enumerate(blocks[place[family[1:]]])]
-    words = np.array([[ERROR_FAMILIES.index(family) for family, _, _ in keys],
-                      [index for _, index, _ in keys]], np.uint32)
+    counters = np.concatenate([
+        np.arange(dim, dtype=np.uint64)
+        + (ERROR_FAMILIES.index(family) << 60 | index << 32)
+        for family, index, dim in keys])
     dims = [dim for _, _, dim in keys]
     *starts, size = accumulate(dims, initial=0)
     gather = np.full((3, blocks[-1][-1].stop), size, np.intp)
@@ -300,7 +308,7 @@ def _lanes(layout):
         count = len(list(run))
         runs.append((first, count, dim))
         first += count
-    return _Lanes(tuple(keys), _read_only(words), size, tuple(starts),
+    return _Lanes(tuple(keys), _read_only(counters), size, tuple(starts),
                   tuple(runs), _read_only(gather))
 
 
@@ -313,29 +321,27 @@ def zero_schedule():
 def geometric_schedule(rho, amplitude, seed=0):
     """Noise with norm ``amplitude * rho^n`` per block (summable for rho < 1).
 
-    Each error vector is a seeded unit normal direction scaled to the
-    geometric envelope.  The direction of block ``index`` of the family
-    ``ERROR_FAMILIES[code]`` at iteration ``n`` is, byte for byte,
-    ``np.random.default_rng([seed, n, code, index]).standard_normal(dim)``,
-    so it depends only on that key: identical schedules reproduce
-    identical errors across runs and across structurally matching specs,
-    and a block's draw does not depend on the other blocks or on the order
-    in which iterations are realized.
+    Each error vector is a keyed normal direction scaled to the geometric
+    envelope.  Element ``j`` of block ``index`` of the family
+    ``ERROR_FAMILIES[code]`` at iteration ``n`` draws one standard normal
+    from (seed, n, code, index, j) alone: its counter (see :class:`_Lanes`)
+    xor the seed's key, plus ``n`` times an odd constant mod 2**64, is
+    finalized by splitmix64 into two words and those by Box–Muller into the
+    normal (:func:`_normals`).  The seed's key folds every 64-bit word of
+    ``seed``, so ``seed`` and ``seed + 2**64`` draw differently; ``n``
+    enters mod 2**64, and from 2**64 on ``rho**n`` is 0 for every rho < 1.
+    Identical schedules thus reproduce identical errors across runs and
+    across structurally matching specs, and a block's draw does not depend
+    on the other blocks or on the order in which iterations are realized.
+    The draws repeat exactly for a given NumPy build, whose ``log``,
+    ``cos`` and ``vecdot`` kernels they use.
 
-    The schedule has no per-block generator: it draws every block of an
-    iteration at once, without a ``SeedSequence`` per block.  One
-    vectorized pass of NumPy's ``SeedSequence`` hash (:func:`_pcg_seeds`)
-    gives the PCG64 seeds of every block of the chunk of iterations
-    ``[n - n % C, n - n % C + C)``, and each block's generator starts from
-    its row and draws straight into the block's slice of one vector of all
-    blocks.  The norms of each run of equal-size blocks come from one
-    batched dot and the run is scaled by one multiply; a draw of norm zero
-    leaves its block exact (-0.0).  ``C`` is ``_CHUNK`` (64), halved while
-    ``C`` times the number of blocks exceeds ``_CHUNK_ROWS`` (4096), so the
-    seeds a schedule holds take at most 128 KB, or one iteration's seeds
-    when those are more.  The schedule keeps only the chunk it hashed last,
-    in one slot that is replaced whole, so it may be shared across threads
-    without a lock.
+    The schedule has no per-block generator: one pass of array arithmetic
+    draws every element of an iteration.  The norms of each run of
+    equal-size blocks come from one batched dot and the run is scaled by
+    one multiply; a draw of norm zero leaves its block exact (-0.0).  The
+    schedule keeps no state between calls, so it may be shared across
+    threads.
     """
     for name, value in (("rho", rho), ("amplitude", amplitude)):
         if isinstance(value, bool) or not isinstance(value, Real):
@@ -347,31 +353,22 @@ def geometric_schedule(rho, amplitude, seed=0):
             f"amplitude must be finite and >= 0, got {amplitude!r}")
     if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    head = _words(int(seed))
-    held = None  # (lanes, first n of the chunk, the chunk's seeds)
+    # a 1-element array, as uint64 arithmetic on a numpy scalar warns of
+    # its overflow
+    key, rest = np.zeros(1, np.uint64), int(seed)
+    while True:  # each 64-bit word of the seed, the low word first
+        key ^= rest & _MASK
+        key += _GOLDEN
+        _splitmix64(key)
+        rest >>= 64
+        if not rest:
+            break
+    key = int(key[0])
 
     def draws(n, lanes):
-        nonlocal held
-        slot = held
-        if slot is None or slot[0] is not lanes \
-                or not 0 <= n - slot[1] < len(slot[2]):
-            size = _CHUNK
-            while size > 1 and size * len(lanes.keys) > _CHUNK_ROWS:
-                size //= 2
-            start = n - n % size
-            # a chunk never crosses a multiple of 2**32: only the low word
-            # of n varies within it
-            n_words = np.repeat(np.array(_words(start), np.uint32)[:, None],
-                                size, axis=1)
-            n_words[0] += np.arange(size, dtype=np.uint32)
-            slot = held = (lanes, start, _pcg_seeds(head, n_words, lanes))
-        _, start, seeds = slot
-        out = np.empty(lanes.size)
-        for row, lo, (_, _, dim) in zip(seeds[n - start], lanes.starts,
-                                        lanes.keys):
-            Generator(PCG64(_GivenState(row))).standard_normal(
-                out=out[lo:lo + dim])
-        scale = amplitude * rho**n
+        out = _normals(lanes.counters, key, int(n) * _N_STRIDE & _MASK)
+        # 0 from n = 2**64 on; float(n) overflows from 2**1024
+        scale = amplitude * rho**min(n, 2**64)
         for first, count, dim in lanes.runs:
             lo = lanes.starts[first]
             v = out[lo:lo + count * dim].reshape(count, dim)
@@ -387,120 +384,47 @@ def geometric_schedule(rho, amplitude, seed=0):
     return ErrorSchedule(_draws=draws)
 
 
-# Iterations whose seeds are hashed in one pass, and the most seeds (rows of
-# four uint64 words) a pass makes when a layout has many blocks.
-_CHUNK = 64
-_CHUNK_ROWS = 4096
+# splitmix64's increment, 2**64 over the golden ratio; an odd multiplier
+# that spreads n over the 64-bit inputs; and the offsets of the two
+# splitmix64 states that follow an input
+_GOLDEN = 0x9E3779B97F4A7C15
+_N_STRIDE = 0xD1B54A32D192ED03
+_MASK = 2**64 - 1
+_NEXT = _read_only(np.array([[_GOLDEN], [2 * _GOLDEN & _MASK]], np.uint64))
 
 
-# NumPy's SeedSequence hash, as numpy/random/bit_generator.pyx runs it for
-# one key: the entropy words are hashed into a pool of four 32-bit words,
-# mixed, and hashed out again as the generator's state.  Every hash call
-# j xors its word with init * mult**j and multiplies it by
-# init * mult**(j + 1), all mod 2**32.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # mixing entropy into the pool
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # hashing the pool out
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+def _splitmix64(x):
+    """splitmix64's finalizer (Steele, Lea and Flood, OOPSLA 2014), in place
+    on the uint64 array ``x``, which it returns."""
+    x ^= x >> 30
+    x *= 0xBF58476D1CE4E5B9
+    x ^= x >> 27
+    x *= 0x94D049BB133111EB
+    x ^= x >> 31
+    return x
 
 
-def _hash_constants(init, mult, calls):
-    """The (xor, multiplier) columns of ``calls`` successive hash calls."""
-    powers = np.multiply.accumulate(np.full(calls, mult, np.uint32))
-    consts = np.empty((calls + 1, 1), np.uint32)
-    consts[0] = init
-    consts[1:, 0] = powers * np.uint32(init)
-    _read_only(consts)
-    return consts[:-1], consts[1:]
+def _normals(counters, key, offset):
+    """One standard normal per element of the uint64 array ``counters``.
 
-
-# A key of w words takes 4 * w mixing calls; these cover keys of up to 16
-# words (the seed, n, family and index take 4 unless seed or n >= 2**32).
-_MIX_CONSTS = _hash_constants(_INIT_A, _MULT_A, 64)
-# generate_state(4, np.uint64) hashes out 8 words, cycling over the pool
-_OUT_CONSTS = _hash_constants(_INIT_B, _MULT_B, 8)
-_OUT_CYCLE = np.arange(8) % 4
-# the pool words each pool word is mixed into, in order
-_MIX_TARGETS = tuple(np.delete(np.arange(4), src) for src in range(4))
-
-
-def _words(value):
-    """The little-endian 32-bit words SeedSequence splits ``value`` into."""
-    if value < 0:
-        raise ValueError(f"expected a non-negative integer, got {value}")
-    out = [value & 0xFFFFFFFF]
-    value >>= 32
-    while value:
-        out.append(value & 0xFFFFFFFF)
-        value >>= 32
-    return out
-
-
-def _hashmix(words, xor, mul):
-    h = words ^ xor
-    h *= mul
-    h ^= h >> 16
-    return h
-
-
-def _mix(x, h):
-    out = x * _MIX_MULT_L
-    out -= h * _MIX_MULT_R
-    out ^= out >> 16
-    return out
-
-
-def _pcg_seeds(head, n_words, lanes):
-    """PCG64 seeds of the keys ``head + [n, code, index]`` for a chunk of n.
-
-    ``head`` holds the 32-bit words of the seed, and column i of the
-    uint32 array ``n_words`` those of the chunk's i-th n (all n of a chunk
-    have the same number of words).  Entry ``[i, j]`` of the read-only
-    ``(chunk, lanes, 4)`` result is ``SeedSequence(head +
-    list(n_words[:, i]) + list(lanes.words[:, j])).generate_state(4,
-    np.uint64)``, from one pass of uint32 arithmetic over every (n, lane)
-    column, so numpy's per-call cost is paid once per chunk.
+    Each input ``(counter ^ key) + offset`` is a splitmix64 state, and its
+    next two outputs are the element's two words.  The top 52 bits ``h`` of
+    a word give the uniform ``(h + 0.5) / 2**52``, strictly inside (0, 1),
+    and Box–Muller turns the pair ``u, u'`` into
+    ``sqrt(-2 log u) cos(2 pi u')``.
     """
-    width, chunk = n_words.shape
-    lanes_count = len(lanes.keys)
-    count = len(head) + width + 2
-    entropy = np.empty((count, chunk, lanes_count), np.uint32)
-    entropy[:len(head)] = np.array(head, np.uint32)[:, None, None]
-    entropy[len(head):-2] = n_words[:, :, None]
-    entropy[-2:] = lanes.words[:, None, :]
-    entropy = entropy.reshape(count, chunk * lanes_count)
-    xor, mul = _MIX_CONSTS
-    if 4 * count > len(xor):
-        xor, mul = _hash_constants(_INIT_A, _MULT_A, 4 * count)
-    pool = _hashmix(entropy[:4], xor[:4], mul[:4])
-    # each pool word into the other three: those three updates read only
-    # the source word, so they run as one operation
-    j = 4
-    for src, targets in enumerate(_MIX_TARGETS):
-        h = _hashmix(pool[src], xor[j:j + 3], mul[j:j + 3])
-        pool[targets] = _mix(pool[targets], h)
-        j += 3
-    # the words past the pool, each into all four
-    for word in entropy[4:]:
-        pool = _mix(pool, _hashmix(word, xor[j:j + 4], mul[j:j + 4]))
-        j += 4
-    state = _hashmix(pool[_OUT_CYCLE], *_OUT_CONSTS)
-    out = np.empty((chunk * lanes_count, 8), "<u4")
-    out.T[...] = state
-    seeds = out.view("<u8").astype(np.uint64, copy=False)
-    return _read_only(seeds.reshape(chunk, lanes_count, 4))
-
-
-class _GivenState(ISeedSequence):
-    """A seed sequence whose state is already computed: ``PCG64`` reads its
-    seed from ``generate_state(4, np.uint64)``, which returns ``words``."""
-
-    __slots__ = ("words",)
-
-    def __init__(self, words):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
+    x = counters ^ key
+    x += offset
+    words = _splitmix64(x + _NEXT)
+    u = (words >> 12) + 0.5
+    u *= 2.0**-52
+    r = np.log(u[0])
+    r *= -2.0
+    np.sqrt(r, r)
+    angle = u[1]
+    angle *= 2.0 * np.pi
+    r *= np.cos(angle, angle)
+    return r
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from numpy.random import Generator
 
 from conftest import error_blocks
 from monosplit.demos import (
@@ -850,15 +849,46 @@ def test_step_is_pure():
 
 
 # ---------------------------------------------------------------------------
-# the batched geometric draws against the keyed default_rng formula
+# the batched geometric draws against a block-by-block keyed hash
+
+
+MASK = 2**64 - 1
+GOLDEN = 0x9E3779B97F4A7C15     # splitmix64's increment
+N_STRIDE = 0xD1B54A32D192ED03   # n's odd multiplier
+
+
+def splitmix64(x):
+    """splitmix64's finalizer on one Python int below 2**64."""
+    x ^= x >> 30
+    x = x * 0xBF58476D1CE4E5B9 & MASK
+    x ^= x >> 27
+    x = x * 0x94D049BB133111EB & MASK
+    return x ^ x >> 31
+
+
+def seed_key(seed):
+    """splitmix64 folded over the 64-bit words of ``seed``, low word
+    first."""
+    key = 0
+    while True:
+        key = splitmix64((key ^ seed & MASK) + GOLDEN & MASK)
+        seed >>= 64
+        if not seed:
+            return key
 
 
 def reference_geometric_block(rho, amplitude, seed, n, family, index, dim):
-    """One block of ``geometric_schedule`` as it was computed block by
-    block, with a ``default_rng`` per key."""
+    """One block of ``geometric_schedule`` computed on its own: element j
+    hashes its key (seed, n, family, index, j) in Python ints, and
+    Box–Muller turns the two words into a normal."""
     code = ERROR_FAMILIES.index(family)
-    rng = np.random.default_rng([seed, n, code, index])
-    v = rng.standard_normal(dim)
+    states = [((code << 60 | index << 32 | j) ^ seed_key(seed))
+              + n * N_STRIDE & MASK for j in range(dim)]
+    u, u_angle = (
+        np.array([(splitmix64(s + k * GOLDEN & MASK) >> 12) + 0.5
+                  for s in states]) * 2.0**-52
+        for k in (1, 2))
+    v = np.sqrt(-2.0 * np.log(u)) * np.cos(2.0 * np.pi * u_angle)
     norm = np.linalg.norm(v)
     if norm == 0.0:
         return np.full(dim, -0.0)  # an exact block
@@ -896,12 +926,15 @@ def assert_records_equal(a, b, layout):
 @pytest.mark.parametrize("layout", [LASSO_LAYOUT, UNEVEN_LAYOUT],
                          ids=["lasso", "uneven"])
 @pytest.mark.parametrize("seed", [0, 2**31 - 1, 2**32, 2**40 + 5, 2**600 + 3])
-def test_geometric_blocks_equal_keyed_default_rng_draws(layout, seed):
-    sched = geometric_schedule(0.9, 0.1, seed=seed)
-    # chunk edges, and the last n of one 32-bit word and the first of two
-    for n in (0, 1, 63, 64, 65, 127, 255, 2**32 - 1, 2**32, 2**32 + 1):
+def test_geometric_blocks_equal_the_keyed_reference(layout, seed):
+    # rho**n stays near 1 up to n = 2**33, so the draws there are checked
+    # whole; past 2**64 the envelope is 0 and only their signs remain
+    rho = 1.0 - 2.0**-40
+    sched = geometric_schedule(rho, 0.1, seed=seed)
+    for n in (0, 1, 255, 2**32 - 1, 2**32, 2**32 + 1,
+              2**64 - 1, 2**64, 2**64 + 1):
         expected = {
-            family: [reference_geometric_block(0.9, 0.1, seed, n, family,
+            family: [reference_geometric_block(rho, 0.1, seed, n, family,
                                                index, dim)
                      for index, dim in enumerate(family_dims(layout, family))]
             for family in ERROR_FAMILIES
@@ -911,6 +944,61 @@ def test_geometric_blocks_equal_keyed_default_rng_draws(layout, seed):
         # the x2 part of the b row, where no error enters, is -0.0
         assert is_exact(record[1][layout.blocks[1][0].start:
                                   layout.blocks[1][-1].stop])
+
+
+def test_geometric_blocks_of_a_many_block_layout_equal_the_reference():
+    # 2403 blocks: the last block of each family has a large index
+    s = 300
+    layout = SpaceLayout((2,), (2,) * s, (2,) * s, (2,) * s)
+    sched = geometric_schedule(0.9, 0.1, seed=3)
+    for n in (0, 9):
+        errs = error_blocks(sched.realize(n, layout), layout)
+        for family in ERROR_FAMILIES:
+            index = len(errs[family]) - 1
+            assert errs[family][-1].tobytes() == reference_geometric_block(
+                0.9, 0.1, 3, n, family, index, 2).tobytes(), family
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, 2**64 + 9])
+def test_geometric_seed_words_above_64_bits_change_the_draws(seed):
+    # blocks of 10, as a block of one is scaled to +-amplitude * rho**n
+    a, b = (error_blocks(geometric_schedule(0.9, 0.1, seed=s).realize(
+        3, LASSO_LAYOUT), LASSO_LAYOUT) for s in (seed, seed + 2**64))
+    for family in ERROR_FAMILIES:
+        assert a[family][0].tobytes() != b[family][0].tobytes(), family
+
+
+def test_geometric_draws_are_standard_normal(monkeypatch):
+    # the raw normals, before each block is scaled to the envelope
+    drawn = []
+
+    def kept(*args):
+        out = normals(*args)
+        drawn.append(out.copy())
+        return out
+
+    normals = solver._normals
+    monkeypatch.setattr(solver, "_normals", kept)
+    layout = SpaceLayout((1000,) * 2, (500,), (500,), (500,))
+    sched = geometric_schedule(0.9, 0.1, seed=2024)
+    for n in (0, 1):
+        sched.realize(n, layout)
+    first, second = drawn
+    x = first
+    size = x.size
+    assert size >= 10_000
+    assert abs(x.mean()) < 4.0 / math.sqrt(size)
+    assert abs(x.var() - 1.0) < 4.0 * math.sqrt(2.0 / size)
+    # Kolmogorov–Smirnov distance to the normal cdf, against its 1%
+    # critical value
+    x = np.sort(x)
+    cdf = 0.5 * (1.0 + np.array([math.erf(t / math.sqrt(2.0)) for t in x]))
+    ranks = np.arange(1, size + 1) / size
+    distance = max((ranks - cdf).max(), (cdf - (ranks - 1.0 / size)).max())
+    assert distance < 1.628 / math.sqrt(size)
+    # neighbouring iterations and neighbouring elements are uncorrelated
+    for a, b in ((first, second), (first[:-1], first[1:])):
+        assert abs(np.corrcoef(a, b)[0, 1]) < 4.0 / math.sqrt(a.size)
 
 
 def test_geometric_block_draw_ignores_other_blocks_dims():
@@ -977,71 +1065,21 @@ def test_geometric_schedule_is_safe_to_share_across_threads():
             assert_records_equal(errs, expected[which][n], layouts[which])
 
 
-def test_geometric_seeds_are_hashed_once_per_chunk(monkeypatch):
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return hashed(*args)
-
-    hashed = solver._pcg_seeds
-    monkeypatch.setattr(solver, "_pcg_seeds", counted)
-    demo = lasso_demo()
-    policy = make_policy(compute_beta(demo.system))
-    iterations = 150
-    _, _, status = solve(demo.system, IterateState.zeros(demo.system.layout),
-                         policy, errors=geometric_schedule(0.9, 0.1, seed=0),
-                         tol=0.0, max_iter=iterations)
-    assert status == "max_iter"
-    assert len(calls) == math.ceil(iterations / solver._CHUNK) == 3
-
-
-@pytest.mark.parametrize("s", [60, 120, 300])
-def test_geometric_seed_cache_stays_within_the_row_cap(monkeypatch, s):
-    # 3 + 8 s blocks: 483, 963 and 2403 of them, which take chunks of 8, 4
-    # and 1 iterations
-    seeds = []
-
-    def kept(*args):
-        seeds.append(hashed(*args))
-        return seeds[-1]
-
-    hashed = solver._pcg_seeds
-    monkeypatch.setattr(solver, "_pcg_seeds", kept)
-    layout = SpaceLayout((2,), (1,) * s, (1,) * s, (1,) * s)
-    blocks = 3 + 8 * s
-    sched = geometric_schedule(0.9, 0.1, seed=3)
-    for n in (0, 9):
-        errs = error_blocks(sched.realize(n, layout), layout)
-        assert errs["c22"][-1].tobytes() == reference_geometric_block(
-            0.9, 0.1, 3, n, "c22", s - 1, 1).tobytes()
-    chunk = {60: 8, 120: 4, 300: 1}[s]
-    assert len(seeds) == 2
-    for held in seeds:
-        assert held.shape == (chunk, blocks, 4)
-        assert chunk * blocks <= solver._CHUNK_ROWS
-        assert held.nbytes <= 32 * solver._CHUNK_ROWS
-        assert not held.flags.writeable
-        with pytest.raises(ValueError):
-            held[0, 0, 0] = 0
-
-
 def test_zero_norm_draw_is_an_exact_block(monkeypatch):
     # the fifth lane (c12, block 0) of the lasso layout draws zeros
     calls = []
 
-    class ZeroFifth(Generator):
-        def standard_normal(self, *args, out=None, **kwargs):
-            calls.append(out)
-            drawn = super().standard_normal(*args, out=out, **kwargs)
-            if len(calls) == 5:
-                out[:] = 0.0
-            return drawn
+    def zero_fifth(*args):
+        out = normals(*args)
+        calls.append(out)
+        out[40:50] = 0.0
+        return out
 
-    monkeypatch.setattr(solver, "Generator", ZeroFifth)
+    normals = solver._normals
+    monkeypatch.setattr(solver, "_normals", zero_fifth)
     n = 3
     record = geometric_schedule(0.9, 0.1, seed=1).realize(n, LASSO_LAYOUT)
-    assert len(calls) == 11
+    assert len(calls) == 1  # one draw of all 11 lanes
     errs = error_blocks(record, LASSO_LAYOUT)
     for family in ERROR_FAMILIES:
         block = errs[family][0]
@@ -1061,10 +1099,12 @@ def test_lanes_place_each_block_once_and_are_read_only(layout):
     assert lanes.gather.shape == (3, size)
     placed = lanes.gather[lanes.gather < lanes.size]
     assert sorted(placed.tolist()) == list(range(lanes.size))
-    for array in (lanes.gather, lanes.words):
+    assert lanes.counters.shape == (lanes.size,)
+    assert len(set(lanes.counters.tolist())) == lanes.size
+    for array in (lanes.gather, lanes.counters):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
-            array[0, 0] = 0
+            array[(0,) * array.ndim] = 0
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -1118,6 +1158,44 @@ def test_custom_per_block_generator_is_read_block_by_block():
     wrong = ErrorSchedule(lambda n, family, index, dim: np.zeros(dim + 1))
     with pytest.raises(SpecificationError, match="family a11 block 0"):
         wrong.realize(0, LASSO_LAYOUT)
+
+
+@pytest.mark.parametrize("value", [1j, "1", True, object()],
+                         ids=["complex", "str", "bool", "object"])
+def test_generator_non_real_block_is_an_error(value):
+    sched = ErrorSchedule(
+        lambda n, family, index, dim: np.full(dim, value)
+        if family == "b21" else None)
+    with pytest.raises(SpecificationError,
+                       match="family b21 block 0 returned .* real numbers"):
+        sched.realize(0, UNEVEN_LAYOUT)
+
+
+def test_generator_integer_blocks_are_read_as_floats():
+    sched = ErrorSchedule(lambda n, family, index, dim: np.arange(
+        dim, dtype=np.uint8 if index else np.int64))
+    errs = error_blocks(sched.realize(0, UNEVEN_LAYOUT), UNEVEN_LAYOUT)
+    assert [b.tolist() for b in errs["b21"]] == [[0.0, 1.0],
+                                                 [0.0, 1.0, 2.0, 3.0, 4.0,
+                                                  5.0]]
+
+
+@pytest.mark.parametrize("n", [-1, -2**70, 2.0, 1.5, True, np.float64(3.0),
+                               "3", None])
+def test_realize_rejects_a_bad_n_by_name(n):
+    for sched in (geometric_schedule(0.9, 0.1), ErrorSchedule(b21_only)):
+        with pytest.raises(ValueError,
+                           match=r"^n must be a non-negative integer, got "):
+            sched.realize(n, LASSO_LAYOUT)
+
+
+def test_realize_takes_any_non_negative_integer_n():
+    sched = geometric_schedule(0.9, 0.1, seed=3)
+    for n, same in ((np.int64(5), 5), (np.uint64(2**63 + 1), 2**63 + 1),
+                    (2**1100, 2**64)):  # n enters mod 2**64
+        assert_records_equal(sched.realize(n, UNEVEN_LAYOUT),
+                             sched.realize(same, UNEVEN_LAYOUT),
+                             UNEVEN_LAYOUT)
 
 
 def test_exact_blocks_keep_signed_zeros_bit_for_bit():
