@@ -30,7 +30,11 @@ schedules are zero and geometrically decaying noise, both absolutely
 summable.  The geometric schedule's draws are keyed and stateless: each
 element's draw is a function of (seed, n, family, index, place in the
 block) alone, one splitmix64 hash of those followed by Box–Muller, run as
-one pass of uint64 array arithmetic over every element of an iteration.
+one pass of uint64 array arithmetic over every element of a run of
+iterations.  :func:`solve` realizes its errors in runs of at most
+``ERROR_RUN`` (16) iterations, one ``(count, 3, size)`` array per run, so
+a generator is called up to 15 iterations ahead of the step that adds its
+output, but never for an iteration at or past ``max_iter``.
 The draws repeat exactly for a given NumPy build: ``log``, ``cos`` and the
 ``vecdot`` of the norms are NumPy kernels, which another build may round
 differently in the last bit.
@@ -52,6 +56,9 @@ from .linops import _read_only
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 100_000
 DEFAULT_TRACE_EVERY = 10
+# solve realizes the errors of this many iterations per call; a run holds
+# ERROR_RUN * 3 * size floats
+ERROR_RUN = 16
 
 TRACE_COLUMNS = (
     "n", "gamma", "displacement",
@@ -195,7 +202,8 @@ def make_policy(beta, epsilon=None, gamma_const=None, gamma_seq=None):
 class ErrorSchedule:
     """Source of the additive error vectors.
 
-    :meth:`realize` gives the errors of one iteration as one record, a
+    :meth:`realize` gives the errors of one iteration, or of a run of
+    consecutive iterations, as one record per iteration, a
     ``(3, size)`` float array laid out like the flat iterate
     ``[x1 | x2 | v1 | v2]``: row 0 holds the ``a`` terms (``a11 | a12 |
     a21 | a22``), row 1 the ``b`` terms and row 2 the ``c`` terms.  Every
@@ -218,9 +226,10 @@ class ErrorSchedule:
 
     generator: Optional[Callable[[int, str, int, int],
                                  Optional[np.ndarray]]] = None
-    # draws(n, lanes): the errors of every block of iteration n as one
-    # vector of lanes.size elements, the blocks concatenated in the order
-    # of lanes.keys with -0.0 in exact blocks, or None when all are exact
+    # draws(first, count, lanes): the errors of iterations first to
+    # first + count - 1 as one (count, lanes.size) array, a row per
+    # iteration holding every block, concatenated in the order of
+    # lanes.keys with -0.0 in exact blocks; or None when all are exact
     _draws: Optional[Callable] = field(default=None, repr=False,
                                        kw_only=True)
 
@@ -228,42 +237,62 @@ class ErrorSchedule:
         if self.generator is not None:
             object.__setattr__(self, "_draws", _block_by_block(self.generator))
 
-    def realize(self, n, layout):
+    def realize(self, n, layout, count=None):
         """The error record of iteration n: a fresh ``(3, size)`` array with
-        -0.0 wherever there is no error, or None if all are exact."""
+        -0.0 wherever there is no error, or None if all are exact.
+
+        With ``count``, the records of the run of iterations ``n`` to
+        ``n + count - 1`` at once: a fresh ``(count, 3, size)`` array whose
+        row ``j`` is bit for bit the record of iteration ``n + j`` (-0.0
+        throughout where that record is None), or None if every one of them
+        is exact.  A ``count`` that is not a positive integer raises
+        ``ValueError``.  :func:`solve` asks for runs of at most
+        ``ERROR_RUN`` (16) records, none at or past its ``max_iter``, so it
+        calls a generator up to 15 iterations ahead of the step that adds
+        its output.
+        """
         if self._draws is None:
             return None
         if isinstance(n, bool) or not isinstance(n, Integral) or n < 0:
             raise ValueError(f"n must be a non-negative integer, got {n!r}")
+        if count is not None and (isinstance(count, bool)
+                                  or not isinstance(count, Integral)
+                                  or count < 1):
+            raise ValueError(
+                f"count must be a positive integer, got {count!r}")
         lanes = _lanes(layout)
-        drawn = self._draws(n, lanes)
+        drawn = self._draws(int(n), 1 if count is None else int(count), lanes)
         if drawn is None:
             return None
         # one gather places every lane, and the -0.0 appended past the last
         # where the record has no error
-        return np.concatenate((drawn, [-0.0])).take(lanes.gather)
+        records = np.concatenate(
+            (drawn, np.full((len(drawn), 1), -0.0)), axis=1).take(
+                lanes.gather, axis=1)
+        return records if count is not None else records[0]
 
 
 def _block_by_block(generator):
     """The batched draws of a per-block ``generator``, whose output is
     checked block by block."""
-    def draws(n, lanes):
-        out = np.full(lanes.size, -0.0)
+    def draws(first, count, lanes):
+        out = np.full((count, lanes.size), -0.0)
         exact = True
-        for (family, index, dim), lo in zip(lanes.keys, lanes.starts):
-            e = generator(n, family, index, dim)
-            if e is not None:
-                e = np.asarray(e)
-                # complex, bool, str and object entries are refused, not
-                # coerced
-                if e.dtype.kind not in "fiu" or e.shape != (dim,):
-                    raise SpecificationError(
-                        f"error generator: family {family} block {index} "
-                        f"returned {e.dtype} of shape {e.shape}, expected "
-                        f"({dim},) real numbers"
-                    )
-                out[lo:lo + dim] = e
-                exact = False
+        for n, row in enumerate(out, first):
+            for (family, index, dim), lo in zip(lanes.keys, lanes.starts):
+                e = generator(n, family, index, dim)
+                if e is not None:
+                    e = np.asarray(e)
+                    # complex, bool, str and object entries are refused, not
+                    # coerced
+                    if e.dtype.kind not in "fiu" or e.shape != (dim,):
+                        raise SpecificationError(
+                            f"error generator: family {family} block {index} "
+                            f"returned {e.dtype} of shape {e.shape}, expected "
+                            f"({dim},) real numbers"
+                        )
+                    row[lo:lo + dim] = e
+                    exact = False
         return None if exact else out
     return draws
 
@@ -365,20 +394,24 @@ def geometric_schedule(rho, amplitude, seed=0):
             break
     key = int(key[0])
 
-    def draws(n, lanes):
-        out = _normals(lanes.counters, key, int(n) * _N_STRIDE & _MASK)
+    def draws(first, count, lanes):
+        ns = range(first, first + count)
+        out = _normals(lanes.counters, key, np.array(
+            [n * _N_STRIDE & _MASK for n in ns], np.uint64))
+        out = out.reshape(count, lanes.size)
         # 0 from n = 2**64 on; float(n) overflows from 2**1024
-        scale = amplitude * rho**min(n, 2**64)
-        for first, count, dim in lanes.runs:
-            lo = lanes.starts[first]
-            v = out[lo:lo + count * dim].reshape(count, dim)
-            # each row's v @ v, the same BLAS dot as np.linalg.norm(v) takes
+        scales = np.array([amplitude * rho**min(n, 2**64) for n in ns])
+        for first_lane, lane_count, dim in lanes.runs:
+            lo = lanes.starts[first_lane]
+            v = out[:, lo:lo + lane_count * dim].reshape(count, lane_count,
+                                                         dim)
+            # each block's v @ v, the same BLAS dot as np.linalg.norm takes
             norms = np.sqrt(np.vecdot(v, v))
             if not norms.all():  # a zero-norm draw is an exact block:
                 exact = norms == 0.0  # -0.0 times scale / inf is -0.0
                 v[exact] = -0.0
                 norms[exact] = np.inf
-            v *= (scale / norms)[:, None]
+            v *= (scales[:, None] / norms)[:, :, None]
         return out
 
     return ErrorSchedule(_draws=draws)
@@ -404,8 +437,10 @@ def _splitmix64(x):
     return x
 
 
-def _normals(counters, key, offset):
-    """One standard normal per element of the uint64 array ``counters``.
+def _normals(counters, key, offsets):
+    """One standard normal per element of the uint64 array ``counters`` and
+    per offset, as one flat vector: the ``counters.size`` normals of
+    ``offsets[0]``, then those of ``offsets[1]``, and so on.
 
     Each input ``(counter ^ key) + offset`` is a splitmix64 state, and its
     next two outputs are the element's two words.  The top 52 bits ``h`` of
@@ -413,9 +448,8 @@ def _normals(counters, key, offset):
     and Box–Muller turns the pair ``u, u'`` into
     ``sqrt(-2 log u) cos(2 pi u')``.
     """
-    x = counters ^ key
-    x += offset
-    words = _splitmix64(x + _NEXT)
+    x = (counters ^ key) + offsets[:, None]
+    words = _splitmix64(x.reshape(1, -1) + _NEXT)
     u = (words >> 12) + 0.5
     u *= 2.0**-52
     r = np.log(u[0])
@@ -747,11 +781,18 @@ def solve(spec, init, policy, errors=None, tol=DEFAULT_TOL,
     ``trace_every`` iterations and at the final one, with the running
     ``partial_sums`` and the :func:`transversality_defect` of its state,
     evaluated once per kept record.  Numeric failures propagate as
-    :class:`NumericError` tagged with the iteration index.  A
-    ``trace_every`` below 1, a negative ``max_iter`` and a negative or NaN
-    ``tol`` raise ``ValueError``; ``tol = 0`` runs ``max_iter`` iterations
-    unless a step stands still.
+    :class:`NumericError` tagged with the iteration index.  The errors are
+    realized by ``errors.realize`` in runs of at most ``ERROR_RUN``
+    iterations, each run ending by ``max_iter``; an error the schedule
+    raises surfaces when its run is realized.  A ``max_iter`` or
+    ``trace_every`` that is a bool or not an integer, a ``trace_every``
+    below 1, a negative ``max_iter`` and a negative or NaN ``tol`` raise
+    ``ValueError``; ``tol = 0`` runs ``max_iter`` iterations unless a step
+    stands still.
     """
+    for name, value in (("max_iter", max_iter), ("trace_every", trace_every)):
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if trace_every < 1:
         raise ValueError("trace_every must be >= 1")
     if max_iter < 0:
@@ -766,10 +807,13 @@ def solve(spec, init, policy, errors=None, tol=DEFAULT_TOL,
     trace = []
     status = "max_iter"
     for it in range(max_iter):
+        j = it % ERROR_RUN
+        if not j:
+            run = errors.realize(it, layout, min(ERROR_RUN, max_iter - it))
         gamma = policy.gamma_at(it)
-        errs = errors.realize(it, layout)
         try:
-            state, rec = step(spec, state, gamma, errs)
+            state, rec = step(spec, state, gamma,
+                              None if run is None else run[j])
         except NumericError as exc:
             exc.iteration = it
             raise

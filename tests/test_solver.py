@@ -204,9 +204,14 @@ def test_trace_partial_sums_nondecreasing():
 
 @pytest.mark.parametrize("kwargs", [
     {"tol": float("nan")}, {"tol": -1e-8}, {"tol": -math.inf},
-    {"max_iter": -1}, {"trace_every": 0},
+    {"max_iter": -1}, {"trace_every": 0}, {"max_iter": 2.5},
+    {"max_iter": 50.0}, {"max_iter": True}, {"max_iter": "50"},
+    {"trace_every": 2.5}, {"trace_every": np.float64(2.0)},
+    {"trace_every": True}, {"trace_every": None},
 ], ids=["tol-nan", "tol-negative", "tol-minus-inf", "max_iter-negative",
-        "trace_every-zero"])
+        "trace_every-zero", "max_iter-fraction", "max_iter-float",
+        "max_iter-bool", "max_iter-str", "trace_every-fraction",
+        "trace_every-numpy-float", "trace_every-bool", "trace_every-none"])
 def test_solve_rejects_bad_arguments(kwargs):
     demo = qp_demo()
     policy = make_policy(compute_beta(demo.system))
@@ -227,6 +232,8 @@ def test_zero_tol_runs_the_whole_budget():
 @pytest.mark.parametrize("trace_every, max_iter, stop", [
     (1, 12, None), (3, 12, None),   # 11 is off the grid of 3: needs the defect
     (3, 40, 10), (3, 40, 9),        # converged off and on the grid
+    (1, 40, 37),                    # errors realized in runs: stop mid-run
+    (5, 37, None),                  # and a last run shorter than the rest
 ])
 def test_kept_records_are_step_records_with_running_sums(trace_every,
                                                          max_iter, stop):
@@ -253,6 +260,49 @@ def test_kept_records_are_step_records_with_running_sums(trace_every,
     assert trace == kept
     assert status == ("max_iter" if stop is None else "converged")
     assert_states_equal(final, state)
+
+
+@pytest.mark.parametrize("max_iter", [1, 16, 17, 37])
+def test_solve_calls_a_generator_below_max_iter_only(max_iter):
+    spec = dense_two_by_two()
+    layout = spec.layout
+    init = random_state(layout)
+    policy = make_policy(compute_beta(spec))
+    calls = []
+
+    def generator(n, family, index, dim):
+        calls.append((n, family, index))
+        # two iterations in three are exact: -0.0 rows of their run
+        e = b21_only(n, family, index, dim)
+        return None if e is None or n % 3 else 1e-3 * e
+
+    sched = ErrorSchedule(generator)
+    final, _, status = solve(spec, init, policy, errors=sched, tol=0.0,
+                             max_iter=max_iter)
+    assert status == "max_iter"
+    blocks = [(family, index) for family in ERROR_FAMILIES
+              for index, _ in enumerate(family_dims(layout, family))]
+    assert sorted(calls) == [(n, *block) for n in range(max_iter)
+                             for block in sorted(blocks)]
+    state = init
+    for it in range(max_iter):
+        state, _ = step(spec, state, policy.gamma_at(it),
+                        sched.realize(it, layout))
+    assert_states_equal(final, state)
+
+
+def test_solve_surfaces_a_generator_error():
+    spec = dense_two_by_two()
+    init = random_state(spec.layout)
+    policy = make_policy(compute_beta(spec))
+    sched = ErrorSchedule(
+        lambda n, family, index, dim: np.zeros(dim + (n == 20)))
+    with pytest.raises(SpecificationError, match="family a11 block 0"):
+        solve(spec, init, policy, errors=sched, tol=0.0, max_iter=40)
+    # a budget that ends before iteration 20 never realizes it
+    final, _, _ = solve(spec, init, policy, errors=sched, tol=0.0,
+                        max_iter=20)
+    assert final.n == 20
 
 
 def test_solve_deterministic_repeat_is_bitwise_identical():
@@ -1036,16 +1086,92 @@ def test_realize_out_of_order_repeats_blocks():
                          UNEVEN_LAYOUT)
 
 
+@pytest.fixture(scope="module")
+def deblur16_layout():
+    return deblur_demo().system.layout
+
+
+@pytest.mark.parametrize("name", ["lasso", "uneven", "deblur16"])
+def test_realize_run_rows_are_the_records_of_their_iterations(name, request):
+    layout = {"lasso": LASSO_LAYOUT, "uneven": UNEVEN_LAYOUT}.get(name) \
+        or request.getfixturevalue("deblur16_layout")
+    size = layout.blocks[-1][-1].stop
+    # rho**n stays near 1 up to n = 2**33; from 2**64 on the envelope is 0
+    # and only the signs of the draws remain
+    sched = geometric_schedule(1.0 - 2.0**-40, 0.1, seed=11)
+    for n, count in ((0, 1), (0, 16), (9, 7), (2**32 - 2, 5),
+                     (2**64 - 3, 6)):
+        run = sched.realize(n, layout, count)
+        assert run.shape == (count, 3, size)
+        for j, record in enumerate(run):
+            assert record.tobytes() == sched.realize(
+                n + j, layout).tobytes(), (n, j)
+    # each run is fresh: writing one changes no later one
+    again = sched.realize(n, layout, np.int64(count))
+    assert again.tobytes() == run.tobytes()
+    run[:] = 1.0
+    assert sched.realize(n, layout, count).tobytes() == again.tobytes()
+
+
+def test_generator_run_rows_are_the_records_of_their_iterations():
+    sched = ErrorSchedule(lambda n, family, index, dim: b21_only(
+        n, family, index, dim) if n % 3 == 1 else None)
+    run = sched.realize(0, UNEVEN_LAYOUT, 6)
+    for j, record in enumerate(run):
+        single = sched.realize(j, UNEVEN_LAYOUT)
+        if single is None:  # an exact iteration is a row of -0.0
+            assert is_exact(record)
+        else:
+            assert record.tobytes() == single.tobytes()
+    assert sched.realize(2, UNEVEN_LAYOUT, 2) is None  # n = 2, 3: exact
+
+
+def test_zero_norm_draw_in_a_run_is_an_exact_block(monkeypatch):
+    # the fifth lane (c12, block 0) of the lasso layout draws zeros at n = 4
+    at_4 = 4 * solver._N_STRIDE % 2**64
+
+    def zero_fifth_at_4(counters, key, offsets):
+        out = normals(counters, key, offsets)
+        out.reshape(len(offsets), -1)[offsets == at_4, 40:50] = 0.0
+        return out
+
+    normals = solver._normals
+    monkeypatch.setattr(solver, "_normals", zero_fifth_at_4)
+    sched = geometric_schedule(0.9, 0.1, seed=1)
+    run = sched.realize(3, LASSO_LAYOUT, 3)
+    for j, record in enumerate(run):
+        assert record.tobytes() == sched.realize(
+            3 + j, LASSO_LAYOUT).tobytes(), j
+        c12 = error_blocks(record, LASSO_LAYOUT)["c12"][0]
+        assert is_exact(c12) == (j == 1), j
+
+
+@pytest.mark.parametrize("count", [0, -1, 2.0, 1.5, True, np.float64(3.0),
+                                   "3"])
+def test_realize_rejects_a_bad_count_by_name(count):
+    for sched in (geometric_schedule(0.9, 0.1), ErrorSchedule(b21_only)):
+        with pytest.raises(ValueError,
+                           match=r"^count must be a positive integer, got "):
+            sched.realize(0, LASSO_LAYOUT, count)
+
+
 def test_geometric_schedule_is_safe_to_share_across_threads():
     sched = geometric_schedule(0.9, 0.1, seed=5)
     layouts = [LASSO_LAYOUT, UNEVEN_LAYOUT]
-    ns = range(151)  # crosses the chunk edges at 64 and 128
+    ns = range(151)
+    longest_run = 16
 
     def run(offset):
         order = list(ns)
         random.Random(offset).shuffle(order)
-        return {n: sched.realize(n, layouts[(n + offset) % 2])
-                for n in order}
+        singles, runs = {}, {}
+        for n in order:
+            layout = layouts[(n + offset) % 2]
+            singles[n] = sched.realize(n, layout)
+            # runs of 1 to 16 records between the single realizations
+            if n % 5 == offset % 5:
+                runs[n] = sched.realize(n, layout, 1 + n % longest_run)
+        return singles, runs
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -1056,13 +1182,20 @@ def test_geometric_schedule_is_safe_to_share_across_threads():
     finally:
         sys.setswitchinterval(interval)
     alone = geometric_schedule(0.9, 0.1, seed=5)
-    expected = [{n: alone.realize(n, layout) for n in ns}
-                for layout in layouts]
-    for offset, result in enumerate(results):
-        assert sorted(result) == list(ns)
-        for n, errs in result.items():
+    expected = [{n: alone.realize(n, layout)
+                 for n in range(ns.stop + longest_run)} for layout in layouts]
+    for offset, (singles, runs) in enumerate(results):
+        assert sorted(singles) == list(ns)
+        for n, errs in singles.items():
             which = (n + offset) % 2
             assert_records_equal(errs, expected[which][n], layouts[which])
+        assert sorted(runs) == [n for n in ns if n % 5 == offset % 5]
+        for n, records in runs.items():
+            which = (n + offset) % 2
+            assert len(records) == 1 + n % longest_run
+            for j, errs in enumerate(records):
+                assert_records_equal(errs, expected[which][n + j],
+                                     layouts[which])
 
 
 def test_zero_norm_draw_is_an_exact_block(monkeypatch):
@@ -1252,6 +1385,7 @@ def test_exact_schedules_realize_without_looking_up_lanes(monkeypatch,
     monkeypatch.setattr(solver, "_lanes", no_lanes)
     for n, layout in ((0, LASSO_LAYOUT), (12345, UNEVEN_LAYOUT)):
         assert schedule.realize(n, layout) is None
+        assert schedule.realize(n, layout, 16) is None
 
 
 def test_trace_csv_bytes_are_what_csv_writer_writes(tmp_path):
