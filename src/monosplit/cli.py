@@ -66,8 +66,12 @@ def _trace_every(default):
     override = os.environ.get(TRACE_ENV)
     if not override:
         return default
-    # int() would also read "3_0", "+3", " 3" and non-ASCII digits
-    every = int(override) if override.isascii() and override.isdigit() else 0
+    # int() would also read "3_0", "+3", " 3" and non-ASCII digits, and
+    # refuses more digits than Python's int-string limit (4300)
+    try:
+        every = int(override) if override.isascii() and override.isdigit() else 0
+    except ValueError:
+        every = 0
     if every < 1:
         raise ConfigurationError(f"{TRACE_ENV} must be a positive integer "
                                  f"in ASCII digits, got {override!r}")
@@ -96,10 +100,12 @@ def _run_and_write(system, init, policy, errors, tol, max_iter, trace_every,
                    out_dir, extra_summary=None):
     """Solve and write ``trace.csv``, ``solution.json`` and ``summary.json``.
 
-    The files are written even when the solve raises.  ``extra_summary``,
-    if given, is called as ``extra_summary(final, status)`` and returns
-    fields to add to the summary; after a failed solve ``status`` is
-    ``"numeric_error"`` and ``final`` is the initial state.
+    The files are written even when the solve raises, and a file that
+    cannot be written is a :class:`ConfigurationError` naming it.
+    ``extra_summary``, if given, is called as ``extra_summary(final,
+    status)`` and returns fields to add to the summary; after a failed
+    solve ``status`` is ``"numeric_error"`` and ``final`` is the initial
+    state.
     """
     _make_out_dir(out_dir)
     started = time.perf_counter()
@@ -112,22 +118,17 @@ def _run_and_write(system, init, policy, errors, tol, max_iter, trace_every,
                                      trace_every=trace_every)
     finally:
         wall = time.perf_counter() - started
-        write_trace_csv(trace, os.path.join(out_dir, "trace.csv"))
         sol = extract_solution(final, system)
-        with open(os.path.join(out_dir, "solution.json"), "w") as fh:
-            json.dump(
-                {
-                    "xbar": [list(map(float, b)) for b in sol.xbar],
-                    "vbar": [list(map(float, b)) for b in sol.vbar],
-                    "state": {
-                        "x1": [list(map(float, b)) for b in final.x1],
-                        "x2": [list(map(float, b)) for b in final.x2],
-                        "v1": [list(map(float, b)) for b in final.v1],
-                        "v2": [list(map(float, b)) for b in final.v2],
-                    },
-                },
-                fh,
-            )
+        solution = {
+            "xbar": [list(map(float, b)) for b in sol.xbar],
+            "vbar": [list(map(float, b)) for b in sol.vbar],
+            "state": {
+                "x1": [list(map(float, b)) for b in final.x1],
+                "x2": [list(map(float, b)) for b in final.x2],
+                "v1": [list(map(float, b)) for b in final.v1],
+                "v2": [list(map(float, b)) for b in final.v2],
+            },
+        }
         summary = {
             "status": status,
             "iterations": final.n,
@@ -147,8 +148,16 @@ def _run_and_write(system, init, policy, errors, tol, max_iter, trace_every,
         }
         if extra_summary:
             summary.update(extra_summary(final, status))
-        with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-            json.dump(summary, fh, indent=2)
+        try:
+            write_trace_csv(trace, os.path.join(out_dir, "trace.csv"))
+            for name, doc, indent in (("solution.json", solution, None),
+                                      ("summary.json", summary, 2)):
+                with open(os.path.join(out_dir, name), "w") as fh:
+                    json.dump(doc, fh, indent=indent)
+        except OSError as exc:
+            raise ConfigurationError(
+                f"cannot write {exc.filename or out_dir}: "
+                f"{exc.strerror or exc}") from exc
     return final, trace, status
 
 

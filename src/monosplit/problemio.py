@@ -254,8 +254,11 @@ def _located(pointer):
     """Report a parameter error raised in the block as an error at pointer."""
     try:
         yield
-    except (MonosplitError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigurationError(f"{pointer}: {exc}") from exc
+    except (MonosplitError, TypeError, ValueError, OverflowError,
+            MemoryError) as exc:
+        # a bare MemoryError says nothing
+        raise ConfigurationError(
+            f"{pointer}: {str(exc) or type(exc).__name__}") from exc
 
 
 def _blocks(entries, wants, where, build):
@@ -431,18 +434,21 @@ def load_problem(path):
     """Read and parse a problem file from disk.
 
     A number literal too large for a double, which ``json`` would read as
-    an infinity, is a :class:`ConfigurationError`.
+    an infinity, is a :class:`ConfigurationError`, and so are an integer
+    literal past Python's int-string limit (4300 digits) and nesting
+    deeper than the decoder's recursion limit.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh, parse_float=_finite_float,
                             parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"not valid JSON: {exc}") from exc
     except OSError as exc:
         raise ConfigurationError(
             f"cannot read problem file {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigurationError(
             f"problem file {path} is not UTF-8 text: {exc}") from exc
+    # a JSONDecodeError, or an int literal past the int-string limit
+    except (ValueError, RecursionError) as exc:
+        raise ConfigurationError(f"not valid JSON: {exc}") from exc
     return parse_problem(doc)

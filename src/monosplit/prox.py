@@ -175,13 +175,21 @@ def _is_number(value):
 
 
 def _is_numbers(value):
-    if isinstance(value, np.ndarray):
-        return value.dtype.kind in "iuf"
-    if isinstance(value, (list, tuple)):
-        # the common case, a flat list of JSON numbers, in one pass
-        return (set(map(type, value)) <= {int, float}
-                or all(map(_is_numbers, value)))
-    return _is_number(value)
+    # nested lists are walked with a stack, as a file may nest them deeper
+    # than Python recurses
+    stack = [value]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, np.ndarray):
+            if value.dtype.kind not in "iuf":
+                return False
+        elif isinstance(value, (list, tuple)):
+            # the common case, a flat list of JSON numbers, in one pass
+            if not set(map(type, value)) <= {int, float}:
+                stack.extend(value)
+        elif not _is_number(value):
+            return False
+    return True
 
 
 # The JSON types of catalog parameters: what a value must be, and its test.

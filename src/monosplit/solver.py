@@ -31,10 +31,11 @@ summable.  The geometric schedule's draws are keyed and stateless: each
 element's draw is a function of (seed, n, family, index, place in the
 block) alone, one splitmix64 hash of those followed by Box–Muller, run as
 one pass of uint64 array arithmetic over every element of a run of
-iterations.  :func:`solve` realizes its errors in runs of at most
-``ERROR_RUN`` (16) iterations, one ``(count, 3, size)`` array per run, so
-a generator is called up to 15 iterations ahead of the step that adds its
-output, but never for an iteration at or past ``max_iter``.
+iterations, drawn straight into the records' layout.  :func:`solve`
+realizes its errors in runs of at most ``ERROR_RUN`` (16) iterations, one
+``(count, 3, size)`` array per run, so a generator is called up to 15
+iterations ahead of the step that adds its output, but never for an
+iteration at or past ``max_iter``.
 The draws repeat exactly for a given NumPy build: ``log``, ``cos`` and the
 ``vecdot`` of the norms are NumPy kernels, which another build may round
 differently in the last bit.
@@ -44,7 +45,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import accumulate, groupby
+from itertools import groupby
 from numbers import Integral, Real
 from typing import Callable, NamedTuple, Optional
 
@@ -211,7 +212,10 @@ class ErrorSchedule:
     evaluation and the x2 part of row 1, as there is no ``b12``.  In IEEE
     arithmetic ``x + (-0.0)`` is ``x`` bit for bit, signed zeros, infinities
     and NaN included, so :func:`step` adds a whole row where the per-block
-    update lines add their blocks.
+    update lines add their blocks.  The errors are made in this layout and
+    in no other: a generator's block is written into its row and slice of
+    the record, and the geometric schedule draws one normal per element of
+    the record.
 
     ``generator(n, family, index, dim)`` returns the error vector for one
     block at iteration ``n``, or None for an exact evaluation; each vector
@@ -226,10 +230,9 @@ class ErrorSchedule:
 
     generator: Optional[Callable[[int, str, int, int],
                                  Optional[np.ndarray]]] = None
-    # draws(first, count, lanes): the errors of iterations first to
-    # first + count - 1 as one (count, lanes.size) array, a row per
-    # iteration holding every block, concatenated in the order of
-    # lanes.keys with -0.0 in exact blocks; or None when all are exact
+    # draws(first, count, lanes): the records of iterations first to
+    # first + count - 1 as one fresh (count, 3, size) array, or None when
+    # all are exact
     _draws: Optional[Callable] = field(default=None, repr=False,
                                        kw_only=True)
 
@@ -260,26 +263,21 @@ class ErrorSchedule:
                                   or count < 1):
             raise ValueError(
                 f"count must be a positive integer, got {count!r}")
-        lanes = _lanes(layout)
-        drawn = self._draws(int(n), 1 if count is None else int(count), lanes)
-        if drawn is None:
-            return None
-        # one gather places every lane, and the -0.0 appended past the last
-        # where the record has no error
-        records = np.concatenate(
-            (drawn, np.full((len(drawn), 1), -0.0)), axis=1).take(
-                lanes.gather, axis=1)
-        return records if count is not None else records[0]
+        records = self._draws(int(n), 1 if count is None else int(count),
+                              _lanes(layout))
+        return records if records is None or count is not None \
+            else records[0]
 
 
 def _block_by_block(generator):
     """The batched draws of a per-block ``generator``, whose output is
-    checked block by block."""
+    checked block by block and written into its row of the record."""
     def draws(first, count, lanes):
-        out = np.full((count, lanes.size), -0.0)
+        out = np.full((count, *lanes.counters.shape), -0.0)
         exact = True
-        for n, row in enumerate(out, first):
-            for (family, index, dim), lo in zip(lanes.keys, lanes.starts):
+        for n, record in enumerate(out, first):
+            for family, index, row, sl in lanes.keys:
+                dim = sl.stop - sl.start
                 e = generator(n, family, index, dim)
                 if e is not None:
                     e = np.asarray(e)
@@ -291,54 +289,59 @@ def _block_by_block(generator):
                             f"returned {e.dtype} of shape {e.shape}, expected "
                             f"({dim},) real numbers"
                         )
-                    row[lo:lo + dim] = e
+                    record[row, sl] = e
                     exact = False
         return None if exact else out
     return draws
 
 
 class _Lanes(NamedTuple):
-    """The error blocks of a layout, one lane each, in realization order."""
+    """The error blocks of a layout, laid out as the error record."""
 
-    keys: tuple        # (family, index, dim) of each block
-    counters: np.ndarray  # uint64, one per element of a draws vector: the
-                          # family's place in ERROR_FAMILIES << 60 | the
-                          # block's index << 32 | the element's place in
-                          # the block, distinct below 2**28 blocks per
-                          # family and 2**32 elements per block
-    size: int          # the length of a draws vector: the sum of the dims
-    starts: tuple      # where each lane starts in a draws vector
-    runs: tuple        # (first lane, lane count, dim) of each run of
-                       # consecutive lanes of equal dim
-    gather: np.ndarray  # (3, state size) intp: the draws element of each
-                        # element of the error record, ``size`` for none
+    keys: tuple        # (family, index, row, slice) of each block in
+                       # realization order: its row of the record and its
+                       # slice of the flat iterate
+    counters: np.ndarray  # (3, state size) uint64, one per element of the
+                          # record: the family's place in ERROR_FAMILIES << 60
+                          # | the block's index << 32 | the element's place
+                          # in the block, distinct below 2**28 blocks per
+                          # family and 2**32 elements per block; the x2 part
+                          # of row b, where no error enters, takes place 11
+    runs: tuple        # _runs of the layout's blocks
+    x2: slice          # the x2 family, exact in row b
 
 
 @lru_cache(maxsize=16)
 def _lanes(layout):
-    # a family's last two digits name its space: H_i, G_k, X_k, Y_k, and
-    # its letter the row of the error record
-    place = {"11": 0, "12": 1, "21": 2, "22": 3}
+    # a family's letter names its row of the record, and its last two
+    # digits its space: H_i, G_k, X_k, Y_k
     blocks = layout.blocks
-    keys = [(family, index, sl.stop - sl.start) for family in ERROR_FAMILIES
-            for index, sl in enumerate(blocks[place[family[1:]]])]
-    counters = np.concatenate([
-        np.arange(dim, dtype=np.uint64)
-        + (ERROR_FAMILIES.index(family) << 60 | index << 32)
-        for family, index, dim in keys])
-    dims = [dim for _, _, dim in keys]
-    *starts, size = accumulate(dims, initial=0)
-    gather = np.full((3, blocks[-1][-1].stop), size, np.intp)
-    for (family, index, dim), lo in zip(keys, starts):
-        sl = blocks[place[family[1:]]][index]
-        gather["abc".index(family[0]), sl] = np.arange(lo, lo + dim)
-    runs, first = [], 0
-    for dim, run in groupby(dims):
-        count = len(list(run))
-        runs.append((first, count, dim))
-        first += count
-    return _Lanes(tuple(keys), _read_only(counters), size, tuple(starts),
-                  tuple(runs), _read_only(gather))
+    spaces = ("11", "12", "21", "22")
+    keys = tuple((family, index, "abc".index(family[0]), sl)
+                 for family in ERROR_FAMILIES
+                 for index, sl in enumerate(blocks[spaces.index(family[1:])]))
+    # there is no b12: its elements draw under a place of their own, which
+    # the draws then set to -0.0
+    codes = {family: code
+             for code, family in enumerate((*ERROR_FAMILIES, "b12"))}
+    counters = np.empty((3, blocks[-1][-1].stop), np.uint64)
+    for family, index, row, sl in keys + tuple(
+            ("b12", index, 1, sl) for index, sl in enumerate(blocks[1])):
+        counters[row, sl] = np.arange(sl.stop - sl.start, dtype=np.uint64) \
+            + (codes[family] << 60 | index << 32)
+    return _Lanes(keys, _read_only(counters), _runs(blocks),
+                  slice(blocks[1][0].start, blocks[1][-1].stop))
+
+
+def _runs(blocks):
+    """``(slice, count, size)`` of each run of consecutive blocks of equal
+    size among the layout's block slices ``blocks``, in flat order."""
+    runs = []
+    for size, run in groupby((sl for family in blocks for sl in family),
+                             key=lambda sl: sl.stop - sl.start):
+        run = list(run)
+        runs.append((slice(run[0].start, run[-1].stop), len(run), size))
+    return tuple(runs)
 
 
 def zero_schedule():
@@ -366,11 +369,12 @@ def geometric_schedule(rho, amplitude, seed=0):
     ``cos`` and ``vecdot`` kernels they use.
 
     The schedule has no per-block generator: one pass of array arithmetic
-    draws every element of an iteration.  The norms of each run of
-    equal-size blocks come from one batched dot and the run is scaled by
-    one multiply; a draw of norm zero leaves its block exact (-0.0).  The
-    schedule keeps no state between calls, so it may be shared across
-    threads.
+    draws every element of a run of records in the records' own layout,
+    the x2 part of row b included, which is then set to -0.0.  The norms of
+    each run of equal-size blocks of the flat iterate come from one batched
+    dot over all three rows and the run is scaled by one multiply; a draw
+    of norm zero leaves its block exact (-0.0).  The schedule keeps no
+    state between calls, so it may be shared across threads.
     """
     for name, value in (("rho", rho), ("amplitude", amplitude)):
         if isinstance(value, bool) or not isinstance(value, Real):
@@ -396,22 +400,21 @@ def geometric_schedule(rho, amplitude, seed=0):
 
     def draws(first, count, lanes):
         ns = range(first, first + count)
-        out = _normals(lanes.counters, key, np.array(
+        out = _normals(lanes.counters.ravel(), key, np.array(
             [n * _N_STRIDE & _MASK for n in ns], np.uint64))
-        out = out.reshape(count, lanes.size)
+        out = out.reshape(count, *lanes.counters.shape)
         # 0 from n = 2**64 on; float(n) overflows from 2**1024
         scales = np.array([amplitude * rho**min(n, 2**64) for n in ns])
-        for first_lane, lane_count, dim in lanes.runs:
-            lo = lanes.starts[first_lane]
-            v = out[:, lo:lo + lane_count * dim].reshape(count, lane_count,
-                                                         dim)
+        for sl, blocks, dim in lanes.runs:
+            v = out[:, :, sl].reshape(count, 3, blocks, dim)
             # each block's v @ v, the same BLAS dot as np.linalg.norm takes
             norms = np.sqrt(np.vecdot(v, v))
             if not norms.all():  # a zero-norm draw is an exact block:
                 exact = norms == 0.0  # -0.0 times scale / inf is -0.0
                 v[exact] = -0.0
                 norms[exact] = np.inf
-            v *= (scales[:, None] / norms)[:, :, None]
+            v *= (scales[:, None, None] / norms)[..., None]
+        out[:, 1, lanes.x2] = -0.0
         return out
 
     return ErrorSchedule(_draws=draws)
@@ -517,11 +520,6 @@ class StepPlan:
         nr = np.concatenate([np.asarray(N.apply(r), dtype=float)
                              for N, r in zip(spec.N, spec.r)])
         z, nr = (_read_only(a) if a.any() else None for a in (z, nr))
-        runs = []
-        for size, run in groupby((sl for family in blocks for sl in family),
-                                 key=lambda sl: sl.stop - sl.start):
-            run = list(run)
-            runs.append((slice(run[0].start, run[-1].stop), len(run), size))
         primal = tuple((sl, tuple(row[i].adjoint_apply for row in spec.L))
                        for i, sl in enumerate(blocks[0]))
         couplings = tuple(
@@ -533,8 +531,8 @@ class StepPlan:
             (*map(len, blocks),
              *(sl.stop - sl.start for family in blocks for sl in family)),
             x1, v1, slice(v1.start, v2.stop), _read_only(sign), z, nr,
-            tuple(runs), spec.C.apply, tuple(N.adjoint_apply for N in spec.N),
-            primal, couplings,
+            _runs(blocks), spec.C.apply,
+            tuple(N.adjoint_apply for N in spec.N), primal, couplings,
             tuple((sl, A.resolve) for sl, A in zip(blocks[0], spec.A)),
             tuple((D.resolve, sl21, B.resolve, sl22) for D, B, sl21, sl22
                   in zip(spec.D, spec.B, blocks[2], blocks[3])))

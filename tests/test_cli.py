@@ -1,5 +1,7 @@
 import csv
 import json
+import re
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -106,7 +108,9 @@ def test_trace_every_env_override(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("value", ["x", "0", "-3", "2.5",
-                                   "3_0", "\u0663", "+3", " 3"])
+                                   "3_0", "\u0663", "+3", " 3",
+                                   pytest.param("9" * 5000,
+                                                id="5000-digits")])
 def test_trace_every_env_rejects_other_than_positive_integers(
         tmp_path, monkeypatch, capsys, value):
     monkeypatch.setenv("SOLVER_TRACE_EVERY", value)
@@ -134,8 +138,20 @@ def unreadable_case(case, tmp_path):
         latin1 = tmp_path / "latin1.json"
         latin1.write_bytes(b'{"version": 1, "kind": "caf\xe9"}')
         return ["solve", str(latin1), "--out", out], str(latin1)
+    if case in ("deep-nesting", "long-integer"):
+        bad = tmp_path / f"{case}.json"
+        # past the decoder's recursion limit, and past Python's int-string
+        # limit of 4300 digits
+        bad.write_text("[" * 5000 + "]" * 5000 if case == "deep-nesting"
+                       else re.sub(r'"max_iter": *\d+', '"max_iter": '
+                                   + "9" * 5000, Path(lasso).read_text()))
+        return ["solve", str(bad), "--out", out], "not valid JSON"
     if case == "out-is-a-file":
         return ["solve", lasso, "--out", str(a_file)], str(a_file)
+    if case == "trace-is-a-directory":
+        (tmp_path / "out" / "trace.csv").mkdir(parents=True)
+        return ["solve", lasso, "--out", out], str(tmp_path / "out"
+                                                   / "trace.csv")
     under = str(a_file / "run")
     if case == "out-under-a-file":
         return ["solve", lasso, "--out", under], under
@@ -143,7 +159,9 @@ def unreadable_case(case, tmp_path):
 
 
 @pytest.mark.parametrize("case", ["missing", "directory", "not-utf8",
-                                  "out-is-a-file", "out-under-a-file",
+                                  "deep-nesting", "long-integer",
+                                  "out-is-a-file", "trace-is-a-directory",
+                                  "out-under-a-file",
                                   "demo-out-under-a-file"])
 def test_unreadable_inputs_are_errors_not_tracebacks(tmp_path, capsys, case):
     argv, path = unreadable_case(case, tmp_path)
@@ -290,6 +308,10 @@ BAD_PARAMS = {
     "box-lo-string": ("functions/f/0", {"prox": "indicator_box",
                                         "params": {"lo": "low"}},
                       "/functions/f/0"),
+    # decodes, but nests deeper than a recursive walk of it could go
+    "l1-weight-nested-900": ("functions/f/0/params/weight",
+                             reduce(lambda w, _: [w], range(900), 0.5),
+                             "/functions/f/0"),
 }
 
 
@@ -331,6 +353,27 @@ def test_builder_dims_are_checked_before_the_builder_runs(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error:") and "/operators/M/0" in err
     assert "40000->40000" in err and "Traceback" not in err
+
+
+def test_builder_out_of_memory_exits_1_with_its_pointer(tmp_path, capsys,
+                                                      monkeypatch):
+    from monosplit import imaging
+
+    # a box_blur of 10000x10000 asks for 71.1 PiB, but its layout first
+    # needs zero vectors of 10**8 elements, which a machine may refuse
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 71.1 PiB")
+
+    monkeypatch.setattr(imaging, "_stencil_matrix", no_memory)
+    doc = json.loads((PROBLEMS / "lasso.json").read_text())
+    doc["operators"]["M"][0] = {"builder": "box_blur",
+                                "params": {"height": 2, "width": 5}}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["solve", str(bad), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: /operators/M/0: Unable to allocate")
+    assert "Traceback" not in err
 
 
 def test_builder_with_a_missing_param_exits_1_with_its_pointer(tmp_path,

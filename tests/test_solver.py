@@ -1127,16 +1127,17 @@ def test_generator_run_rows_are_the_records_of_their_iterations():
 
 
 def test_zero_norm_draw_in_a_run_is_an_exact_block(monkeypatch):
-    # the fifth lane (c12, block 0) of the lasso layout draws zeros at n = 4
+    # c12, block 0 of the lasso layout (elements 10 to 19 of the record's
+    # row c), draws zeros at n = 4
     at_4 = 4 * solver._N_STRIDE % 2**64
 
-    def zero_fifth_at_4(counters, key, offsets):
+    def zero_c12_at_4(counters, key, offsets):
         out = normals(counters, key, offsets)
-        out.reshape(len(offsets), -1)[offsets == at_4, 40:50] = 0.0
+        out.reshape(len(offsets), -1)[offsets == at_4, 90:100] = 0.0
         return out
 
     normals = solver._normals
-    monkeypatch.setattr(solver, "_normals", zero_fifth_at_4)
+    monkeypatch.setattr(solver, "_normals", zero_c12_at_4)
     sched = geometric_schedule(0.9, 0.1, seed=1)
     run = sched.realize(3, LASSO_LAYOUT, 3)
     for j, record in enumerate(run):
@@ -1199,20 +1200,21 @@ def test_geometric_schedule_is_safe_to_share_across_threads():
 
 
 def test_zero_norm_draw_is_an_exact_block(monkeypatch):
-    # the fifth lane (c12, block 0) of the lasso layout draws zeros
+    # c12, block 0 of the lasso layout (elements 10 to 19 of the record's
+    # row c), draws zeros
     calls = []
 
-    def zero_fifth(*args):
+    def zero_c12(*args):
         out = normals(*args)
         calls.append(out)
-        out[40:50] = 0.0
+        out[90:100] = 0.0
         return out
 
     normals = solver._normals
-    monkeypatch.setattr(solver, "_normals", zero_fifth)
+    monkeypatch.setattr(solver, "_normals", zero_c12)
     n = 3
     record = geometric_schedule(0.9, 0.1, seed=1).realize(n, LASSO_LAYOUT)
-    assert len(calls) == 1  # one draw of all 11 lanes
+    assert len(calls) == 1  # one draw of the whole record
     errs = error_blocks(record, LASSO_LAYOUT)
     for family in ERROR_FAMILIES:
         block = errs[family][0]
@@ -1228,16 +1230,26 @@ def test_zero_norm_draw_is_an_exact_block(monkeypatch):
 def test_lanes_place_each_block_once_and_are_read_only(layout):
     lanes = solver._lanes(layout)
     size = layout.blocks[-1][-1].stop
-    assert lanes.size == sum(dim for _, _, dim in lanes.keys)
-    assert lanes.gather.shape == (3, size)
-    placed = lanes.gather[lanes.gather < lanes.size]
-    assert sorted(placed.tolist()) == list(range(lanes.size))
-    assert lanes.counters.shape == (lanes.size,)
-    assert len(set(lanes.counters.tolist())) == lanes.size
-    for array in (lanes.gather, lanes.counters):
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array[(0,) * array.ndim] = 0
+    assert [key[:2] for key in lanes.keys] == [
+        (family, index) for family in ERROR_FAMILIES
+        for index in range(len(family_dims(layout, family)))]
+    # each error block fills its row and slice once, and only the x2 part
+    # of row b is left over
+    placed = np.zeros((3, size), int)
+    for family, index, row, sl in lanes.keys:
+        assert row == "abc".index(family[0])
+        assert sl.stop - sl.start == family_dims(layout, family)[index]
+        placed[row, sl] += 1
+    assert lanes.x2 == slice(layout.blocks[1][0].start,
+                             layout.blocks[1][-1].stop)
+    placed[1, lanes.x2] += 1
+    assert (placed == 1).all()
+    # one counter per element of the record, the x2 part of row b included
+    assert lanes.counters.shape == (3, size)
+    assert len(set(lanes.counters.ravel().tolist())) == 3 * size
+    assert not lanes.counters.flags.writeable
+    with pytest.raises(ValueError):
+        lanes.counters[0, 0] = 0
 
 
 @pytest.mark.parametrize("kwargs", [
