@@ -90,12 +90,12 @@ def run_checks():
     res = fixed_point_residual(demo.system, state, 0.25)
     record("solution is a fixed point", res <= 1e-6, f"residual {res:.2e}")
 
-    # power iteration against the Jacobi oracle
+    # the Lanczos estimate against the Jacobi oracle
     mat = rng.standard_normal((8, 5))
     est = operator_norm(dense_op(mat))
     ref = dense_svd_norm(mat)
     record("operator norm vs jacobi", abs(est.value - ref) <= 1e-8,
-           f"power {est.value:.10f} vs jacobi {ref:.10f}")
+           f"lanczos {est.value:.10f} vs jacobi {ref:.10f}")
 
     return results
 

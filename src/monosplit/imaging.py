@@ -25,9 +25,9 @@ evaluation (see :func:`_difference_plans`).  Every output is the same to
 the bit as that evaluation's, signed zeros included; only a non-finite
 pixel on the last row or column differs, giving NaN (``inf - inf``) in
 place of its zero boundary difference.  The plans take under 112 bytes
-per pixel for the gradient, under 176 for the second gradient and 16 for
-the Haar transform's two permutations; the gradient's plans are shared by
-every first and second gradient of the same image size.
+per pixel for the gradient, under 176 for the second gradient and 40 for
+the Haar transform's two permutations and its signs; the gradient's plans
+are shared by every first and second gradient of the same image size.
 """
 
 from dataclasses import dataclass
@@ -192,27 +192,28 @@ def second_gradient_op(height, width):
                  tag=f"grad2_{height}x{width}", certificate=lambda: norm)
 
 
-def _haar_butterfly(a, b, c, d):
+# the sign of b, c and d (rows) in the Haar subbands LL, LH, HL, HH
+_HAAR_SIGNS = np.array([[1.0, -1.0, 1.0, -1.0],
+                        [1.0, 1.0, -1.0, -1.0],
+                        [1.0, -1.0, -1.0, 1.0]])
+
+
+def _haar_butterfly(quads, signs):
     """The 2x2 Haar butterfly, ``[a+b+c+d, a-b+c-d, a+b-c-d, a-b-c+d] / 2``.
 
-    Each sum is evaluated left to right, from the shared ``a+b`` and
-    ``a-b``.  The butterfly is symmetric and orthonormal, so it serves both
-    the analysis and its adjoint.  The inputs are flat and contiguous:
-    numpy runs a small op on them two to three times faster than on the
-    strided 2-D views of the image, and faster than a stacked op that
-    broadcasts a column of signs.
+    ``a, b, c, d`` are the rows of ``quads`` and ``signs`` is
+    :data:`_HAAR_SIGNS` repeated along a last axis of the rows' length.
+    Each sum is evaluated left to right as ``a + (+-b) + (+-c) + (+-d)``,
+    which rounds as ``a - b`` does, since ``x + (-y)`` is ``x - y`` in IEEE
+    arithmetic.  The butterfly is symmetric and orthonormal, so it serves
+    both the analysis and its adjoint.  The signed terms form one
+    ``(3, 4, n)`` block, so the butterfly takes five whole-array ops rather
+    than twelve on single rows.
     """
-    total, diff = a + b, a - b
-    out = np.empty((4, a.size))
-    ll, lh, hl, hh = out
-    np.add(total, c, ll)
-    ll += d
-    np.add(diff, c, lh)
-    lh -= d
-    np.subtract(total, c, hl)
-    hl -= d
-    np.subtract(diff, c, hh)
-    hh += d
+    terms = quads[1:, None, :] * signs
+    out = quads[0] + terms[0]
+    out += terms[1]
+    out += terms[2]
     out /= 2.0
     return out
 
@@ -222,8 +223,9 @@ def haar_analysis_op(height, width):
 
     Requires even dimensions.  Output stacks the four subbands (LL, LH, HL,
     HH), each of size (height/2)*(width/2); the adjoint is the inverse
-    transform.  A permutation gather each way (16 bytes per pixel, built
-    here once) sorts the pixels into the 2x2 blocks' corners and back.
+    transform.  A permutation gather each way (16 bytes per pixel) sorts
+    the pixels into the 2x2 blocks' corners and back, and the butterfly's
+    signs take 24 bytes per pixel; all three are built here once.
     """
     if height % 2 or width % 2:
         raise ConfigurationError("haar_analysis_op needs even height and width")
@@ -231,14 +233,16 @@ def haar_analysis_op(height, width):
     blocks = np.arange(hw, dtype=np.intp).reshape(height // 2, 2, width // 2, 2)
     to_corners = _read_only(blocks.transpose(1, 3, 0, 2).ravel())
     to_pixels = _read_only(np.argsort(to_corners))
+    signs = _read_only(np.repeat(_HAAR_SIGNS[:, :, None], hw // 4, axis=2))
 
     def apply(x):
         x = np.asarray(x, dtype=float).reshape(hw)
-        return _haar_butterfly(*x.take(to_corners).reshape(4, -1)).ravel()
+        quads = x.take(to_corners).reshape(4, -1)
+        return _haar_butterfly(quads, signs).ravel()
 
     def adjoint_apply(y):
         bands = np.asarray(y, dtype=float).reshape(4, hw // 4)
-        return _haar_butterfly(*bands).ravel().take(to_pixels)
+        return _haar_butterfly(bands, signs).ravel().take(to_pixels)
 
     norm = certified(1.0)
     return LinOp(hw, hw, apply, adjoint_apply, tag=f"haar{height}x{width}",

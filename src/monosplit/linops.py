@@ -10,8 +10,8 @@ they must be upper bounds.  So each constructor certifies its operator's
 norm (:attr:`LinOp.norm_bound`): closed-form bounds for the identity, the
 scaled identity, the zero map and the imaging operators, and the SVD norm
 plus a stated roundoff margin for a dense matrix; :func:`compose` carries
-the certificates through a product.  Certificates come first.  Power
-iteration (:func:`operator_norm`) is left for opaque operators, built
+the certificates through a product.  Certificates come first.  A Lanczos
+estimate (:func:`operator_norm`) is left for opaque operators, built
 straight from a pair of callables, and for the Lipschitz constant of
 :func:`~monosplit.minimization.quadratic_smooth`.  Only its estimates are
 inflated by the safety factor :data:`NORM_SAFETY`, and an estimate that
@@ -28,15 +28,18 @@ import numpy as np
 
 from .errors import NumericError, SpecificationError
 
-# Power-iteration estimates (and only they) are inflated by this factor
-# before entering step-size bounds: underestimating an operator norm would
+# Lanczos estimates (and only they) are inflated by this factor before
+# entering step-size bounds: underestimating an operator norm would
 # invalidate the bounds, overestimating only makes steps slightly
 # conservative.
 NORM_SAFETY = 1.01
 
+# operator_norm: relative tolerance on the top Ritz value, cap on the L* L
+# products, seed of the start vector and most Krylov vectors held at once
 POWER_TOL = 1e-9
 POWER_MAX_ITER = 5000
 POWER_SEED = 42
+LANCZOS_BASIS = 64
 
 
 @dataclass(frozen=True)
@@ -46,15 +49,16 @@ class OpNormEstimate:
     ``upper_bound`` is the number that feeds step-size bounds.  ``method``
     says where it came from: ``"certificate"`` (a closed-form bound, or a
     product of such bounds), ``"svd"`` (a dense SVD norm plus its roundoff
-    margin) or ``"power"`` (power iteration: ``upper_bound`` is ``value``
-    inflated by :data:`NORM_SAFETY`, and a bound only if it converged).
+    margin) or ``"lanczos"`` (:func:`operator_norm`: ``upper_bound`` is
+    ``value`` inflated by :data:`NORM_SAFETY`, and a bound only if it
+    converged).
     """
 
     value: float
     upper_bound: float
     iterations_used: int
     converged: bool
-    method: str = "power"
+    method: str = "lanczos"
 
 
 def certified(bound, method="certificate"):
@@ -93,7 +97,7 @@ class LinOp:
 
     ``certificate`` returns the operator's certified norm (an
     :class:`OpNormEstimate`, computed at most once); it is None for an
-    opaque operator, whose norm only power iteration can estimate.
+    opaque operator, whose norm only :func:`operator_norm` can estimate.
     ``kind`` is ``"identity"`` for :func:`identity_op`, ``"orthogonal"``
     for the Haar analysis, a scaled identity with ``|scale| = 1`` and a
     product of orthogonal maps, and ``"general"`` otherwise (opaque maps
@@ -268,29 +272,44 @@ def adjoint_check(op, trials=100, seed=0):
 
 
 def operator_norm(op):
-    """Spectral norm estimate by power iteration on ``L* L``.
+    """Spectral norm estimate by Lanczos iteration on ``L* L``.
 
-    Returns an :class:`OpNormEstimate` whose ``value`` is the square root of
-    the final Rayleigh quotient and whose ``upper_bound`` is ``value``
-    inflated by the fixed safety factor.  A zero operator yields value 0 with
-    ``converged=True``.
+    The iteration starts from a seeded random unit vector, orthogonalizes
+    each new Krylov vector against the whole basis (twice), and takes the
+    top eigenvalue of the tridiagonal projection, the top Ritz value, after
+    every ``L* L`` product.  The basis holds at most
+    :data:`LANCZOS_BASIS` vectors; when it is full, or the Krylov space is
+    invariant, or two successive top Ritz values agree within
+    :data:`POWER_TOL`, the iteration restarts from the top Ritz vector.
+    The estimate has converged when a restart of the last kind is followed
+    by a product whose Rayleigh quotient ``||L u||^2`` matches the Ritz
+    value within the same tolerance: a map whose ``adjoint_apply`` is not
+    its adjoint fails that check.
+
+    Returns an :class:`OpNormEstimate` whose ``value`` is the square root
+    of the top Ritz value, whose ``upper_bound`` is ``value`` inflated by
+    the fixed safety factor, and whose ``iterations_used`` counts the
+    ``L* L`` products, at most :data:`POWER_MAX_ITER`.  A start vector in
+    the kernel is replaced once; a zero operator yields value 0 with
+    ``converged=True``.  A non-finite forward or adjoint value raises
+    :class:`~monosplit.errors.NumericError` with the product's index.
     """
     rng = np.random.default_rng(POWER_SEED)
     x = rng.standard_normal(op.in_dim)
     x /= np.linalg.norm(x)
-    prev_rayleigh = None
-    rayleigh = 0.0
-    converged = False
-    iterations = 0
-    for iterations in range(1, POWER_MAX_ITER + 1):
+    basis = np.empty((min(LANCZOS_BASIS, op.in_dim), op.in_dim))
+    alphas, betas = [], []
+    theta, confirming, converged = 0.0, False, False
+    products = 0
+    for products in range(1, POWER_MAX_ITER + 1):
         y = np.asarray(op.apply(x))
         # ||x|| == 1, so this is the quotient; a non-finite entry of y makes
         # it non-finite, and only then (or on overflow) is y looked at
         rayleigh = float(y.dot(y))
         if not math.isfinite(rayleigh) and not np.all(np.isfinite(y)):
             raise NumericError("operator_norm: non-finite forward value",
-                               iteration=iterations)
-        if rayleigh == 0.0:
+                               iteration=products)
+        if products == 1 and rayleigh == 0.0:
             # x in the kernel; restart once from a fresh direction, then
             # declare the operator zero.
             x = rng.standard_normal(op.in_dim)
@@ -298,19 +317,58 @@ def operator_norm(op):
             y = np.asarray(op.apply(x))
             rayleigh = float(np.dot(y, y))
             if rayleigh == 0.0:
-                return OpNormEstimate(0.0, 0.0, iterations, True)
+                return OpNormEstimate(0.0, 0.0, products, True)
         z = np.asarray(op.adjoint_apply(y))
-        nz = math.sqrt(z.dot(z))  # what np.linalg.norm(z) computes
+        nz = math.sqrt(z.dot(z))
         if not math.isfinite(nz) and not np.all(np.isfinite(z)):
             raise NumericError("operator_norm: non-finite adjoint value",
-                               iteration=iterations)
-        if nz == 0.0:
-            return OpNormEstimate(0.0, 0.0, iterations, True)
-        x = z / nz
-        if prev_rayleigh is not None:
-            if abs(rayleigh - prev_rayleigh) < POWER_TOL * max(rayleigh, 1e-300):
-                converged = True
-                break
-        prev_rayleigh = rayleigh
-    value = float(np.sqrt(rayleigh))
-    return OpNormEstimate(value, NORM_SAFETY * value, iterations, converged)
+                               iteration=products)
+        if products == 1 and nz == 0.0:
+            return OpNormEstimate(0.0, 0.0, products, True)
+        if not (math.isfinite(rayleigh) and math.isfinite(nz)):
+            # finite values whose squares overflow: no estimate to give
+            return OpNormEstimate(math.inf, math.inf, products, False)
+        if confirming and _agree(rayleigh, theta):
+            theta, converged = rayleigh, True
+            break
+        j = len(alphas)
+        basis[j] = x
+        alphas.append(rayleigh)
+        w = z - rayleigh * x
+        if j:
+            w -= betas[-1] * basis[j - 1]
+        krylov = basis[:j + 1]
+        for _ in range(2):
+            w -= krylov.T @ (krylov @ w)
+        beta = math.sqrt(w.dot(w))
+        previous, theta = theta, _top_ritz(alphas, betas)
+        confirming = (j > 0 and _agree(theta, previous)
+                      or beta <= POWER_TOL * theta)
+        if confirming or j + 1 == len(basis):
+            x = _top_ritz(alphas, betas, vector=True) @ krylov
+            x /= math.sqrt(x.dot(x))
+            alphas, betas = [], []
+        else:
+            betas.append(beta)
+            x = w / beta
+    value = math.sqrt(theta)
+    return OpNormEstimate(value, NORM_SAFETY * value, products, converged)
+
+
+def _agree(a, b):
+    """Whether two Ritz values agree within :data:`POWER_TOL`."""
+    return abs(a - b) < POWER_TOL * max(a, 1e-300)
+
+
+def _top_ritz(alphas, betas, vector=False):
+    """Top eigenvalue, or its unit eigenvector, of the symmetric tridiagonal
+    matrix with diagonal ``alphas`` and off-diagonal ``betas``."""
+    k = len(alphas)
+    if k == 1:
+        return np.ones(1) if vector else alphas[0]
+    tri = np.zeros((k, k))
+    tri.flat[::k + 1] = alphas
+    tri.flat[1::k + 1] = betas
+    if vector:
+        return np.linalg.eigh(tri, UPLO="U")[1][:, -1]
+    return float(np.linalg.eigvalsh(tri, UPLO="U")[-1])

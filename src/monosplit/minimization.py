@@ -73,9 +73,9 @@ def quadratic_smooth(terms, dim):
     """phi(x) = 0.5 sum_k w_k ||T_k x - r_k||^2 with assembled gradient.
 
     The Lipschitz constant is the sum of ``w_k ||T_k||^2`` with inflated
-    power-iteration estimates, a safe upper bound for the true constant
-    ``||sum w T'T||``.  Raises :class:`HypothesisError` when an estimate
-    did not converge.
+    Lanczos estimates (:func:`~monosplit.linops.operator_norm`), a safe
+    upper bound for the true constant ``||sum w T'T||``.  Raises
+    :class:`HypothesisError` when an estimate did not converge.
     """
     S, u0, c0, ops = _assemble_quadratic({"terms": terms}, dim)
     lipschitz, steps = 0.0, 0
@@ -83,8 +83,8 @@ def quadratic_smooth(terms, dim):
         est = operator_norm(op)
         if not est.converged:
             raise HypothesisError(
-                f"quadratic term '{op.tag}': power iteration did not "
-                f"converge in {est.iterations_used} steps")
+                f"quadratic term '{op.tag}': the Lanczos estimate did not "
+                f"converge in {est.iterations_used} L*L products")
         lipschitz += w * est.upper_bound ** 2
         steps += est.iterations_used
     quad = _quadratic_fidelity(S, u0, c0, dim)

@@ -3,7 +3,8 @@
 Everything here exists to cross-check the solver and its supporting
 machinery from a different direction: nested grid search for tiny prox
 problems, a dense KKT solve for equality-constrained quadratics, and a
-Jacobi singular-value routine as an independent check on power iteration.
+Jacobi singular-value routine as an independent check on the Lanczos
+norm estimate.
 None of these share code with the iterative solver.
 """
 

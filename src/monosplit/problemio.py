@@ -10,6 +10,7 @@ from a named builder catalog.  Schema violations are reported with
 JSON-pointer style paths.
 """
 
+import heapq
 import inspect
 import json
 import math
@@ -239,14 +240,42 @@ DEFAULT_SOLVER_CONFIG = {
 _validator = Draft202012Validator(PROBLEM_SCHEMA)
 
 
+# an invalid file's report lists this many schema errors, first by path, and
+# cuts each echoed value, and then each message, to this many characters
+_LISTED_ERRORS = 20
+_ECHO_CHARS = 120
+
+
 def _check_schema(validator, doc, where=""):
+    # the errors past the listed ones are only counted, so a file with
+    # many errors costs no more memory than one with a few
+    count = 0
+
+    def counted(errors):
+        nonlocal count
+        for count, err in enumerate(errors, 1):
+            yield err
+
     msgs = []
-    for err in sorted(validator.iter_errors(doc), key=lambda e: list(e.path)):
+    for err in heapq.nsmallest(_LISTED_ERRORS, counted(
+            validator.iter_errors(doc)), key=lambda e: list(e.path)):
         pointer = "/".join([where, *map(str, err.absolute_path)]) or "/"
-        msgs.append(f"{pointer}: {err.message}")
+        msgs.append(f"{pointer}: {_bounded_message(err)}")
+    if count > len(msgs):
+        msgs.append(f"and {count - len(msgs)} more")
     if msgs:
         raise ConfigurationError("problem file is invalid:\n  "
                                  + "\n  ".join(msgs))
+
+
+def _bounded_message(err):
+    """jsonschema's message, with the value it echoes cut short."""
+    message, echo = err.message, repr(err.instance)
+    if len(echo) > _ECHO_CHARS:
+        message = message.replace(echo, echo[:_ECHO_CHARS] + "...")
+    if len(message) > 2 * _ECHO_CHARS:
+        message = message[:2 * _ECHO_CHARS] + "..."
+    return message
 
 
 @contextmanager
@@ -430,6 +459,16 @@ def _finite_float(literal):
     return value
 
 
+def _bounded_int(literal):
+    """``int(literal)``, refusing a literal past Python's int-string limit
+    with a message about the file rather than about the interpreter."""
+    limit = sys.get_int_max_str_digits()
+    if limit and len(literal.lstrip("-")) > limit:
+        raise ConfigurationError(
+            f"not valid JSON: integer literal longer than {limit} digits")
+    return int(literal)
+
+
 def load_problem(path):
     """Read and parse a problem file from disk.
 
@@ -441,6 +480,7 @@ def load_problem(path):
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh, parse_float=_finite_float,
+                            parse_int=_bounded_int,
                             parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigurationError(
@@ -448,7 +488,7 @@ def load_problem(path):
     except UnicodeDecodeError as exc:
         raise ConfigurationError(
             f"problem file {path} is not UTF-8 text: {exc}") from exc
-    # a JSONDecodeError, or an int literal past the int-string limit
+    # a JSONDecodeError, or nesting past the decoder's recursion limit
     except (ValueError, RecursionError) as exc:
         raise ConfigurationError(f"not valid JSON: {exc}") from exc
     return parse_problem(doc)

@@ -127,11 +127,11 @@ class SystemSpec:
 
         Each entry is a dict with the term's ``term`` name (``C`` for the
         coupling constant nu0), its ``value`` (the upper bound that enters
-        beta), its ``method`` (``certificate``, ``svd`` or ``power``, or
-        ``asserted`` for a nu0 given by the caller), the power-iteration
-        steps it took (``iterations``) and whether it ``converged``.
-        Raises :class:`HypothesisError` when a power iteration did not
-        converge, as its estimate bounds nothing.
+        beta), its ``method`` (``certificate``, ``svd`` or ``lanczos``, or
+        ``asserted`` for a nu0 given by the caller), the ``L* L`` products
+        its estimate took (``iterations``) and whether it ``converged``.
+        Raises :class:`HypothesisError` when a Lanczos estimate did not
+        converge, as it bounds nothing.
         """
         layout = self.layout
         source = self.C.nu0_source
@@ -150,8 +150,8 @@ class SystemSpec:
                 est = operator_norm(op)
                 if not est.converged:
                     raise HypothesisError(
-                        f"{name}: power iteration did not converge in "
-                        f"{est.iterations_used} steps, so its estimate "
+                        f"{name}: the Lanczos estimate did not converge in "
+                        f"{est.iterations_used} L*L products, so its value "
                         f"{est.value:.6g} bounds nothing"
                     )
             report.append({"term": name, "value": est.upper_bound,
@@ -244,10 +244,10 @@ def compute_beta(spec):
 
     Every norm is an upper bound: the operator's certificate where it has
     one (:attr:`~monosplit.linops.LinOp.norm_bound`), else a converged
-    power-iteration estimate inflated by the safety factor.  So the result
+    Lanczos estimate inflated by the safety factor.  So the result
     upper-bounds the exact constant and the step range derived from it
     remains admissible; :attr:`SystemSpec.beta_report` lists the terms.
-    Raises :class:`HypothesisError` when a power iteration did not
+    Raises :class:`HypothesisError` when a Lanczos estimate did not
     converge or the bound is zero (the theory requires it strictly
     positive).  Results are memoized per spec instance.
     """

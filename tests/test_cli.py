@@ -171,6 +171,40 @@ def test_unreadable_inputs_are_errors_not_tracebacks(tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
+def test_an_integer_literal_past_the_digit_limit_names_the_limit(tmp_path,
+                                                                 capsys):
+    bad = tmp_path / "nines.json"
+    bad.write_text(re.sub(r'"max_iter": *\d+', '"max_iter": ' + "9" * 5000,
+                          (PROBLEMS / "lasso.json").read_text()))
+    assert main(["solve", str(bad), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: not valid JSON: integer literal longer than "
+                   "4300 digits\n")
+
+
+def nested(depth):
+    value = 0.0
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("z, listed", [
+    ([["x"] * 200000], "and 199980 more"),
+    ([nested(900)], "[[[[..."),
+], ids=["200000-strings", "900-deep"])
+def test_a_schema_report_is_bounded(tmp_path, capsys, z, listed):
+    doc = json.loads((PROBLEMS / "lasso.json").read_text())
+    doc["z"] = z
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["solve", str(bad), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: problem file is invalid:")
+    assert len(err) < 4096 and listed in err
+    assert err.count("\n  /z/0") <= 20
+
+
 def test_demo_numeric_error_summary_has_no_demo_fields(tmp_path, monkeypatch):
     from monosplit import cli
     from monosplit.errors import NumericError
@@ -395,7 +429,7 @@ def test_summary_reports_where_beta_came_from(tmp_path):
     summary = read_summary(out)
     terms = summary["beta_terms"]
     assert [t["term"] for t in terms] == ["C", "N[0]oL[0][0]", "N[0]", "M[0]"]
-    assert [t["method"] for t in terms] == ["power", "certificate",
+    assert [t["method"] for t in terms] == ["lanczos", "certificate",
                                             "certificate", "certificate"]
     assert [t["value"] for t in terms[1:]] == [1.0, 1.0, 1.0]
     assert all(t["converged"] for t in terms)

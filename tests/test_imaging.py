@@ -331,9 +331,21 @@ def grad_adj_oracle(grad):
 
 
 def haar_butterfly_oracle(a, b, c, d):
+    """``[a+b+c+d, a-b+c-d, a+b-c-d, a-b-c+d] / 2`` as twelve ops on single
+    rows, from the shared a+b and a-b: the kernel's former evaluation."""
     total, diff = a + b, a - b
-    return np.stack([(total + c) + d, (diff + c) - d,
-                     (total - c) - d, (diff - c) + d]) / 2.0
+    out = np.empty((4, a.size))
+    ll, lh, hl, hh = out
+    np.add(total, c, ll)
+    ll += d
+    np.add(diff, c, lh)
+    lh -= d
+    np.subtract(total, c, hl)
+    hl -= d
+    np.subtract(diff, c, hh)
+    hh += d
+    out /= 2.0
+    return out
 
 
 def oracle_maps(name, h, w):
@@ -391,6 +403,23 @@ def test_kernels_match_straightforward_evaluation_bit_for_bit(name, h, w):
         assert op.apply(x).tobytes() == oracle(x).tobytes()
     for y in signed_zero_inputs(rng, op.out_dim, 100):
         assert op.adjoint_apply(y).tobytes() == oracle_adjoint(y).tobytes()
+
+
+@pytest.mark.parametrize("h, w", [(2, 2), (6, 4), (16, 16)])
+def test_haar_matches_its_oracle_on_non_finite_inputs(h, w):
+    op = haar_analysis_op(h, w)
+    oracle, oracle_adjoint = oracle_maps("haar", h, w)
+    values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                       1.0, -1.0, 2.5])
+    rng = np.random.default_rng(h * w)
+    with np.errstate(invalid="ignore"):
+        for trial in range(50):
+            x = rng.standard_normal(h * w)
+            pick = rng.random(h * w) < (0.3 if trial % 2 else 1.0)
+            x[pick] = rng.choice(values, pick.sum())
+            assert op.apply(x).tobytes() == oracle(x).tobytes()
+            assert op.adjoint_apply(x).tobytes() == \
+                oracle_adjoint(x).tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))

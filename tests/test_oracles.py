@@ -85,7 +85,7 @@ def test_svd_norm_rank_one():
     assert dense_svd_norm(np.outer(u, v)) == pytest.approx(10.0, abs=1e-9)
 
 
-def test_svd_norm_matches_power_iteration():
+def test_svd_norm_matches_the_lanczos_estimate():
     rng = np.random.default_rng(1)
     mat = rng.standard_normal((8, 5))
     ref = dense_svd_norm(mat)

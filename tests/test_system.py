@@ -91,7 +91,8 @@ def test_compute_beta_with_coupling_constant():
 
 def test_compute_beta_rejects_a_power_estimate_that_did_not_converge():
     # an opaque map whose adjoint_apply is a rotation, not its adjoint:
-    # power iteration on "L* L" then turns forever and never settles
+    # "L* L" is then not symmetric, and the Rayleigh quotient ||L u||^2 of
+    # the top Ritz vector never confirms the top Ritz value
     scale = np.diag([1.0, 2.0])
     turn = np.array([[np.cos(1.0), -np.sin(1.0)], [np.sin(1.0), np.cos(1.0)]])
     cycling = LinOp(2, 2, lambda x: scale @ x, lambda y: turn @ y)
@@ -113,8 +114,8 @@ def test_beta_report_names_each_term_and_its_source():
     assert [e["term"] for e in report] == ["C", "N[0]oL[0][0]", "N[0]",
                                            "M[0]"]
     # the identity maps are certified; the data term's Lipschitz constant
-    # is a converged power estimate
-    assert [e["method"] for e in report] == ["power", "certificate",
+    # is a converged Lanczos estimate
+    assert [e["method"] for e in report] == ["lanczos", "certificate",
                                              "certificate", "certificate"]
     assert report[0]["iterations"] > 0 and report[0]["value"] == spec.C.nu0
     assert all(e["converged"] for e in report)
@@ -122,7 +123,7 @@ def test_beta_report_names_each_term_and_its_source():
     assert compute_beta(spec) == spec.C.nu0 + np.sqrt(1.0 + (1.0 + 1.0))
 
 
-def test_beta_report_of_an_opaque_map_is_a_power_estimate():
+def test_beta_report_of_an_opaque_map_is_a_lanczos_estimate():
     mat = np.array([[2.0, 0.0], [0.0, 0.5]])
     opaque = LinOp(2, 2, lambda x: mat @ x, lambda y: mat.T @ y)
     layout = SpaceLayout((2,), (2,), (2,), (2,))
@@ -134,7 +135,7 @@ def test_beta_report_of_an_opaque_map_is_a_power_estimate():
     )
     by_term = {e["term"]: e for e in spec.beta_report}
     assert by_term["C"]["method"] == "asserted"
-    assert by_term["M[0]"]["method"] == "power"
+    assert by_term["M[0]"]["method"] == "lanczos"
     assert by_term["M[0]"]["converged"] and by_term["M[0]"]["iterations"] > 0
     assert 2.0 <= by_term["M[0]"]["value"] <= 2.0 * 1.01 + 1e-9
 
