@@ -226,8 +226,8 @@ def _run_separation(demo, policy, out_dir):
     systems = (joint, demo.extras["primal_only"], demo.extras["dual_only"])
     states = [IterateState.zeros(system.layout) for system in systems]
     identical = True
-    for it in range(200):
-        gamma = policy.gamma_at(it)
+    gamma = policy.gamma_const
+    for _ in range(200):
         states = [step(system, state, gamma)[0]
                   for system, state in zip(systems, states)]
         js, ps, ds = states

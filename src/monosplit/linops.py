@@ -7,7 +7,7 @@ state during ``apply``.
 
 Operator norms are needed for the admissible step-size range, and there
 they must be upper bounds.  So each constructor certifies its operator's
-norm (:attr:`LinOp.norm_bound`): closed-form bounds for the identity, the
+norm (:attr:`LinOp.certificate`): closed-form bounds for the identity, the
 scaled identity, the zero map and the imaging operators, and the SVD norm
 plus a stated roundoff margin for a dense matrix; :func:`compose` carries
 the certificates through a product.  Certificates come first.  A Lanczos
@@ -120,13 +120,6 @@ class LinOp:
                 f"operator '{self.tag}': dimensions must be positive, "
                 f"got {self.in_dim} -> {self.out_dim}"
             )
-
-    @property
-    def norm_bound(self):
-        """Certified upper bound of the operator norm; None when opaque."""
-        if self.certificate is None:
-            return None
-        return self.certificate().upper_bound
 
 
 def _svd_norm(mat):

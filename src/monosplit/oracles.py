@@ -115,7 +115,9 @@ def _jacobi_max_eigenvalue(S, tol):
         return float(A[0, 0])
     scale = max(float(np.linalg.norm(A, ord="fro")), 1e-300)
     for _ in range(60):  # sweeps; quadratic convergence makes this ample
-        off = np.sqrt(np.sum(A**2) - np.sum(np.diag(A) ** 2))
+        # measured directly: the difference of the full and diagonal
+        # square sums cancels near convergence and can go negative
+        off = np.linalg.norm(A - np.diag(np.diag(A)))
         if off <= tol * scale:
             break
         for p in range(n - 1):

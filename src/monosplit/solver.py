@@ -137,35 +137,23 @@ class TraceRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class StepPolicy:
-    """Admissible step-size source.
+    """An admissible constant step: ``gamma_const`` lies in
+    ``[epsilon, (1 - epsilon)/beta]``.
 
-    Emits steps inside ``[epsilon, (1 - epsilon)/beta]``; either a constant
-    (the default is the upper endpoint) or a user-supplied sequence that is
-    validated on emission.
+    Build one with :func:`make_policy`, which checks the range.  A caller
+    that needs a varying step calls :func:`step` with any positive gamma.
     """
 
     beta: float
     epsilon: float
-    gamma_const: Optional[float] = None
-    gamma_seq: Optional[Callable[[int], float]] = None
-
-    @property
-    def gamma_max(self):
-        return (1.0 - self.epsilon) / self.beta
+    gamma_const: float
 
     def gamma_at(self, n):
-        if self.gamma_seq is None:
-            return self.gamma_const
-        gamma = float(self.gamma_seq(n))
-        if not (self.epsilon <= gamma <= self.gamma_max * (1 + 1e-12)):
-            raise StepBoundError(
-                f"gamma_seq({n}) = {gamma} outside "
-                f"[{self.epsilon}, {self.gamma_max}]"
-            )
-        return gamma
+        """The step of iteration ``n``: the constant."""
+        return self.gamma_const
 
 
-def make_policy(beta, epsilon=None, gamma_const=None, gamma_seq=None):
+def make_policy(beta, epsilon=None, gamma_const=None):
     """Validate and build a :class:`StepPolicy`.
 
     ``epsilon`` defaults to ``min(0.01, 0.5/(beta + 1))`` and must lie in
@@ -184,10 +172,6 @@ def make_policy(beta, epsilon=None, gamma_const=None, gamma_seq=None):
             f"(0, {1.0 / (beta + 1.0)}) for beta = {beta}"
         )
     gamma_max = (1.0 - epsilon) / beta
-    if gamma_seq is not None:
-        if gamma_const is not None:
-            raise StepBoundError("give either gamma_const or gamma_seq, not both")
-        return StepPolicy(beta, epsilon, None, gamma_seq)
     if gamma_const is None:
         gamma_const = gamma_max
     gamma_const = float(gamma_const)
@@ -196,7 +180,7 @@ def make_policy(beta, epsilon=None, gamma_const=None, gamma_seq=None):
             f"gamma = {gamma_const} outside [{epsilon}, {gamma_max}] "
             f"for beta = {beta}, epsilon = {epsilon}"
         )
-    return StepPolicy(beta, epsilon, gamma_const, None)
+    return StepPolicy(beta, epsilon, gamma_const)
 
 
 @dataclass(frozen=True)
@@ -769,7 +753,8 @@ def transversality_defect(spec, state):
 
 def solve(spec, init, policy, errors=None, tol=DEFAULT_TOL,
           max_iter=DEFAULT_MAX_ITER, trace_every=DEFAULT_TRACE_EVERY):
-    """Iterate :func:`step` until the full-state displacement drops to tol.
+    """Iterate :func:`step` at ``policy.gamma_const`` until the full-state
+    displacement drops to tol.
 
     The caller is responsible for ``policy.beta`` covering the coupling
     bound of ``spec`` (equality for a tight policy; a larger beta is
@@ -804,11 +789,11 @@ def solve(spec, init, policy, errors=None, tol=DEFAULT_TOL,
     sum1 = sum2 = sum3 = sum4 = 0.0
     trace = []
     status = "max_iter"
+    gamma = policy.gamma_const
     for it in range(max_iter):
         j = it % ERROR_RUN
         if not j:
             run = errors.realize(it, layout, min(ERROR_RUN, max_iter - it))
-        gamma = policy.gamma_at(it)
         try:
             state, rec = step(spec, state, gamma,
                               None if run is None else run[j])

@@ -20,6 +20,7 @@ leaves it unchanged, so the fixed-point residual of a single step is the
 membership test.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
@@ -27,7 +28,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import solver as _solver
-from .errors import HypothesisError, SpecificationError, StepBoundError
+from .errors import HypothesisError, SpecificationError
 from .linops import (_read_only, adjoint_check, compose, integer_dims,
                      operator_norm)
 from .prox import coupling_defects
@@ -91,10 +92,10 @@ class SystemSpec:
     ``L[k][i]: H_i -> G_k`` are :class:`~monosplit.linops.LinOp`.  The
     families are frozen into tuples (``L`` a tuple of rows) and ``z``, ``r``
     into read-only float copies, so the caller's arrays stay its own and the
-    cached :attr:`plan`, :attr:`beta_report` and :attr:`beta` cannot go
-    stale.  Construction checks that every family matches the layout and
-    raises one :class:`SpecificationError` listing each misfit.  Instances
-    are immutable and safe to share across threads.
+    cached :attr:`plan` and :attr:`beta_report` cannot go stale.
+    Construction checks that every family matches the layout and raises
+    one :class:`SpecificationError` listing each misfit.  Instances are
+    immutable and safe to share across threads.
     """
 
     layout: SpaceLayout
@@ -159,23 +160,6 @@ class SystemSpec:
                            "iterations": est.iterations_used,
                            "converged": est.converged})
         return tuple(report)
-
-    @cached_property
-    def beta(self):
-        """Coupling bound; see :func:`compute_beta`."""
-        # the report lists C, then every N_k o L_ki, then N_k, M_k per k
-        bounds = [entry["value"] for entry in self.beta_report[1:]]
-        coupled = self.layout.s * self.layout.m
-        total = sum(b ** 2 for b in bounds[:coupled])
-        peak = max(n ** 2 + m ** 2 for n, m in zip(bounds[coupled::2],
-                                                    bounds[coupled + 1::2]))
-        beta = self.C.nu0 + float(np.sqrt(total + peak))
-        if beta <= 0.0:
-            raise HypothesisError(
-                "beta = 0: the system has no coupling at all and the "
-                "step-size range is empty"
-            )
-        return beta
 
     @cached_property
     def plan(self):
@@ -243,15 +227,31 @@ def compute_beta(spec):
     """Coupling bound: nu0 + sqrt(sum ||N L||^2 + max_k(||N||^2 + ||M||^2)).
 
     Every norm is an upper bound: the operator's certificate where it has
-    one (:attr:`~monosplit.linops.LinOp.norm_bound`), else a converged
+    one (:attr:`~monosplit.linops.LinOp.certificate`), else a converged
     Lanczos estimate inflated by the safety factor.  So the result
     upper-bounds the exact constant and the step range derived from it
-    remains admissible; :attr:`SystemSpec.beta_report` lists the terms.
-    Raises :class:`HypothesisError` when a Lanczos estimate did not
-    converge or the bound is zero (the theory requires it strictly
-    positive).  Results are memoized per spec instance.
+    remains admissible; :attr:`SystemSpec.beta_report` lists the terms,
+    and memoizes them per spec instance.  A norm whose square overflows
+    gives ``inf``.  Raises :class:`HypothesisError` when a Lanczos
+    estimate did not converge or the bound is zero (the theory requires
+    it strictly positive).
     """
-    return spec.beta
+    # the report lists C, then every N_k o L_ki, then N_k, M_k per k
+    bounds = [entry["value"] for entry in spec.beta_report[1:]]
+    coupled = spec.layout.s * spec.layout.m
+    try:
+        total = sum(b ** 2 for b in bounds[:coupled])
+        peak = max(n ** 2 + m ** 2 for n, m in zip(bounds[coupled::2],
+                                                    bounds[coupled + 1::2]))
+    except OverflowError:  # Python's float ** raises where numpy's gives inf
+        return math.inf
+    beta = spec.C.nu0 + float(np.sqrt(total + peak))
+    if beta <= 0.0:
+        raise HypothesisError(
+            "beta = 0: the system has no coupling at all and the "
+            "step-size range is empty"
+        )
+    return beta
 
 
 def validate(spec):
@@ -306,15 +306,11 @@ def fixed_point_residual(spec, state, gamma):
 
     Zero (to roundoff) exactly when the state encodes a solution of the
     embedded system.  ``gamma`` must lie in the admissible range
-    ``(0, (1 - eps)/beta]`` for the default eps.
+    ``[eps, (1 - eps)/beta]`` for the default eps, checked by
+    :func:`~monosplit.solver.make_policy`.
     """
-    beta = compute_beta(spec)
-    hi = _solver.make_policy(beta).gamma_max
-    if not (0.0 < gamma <= hi * (1 + 1e-12)):
-        raise StepBoundError(
-            f"gamma = {gamma} outside (0, {hi}] for beta = {beta}"
-        )
-    _, record = _solver.step(spec, state, gamma)
+    policy = _solver.make_policy(compute_beta(spec), gamma_const=gamma)
+    _, record = _solver.step(spec, state, policy.gamma_const)
     return record.displacement
 
 

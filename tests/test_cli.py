@@ -527,3 +527,27 @@ def test_failed_validation_is_an_error_line(tmp_path, capsys):
     assert err.startswith("error:") and "beta = 0" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+# Python's float ** raises OverflowError where numpy's gives inf
+OVERFLOWING_SQUARES = {
+    "M-1e200": {"M": 1e200},
+    "N-and-L-1e160": {"N": 1e160, "L": 1e160},
+}
+
+
+@pytest.mark.parametrize("scales", OVERFLOWING_SQUARES.values(),
+                         ids=OVERFLOWING_SQUARES)
+def test_a_norm_whose_square_overflows_is_an_error_line(tmp_path, capsys,
+                                                        scales):
+    doc = json.loads((PROBLEMS / "lasso.json").read_text())
+    ops = doc["operators"]
+    for family, scale in scales.items():
+        row = ops["L"][0] if family == "L" else ops[family]
+        row[0] = {"builder": "scaled_identity",
+                  "params": {"dim": 10, "scale": scale}}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["solve", str(bad), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: beta must be positive and finite, got inf\n"

@@ -91,3 +91,14 @@ def test_svd_norm_matches_the_lanczos_estimate():
     ref = dense_svd_norm(mat)
     est = operator_norm(dense_op(mat))
     assert abs(ref - est.value) <= 1e-8
+
+
+@pytest.mark.parametrize("n", (16, 64))
+def test_svd_norm_matches_numpy_on_random_squares(n):
+    # the seed-17 matrices of test_linops.norm_cases, drawn in its order;
+    # the off-diagonal mass measured as a difference of two square sums
+    # went negative here and warned in sqrt
+    rng = np.random.default_rng(17)
+    mats = {k: rng.standard_normal((k, k)) for k in (4, 16, 64)}
+    want = np.linalg.norm(mats[n], 2)
+    assert dense_svd_norm(mats[n]) == pytest.approx(want, rel=1e-12)

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import importlib
+from collections import Counter
 from functools import reduce
 from pathlib import Path
 
@@ -123,3 +124,53 @@ def test_the_step_and_its_plan_sit_below_the_system_model():
         for module, names in _package_imports(path):
             private = [name for name in names if name.startswith("_")]
             assert module != "system" or not private, (path.name, private)
+
+
+# definitions no package code uses, each kept for a reason
+UNUSED_BY_DESIGN = {
+    "imaging.py:read_pgm":
+        "the reader of problem-file images that the deblur problem file "
+        "will name (ROADMAP L)",
+    "minimization.py:dual_surrogate":
+        "the dual half of the duality gap that runs will report "
+        "(ROADMAP J and D)",
+    "solver.py:StepPolicy.gamma_at":
+        "perfbench's tests step at the policy's gamma through it",
+}
+
+
+def _definitions(tree):
+    """``(name, node)`` for every top-level function and class of a module
+    and every method of its classes; dunder methods are left out, as
+    Python calls them itself."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{item.name}", item)
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("__"))
+
+
+def _names(node):
+    """How often each name or attribute is read or written in ``node``."""
+    return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr
+                   for sub in ast.walk(node)
+                   if isinstance(sub, (ast.Name, ast.Attribute)))
+
+
+def test_every_definition_is_used_by_the_package():
+    # an option or helper that only tests reach is code to delete: every
+    # function, class and method is named by package code outside its own
+    # definition (an import or an __all__ entry does not count)
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    everywhere = sum(map(_names, trees.values()), Counter())
+    unused = []
+    for module, tree in trees.items():
+        for name, node in _definitions(tree):
+            short = name.rpartition(".")[2]
+            if everywhere[short] == _names(node)[short]:
+                unused.append(f"{module}:{name}")
+    assert sorted(unused) == sorted(UNUSED_BY_DESIGN)

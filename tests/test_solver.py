@@ -68,13 +68,6 @@ def test_make_policy_rejects_gamma_outside_interval():
         make_policy(2.0, epsilon=0.1, gamma_const=0.05)
 
 
-def test_policy_validates_user_sequence_on_emission():
-    pol = make_policy(2.0, epsilon=0.1, gamma_seq=lambda n: 0.45 if n < 2 else 9.0)
-    assert pol.gamma_at(0) == 0.45
-    with pytest.raises(StepBoundError):
-        pol.gamma_at(5)
-
-
 def trivial_quadratic_system():
     """Everything zero except A = subgradient of half the squared norm."""
     quad = make_function(

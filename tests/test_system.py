@@ -210,7 +210,7 @@ def test_a_built_system_cannot_go_stale():
     z = [np.ones(d) for d in demo.layout.h_dims]
     r = [np.ones(d) for d in demo.layout.g_dims]
     spec = dataclasses.replace(demo, z=z, r=r)
-    spec.plan, spec.beta  # fill the caches that a change would leave stale
+    spec.plan, spec.beta_report  # fill the caches a change would leave stale
     with pytest.raises(TypeError):
         spec.A[0] = zero_fn(spec.layout.h_dims[0]).operator
     with pytest.raises(TypeError):
@@ -302,6 +302,9 @@ def test_fixed_point_residual_rejects_out_of_range_gamma():
     state = IterateState.zeros(demo.system.layout)
     with pytest.raises(StepBoundError):
         fixed_point_residual(demo.system, state, 10.0)
+    # make_policy's range is [eps, (1 - eps)/beta], with eps = 0.01 here
+    with pytest.raises(StepBoundError, match=r"outside \[0\.01, "):
+        fixed_point_residual(demo.system, state, 0.005)
 
 
 def test_extract_solution_identity_and_scaled():
