@@ -3,7 +3,8 @@
 Each check is deterministic (fixed seeds throughout) and cheap; together
 they cover the load-bearing identities: adjoint pairings, the inverse-
 resolvent identity, prox optimality against grid search, the coupling-bound
-arithmetic and the fixed-point characterization of solutions.
+arithmetic, the fixed-point characterization of solutions and the Lanczos
+operator-norm estimate against a Jacobi SVD.
 """
 
 import numpy as np

@@ -7,9 +7,11 @@ failure).
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -52,11 +54,15 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "solve":
-            return cmd_solve(args.path, args.out)
-        if args.command == "demo":
-            return cmd_demo(args.name, args.out)
-        return cmd_check()
+        # a finite state whose squares overflow steps on with an infinite
+        # displacement, and a norm that overflows is an error: an overflow
+        # warning adds nothing to either
+        with np.errstate(over="ignore"):
+            if args.command == "solve":
+                return cmd_solve(args.path, args.out)
+            if args.command == "demo":
+                return cmd_demo(args.name, args.out)
+            return cmd_check()
     except MonosplitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -94,6 +100,18 @@ def _make_out_dir(out_dir):
     except OSError as exc:
         raise ConfigurationError(f"cannot create output directory "
                                  f"{out_dir}: {exc.strerror or exc}") from exc
+
+
+@contextmanager
+def _writing(out_dir):
+    """Report a file that the block cannot write as a
+    :class:`ConfigurationError` naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot write {exc.filename or out_dir}: "
+            f"{exc.strerror or exc}") from exc
 
 
 def _run_and_write(system, init, policy, errors, tol, max_iter, trace_every,
@@ -148,16 +166,17 @@ def _run_and_write(system, init, policy, errors, tol, max_iter, trace_every,
         }
         if extra_summary:
             summary.update(extra_summary(final, status))
-        try:
+        # JSON has no infinity or NaN (RFC 8259); beta_terms is finite, as
+        # beta is
+        summary = {key: None if isinstance(value, float)
+                   and not math.isfinite(value) else value
+                   for key, value in summary.items()}
+        with _writing(out_dir):
             write_trace_csv(trace, os.path.join(out_dir, "trace.csv"))
             for name, doc, indent in (("solution.json", solution, None),
                                       ("summary.json", summary, 2)):
                 with open(os.path.join(out_dir, name), "w") as fh:
                     json.dump(doc, fh, indent=indent)
-        except OSError as exc:
-            raise ConfigurationError(
-                f"cannot write {exc.filename or out_dir}: "
-                f"{exc.strerror or exc}") from exc
     return final, trace, status
 
 
@@ -208,11 +227,12 @@ def cmd_demo(name, out_dir):
         truth = demo.extras["truth"]
         size = demo.extras["size"]
         obs = demo.extras["observations"].observations[0]
-        write_pgm(os.path.join(out_dir, "truth.pgm"), truth)
-        write_pgm(os.path.join(out_dir, "observed.pgm"),
-                  ImageGrid(size, size, np.clip(obs, 0.0, 1.0)))
-        write_pgm(os.path.join(out_dir, "recovered.pgm"),
-                  ImageGrid(size, size, np.clip(final.x1[0], 0.0, 1.0)))
+        with _writing(out_dir):
+            write_pgm(os.path.join(out_dir, "truth.pgm"), truth)
+            write_pgm(os.path.join(out_dir, "observed.pgm"),
+                      ImageGrid(size, size, np.clip(obs, 0.0, 1.0)))
+            write_pgm(os.path.join(out_dir, "recovered.pgm"),
+                      ImageGrid(size, size, np.clip(final.x1[0], 0.0, 1.0)))
         print(f"deblur: status={status} iterations={final.n} "
               f"energy={extra['primal_surrogate']:.6f}")
     return 0 if status == "converged" else 2

@@ -1,9 +1,8 @@
 """Problem-file ingestion: JSON schema, operator/prox builders, assembly.
 
-A problem file describes a minimization instance (``f``/``smooth``/``g``/
-``ell``) or, under other names, an inclusion system (``A``/``coupling``/
-``B``/``D``); both are built as the minimization instance and share the
-layout, offsets, linear operators, solver and error-schedule sections.
+A problem file describes a minimization instance: its layout, offsets,
+linear operators, functions (``f``/``smooth``/``g``/``ell``), solver and
+error-schedule sections.
 
 Dense operators are row-major nested arrays; matrix-free operators come
 from a named builder catalog.  Schema violations are reported with
@@ -47,12 +46,6 @@ from .solver import (
 from .system import SpaceLayout
 
 PROBLEM_VERSION = 1
-
-# the function keys of each kind, in the places of f, g, ell and smooth
-_FUNCTION_KEYS = {
-    "minimization": ("f", "g", "ell", "smooth"),
-    "inclusion": ("A", "B", "D", "coupling"),
-}
 
 
 def _square(args):
@@ -122,19 +115,18 @@ _PROX_SCHEMA = {
 }
 
 
-def _named_schema(quadratic):
-    """Schema of the smooth or coupling entry: zero, or a quadratic."""
-    return {
-        "type": "object",
-        "required": ["name"],
-        "properties": {
-            "name": {"enum": ["zero", quadratic]},
-            "params": {"type": "object",
-                       "properties": {"terms": {"type": "array"}},
-                       "additionalProperties": False},
-        },
-        "additionalProperties": False,
-    }
+# the smooth entry: zero, or a quadratic
+_SMOOTH_SCHEMA = {
+    "type": "object",
+    "required": ["name"],
+    "properties": {
+        "name": {"enum": ["zero", "quadratic_fidelity"]},
+        "params": {"type": "object",
+                   "properties": {"terms": {"type": "array"}},
+                   "additionalProperties": False},
+    },
+    "additionalProperties": False,
+}
 
 
 _ERRORS_SCHEMA = {
@@ -164,7 +156,7 @@ PROBLEM_SCHEMA = {
     "required": ["version", "kind", "layout", "operators"],
     "properties": {
         "version": {"const": PROBLEM_VERSION},
-        "kind": {"enum": ["inclusion", "minimization"]},
+        "kind": {"const": "minimization"},
         "layout": {
             "type": "object",
             "required": ["m", "s", "h_dims", "g_dims", "y_dims", "x_dims"],
@@ -201,13 +193,9 @@ PROBLEM_SCHEMA = {
             "type": "object",
             "properties": {
                 "f": {"type": "array", "items": _PROX_SCHEMA},
-                "smooth": _named_schema("quadratic_fidelity"),
+                "smooth": _SMOOTH_SCHEMA,
                 "g": {"type": "array", "items": _PROX_SCHEMA},
                 "ell": {"type": "array", "items": _PROX_SCHEMA},
-                "A": {"type": "array", "items": _PROX_SCHEMA},
-                "coupling": _named_schema("quadratic_gradient"),
-                "B": {"type": "array", "items": _PROX_SCHEMA},
-                "D": {"type": "array", "items": _PROX_SCHEMA},
             },
             "additionalProperties": False,
         },
@@ -366,13 +354,10 @@ def _vectors(entries, dims, where, dims_where):
 def parse_problem(doc):
     """Validate a problem document and assemble the runnable pieces.
 
-    An inclusion file is the minimization instance under other names:
-    ``A``/``B``/``D``/``coupling`` in the places of ``f``/``g``/``ell``/
-    ``smooth``.  A function key of the other kind is a
-    :class:`ConfigurationError`.  Returns a dict with keys ``kind``,
-    ``system``, ``min_spec`` (the system's :class:`MinimizationSpec`, for
-    both kinds), ``solver`` (config dict with defaults filled) and
-    ``errors`` (an ErrorSchedule).
+    The document's ``kind`` must be ``"minimization"``.  Returns a dict
+    with keys ``system``, ``min_spec`` (the system's
+    :class:`MinimizationSpec`), ``solver`` (config dict with defaults
+    filled) and ``errors`` (an ErrorSchedule).
     """
     _check_schema(_validator, doc)
     lay = doc["layout"]
@@ -398,19 +383,12 @@ def parse_problem(doc):
                     build_operator))
 
     funcs = doc.get("functions", {})
-    kind = doc["kind"]
-    keys = _FUNCTION_KEYS[kind]
-    for key in funcs:
-        if key not in keys:
-            raise ConfigurationError(
-                f"/functions/{key}: not a key of a {kind} file, which "
-                f"takes {', '.join(keys)}")
     f, g, ell = (_blocks(funcs.get(key, []), dims, f"/functions/{key}",
                          _function)
-                 for key, dims in zip(keys, (layout.h_dims, layout.y_dims,
-                                             layout.x_dims)))
-    phi = _build_smooth(funcs.get(keys[3]), int(sum(layout.h_dims)),
-                        f"/functions/{keys[3]}")
+                 for key, dims in (("f", layout.h_dims), ("g", layout.y_dims),
+                                   ("ell", layout.x_dims)))
+    phi = _build_smooth(funcs.get("smooth"), int(sum(layout.h_dims)),
+                        "/functions/smooth")
     min_spec = MinimizationSpec(layout=layout, f=f, phi=phi, g=g, ell=ell,
                                 M=M, N=N, L=L, z=z, r=r)
     system = build_system(min_spec)
@@ -438,7 +416,6 @@ def parse_problem(doc):
                                           seed=solver_cfg["seed"])
 
     return {
-        "kind": kind,
         "system": system,
         "min_spec": min_spec,
         "solver": solver_cfg,

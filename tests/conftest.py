@@ -1,4 +1,3 @@
-import copy
 import os
 import time
 
@@ -60,23 +59,3 @@ def error_blocks(record, layout):
                      for sl in layout.blocks[place[family[1:]]]]
             for family in ERROR_FAMILIES}
 
-
-# the inclusion names of a minimization file's function keys
-INCLUSION_KEYS = {"f": "A", "g": "B", "ell": "D", "smooth": "coupling"}
-
-
-def as_inclusion(doc):
-    """The inclusion form of a minimization problem document.
-
-    The same problem under the other kind's names: ``f``, ``g``, ``ell``
-    and ``smooth`` become ``A``, ``B``, ``D`` and ``coupling``, and a
-    ``quadratic_fidelity`` smooth part a ``quadratic_gradient`` coupling.
-    """
-    out = copy.deepcopy(doc)
-    out["kind"] = "inclusion"
-    out["functions"] = {INCLUSION_KEYS[key]: entry
-                        for key, entry in out.get("functions", {}).items()}
-    coupling = out["functions"].get("coupling")
-    if coupling and coupling["name"] == "quadratic_fidelity":
-        coupling["name"] = "quadratic_gradient"
-    return out

@@ -511,13 +511,13 @@ def test_failed_validation_is_an_error_line(tmp_path, capsys):
     zero = {"builder": "zero", "params": {"in_dim": 2, "out_dim": 2}}
     doc = {
         "version": 1,
-        "kind": "inclusion",
+        "kind": "minimization",
         "layout": {"m": 1, "s": 1, "h_dims": [2], "g_dims": [2],
                    "y_dims": [2], "x_dims": [2]},
         "operators": {"M": [zero], "N": [zero], "L": [[zero]]},
-        "functions": {"A": [{"prox": "l1", "params": {"weight": 0.3}}],
-                      "B": [{"prox": "zero_function"}],
-                      "D": [{"prox": "zero_function"}]},
+        "functions": {"f": [{"prox": "l1", "params": {"weight": 0.3}}],
+                      "g": [{"prox": "zero_function"}],
+                      "ell": [{"prox": "zero_function"}]},
     }
     path = tmp_path / "uncoupled.json"
     path.write_text(json.dumps(doc))
@@ -551,3 +551,50 @@ def test_a_norm_whose_square_overflows_is_an_error_line(tmp_path, capsys,
     assert main(["solve", str(bad), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err == "error: beta must be positive and finite, got inf\n"
+
+
+def test_an_unwritable_demo_image_is_an_error_line(tmp_path, capsys,
+                                                   monkeypatch):
+    from monosplit.demos import deblur_demo
+
+    # the 8x8 instance solves in about a second
+    monkeypatch.setattr(cli, "get_demo", lambda name: deblur_demo(size=8))
+    out = tmp_path / "deblur"
+    (out / "truth.pgm").mkdir(parents=True)
+    assert main(["demo", "deblur", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out / 'truth.pgm'}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_an_overflowing_state_warns_nothing_and_writes_null(tmp_path,
+                                                            capsys):
+    doc = json.loads((PROBLEMS / "lasso.json").read_text())
+    doc["z"] = [[1e200] * 10]
+    doc["solver"]["max_iter"] = 50
+    path = tmp_path / "huge_z.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["solve", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+    summary = json.loads((out / "summary.json").read_text(),
+                         parse_constant=_refuse_constant)
+    assert summary["final_displacement"] is None
+    assert summary["transversality_defect"] is None
+    with open(out / "trace.csv") as fh:
+        assert list(csv.reader(fh))[-1][2] == "inf"
+
+
+def test_an_overflowing_norm_is_only_its_error_line(tmp_path, capsys):
+    doc = json.loads((PROBLEMS / "qp.json").read_text())
+    for term in doc["functions"]["smooth"]["params"]["terms"]:
+        term["matrix"] = [[1e300] * len(row) for row in term["matrix"]]
+    path = tmp_path / "huge_matrix.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        "error: /functions/smooth: operator_norm: non-finite adjoint value\n")

@@ -1,6 +1,8 @@
 import ast
 import dataclasses
 import importlib
+import json
+import re
 from collections import Counter
 from functools import reduce
 from pathlib import Path
@@ -10,6 +12,7 @@ import pytest
 import monosplit
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+README = Path(__file__).resolve().parents[1] / "README.md"
 PACKAGE = Path(monosplit.__file__).resolve().parent
 
 
@@ -174,3 +177,29 @@ def test_every_definition_is_used_by_the_package():
             if everywhere[short] == _names(node)[short]:
                 unused.append(f"{module}:{name}")
     assert sorted(unused) == sorted(UNUSED_BY_DESIGN)
+
+
+def readme_table_names(header):
+    """The backticked names in the first column of the README table that
+    ``header`` heads."""
+    lines = README.read_text().splitlines()
+    names = set()
+    for row in lines[lines.index(header) + 2:]:
+        if not row.startswith("|"):
+            return names
+        names.update(re.findall(r"`(\w+)`", row.split("|")[1]))
+    return names
+
+
+def test_readme_matches_the_package():
+    from jsonschema import Draft202012Validator
+
+    from monosplit.problemio import OPERATOR_BUILDERS, PROBLEM_SCHEMA
+    from monosplit.prox import CATALOG
+
+    example = re.search(r"```jsonc\n(.*?)```", README.read_text(),
+                        re.DOTALL).group(1)
+    doc = json.loads(re.sub(r"//.*", "", example))
+    assert list(Draft202012Validator(PROBLEM_SCHEMA).iter_errors(doc)) == []
+    assert readme_table_names("| builder | params |") == set(OPERATOR_BUILDERS)
+    assert readme_table_names("| prox | params |") == set(CATALOG)

@@ -1,8 +1,8 @@
 """Property-based check of the problem-file parser.
 
-Each example edits one shipped problem file, or its inclusion form, at
-one place under a ``params`` object: it replaces a value with an arbitrary
-JSON value, or renames a key.  ``parse_problem`` must then return or raise a
+Each example edits one shipped problem file at one place under a
+``params`` object: it replaces a value with an arbitrary JSON value, or
+renames a key.  ``parse_problem`` must then return or raise a
 ``MonosplitError``; any other exception would reach ``monosplit solve`` as
 a traceback.  No example is solved.
 """
@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import as_inclusion
 from monosplit.errors import MonosplitError
 from monosplit.problemio import parse_problem
 
@@ -51,9 +50,6 @@ def param_paths(node, inside=False, path=()):
 
 DOCS = {name: json.loads((PROBLEMS / name).read_text())
         for name in ("lasso.json", "qp.json")}
-# the same files under the inclusion kind's names
-DOCS.update({f"{name}-as-inclusion": as_inclusion(doc)
-             for name, doc in list(DOCS.items())})
 PATHS = {name: list(param_paths(doc)) for name, doc in DOCS.items()}
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import as_inclusion, error_blocks
+from conftest import error_blocks
 from monosplit.errors import ConfigurationError
 from monosplit.problemio import load_problem, parse_problem
 from monosplit.prox import soft_threshold
@@ -22,7 +22,6 @@ def load_doc(name):
 
 def test_shipped_lasso_parses_and_validates():
     problem = load_problem(PROBLEMS / "lasso.json")
-    assert problem["kind"] == "minimization"
     assert validate(problem["system"]) == []
     assert problem["solver"]["tol"] == 1e-8
 
@@ -74,11 +73,11 @@ def test_vector_length_mismatch_is_flagged():
     assert "/z/0" in str(err.value)
 
 
-def test_inclusion_kind_roundtrip():
+def test_hand_written_problem_roundtrip():
     n = 2
     doc = {
         "version": 1,
-        "kind": "inclusion",
+        "kind": "minimization",
         "layout": {"m": 1, "s": 1, "h_dims": [n], "g_dims": [n],
                    "y_dims": [n], "x_dims": [n]},
         "operators": {
@@ -87,13 +86,13 @@ def test_inclusion_kind_roundtrip():
             "L": [[{"builder": "identity", "params": {"dim": n}}]],
         },
         "functions": {
-            "A": [{"prox": "l1", "params": {"weight": 0.3}}],
-            "coupling": {"name": "quadratic_gradient",
-                         "params": {"terms": [{"matrix": np.eye(n).tolist(),
-                                               "offset": [1.0, -1.0],
-                                               "weight": 1.0}]}},
-            "B": [{"prox": "zero_function", "params": {}}],
-            "D": [{"prox": "indicator_zero", "params": {}}],
+            "f": [{"prox": "l1", "params": {"weight": 0.3}}],
+            "smooth": {"name": "quadratic_fidelity",
+                       "params": {"terms": [{"matrix": np.eye(n).tolist(),
+                                             "offset": [1.0, -1.0],
+                                             "weight": 1.0}]}},
+            "g": [{"prox": "zero_function", "params": {}}],
+            "ell": [{"prox": "indicator_zero", "params": {}}],
         },
         "errors": {"name": "geometric", "params": {"rho": 0.5,
                                                    "amplitude": 0.01}},
@@ -193,53 +192,25 @@ def test_integral_float_seed_is_accepted():
             assert x.tobytes() == y.tobytes()
 
 
-@pytest.mark.parametrize("kind, key", [
-    ("minimization", "A"),
-    ("minimization", "coupling"),
-    ("inclusion", "f"),
-    ("inclusion", "smooth"),
-])
-def test_a_function_key_of_the_other_kind_is_an_error(kind, key):
+# the inclusion names of f, g, ell and smooth
+@pytest.mark.parametrize("key", ["A", "B", "D", "coupling"])
+def test_an_inclusion_key_is_an_error_at_functions(key):
     doc = load_doc("lasso.json")
-    if kind == "inclusion":
-        doc = as_inclusion(doc)
-    entry = {"name": "zero"} if key in ("smooth", "coupling") else [
-        {"prox": "indicator_box", "params": {"lo": 100, "hi": 200}}]
-    doc["functions"][key] = entry
+    doc["functions"][key] = doc["functions"]["f"]
     with pytest.raises(ConfigurationError) as err:
         parse_problem(doc)
-    accepted = ("f, g, ell, smooth" if kind == "minimization"
-                else "A, B, D, coupling")
-    assert f"/functions/{key}:" in str(err.value)
-    assert accepted in str(err.value)
+    assert f"\n  /functions: Additional properties are not allowed " \
+        f"('{key}' was unexpected)" in str(err.value)
 
 
-def _record_bits(record):
-    return np.array([record.n, record.gamma, record.displacement,
-                     *record.block_displacements, *record.partial_sums,
-                     record.transversality_defect]).tobytes()
-
-
-@pytest.mark.parametrize("name, iterations", [("lasso.json", 100),
-                                              ("qp.json", 4227)])
-def test_an_inclusion_file_is_its_minimization_problem(name, iterations):
-    runs = []
-    for doc in (load_doc(name), as_inclusion(load_doc(name))):
-        problem = parse_problem(doc)
-        assert problem["min_spec"] is not None
-        system, cfg = problem["system"], problem["solver"]
-        policy = make_policy(compute_beta(system), epsilon=cfg["epsilon"],
-                             gamma_const=cfg["gamma"])
-        final, trace, _ = solve(system, IterateState.zeros(system.layout),
-                                policy, errors=problem["errors"],
-                                tol=cfg["tol"], max_iter=cfg["max_iter"],
-                                trace_every=1)
-        runs.append((system.beta_report, final, trace))
-    (report, final, trace), (inc_report, inc_final, inc_trace) = runs
-    assert inc_report == report
-    assert final.n == inc_final.n == iterations
-    for family in ("x1", "x2", "v1", "v2"):
-        for a, b in zip(getattr(final, family), getattr(inc_final, family)):
-            assert a.tobytes() == b.tobytes()
-    assert len(trace) == len(inc_trace)
-    assert list(map(_record_bits, trace)) == list(map(_record_bits, inc_trace))
+def test_an_inclusion_file_is_an_error_at_kind():
+    doc = load_doc("lasso.json")
+    functions = doc["functions"]
+    doc["kind"] = "inclusion"
+    doc["functions"] = {"A": functions["f"], "B": functions["g"],
+                        "D": functions["ell"],
+                        "coupling": {**functions["smooth"],
+                                     "name": "quadratic_gradient"}}
+    with pytest.raises(ConfigurationError) as err:
+        parse_problem(doc)
+    assert "\n  /kind: 'minimization' was expected" in str(err.value)

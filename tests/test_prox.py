@@ -11,6 +11,7 @@ from monosplit.prox import (
     _assemble_quadratic,
     _block_index,
     LipschitzCoupling,
+    ResolventOp,
     coupling_defects,
     make_function,
     resolvent_of_inverse,
@@ -269,6 +270,53 @@ def test_moreau_identity_across_catalog(name, fn):
                 + gamma * resolvent_of_inverse(fn.operator, 1.0 / gamma,
                                                x / gamma)
             assert np.max(np.abs(lhs - x)) <= 1e-12, name
+
+
+# one 1-D instance per catalog name
+CATALOG_1D = {
+    "l1": {"weight": 0.8},
+    "group_l12": {"blocks": [[0]], "weight": 0.7},
+    "indicator_box": {"lo": -0.3, "hi": 0.6},
+    "indicator_zero": {},
+    "indicator_affine": {"matrix": [[2.0]], "offset": [1.0]},
+    "quadratic_fidelity": {"terms": [{"matrix": [[1.5]], "offset": [0.4],
+                                      "weight": 2.0}]},
+    "zero_function": {},
+    "scaled_translated": {"inner": {"prox": "l1", "params": {"weight": 1.0}},
+                          "shift": 0.5, "scale": 2.0},
+}
+
+
+def dual_resolvent_gap(name, fn):
+    """Worst gap between ``resolvent_of_inverse(fn.operator, gamma, x)``
+    and the minimizer of ``gamma f*(y) + (y - x)^2 / 2`` by grid search."""
+    worst = 0.0
+    for gamma in GAMMAS:
+        for x in (-1.7, 0.2, 0.9):
+            # the conjugate of the zero function is the indicator of {0}
+            center = 0.0 if name == "zero_function" else x
+            argmin, _ = grid_refine_minimize(
+                lambda y: gamma * fn.conjugate_value(y)
+                + 0.5 * float(y[0] - x) ** 2,
+                lo=center - 15.0, hi=center + 15.0, levels=7)
+            dual = resolvent_of_inverse(fn.operator, gamma, np.array([x]))
+            worst = max(worst, abs(float(dual[0] - argmin[0])))
+    return worst
+
+
+@pytest.mark.parametrize("name, params", CATALOG_1D.items(), ids=CATALOG_1D)
+def test_resolvent_of_inverse_is_the_prox_of_the_conjugate(name, params):
+    # the Moreau identity test above holds for any resolve map; this one
+    # compares the dual resolvent with an oracle built on the conjugate
+    fn = make_function(name, params, 1)
+    assert dual_resolvent_gap(name, fn) <= 2e-3
+
+
+def test_the_dual_resolvent_oracle_catches_a_wrong_resolvent():
+    l1 = make_function("l1", {"weight": 0.8}, 1)
+    fake = dataclasses.replace(l1, operator=ResolventOp(
+        1, lambda gamma, x: np.clip(x, -0.5, 0.5)))
+    assert dual_resolvent_gap("l1", fake) > 0.8
 
 
 @pytest.mark.parametrize("name,fn", catalog_entries())
