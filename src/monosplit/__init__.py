@@ -60,6 +60,7 @@ from .system import (
     compute_beta,
     extract_solution,
     fixed_point_residual,
+    step_bound,
     validate,
 )
 
@@ -79,5 +80,5 @@ __all__ = [
     "geometric_schedule", "make_policy", "solve", "step", "write_trace_csv",
     "zero_schedule",
     "SolutionPair", "SpaceLayout", "SystemSpec", "compute_beta",
-    "extract_solution", "fixed_point_residual", "validate",
+    "extract_solution", "fixed_point_residual", "step_bound", "validate",
 ]

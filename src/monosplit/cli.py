@@ -30,7 +30,7 @@ from .solver import (
     write_trace_csv,
     zero_schedule,
 )
-from .system import compute_beta, extract_solution, validate
+from .system import compute_beta, extract_solution, step_bound, validate
 
 TRACE_ENV = "SOLVER_TRACE_EVERY"
 
@@ -85,12 +85,14 @@ def _trace_every(default):
 
 
 def _policy(system, epsilon=None, gamma=None):
-    """The step policy of ``system``; one error lists validate's faults."""
+    """The step policy of ``system``, taken against :func:`step_bound`, a
+    certified Lipschitz bound of the step's operator never above beta; one
+    error lists validate's faults."""
     violations = validate(system)
     if violations:
         raise SpecificationError("problem failed validation:\n  "
                                  + "\n  ".join(violations))
-    return make_policy(compute_beta(system), epsilon=epsilon,
+    return make_policy(step_bound(system), epsilon=epsilon,
                        gamma_const=gamma)
 
 
@@ -156,8 +158,10 @@ def _run_and_write(system, init, policy, errors, tol, max_iter, trace_every,
             "transversality_defect":
                 trace[-1].transversality_defect if trace
                 else transversality_defect(system, final),
-            "beta": policy.beta,
+            "beta": compute_beta(system),
             "beta_terms": system.beta_report,
+            # the bound the step is taken against (see _policy)
+            "step_bound": policy.beta,
             "epsilon": policy.epsilon,
             "gamma": policy.gamma_const,
             "tol": tol,

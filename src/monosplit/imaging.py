@@ -277,12 +277,33 @@ def _check_blur_grid(height, width):
         raise ConfigurationError("blur operators need height, width >= 1")
 
 
+def _fold(taps, n):
+    """The centred 1-D ``taps`` over an axis of ``n`` pixels, with every tap
+    whose offset lies past ``+-(n - 1)`` added into the edge tap.
+
+    Under the replicate boundary such a tap reads the edge pixel from every
+    pixel of the axis, as the edge tap does, so the folded taps give the
+    same stencil matrix up to the order of the sums, with at most ``2 n -
+    1`` taps.  Taps that fit (``len(taps) <= 2 n - 1``) come back as given.
+    """
+    radius = len(taps) // 2
+    if radius < n:
+        return taps
+    lo, hi = radius - (n - 1), radius + n
+    folded = taps[lo:hi].copy()
+    folded[0] += taps[:lo].sum()
+    folded[-1] += taps[hi:].sum()
+    return folded
+
+
 def box_blur_op(height, width, size=3):
     """Dense size x size box blur with replicate boundary."""
     _check_blur_grid(height, width)
     if size < 1 or size % 2 == 0:
         raise ConfigurationError("box blur size must be odd and >= 1")
-    kernel = np.full((size, size), 1.0 / (size * size))
+    # 1.0 * c is c: a kernel that fits is the constant 1/size^2, exactly
+    kernel = np.outer(_fold(np.ones(size), height),
+                      _fold(np.full(size, 1.0 / (size * size)), width))
     return dense_op(_stencil_matrix(height, width, kernel),
                     tag=f"box{size}_{height}x{width}")
 
@@ -294,7 +315,7 @@ def gaussian_blur_op(height, width, sigma=1.0, radius=2):
         raise ConfigurationError("need sigma > 0 and radius >= 0")
     ax = np.arange(-radius, radius + 1, dtype=float)
     g = np.exp(-0.5 * (ax / sigma) ** 2)
-    kernel = np.outer(g, g)
+    kernel = np.outer(_fold(g, height), _fold(g, width))
     kernel /= kernel.sum()
     return dense_op(_stencil_matrix(height, width, kernel),
                     tag=f"gauss{sigma}_{height}x{width}")

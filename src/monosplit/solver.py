@@ -140,7 +140,11 @@ class StepPolicy:
     """An admissible constant step: ``gamma_const`` lies in
     ``[epsilon, (1 - epsilon)/beta]``.
 
-    Build one with :func:`make_policy`, which checks the range.  A caller
+    ``beta`` is the number the policy is taken against: any certified
+    Lipschitz bound of the operator F that :func:`step` applies, such as
+    :func:`~monosplit.system.compute_beta` (the paper's beta) or the
+    tighter :func:`~monosplit.system.step_bound`.  Build one with
+    :func:`make_policy`, which checks the range.  A caller
     that needs a varying step calls :func:`step` with any positive gamma.
     """
 
@@ -156,9 +160,10 @@ class StepPolicy:
 def make_policy(beta, epsilon=None, gamma_const=None):
     """Validate and build a :class:`StepPolicy`.
 
-    ``epsilon`` defaults to ``min(0.01, 0.5/(beta + 1))`` and must lie in
-    ``(0, 1/(beta + 1))``; the default constant step is the largest
-    admissible one, ``(1 - epsilon)/beta``.
+    ``beta`` is any certified Lipschitz bound of the step's operator F (see
+    :class:`StepPolicy`).  ``epsilon`` defaults to ``min(0.01, 0.5/(beta +
+    1))`` and must lie in ``(0, 1/(beta + 1))``; the default constant step
+    is the largest admissible one, ``(1 - epsilon)/beta``.
     """
     beta = float(beta)
     if not np.isfinite(beta) or beta <= 0:
@@ -756,8 +761,10 @@ def solve(spec, init, policy, errors=None, tol=DEFAULT_TOL,
     """Iterate :func:`step` at ``policy.gamma_const`` until the full-state
     displacement drops to tol.
 
-    The caller is responsible for ``policy.beta`` covering the coupling
-    bound of ``spec`` (equality for a tight policy; a larger beta is
+    The caller is responsible for ``policy.beta`` bounding the Lipschitz
+    constant of the step's operator (as
+    :func:`~monosplit.system.step_bound` and
+    :func:`~monosplit.system.compute_beta` do; a larger bound is
     admissible and merely conservative) and for ``spec`` having passed
     validation.  Returns ``(final_state, trace, status)`` with status
     ``"converged"`` or ``"max_iter"``; a trace record is kept every

@@ -254,6 +254,49 @@ def compute_beta(spec):
     return beta
 
 
+def step_bound(spec):
+    """Certified Lipschitz bound of the step's operator F, never above beta.
+
+    F is the operator :func:`~monosplit.solver.step` applies: C on x1 plus
+    a skew linear part.  The FBF step range needs only an upper bound of
+    its Lipschitz constant (Tseng 2000), and beta is one such bound.  This
+    one is tighter.  W is the symmetric nonnegative matrix over the blocks
+    x1 (taken whole), x2_k, v1_k and v2_k, ``1 + 3 s`` rows, with ``nu0``
+    on x1-x1, ``sqrt(sum_i ||N_k L_ki||^2)`` on x1-v1_k, ``||N_k||`` on
+    x2_k-v1_k and ``||M_k||`` on x2_k-v2_k, all read from
+    :attr:`SystemSpec.beta_report`.  Each output block of ``F z - F z'`` is
+    bounded by W's row applied to the block norms u of ``z - z'``, so
+    ``||F z - F z'|| <= ||W u|| <= lambda_max(W) ||z - z'||``.  The x1 row
+    and the x2 rows act on disjoint outputs, so ``lambda_max(W) <= nu0 +
+    sqrt(sum ||N L||^2 + max_k(||N||^2 + ||M||^2))``, which is
+    :func:`compute_beta`.
+
+    For a nonnegative symmetric W, ``||W||_2 = lambda_max(W)``: it is
+    ``np.linalg.eigvalsh`` of W divided by its largest entry, multiplied
+    back and inflated by ``1 + 8 rows eps`` for the eigensolver's backward
+    error, as :func:`~monosplit.linops._svd_norm` inflates an SVD norm.
+    The result is the smaller of that and beta, so it is ``inf`` where beta
+    is, and it raises what :func:`compute_beta` raises.
+    """
+    beta = compute_beta(spec)
+    if not math.isfinite(beta):
+        return beta
+    s, m = spec.layout.s, spec.layout.m
+    # the report lists C, then every N_k o L_ki, then N_k, M_k per k
+    nu0, *norms = (entry["value"] for entry in spec.beta_report)
+    rows = 1 + 3 * s
+    w = np.zeros((rows, rows))
+    w[0, 0] = nu0
+    for k in range(s):
+        x2, v1, v2 = 1 + k, 1 + s + k, 1 + 2 * s + k
+        w[0, v1] = math.hypot(*norms[k * m:(k + 1) * m])
+        w[x2, v1], w[x2, v2] = norms[s * m + 2 * k:s * m + 2 * k + 2]
+    w = np.maximum(w, w.T)
+    top = w.max()
+    lam = float(np.linalg.eigvalsh(w / top)[-1]) * top
+    return min(lam * (1.0 + 8.0 * rows * np.finfo(float).eps), beta)
+
+
 def validate(spec):
     """Probe the behaviour that construction cannot check.
 
@@ -306,10 +349,11 @@ def fixed_point_residual(spec, state, gamma):
 
     Zero (to roundoff) exactly when the state encodes a solution of the
     embedded system.  ``gamma`` must lie in the admissible range
-    ``[eps, (1 - eps)/beta]`` for the default eps, checked by
+    ``[eps, (1 - eps)/bound]`` of :func:`step_bound`, the bound that
+    ``monosplit solve`` steps against, for the default eps; checked by
     :func:`~monosplit.solver.make_policy`.
     """
-    policy = _solver.make_policy(compute_beta(spec), gamma_const=gamma)
+    policy = _solver.make_policy(step_bound(spec), gamma_const=gamma)
     _, record = _solver.step(spec, state, policy.gamma_const)
     return record.displacement
 

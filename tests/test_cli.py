@@ -9,8 +9,10 @@ import pytest
 
 from monosplit import cli, solver
 from monosplit.cli import main
+from monosplit.demos import DEMO_NAMES, get_demo
 from monosplit.prox import soft_threshold
 from monosplit.solver import TRACE_COLUMNS
+from monosplit.system import compute_beta, step_bound
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -435,6 +437,23 @@ def test_summary_reports_where_beta_came_from(tmp_path):
     assert all(t["converged"] for t in terms)
     assert terms[0]["iterations"] > 0
     assert summary["beta"] == terms[0]["value"] + np.sqrt(1.0 + 2.0)
+
+
+@pytest.mark.parametrize("name", ["lasso.json", "qp.json"])
+def test_a_run_steps_against_the_step_bound(tmp_path, name):
+    out = tmp_path / "o"
+    assert main(["solve", str(PROBLEMS / name), "--out", str(out)]) == 0
+    summary = read_summary(out)
+    assert summary["step_bound"] < summary["beta"]
+    assert summary["gamma"] == ((1.0 - summary["epsilon"])
+                                / summary["step_bound"])
+
+
+@pytest.mark.parametrize("name", DEMO_NAMES)
+def test_every_demo_steps_against_a_bound_below_beta(name):
+    system = get_demo(name).system
+    bound = cli._policy(system).beta
+    assert bound == step_bound(system) < compute_beta(system)
 
 
 # where a number goes in problems/lasso.json, and the pointer that an

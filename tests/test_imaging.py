@@ -1,4 +1,5 @@
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -283,22 +284,54 @@ def stencil_matrix_by_loops(height, width, kernel):
     return mat
 
 
+def unfolded_gaussian(sigma, radius):
+    ax = np.arange(-radius, radius + 1, dtype=float)
+    g = np.exp(-0.5 * (ax / sigma) ** 2)
+    kernel = np.outer(g, g)
+    return kernel / kernel.sum()
+
+
+def assert_matches_unfolded(op, height, width, kernel):
+    """Bit for bit where the kernel fits the image; where the builder folds
+    taps past the edge into the edge taps, only the order of the sums
+    differs."""
+    expected = stencil_matrix_by_loops(height, width, kernel)
+    if len(kernel) // 2 < min(height, width):
+        assert op.matrix.tobytes() == expected.tobytes()
+    else:
+        np.testing.assert_allclose(op.matrix, expected, rtol=1e-14, atol=0)
+
+
 @pytest.mark.parametrize("height, width", [(1, 1), (3, 3), (6, 7), (16, 16)])
 def test_stencil_matrix_matches_loop_oracle_bit_for_bit(height, width):
     for size in (1, 3, 5):
         op = box_blur_op(height, width, size)
         kernel = np.full((size, size), 1.0 / (size * size))
-        expected = stencil_matrix_by_loops(height, width, kernel)
-        assert np.array_equal(op.matrix, expected)
-        assert op.matrix.tobytes() == expected.tobytes()
+        assert_matches_unfolded(op, height, width, kernel)
     for radius in (0, 1, 2):
         op = gaussian_blur_op(height, width, sigma=0.8, radius=radius)
-        ax = np.arange(-radius, radius + 1, dtype=float)
-        g = np.exp(-0.5 * (ax / 0.8) ** 2)
-        kernel = np.outer(g, g)
-        kernel /= kernel.sum()
-        expected = stencil_matrix_by_loops(height, width, kernel)
-        assert op.matrix.tobytes() == expected.tobytes()
+        assert_matches_unfolded(op, height, width,
+                                unfolded_gaussian(0.8, radius))
+
+
+def test_a_kernel_wider_than_the_image_is_folded_into_its_edge_taps():
+    op = gaussian_blur_op(3, 3, sigma=2.0, radius=7)
+    assert_matches_unfolded(op, 3, 3, unfolded_gaussian(2.0, 7))
+    op = box_blur_op(3, 3, size=15)
+    assert_matches_unfolded(op, 3, 3, np.full((15, 15), 1.0 / 225))
+
+
+def test_a_huge_blur_radius_builds_in_image_time():
+    # unfolded, a radius of 10**4 is 4 * 10**8 kernel taps
+    started = time.perf_counter()
+    gauss = gaussian_blur_op(4, 4, sigma=1.0, radius=10**4)
+    box = box_blur_op(4, 4, size=2 * 10**4 + 1)
+    assert time.perf_counter() - started < 1.0
+    # past radius 38 every Gaussian tap underflows to 0
+    np.testing.assert_allclose(
+        gauss.matrix, gaussian_blur_op(4, 4, sigma=1.0, radius=50).matrix,
+        rtol=1e-15, atol=0)
+    np.testing.assert_allclose(box.matrix.sum(axis=1), 1.0, rtol=1e-12)
 
 
 @pytest.mark.parametrize("builder", [box_blur_op, gaussian_blur_op])

@@ -203,3 +203,15 @@ def test_readme_matches_the_package():
     assert list(Draft202012Validator(PROBLEM_SCHEMA).iter_errors(doc)) == []
     assert readme_table_names("| builder | params |") == set(OPERATOR_BUILDERS)
     assert readme_table_names("| prox | params |") == set(CATALOG)
+
+
+def test_readme_names_every_summary_key(tmp_path):
+    from monosplit.cli import main
+
+    out = tmp_path / "lasso"
+    problem = README.parent / "problems" / "lasso.json"
+    assert main(["solve", str(problem), "--out", str(out)]) == 0
+    written = list(json.loads((out / "summary.json").read_text()))
+    listed = re.search(r"`summary\.json` \((.*?)\)", README.read_text(),
+                       re.DOTALL).group(1)
+    assert re.findall(r"`(\w+)`", listed) == written

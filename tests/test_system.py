@@ -3,23 +3,29 @@ import dataclasses
 import numpy as np
 import pytest
 
-from monosplit.demos import lasso_demo, lifted_solution_state, qp_demo
+from monosplit.cli import _policy
+from monosplit.demos import (lasso_demo, lifted_solution_state, qp_demo,
+                             separation_demo)
 from monosplit.errors import (
     HypothesisError,
     SpecificationError,
     StepBoundError,
 )
-from monosplit.linops import LinOp, dense_op, identity_op, zero_op
+from monosplit.linops import (LinOp, dense_op, identity_op,
+                              scaled_identity_op, zero_op)
 from monosplit.prox import LipschitzCoupling, make_function, zero_coupling
-from monosplit.solver import IterateState, make_policy, solve, step
+from monosplit.solver import (IterateState, _forward, make_policy, solve,
+                              step)
 from monosplit.system import (
     SpaceLayout,
     SystemSpec,
     compute_beta,
     extract_solution,
     fixed_point_residual,
+    step_bound,
     validate,
 )
+from test_acceptance import random_dense_system
 
 
 def scalar_layout():
@@ -297,6 +303,16 @@ def test_fixed_point_residual_zero_state_not_solution():
     assert fixed_point_residual(demo.system, state, 0.25) > 1e-2
 
 
+def test_fixed_point_residual_takes_the_step_the_cli_takes():
+    # monosplit demo lasso steps at (1 - eps)/step_bound = 0.524, past the
+    # (1 - eps)/beta = 0.36 of the paper's beta
+    demo = lasso_demo()
+    state = IterateState.zeros(demo.system.layout)
+    gamma = _policy(demo.system).gamma_const
+    assert gamma > 0.99 / compute_beta(demo.system)
+    assert fixed_point_residual(demo.system, state, gamma) > 1e-2
+
+
 def test_fixed_point_residual_rejects_out_of_range_gamma():
     demo = lasso_demo()
     state = IterateState.zeros(demo.system.layout)
@@ -448,3 +464,61 @@ def test_blockwise_product_resolvent_matches_per_block():
         np.testing.assert_array_equal(out_joint.x2[k], out_single.x2[0])
         np.testing.assert_array_equal(out_joint.v1[k], out_single.v1[0])
         np.testing.assert_array_equal(out_joint.v2[k], out_single.v2[0])
+
+
+def dense_forward(spec):
+    """The linear part of the step's operator F as a dense matrix, one
+    column per unit vector e: ``F(e) - F(0)``."""
+    plan = spec.plan
+    size = plan.blocks[-1][-1].stop
+    origin = _forward(plan, np.zeros(size))
+    return np.column_stack([_forward(plan, e) - origin
+                            for e in np.eye(size)])
+
+
+def two_primal_blocks_system():
+    """m = 2, s = 1 on dim 1: C = 0, L = N = M = Id.  F's linear part has
+    norm sqrt(2 + sqrt(2)), which W attains only with its x1-v1 entry
+    sqrt(||N L_0||^2 + ||N L_1||^2) = sqrt(2); beta is 2."""
+    layout = SpaceLayout((1, 1), (1,), (1,), (1,))
+    return SystemSpec(
+        layout=layout, z=[np.zeros(1)] * 2, r=[np.zeros(1)],
+        A=[zero_fn(1).operator] * 2, C=zero_coupling((1, 1)),
+        B=[zero_fn(1).operator], D=[zero_fn(1).operator],
+        M=[identity_op(1)], N=[identity_op(1)],
+        L=[[identity_op(1), identity_op(1)]],
+    )
+
+
+STEP_BOUND_CASES = {
+    **{f"random-dense-{seed}": lambda seed=seed: random_dense_system(seed)
+       for seed in range(5)},
+    "lasso": lambda: lasso_demo().system,
+    "qp": lambda: qp_demo().system,
+    "separation": lambda: separation_demo().system,
+    "two-primal-blocks": two_primal_blocks_system,
+}
+
+
+@pytest.mark.parametrize("case", STEP_BOUND_CASES)
+def test_step_bound_lies_between_the_norm_of_F_and_beta(case):
+    # separation's L is 0, so its W is reducible
+    spec = STEP_BOUND_CASES[case]()
+    norm = np.linalg.norm(dense_forward(spec), 2)
+    assert norm <= step_bound(spec) <= compute_beta(spec)
+
+
+def test_step_bound_sums_the_cross_couplings_of_a_k_block():
+    # the max over i of ||N L_ki|| = 1 would give the golden ratio, below
+    # ||F||; their sum 2 would give sqrt(3 + sqrt(5)), above beta = 2
+    spec = two_primal_blocks_system()
+    assert compute_beta(spec) == 2.0
+    assert step_bound(spec) == pytest.approx(np.sqrt(2.0 + np.sqrt(2.0)),
+                                             rel=1e-14)
+
+
+def test_step_bound_is_infinite_where_beta_is():
+    spec = dataclasses.replace(identity_system(),
+                               M=[scaled_identity_op(1, 1e200)])
+    assert compute_beta(spec) == np.inf
+    assert step_bound(spec) == np.inf
