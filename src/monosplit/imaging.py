@@ -30,6 +30,7 @@ the Haar transform's two permutations and its signs; the gradient's plans
 are shared by every first and second gradient of the same image size.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -301,9 +302,19 @@ def box_blur_op(height, width, size=3):
     _check_blur_grid(height, width)
     if size < 1 or size % 2 == 0:
         raise ConfigurationError("box blur size must be odd and >= 1")
+    radius = size // 2
+
+    def counts(n):
+        # how many of the size taps each folded tap over n pixels stands
+        # for: one, and the edge taps also those past +-(n - 1)
+        tally = np.ones(2 * min(radius, n - 1) + 1)
+        past = max(radius - (n - 1), 0)
+        tally[0] += past
+        tally[-1] += past
+        return tally
+
     # 1.0 * c is c: a kernel that fits is the constant 1/size^2, exactly
-    kernel = np.outer(_fold(np.ones(size), height),
-                      _fold(np.full(size, 1.0 / (size * size)), width))
+    kernel = np.outer(counts(height), counts(width) * (1.0 / (size * size)))
     return dense_op(_stencil_matrix(height, width, kernel),
                     tag=f"box{size}_{height}x{width}")
 
@@ -313,9 +324,17 @@ def gaussian_blur_op(height, width, sigma=1.0, radius=2):
     _check_blur_grid(height, width)
     if sigma <= 0 or radius < 0:
         raise ConfigurationError("need sigma > 0 and radius >= 0")
-    ax = np.arange(-radius, radius + 1, dtype=float)
+    # every tap past 38.61 sigma underflows to 0.0, so only the taps within
+    # 39 sigma are computed (a NaN or infinite sigma reaches the radius)
+    reach = radius if not 39.0 * sigma < radius else math.ceil(39.0 * sigma)
+    ax = np.arange(-reach, reach + 1, dtype=float)
     g = np.exp(-0.5 * (ax / sigma) ** 2)
-    kernel = np.outer(_fold(g, height), _fold(g, width))
+
+    def taps(n):
+        # the zero taps past the reach, where they fit the axis
+        return np.pad(_fold(g, n), min(radius, n - 1) - min(reach, n - 1))
+
+    kernel = np.outer(taps(height), taps(width))
     kernel /= kernel.sum()
     return dense_op(_stencil_matrix(height, width, kernel),
                     tag=f"gauss{sigma}_{height}x{width}")

@@ -116,14 +116,14 @@ class IterateState:
 class TraceRecord(NamedTuple):
     """Per-iteration diagnostics.
 
-    ``displacement`` is the full-state one-step movement.  The block
-    displacements are the iterate-to-intermediate distances whose squares
-    the convergence theory sums: ``||x1 - p11||``, ``||x2 - p12||``,
-    ``||v1 - p21||``, ``||v2 - p22||`` (aggregated over blocks within each
-    family).  ``partial_sums`` holds running totals of those squares; a bare
-    :func:`step` call reports just its own contribution, :func:`solve`
-    accumulates across iterations.  ``transversality_defect`` is
-    ``||M* v2 - N* v1||`` at the new state in the records :func:`solve`
+    ``displacement`` is the full-state one-step movement ``||z+ - z||``.
+    The block displacements are the iterate-to-intermediate distances whose
+    squares the convergence theory sums: ``||x1 - p11||``, ``||x2 - p12||``,
+    ``||v1 - p21||``, ``||v2 - p22||``, each over its whole family; every
+    square is one dot.  ``partial_sums`` holds running totals of those
+    squares; a bare :func:`step` call reports just its own contribution,
+    :func:`solve` accumulates across iterations.  ``transversality_defect``
+    is ``||M* v2 - N* v1||`` at the new state in the records :func:`solve`
     keeps, and None in the record of a bare :func:`step`.
     """
 
@@ -460,15 +460,14 @@ class StepPlan:
     The step lays the iterate out as one vector ``[x1 | x2 | v1 | v2]``
     whose block slices are the layout's ``blocks``, and ``lengths`` holds
     the block count of each family, then the length of each block in flat
-    order, which a state must match; ``x1`` and ``v1`` slice out whole
-    families and ``dual`` covers ``v1 | v2``.
+    order, which a state must match; ``families`` slices out the four whole
+    families, x1, x2, v1 and v2, and ``dual`` covers ``v1 | v2``.
     ``sign`` is -1 over x1 and +1 elsewhere, so ``y + (gamma * sign) * F``
     is ``y - gamma * F`` on the primal family and ``y + gamma * F`` on the
     others, the signs of the update lines.  ``z`` and ``nr`` lay the offsets
     ``z_i`` and ``N_k r_k`` flat over x1 and v1; each is None when all its
     elements are zero, and the step then leaves it out, as adding a zero
-    changes at most the sign of a zero.  ``runs`` groups consecutive blocks
-    of equal size as ``(slice, count, size)``.  The rest binds the operators
+    changes at most the sign of a zero.  The rest binds the operators
     once per system.  F's: ``c_apply`` is ``C.apply``, ``n_adjoints`` the
     ``N_k.adjoint_apply``, ``primal`` per x1 block its slice and
     ``L_ki.adjoint_apply`` over k, and ``couplings`` per k ``N_k.apply``,
@@ -484,13 +483,11 @@ class StepPlan:
 
     blocks: tuple
     lengths: tuple
-    x1: slice
-    v1: slice
+    families: tuple
     dual: slice
     sign: np.ndarray
     z: Optional[np.ndarray]
     nr: Optional[np.ndarray]
-    runs: tuple
     c_apply: Callable
     n_adjoints: tuple
     primal: tuple
@@ -502,7 +499,8 @@ class StepPlan:
     def of(spec):
         layout = spec.layout
         blocks = layout.blocks
-        x1, _, v1, v2 = (slice(fam[0].start, fam[-1].stop) for fam in blocks)
+        families = x1, _, v1, v2 = tuple(slice(fam[0].start, fam[-1].stop)
+                                         for fam in blocks)
         sign = np.ones(v2.stop)
         sign[x1] = -1.0
         z = np.concatenate(spec.z)
@@ -519,8 +517,8 @@ class StepPlan:
             blocks,
             (*map(len, blocks),
              *(sl.stop - sl.start for family in blocks for sl in family)),
-            x1, v1, slice(v1.start, v2.stop), _read_only(sign), z, nr,
-            _runs(blocks), spec.C.apply,
+            families, slice(v1.start, v2.stop), _read_only(sign), z, nr,
+            spec.C.apply,
             tuple(N.adjoint_apply for N in spec.N), primal, couplings,
             tuple((sl, A.resolve) for sl, A in zip(blocks[0], spec.A)),
             tuple((D.resolve, sl21, B.resolve, sl22) for D, B, sl21, sl22
@@ -565,24 +563,6 @@ def _check_finite(y, blocks, n, line=None):
             raise NumericError(
                 f"non-finite value in {name}, block {index}", iteration=n
             )
-
-
-def _block_sqnorms(d, runs):
-    """Per-block ``np.sum(d[0][sl]**2)`` and ``np.sum(d[1][sl]**2)``.
-
-    Returns two lists of Python floats in flat block order, and squares
-    ``d`` in place.  ``runs`` groups consecutive blocks of equal size, which
-    reduce in one call over the last axis; that sums each block as its own
-    1-D reduction does, where ``np.add.reduceat`` would sum in another order
-    and differ in the last bits.
-    """
-    d *= d
-    first, second = [], []
-    for sl, count, size in runs:
-        a, b = np.add.reduce(d[:, sl].reshape(2, count, size), 2).tolist()
-        first += a
-        second += b
-    return first, second
 
 
 def step(spec, state, gamma, errors_at_n=None):
@@ -648,7 +628,8 @@ def step(spec, state, gamma, errors_at_n=None):
         raise SpecificationError(
             f"error record: expected an array of shape (3, {size}), got {got}")
     signed_g = plan.sign * g  # -g over x1, +g elsewhere
-    x1_, v1_, dual = plan.x1, plan.v1, plan.dual
+    x1_, _, v1_, _ = plan.families
+    dual = plan.dual
 
     # forward step at z: s = z - gamma F(z), built in place in F's buffer
     s = _forward(plan, z)
@@ -694,16 +675,12 @@ def step(spec, state, gamma, errors_at_n=None):
     z_new = z - s
     z_new += q
 
-    diffs = np.empty((2, size))
-    np.subtract(z, p, diffs[0])
-    np.subtract(z_new, z, diffs[1])
-    gap, moved = _block_sqnorms(diffs, plan.runs)
-    m, nk = len(blocks[0]), len(blocks[2])
-    sums = (sum(gap[:m]), sum(gap[m:m + nk]), sum(gap[m + nk:m + 2 * nk]),
-            sum(gap[m + 2 * nk:]))
-    move = 0.0
-    for sq in moved:
-        move += sq
+    # the squares the convergence argument sums are whole families': one dot
+    # per family of z - p, and one of z+ - z
+    gap = z - p
+    sums = tuple(float(d.dot(d)) for d in map(gap.__getitem__, plan.families))
+    moved = z_new - z
+    move = float(moved.dot(moved))
     # z+ - z, and so its square sum, is non-finite when z+ is
     if not math.isfinite(move):
         _check_finite(z_new, blocks, n)
@@ -727,7 +704,7 @@ def _forward(plan, y):
     x1 = list(map(cut, plan.blocks[0]))
     nstar1 = list(map(operator.call, plan.n_adjoints,
                       map(cut, plan.blocks[2])))
-    c = np.asarray(plan.c_apply(y[plan.x1]))
+    c = np.asarray(plan.c_apply(y[plan.families[0]]))
     for sl, adjoints in plan.primal:
         np.add(c[sl], reduce(operator.add,
                              map(operator.call, adjoints, nstar1)), out[sl])

@@ -9,13 +9,14 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import pytest
 
+from monosplit import cli
 from monosplit.demos import deblur_demo, lasso_demo, qp_demo, separation_demo
-from monosplit.solver import ERROR_FAMILIES, IterateState, make_policy, solve
-from monosplit.system import compute_beta
+from monosplit.solver import ERROR_FAMILIES, IterateState, solve
 
 
 def run_demo(demo, tol, max_iter, trace_every=1, errors=None):
-    policy = make_policy(compute_beta(demo.system))
+    # the step the CLI ships: validated, taken against step_bound
+    policy = cli._policy(demo.system)
     init = demo.extras.get("init") or IterateState.zeros(demo.system.layout)
     started = time.perf_counter()
     final, trace, status = solve(demo.system, init, policy,

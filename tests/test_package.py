@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import importlib
+import inspect
 import json
 import re
 from collections import Counter
@@ -27,12 +28,16 @@ def test_every_exported_name_resolves():
 
 def test_operator_norm_resolves_where_the_benchmark_patches_it(monkeypatch):
     # perfbench/tracing.py patches each function of its PATCHES table in the
-    # modules where callers look it up; an import cleanup there would break
-    # the traced benchmark run only
-    from monosplit import linops, minimization, system
+    # modules where callers look it up, and perfbench/workloads.py times the
+    # qp_files set-up by wrapping cli.cmd_solve and cli._run_and_write; an
+    # import cleanup or a rename there would break the benchmark run only
+    from monosplit import cli, linops, minimization, system
 
     assert system.operator_norm is linops.operator_norm
     assert minimization.operator_norm is linops.operator_norm
+    for name in ("cmd_solve", "_run_and_write"):
+        fn = getattr(cli, name, None)
+        assert inspect.isfunction(fn) and fn.__module__ == cli.__name__, name
     if not PERFBENCH.is_dir():
         pytest.skip("perfbench/ is not in this checkout")
     monkeypatch.syspath_prepend(str(PERFBENCH))

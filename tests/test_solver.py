@@ -429,8 +429,10 @@ def _ref_check_finite(name, index, n, block):
                            iteration=n)
 
 
-def _ref_sqnorm(d):
-    return float(np.add.reduce(d * d))
+def _ref_sqnorm(blocks):
+    """The squared norm of ``blocks`` laid end to end, as one dot."""
+    d = np.concatenate(blocks)
+    return float(d.dot(d))
 
 
 def reference_step(spec, state, gamma, errors_at_n=None):
@@ -529,15 +531,15 @@ def reference_step(spec, state, gamma, errors_at_n=None):
 
     new_state = IterateState(x1_new, x2_new, v1_new, v2_new, n + 1)
 
-    dx1 = sum(_ref_sqnorm(x1[i] - p11[i]) for i in range(m))
-    dx2 = sum(_ref_sqnorm(x2[k] - p12[k]) for k in range(s))
-    dv1 = sum(_ref_sqnorm(v1[k] - p21[k]) for k in range(s))
-    dv2 = sum(_ref_sqnorm(v2[k] - p22[k]) for k in range(s))
-
-    move = 0.0
-    for old, new in ((x1, x1_new), (x2, x2_new), (v1, v1_new), (v2, v2_new)):
-        for k in range(len(old)):
-            move += _ref_sqnorm(new[k] - old[k])
+    # one reduction per family of the block differences, and one of the
+    # whole state's
+    dx1, dx2, dv1, dv2 = (
+        _ref_sqnorm([a - b for a, b in zip(old, mid)])
+        for old, mid in ((x1, p11), (x2, p12), (v1, p21), (v2, p22)))
+    move = _ref_sqnorm([
+        b - a for old, new in ((x1, x1_new), (x2, x2_new), (v1, v1_new),
+                               (v2, v2_new))
+        for a, b in zip(old, new)])
 
     record = TraceRecord(
         n=n,
