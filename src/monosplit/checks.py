@@ -2,9 +2,10 @@
 
 Each check is deterministic (fixed seeds throughout) and cheap; together
 they cover the load-bearing identities: adjoint pairings, the inverse-
-resolvent identity, prox optimality against grid search, the coupling-bound
-arithmetic, the fixed-point characterization of solutions and the Lanczos
-operator-norm estimate against a Jacobi SVD.
+resolvent identity, prox optimality and the dual resolvent against grid
+searches (the latter on the conjugate), the coupling-bound arithmetic, the
+fixed-point characterization of solutions and the Lanczos operator-norm
+estimate against a Jacobi SVD.
 """
 
 import numpy as np
@@ -77,6 +78,12 @@ def run_checks():
         err = float(np.max(np.abs(prox - argmin)))
         record(f"prox-grid {name}", err <= 2e-3, f"error {err:.2e}")
 
+    # the dual resolvent vs an oracle that reads the conjugate, not the
+    # resolvent
+    for name, fn in _catalog_samples(dims_1d=True):
+        gap = dual_resolvent_gap(name, fn)
+        record(f"dual-resolvent {name}", gap <= 2e-3, f"error {gap:.2e}")
+
     # coupling-bound arithmetic vs dense singular values
     demo = lasso_demo()
     beta = compute_beta(demo.system)
@@ -99,6 +106,25 @@ def run_checks():
            f"lanczos {est.value:.10f} vs jacobi {ref:.10f}")
 
     return results
+
+
+def dual_resolvent_gap(name, fn):
+    """Worst gap between ``resolvent_of_inverse(fn.operator, gamma, x)``
+    and the minimizer of ``gamma f*(y) + (y - x)^2 / 2`` by grid search, for
+    the 1-D catalog function ``fn`` named ``name``, over gamma in 0.1, 1, 10
+    and x in -1.7, 0.2, 0.9."""
+    worst = 0.0
+    for gamma in (0.1, 1.0, 10.0):
+        for x in (-1.7, 0.2, 0.9):
+            # the conjugate of the zero function is the indicator of {0}
+            center = 0.0 if name == "zero_function" else x
+            argmin, _ = grid_refine_minimize(
+                lambda y: gamma * fn.conjugate_value(y)
+                + 0.5 * float(y[0] - x) ** 2,
+                lo=center - 15.0, hi=center + 15.0, levels=7)
+            dual = resolvent_of_inverse(fn.operator, gamma, np.array([x]))
+            worst = max(worst, abs(float(dual[0] - argmin[0])))
+    return worst
 
 
 def _catalog_samples(dims_1d=False):

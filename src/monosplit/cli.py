@@ -229,14 +229,14 @@ def cmd_demo(name, out_dir):
               f"{extra['oracle_max_error']:.3e}")
     if name == "deblur":
         truth = demo.extras["truth"]
-        size = demo.extras["size"]
+        shape = truth.height, truth.width
         obs = demo.extras["observations"].observations[0]
         with _writing(out_dir):
             write_pgm(os.path.join(out_dir, "truth.pgm"), truth)
             write_pgm(os.path.join(out_dir, "observed.pgm"),
-                      ImageGrid(size, size, np.clip(obs, 0.0, 1.0)))
+                      ImageGrid(*shape, np.clip(obs, 0.0, 1.0)))
             write_pgm(os.path.join(out_dir, "recovered.pgm"),
-                      ImageGrid(size, size, np.clip(final.x1[0], 0.0, 1.0)))
+                      ImageGrid(*shape, np.clip(final.x1[0], 0.0, 1.0)))
         print(f"deblur: status={status} iterations={final.n} "
               f"energy={extra['primal_surrogate']:.6f}")
     return 0 if status == "converged" else 2

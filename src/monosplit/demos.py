@@ -1,9 +1,11 @@
 """Shipped demo instances with closed-form or dense-algebra oracles.
 
-Each builder returns a :class:`DemoInstance` bundling the minimization data
-(where applicable), the assembled system, solver defaults and whatever
-reference solution an independent oracle provides.  Fixed seeds keep every
-demo reproducible.
+Each demo is one fixed problem: its builder returns a :class:`DemoInstance`
+bundling the minimization data (where applicable), the assembled system,
+solver defaults and whatever reference solution an independent oracle
+provides.  Only ``lasso_demo(n, seed)`` and ``deblur_demo(size, seed)``
+take arguments, the instance families the benchmark draws from; their
+defaults are the shipped demos.
 """
 
 from dataclasses import dataclass, field
@@ -25,12 +27,9 @@ from .prox import make_function, soft_threshold, zero_coupling
 from .solver import IterateState
 from .system import SpaceLayout, SystemSpec
 
-DEMO_NAMES = ("lasso", "qp", "deblur", "separation")
-
 
 @dataclass
 class DemoInstance:
-    name: str
     system: SystemSpec
     min_spec: Optional[MinimizationSpec] = None
     oracle_solution: Optional[np.ndarray] = None
@@ -39,92 +38,73 @@ class DemoInstance:
     extras: dict = field(default_factory=dict)
 
 
-def get_demo(name, **kwargs):
-    builders = {
-        "lasso": lasso_demo,
-        "qp": qp_demo,
-        "deblur": deblur_demo,
-        "separation": separation_demo,
-    }
-    if name not in builders:
-        raise KeyError(f"unknown demo '{name}'; available: {DEMO_NAMES}")
-    return builders[name](**kwargs)
+def get_demo(name):
+    return DEMOS[name]()
 
 
-def _trivial_tail(min_spec_kwargs, dim_h):
-    """Fill the k-slot so the composite term vanishes identically.
+def _one_block(f, matrix, offset, oracle, **extras):
+    """``min f(x) + 0.5 ||matrix x - offset||^2`` on one block of R^n.
 
-    With ell the indicator of the origin and g the zero function (M, N, L
-    all the identity), the infimal-convolution term is 0 for every input,
-    leaving only the f/phi part of the objective.
+    The k-slot is filled so the composite term vanishes identically: with
+    ell the indicator of the origin and g the zero function (M, N, L all
+    the identity), the infimal-convolution term is 0 for every input.
     """
-    n = dim_h
-    min_spec_kwargs.update(
+    n = len(offset)
+    min_spec = MinimizationSpec(
+        layout=SpaceLayout((n,), (n,), (n,), (n,)),
+        f=[f],
+        phi=quadratic_smooth(
+            [{"op": dense_op(matrix), "offset": offset, "weight": 1.0}], n),
         g=[make_function("zero_function", {}, n)],
         ell=[make_function("indicator_zero", {}, n)],
-        M=[identity_op(n)],
-        N=[identity_op(n)],
-        L=[[identity_op(n)]],
-        r=[np.zeros(n)],
+        M=[identity_op(n)], N=[identity_op(n)], L=[[identity_op(n)]],
+        z=[np.zeros(n)], r=[np.zeros(n)],
     )
-    return min_spec_kwargs
+    return DemoInstance(build_system(min_spec), min_spec, oracle,
+                        extras=extras)
 
 
-def lasso_demo(n=10, weight=0.5, seed=1234):
-    """l1-regularized recovery with an orthonormal design matrix.
+def lasso_demo(n=10, seed=1234):
+    """l1-regularized recovery (weight 0.5) with an orthonormal design.
 
     With an orthonormal design the minimizer is the soft-thresholded
     back-projected observation, which serves as the oracle.
     """
+    weight = 0.5
     rng = np.random.default_rng(seed)
     q_mat, _ = np.linalg.qr(rng.standard_normal((n, n)))
     target = rng.uniform(-2.0, 2.0, size=n)
     # keep all coordinates clear of the threshold kink
     target[np.abs(np.abs(target) - weight) < 0.1] += 0.25
     b = q_mat @ target
-    oracle = soft_threshold(q_mat.T @ b, weight)
-
-    layout = SpaceLayout((n,), (n,), (n,), (n,))
-    kwargs = dict(
-        layout=layout,
-        f=[make_function("l1", {"weight": weight}, n)],
-        phi=quadratic_smooth(
-            [{"op": dense_op(q_mat, tag="design"), "offset": b, "weight": 1.0}], n),
-        z=[np.zeros(n)],
-    )
-    min_spec = MinimizationSpec(**_trivial_tail(kwargs, n))
-    return DemoInstance(
-        name="lasso",
-        system=build_system(min_spec),
-        min_spec=min_spec,
-        oracle_solution=oracle,
-        extras={"design": q_mat, "observation": b, "weight": weight},
-    )
+    return _one_block(make_function("l1", {"weight": weight}, n), q_mat, b,
+                      soft_threshold(q_mat.T @ b, weight),
+                      design=q_mat, observation=b, weight=weight)
 
 
-def lifted_solution_state(demo, solution=None):
-    """Lift a known solution into a full fixed-point state.
+def lifted_solution_state(demo):
+    """Lift the demo's oracle solution into a full fixed-point state.
 
     Applies to demos whose k-slot is the vanishing pair (ell = indicator of
     the origin, g = 0, M = N = L = Id, r = 0): the stationarity relations
     then force the splitting block to equal the primal point and both dual
     families to vanish.
     """
-    x = demo.oracle_solution if solution is None else solution
-    layout = demo.system.layout
-    state = IterateState.zeros(layout)
-    state.x1 = [np.asarray(x, dtype=float).copy()]
-    state.x2 = [np.asarray(x, dtype=float).copy() for _ in range(layout.s)]
+    x = np.asarray(demo.oracle_solution, dtype=float)
+    state = IterateState.zeros(demo.system.layout)
+    state.x1 = [x.copy()]
+    state.x2 = [x.copy() for _ in range(demo.system.layout.s)]
     return state
 
 
-def qp_demo(n=4, n_eq=2, seed=977):
-    """Equality-constrained strongly convex quadratic program.
+def qp_demo():
+    """Strongly convex quadratic program in R^4 under 2 equality constraints.
 
     The constraint enters as the indicator of the affine set; the oracle is
     a dense KKT solve.
     """
-    rng = np.random.default_rng(seed)
+    n, n_eq = 4, 2
+    rng = np.random.default_rng(977)
     g_mat = rng.standard_normal((n, n))
     Q = g_mat.T @ g_mat + np.eye(n)
     c = rng.standard_normal(n)
@@ -132,26 +112,9 @@ def qp_demo(n=4, n_eq=2, seed=977):
     d = rng.standard_normal(n_eq)
     # phi = 0.5 ||T x - r||^2 with T'T = Q and T'r = -c
     low = np.linalg.cholesky(Q)
-    T = low.T
-    r_vec = np.linalg.solve(low, -c)
-    oracle = kkt_quadratic_solve(Q, c, E, d)
-
-    layout = SpaceLayout((n,), (n,), (n,), (n,))
-    kwargs = dict(
-        layout=layout,
-        f=[make_function("indicator_affine", {"matrix": E, "offset": d}, n)],
-        phi=quadratic_smooth(
-            [{"op": dense_op(T, tag="qsqrt"), "offset": r_vec, "weight": 1.0}], n),
-        z=[np.zeros(n)],
-    )
-    min_spec = MinimizationSpec(**_trivial_tail(kwargs, n))
-    return DemoInstance(
-        name="qp",
-        system=build_system(min_spec),
-        min_spec=min_spec,
-        oracle_solution=oracle,
-        extras={"Q": Q, "c": c, "E": E, "d": d},
-    )
+    return _one_block(
+        make_function("indicator_affine", {"matrix": E, "offset": d}, n),
+        low.T, np.linalg.solve(low, -c), kkt_quadratic_solve(Q, c, E, d))
 
 
 def _phantom(size):
@@ -165,14 +128,13 @@ def _phantom(size):
     return ImageGrid(size, size, img.ravel())
 
 
-def deblur_demo(size=16, alpha=0.004, beta=0.004, gamma=0.002,
-                noise_sigma=0.01, seed=2024):
-    """Single-observation box-blur recovery on a small grid."""
+def deblur_demo(size=16, seed=2024):
+    """Single-observation box-blur recovery on a small grid: noise sigma
+    0.01, weights alpha = beta = 0.004 and gamma = 0.002."""
     truth = _phantom(size)
-    blur = box_blur_op(size, size, 3)
-    obs = make_observations(truth, [blur], [1.0], noise_sigma, seed)
-    min_spec = build_app1_instance(truth, obs, alpha, beta, gamma,
-                                   box=(0.0, 1.0))
+    obs = make_observations(truth, [box_blur_op(size, size, 3)], [1.0], 0.01,
+                            seed)
+    min_spec = build_app1_instance(truth, obs, 0.004, 0.004, 0.002)
     system = build_system(min_spec)
     init = IterateState.zeros(system.layout)
     # warm start: clipped observation for the primal block and for the
@@ -180,19 +142,12 @@ def deblur_demo(size=16, alpha=0.004, beta=0.004, gamma=0.002,
     x0 = np.clip(obs.observations[0], 0.0, 1.0)
     init.x1 = [x0]
     init.x2 = [x0.copy(), x0.copy()]
-    return DemoInstance(
-        name="deblur",
-        system=system,
-        min_spec=min_spec,
-        oracle_solution=None,
-        tol=1e-6,
-        max_iter=20_000,
-        extras={"truth": truth, "observations": obs, "init": init,
-                "size": size},
-    )
+    return DemoInstance(system, min_spec, tol=1e-6, max_iter=20_000,
+                        extras={"truth": truth, "observations": obs,
+                                "init": init})
 
 
-def separation_demo(seed=555):
+def separation_demo():
     """Fully decoupled system (all cross-couplings zero) plus its two halves.
 
     The primal half carries an l1 + quadratic objective, the dual half a
@@ -200,7 +155,7 @@ def separation_demo(seed=555):
     zero the joint iteration must reproduce both halves exactly, so the
     demo also ships the two single-sided systems for the comparison.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(555)
     n, p = 6, 5
     design = rng.standard_normal((n, n)) / np.sqrt(n)
     b = rng.standard_normal(n)
@@ -253,10 +208,16 @@ def separation_demo(seed=555):
         L=[[zero_op(1, p)]],
     )
 
-    return DemoInstance(
-        name="separation",
-        system=joint,
-        min_spec=None,
-        oracle_solution=None,
-        extras={"primal_only": primal_only, "dual_only": dual_only},
-    )
+    return DemoInstance(joint,
+                        extras={"primal_only": primal_only,
+                                "dual_only": dual_only})
+
+
+# the shipped demos by name, in the order the CLI lists them
+DEMOS = {
+    "lasso": lasso_demo,
+    "qp": qp_demo,
+    "deblur": deblur_demo,
+    "separation": separation_demo,
+}
+DEMO_NAMES = tuple(DEMOS)

@@ -152,23 +152,23 @@ def dense_op(matrix, tag=""):
     )
 
 
-def identity_op(dim, tag="id"):
+def identity_op(dim):
     """The identity on R^dim."""
     norm = certified(1.0)
-    return LinOp(dim, dim, lambda x: x, lambda y: y, tag=tag,
+    return LinOp(dim, dim, lambda x: x, lambda y: y, tag="id",
                  certificate=lambda: norm, kind="identity")
 
 
-def scaled_identity_op(dim, scale, tag=""):
+def scaled_identity_op(dim, scale):
     """``x -> scale * x`` on R^dim; orthogonal when ``|scale| = 1``."""
     s = float(scale)
     norm = certified(abs(s))
-    return LinOp(dim, dim, lambda x: s * x, lambda y: s * y, tag=tag or f"{s}*id",
+    return LinOp(dim, dim, lambda x: s * x, lambda y: s * y, tag=f"{s}*id",
                  certificate=lambda: norm,
                  kind="orthogonal" if abs(s) == 1.0 else "general")
 
 
-def zero_op(in_dim, out_dim, tag="zero"):
+def zero_op(in_dim, out_dim):
     """The zero map R^in_dim -> R^out_dim."""
     norm = certified(0.0)
     return LinOp(
@@ -176,7 +176,7 @@ def zero_op(in_dim, out_dim, tag="zero"):
         out_dim,
         lambda x: np.zeros(out_dim),
         lambda y: np.zeros(in_dim),
-        tag=tag,
+        tag="zero",
         certificate=lambda: norm,
     )
 

@@ -89,11 +89,11 @@ def kkt_quadratic_solve(Q, c, E=None, d=None):
     return sol[:n]
 
 
-def dense_svd_norm(matrix, tol=1e-12):
+def dense_svd_norm(matrix):
     """Largest singular value of a dense matrix via two-sided Jacobi.
 
     Forms the smaller of A'A / AA' and diagonalizes it with cyclic Jacobi
-    rotations until the off-diagonal mass falls below ``tol`` relative to
+    rotations until the off-diagonal mass falls below 1e-12 relative to
     the matrix norm.  Intended for dims up to a few hundred.
     """
     A = np.asarray(matrix, dtype=float)
@@ -103,12 +103,12 @@ def dense_svd_norm(matrix, tol=1e-12):
         return 0.0
     S = A.T @ A if A.shape[1] <= A.shape[0] else A @ A.T
     S = 0.5 * (S + S.T)
-    lam = _jacobi_max_eigenvalue(S, tol)
-    return float(np.sqrt(max(lam, 0.0)))
+    return float(np.sqrt(max(_jacobi_max_eigenvalue(S), 0.0)))
 
 
-def _jacobi_max_eigenvalue(S, tol):
+def _jacobi_max_eigenvalue(S):
     """Largest eigenvalue of a symmetric matrix by cyclic Jacobi rotations."""
+    tol = 1e-12
     A = S.copy()
     n = A.shape[0]
     if n == 1:

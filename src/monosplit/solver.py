@@ -34,8 +34,8 @@ one pass of uint64 array arithmetic over every element of a run of
 iterations, drawn straight into the records' layout.  :func:`solve`
 realizes its errors in runs of at most ``ERROR_RUN`` (16) iterations, one
 ``(count, 3, size)`` array per run, so a generator is called up to 15
-iterations ahead of the step that adds its output, but never for an
-iteration at or past ``max_iter``.
+iterations ahead of the step that adds its output, but never past the
+last iteration ``solve`` takes.
 The draws repeat exactly for a given NumPy build: ``log``, ``cos`` and the
 ``vecdot`` of the norms are NumPy kernels, which another build may round
 differently in the last bit.
@@ -239,9 +239,9 @@ class ErrorSchedule:
         throughout where that record is None), or None if every one of them
         is exact.  A ``count`` that is not a positive integer raises
         ``ValueError``.  :func:`solve` asks for runs of at most
-        ``ERROR_RUN`` (16) records, none at or past its ``max_iter``, so it
-        calls a generator up to 15 iterations ahead of the step that adds
-        its output.
+        ``ERROR_RUN`` (16) records, numbered by the state counter ``n`` it
+        steps from and none past its last step, so it calls a generator up
+        to 15 iterations ahead of the step that adds its output.
         """
         if self._draws is None:
             return None
@@ -588,10 +588,11 @@ def step(spec, state, gamma, errors_at_n=None):
     unchanged bit for bit, so the step rounds as when only the erroneous
     blocks were added.  The record is only read.
 
-    Raises :class:`NumericError` naming the offending line and block if the
-    intermediate points ``p11`` or any block of the new state hold a
-    non-finite value.  ``p11`` is tested by one dot and the new state by the
-    displacement's square sum, which a non-finite ``z+`` makes non-finite;
+    Raises :class:`NumericError` naming the offending line and block, with
+    ``iteration`` the counter of ``state``, if the intermediate points
+    ``p11`` or any block of the new state hold a non-finite value.
+    ``p11`` is tested by one dot and the new state by the displacement's
+    square sum, which a non-finite ``z+`` makes non-finite;
     the blocks are walked only when that fails, so a finite block is never
     named: a finite state whose squares overflow steps on, with an
     infinite displacement.  It raises
@@ -747,11 +748,15 @@ def solve(spec, init, policy, errors=None, tol=DEFAULT_TOL,
     ``"converged"`` or ``"max_iter"``; a trace record is kept every
     ``trace_every`` iterations and at the final one, with the running
     ``partial_sums`` and the :func:`transversality_defect` of its state,
-    evaluated once per kept record.  Numeric failures propagate as
-    :class:`NumericError` tagged with the iteration index.  The errors are
-    realized by ``errors.realize`` in runs of at most ``ERROR_RUN``
-    iterations, each run ending by ``max_iter``; an error the schedule
-    raises surfaces when its run is realized.  A ``max_iter`` or
+    evaluated once per kept record.  The iterations count on from
+    ``init.n``: the step from a state with counter ``n`` adds the errors of
+    iteration ``n``, and a numeric failure in it propagates as the
+    :class:`NumericError` :func:`step` raises, whose ``iteration`` is that
+    ``n``.  So a run continued from a returned state takes the steps of one
+    uninterrupted run bit for bit.  The errors are realized by
+    ``errors.realize`` in runs of at most ``ERROR_RUN`` iterations, none
+    past the last of the ``max_iter`` steps; an error the schedule raises
+    surfaces when its run is realized.  A ``max_iter`` or
     ``trace_every`` that is a bool or not an integer, a ``trace_every``
     below 1, a negative ``max_iter`` and a negative or NaN ``tol`` raise
     ``ValueError``; ``tol = 0`` runs ``max_iter`` iterations unless a step
@@ -777,13 +782,9 @@ def solve(spec, init, policy, errors=None, tol=DEFAULT_TOL,
     for it in range(max_iter):
         j = it % ERROR_RUN
         if not j:
-            run = errors.realize(it, layout, min(ERROR_RUN, max_iter - it))
-        try:
-            state, rec = step(spec, state, gamma,
-                              None if run is None else run[j])
-        except NumericError as exc:
-            exc.iteration = it
-            raise
+            run = errors.realize(state.n, layout,
+                                 min(ERROR_RUN, max_iter - it))
+        state, rec = step(spec, state, gamma, None if run is None else run[j])
         d1, d2, d3, d4 = rec.partial_sums
         sum1 += d1
         sum2 += d2

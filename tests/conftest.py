@@ -14,13 +14,14 @@ from monosplit.demos import deblur_demo, lasso_demo, qp_demo, separation_demo
 from monosplit.solver import ERROR_FAMILIES, IterateState, solve
 
 
-def run_demo(demo, tol, max_iter, trace_every=1, errors=None):
-    # the step the CLI ships: validated, taken against step_bound
+def run_demo(demo, trace_every=1):
+    # the step the CLI ships: validated, taken against step_bound, to the
+    # demo's own tol and max_iter
     policy = cli._policy(demo.system)
     init = demo.extras.get("init") or IterateState.zeros(demo.system.layout)
     started = time.perf_counter()
-    final, trace, status = solve(demo.system, init, policy,
-                                 errors=errors, tol=tol, max_iter=max_iter,
+    final, trace, status = solve(demo.system, init, policy, tol=demo.tol,
+                                 max_iter=demo.max_iter,
                                  trace_every=trace_every)
     wall = time.perf_counter() - started
     return {"demo": demo, "policy": policy, "final": final, "trace": trace,
@@ -29,23 +30,22 @@ def run_demo(demo, tol, max_iter, trace_every=1, errors=None):
 
 @pytest.fixture(scope="session")
 def lasso_run():
-    return run_demo(lasso_demo(), tol=1e-8, max_iter=20000)
+    return run_demo(lasso_demo())
 
 
 @pytest.fixture(scope="session")
 def qp_run():
-    return run_demo(qp_demo(), tol=1e-8, max_iter=50000)
+    return run_demo(qp_demo())
 
 
 @pytest.fixture(scope="session")
 def separation_run():
-    return run_demo(separation_demo(), tol=1e-8, max_iter=50000)
+    return run_demo(separation_demo())
 
 
 @pytest.fixture(scope="session")
 def deblur_run():
-    return run_demo(deblur_demo(), tol=1e-6, max_iter=20000,
-                    trace_every=1000)
+    return run_demo(deblur_demo(), trace_every=1000)
 
 
 def error_blocks(record, layout):

@@ -254,6 +254,19 @@ def test_demo_qp(tmp_path):
     assert summary["iterations"] == 3259
 
 
+@pytest.mark.parametrize("name", ["lasso", "qp"])
+def test_shipped_problem_file_is_the_demo(name, tmp_path, monkeypatch):
+    # problems/<name>.json is the demo's instance written out: both commands
+    # write the same solution and trace bytes
+    monkeypatch.delenv(cli.TRACE_ENV, raising=False)
+    solved, demo = tmp_path / "solve", tmp_path / "demo"
+    assert main(["solve", str(PROBLEMS / f"{name}.json"),
+                 "--out", str(solved)]) == 0
+    assert main(["demo", name, "--out", str(demo)]) == 0
+    for output in ("solution.json", "trace.csv"):
+        assert (solved / output).read_bytes() == (demo / output).read_bytes()
+
+
 def test_demo_deblur_writes_images(tmp_path):
     from monosplit.imaging import read_pgm
 

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from monosplit.demos import lasso_demo, qp_demo, _trivial_tail
+from monosplit.demos import lasso_demo, qp_demo
 from monosplit.errors import NotComputableError, SpecificationError
 from monosplit.imaging import haar_analysis_op
 from monosplit.linops import LinOp, dense_op, identity_op
@@ -43,14 +43,17 @@ def smooth_gradient_defect(phi, trials=10, seed=2):
 
 
 def all_zero_instance(n=2):
-    layout = SpaceLayout((n,), (n,), (n,), (n,))
-    kwargs = dict(
-        layout=layout,
+    """f = phi = 0, and the k-slot of the one-block demos (g = 0, ell = the
+    indicator of 0, M = N = L = Id), which makes the composite term vanish."""
+    return MinimizationSpec(
+        layout=SpaceLayout((n,), (n,), (n,), (n,)),
         f=[make_function("zero_function", {}, n)],
         phi=zero_smooth(n),
-        z=[np.zeros(n)],
+        g=[make_function("zero_function", {}, n)],
+        ell=[make_function("indicator_zero", {}, n)],
+        M=[identity_op(n)], N=[identity_op(n)], L=[[identity_op(n)]],
+        z=[np.zeros(n)], r=[np.zeros(n)],
     )
-    return MinimizationSpec(**_trivial_tail(kwargs, n))
 
 
 def one_dim_box_instance():

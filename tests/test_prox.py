@@ -4,6 +4,7 @@ import threading
 import numpy as np
 import pytest
 
+from monosplit.checks import dual_resolvent_gap
 from monosplit.errors import ConfigurationError, SpecificationError
 from monosplit.linops import LinOp, dense_op
 from monosplit.oracles import grid_refine_minimize
@@ -285,23 +286,6 @@ CATALOG_1D = {
     "scaled_translated": {"inner": {"prox": "l1", "params": {"weight": 1.0}},
                           "shift": 0.5, "scale": 2.0},
 }
-
-
-def dual_resolvent_gap(name, fn):
-    """Worst gap between ``resolvent_of_inverse(fn.operator, gamma, x)``
-    and the minimizer of ``gamma f*(y) + (y - x)^2 / 2`` by grid search."""
-    worst = 0.0
-    for gamma in GAMMAS:
-        for x in (-1.7, 0.2, 0.9):
-            # the conjugate of the zero function is the indicator of {0}
-            center = 0.0 if name == "zero_function" else x
-            argmin, _ = grid_refine_minimize(
-                lambda y: gamma * fn.conjugate_value(y)
-                + 0.5 * float(y[0] - x) ** 2,
-                lo=center - 15.0, hi=center + 15.0, levels=7)
-            dual = resolvent_of_inverse(fn.operator, gamma, np.array([x]))
-            worst = max(worst, abs(float(dual[0] - argmin[0])))
-    return worst
 
 
 @pytest.mark.parametrize("name, params", CATALOG_1D.items(), ids=CATALOG_1D)

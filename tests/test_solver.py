@@ -185,6 +185,36 @@ def test_solve_propagates_numeric_error_with_iteration():
     assert err.value.iteration == blow_after
 
 
+def test_solve_continued_from_a_state_takes_the_steps_of_one_run():
+    # solve counts on from the state's n, so the second half of a split run
+    # adds the errors of iterations 20..39, as one 40-iteration run does
+    demo = lasso_demo()
+    policy = make_policy(compute_beta(demo.system))
+    errors = geometric_schedule(0.9, 0.1, seed=3)
+
+    def run(init, count):
+        return solve(demo.system, init, policy, errors=errors, tol=0.0,
+                     max_iter=count, trace_every=1)
+
+    zeros = IterateState.zeros(demo.system.layout)
+    half, _, _ = run(zeros, 20)
+    continued, second, _ = run(half, 20)
+    whole, trace, _ = run(zeros, 40)
+    assert continued.n == whole.n == 40
+    for a, b in zip(continued.x1 + continued.x2 + continued.v1 + continued.v2,
+                    whole.x1 + whole.x2 + whole.v1 + whole.v2):
+        assert a.tobytes() == b.tobytes()
+    assert [(r.n, r.displacement, r.block_displacements) for r in second] \
+        == [(r.n, r.displacement, r.block_displacements) for r in trace[20:]]
+
+    # a numeric failure names the counter of the state it stepped from
+    broken = half.copy()
+    broken.x1[0][0] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError) as err:
+        run(broken, 20)
+    assert err.value.iteration == 20
+
+
 def test_trace_partial_sums_nondecreasing():
     demo = lasso_demo()
     policy = make_policy(compute_beta(demo.system))
