@@ -42,6 +42,7 @@ from .prox import (
     zero_coupling,
 )
 from .solver import (
+    BlockSteps,
     ErrorSchedule,
     IterateState,
     StepPolicy,
@@ -61,6 +62,7 @@ from .system import (
     extract_solution,
     fixed_point_residual,
     step_bound,
+    step_metric,
     validate,
 )
 
@@ -76,9 +78,10 @@ __all__ = [
     "primal_surrogate", "quadratic_smooth", "smooth_coupling", "zero_smooth",
     "ConvexFunction", "LipschitzCoupling", "ResolventOp", "make_function",
     "resolvent_of_inverse", "soft_threshold", "zero_coupling",
-    "ErrorSchedule", "IterateState", "StepPolicy", "TraceRecord",
+    "BlockSteps", "ErrorSchedule", "IterateState", "StepPolicy", "TraceRecord",
     "geometric_schedule", "make_policy", "solve", "step", "write_trace_csv",
     "zero_schedule",
     "SolutionPair", "SpaceLayout", "SystemSpec", "compute_beta",
-    "extract_solution", "fixed_point_residual", "step_bound", "validate",
+    "extract_solution", "fixed_point_residual", "step_bound", "step_metric",
+    "validate",
 ]

@@ -30,7 +30,8 @@ from .solver import (
     write_trace_csv,
     zero_schedule,
 )
-from .system import compute_beta, extract_solution, step_bound, validate
+from .system import (compute_beta, extract_solution, step_bound, step_metric,
+                     validate)
 
 TRACE_ENV = "SOLVER_TRACE_EVERY"
 
@@ -85,15 +86,16 @@ def _trace_every(default):
 
 
 def _policy(system, epsilon=None, gamma=None):
-    """The step policy of ``system``, taken against :func:`step_bound`, a
-    certified Lipschitz bound of the step's operator never above beta; one
-    error lists validate's faults."""
+    """The step policy of ``system``: the block-diagonal metric of
+    :func:`step_metric`, scaled by ``gamma`` and taken against the metric's
+    certified bound; one error lists validate's faults."""
     violations = validate(system)
     if violations:
         raise SpecificationError("problem failed validation:\n  "
                                  + "\n  ".join(violations))
-    return make_policy(step_bound(system), epsilon=epsilon,
-                       gamma_const=gamma)
+    metric, bound = step_metric(system)
+    return make_policy(bound, epsilon=epsilon, gamma_const=gamma,
+                       metric=metric)
 
 
 def _make_out_dir(out_dir):
@@ -160,10 +162,12 @@ def _run_and_write(system, init, policy, errors, tol, max_iter, trace_every,
                 else transversality_defect(system, final),
             "beta": compute_beta(system),
             "beta_terms": system.beta_report,
-            # the bound the step is taken against (see _policy)
-            "step_bound": policy.beta,
+            "step_bound": step_bound(system),
+            # the bound the metric's scale is taken against (see _policy)
+            "metric_bound": policy.beta,
             "epsilon": policy.epsilon,
             "gamma": policy.gamma_const,
+            "block_steps": list(policy.steps(system.layout).per_block),
             "tol": tol,
             "max_iter": max_iter,
             "wall_time_s": wall,
@@ -250,10 +254,12 @@ def _run_separation(demo, policy, out_dir):
     systems = (joint, demo.extras["primal_only"], demo.extras["dual_only"])
     states = [IterateState.zeros(system.layout) for system in systems]
     identical = True
-    gamma = policy.gamma_const
+    # the halves share the joint's block structure and take its block
+    # steps, which read only their own blocks' terms
+    steps = [policy.steps(system.layout) for system in systems]
     for _ in range(200):
         states = [step(system, state, gamma)[0]
-                  for system, state in zip(systems, states)]
+                  for system, state, gamma in zip(systems, states, steps)]
         js, ps, ds = states
         pairs = [*zip(js.x1, ps.x1), *zip(js.x2, ds.x2), *zip(js.v1, ds.v1),
                  *zip(js.v2, ds.v2)]

@@ -43,6 +43,8 @@ from .prox import make_function
 from .system import SpaceLayout
 
 GRAD_NORM_BOUND = np.sqrt(8.0)
+# the Gaussian taps past the image edge are summed this many at a time
+_TAIL_CHUNK = 2**16
 
 
 @dataclass(frozen=True)
@@ -278,25 +280,6 @@ def _check_blur_grid(height, width):
         raise ConfigurationError("blur operators need height, width >= 1")
 
 
-def _fold(taps, n):
-    """The centred 1-D ``taps`` over an axis of ``n`` pixels, with every tap
-    whose offset lies past ``+-(n - 1)`` added into the edge tap.
-
-    Under the replicate boundary such a tap reads the edge pixel from every
-    pixel of the axis, as the edge tap does, so the folded taps give the
-    same stencil matrix up to the order of the sums, with at most ``2 n -
-    1`` taps.  Taps that fit (``len(taps) <= 2 n - 1``) come back as given.
-    """
-    radius = len(taps) // 2
-    if radius < n:
-        return taps
-    lo, hi = radius - (n - 1), radius + n
-    folded = taps[lo:hi].copy()
-    folded[0] += taps[:lo].sum()
-    folded[-1] += taps[hi:].sum()
-    return folded
-
-
 def box_blur_op(height, width, size=3):
     """Dense size x size box blur with replicate boundary."""
     _check_blur_grid(height, width)
@@ -320,19 +303,39 @@ def box_blur_op(height, width, size=3):
 
 
 def gaussian_blur_op(height, width, sigma=1.0, radius=2):
-    """Dense truncated-Gaussian blur with replicate boundary."""
+    """Dense truncated-Gaussian blur with replicate boundary.
+
+    Each axis of ``n`` pixels computes only the taps within ``+-(n - 1)``.
+    Under the replicate boundary a tap past them reads the edge pixel from
+    every pixel of the axis, as the edge tap does, so each tail is summed
+    into its edge tap: the same stencil matrix up to the order of the sums.
+    A tail is summed in chunks of ``_TAIL_CHUNK`` taps, so memory stays
+    bounded and time is linear in ``min(radius, 39 sigma)``.  A kernel that
+    fits the image gives the taps bit for bit.
+    """
     _check_blur_grid(height, width)
     if sigma <= 0 or radius < 0:
         raise ConfigurationError("need sigma > 0 and radius >= 0")
     # every tap past 38.61 sigma underflows to 0.0, so only the taps within
     # 39 sigma are computed (a NaN or infinite sigma reaches the radius)
     reach = radius if not 39.0 * sigma < radius else math.ceil(39.0 * sigma)
-    ax = np.arange(-reach, reach + 1, dtype=float)
-    g = np.exp(-0.5 * (ax / sigma) ** 2)
+
+    def gauss(lo, hi):
+        ax = np.arange(lo, hi, dtype=float)
+        return np.exp(-0.5 * (ax / sigma) ** 2)
+
+    def tail(lo, hi):
+        return sum(gauss(start, min(start + _TAIL_CHUNK, hi)).sum()
+                   for start in range(lo, hi, _TAIL_CHUNK))
 
     def taps(n):
+        fit = min(reach, n - 1)
+        g = gauss(-fit, fit + 1)
+        if fit < reach:
+            g[0] += tail(-reach, -fit)
+            g[-1] += tail(fit + 1, reach + 1)
         # the zero taps past the reach, where they fit the axis
-        return np.pad(_fold(g, n), min(radius, n - 1) - min(reach, n - 1))
+        return np.pad(g, min(radius, n - 1) - fit)
 
     kernel = np.outer(taps(height), taps(width))
     kernel /= kernel.sum()

@@ -143,31 +143,50 @@ class StepPolicy:
     ``beta`` is the number the policy is taken against: any certified
     Lipschitz bound of the operator F that :func:`step` applies, such as
     :func:`~monosplit.system.compute_beta` (the paper's beta) or the
-    tighter :func:`~monosplit.system.step_bound`.  Build one with
-    :func:`make_policy`, which checks the range.  A caller
-    that needs a varying step calls :func:`step` with any positive gamma.
+    tighter :func:`~monosplit.system.step_bound`.  With a ``metric``, one
+    positive weight ``d_b`` per block in flat block order, block b steps at
+    ``gamma_const * d_b``, gamma is the metric's scale and ``beta`` bounds
+    the rescaled operator, as :func:`~monosplit.system.step_metric` gives
+    it.  Build one with :func:`make_policy`, which checks the range.  A
+    caller that needs a varying step calls :func:`step` with any positive
+    gamma.
     """
 
     beta: float
     epsilon: float
     gamma_const: float
+    metric: Optional[tuple] = None
 
     def gamma_at(self, n):
-        """The step of iteration ``n``: the constant."""
+        """The step of iteration ``n``: the constant, the metric's scale."""
         return self.gamma_const
 
+    def steps(self, layout):
+        """The :class:`BlockSteps` that :func:`step` takes on ``layout``:
+        ``gamma_const`` on every block, or under the metric its block's."""
+        if self.metric is None:
+            return BlockSteps.uniform(layout.blocks, self.gamma_const)
+        return BlockSteps.of(layout.blocks, self.gamma_const, self.metric)
 
-def make_policy(beta, epsilon=None, gamma_const=None):
+
+def make_policy(beta, epsilon=None, gamma_const=None, metric=None):
     """Validate and build a :class:`StepPolicy`.
 
-    ``beta`` is any certified Lipschitz bound of the step's operator F (see
-    :class:`StepPolicy`).  ``epsilon`` defaults to ``min(0.01, 0.5/(beta +
-    1))`` and must lie in ``(0, 1/(beta + 1))``; the default constant step
-    is the largest admissible one, ``(1 - epsilon)/beta``.
+    ``beta`` is any certified Lipschitz bound of the step's operator F, or
+    with a ``metric`` of the rescaled one (see :class:`StepPolicy`).
+    ``epsilon`` defaults to ``min(0.01, 0.5/(beta + 1))`` and must lie in
+    ``(0, 1/(beta + 1))``; the default constant step is the largest
+    admissible one, ``(1 - epsilon)/beta``.  Each weight of ``metric`` must
+    be positive and finite.
     """
     beta = float(beta)
     if not np.isfinite(beta) or beta <= 0:
         raise StepBoundError(f"beta must be positive and finite, got {beta}")
+    if metric is not None:
+        metric = tuple(map(float, metric))
+        if not all(0.0 < d < math.inf for d in metric):
+            raise StepBoundError(
+                f"metric weights must be positive and finite, got {metric}")
     if epsilon is None:
         epsilon = min(0.01, 0.5 / (beta + 1.0))
     epsilon = float(epsilon)
@@ -185,7 +204,84 @@ def make_policy(beta, epsilon=None, gamma_const=None):
             f"gamma = {gamma_const} outside [{epsilon}, {gamma_max}] "
             f"for beta = {beta}, epsilon = {epsilon}"
         )
-    return StepPolicy(beta, epsilon, gamma_const)
+    return StepPolicy(beta, epsilon, gamma_const, metric)
+
+
+class BlockSteps(NamedTuple):
+    """The steps of one iteration, laid out once for :func:`step`.
+
+    ``slices`` are the block slices of the layout they were laid out for
+    (``layout.blocks``), ``gamma`` is the scale the trace reports and
+    ``per_block`` the step of each block in flat block order.  ``flat``
+    holds each element's step over the flat iterate ``[x1 | x2 | v1 |
+    v2]``, ``signed`` the same with the sign of the update lines, negative
+    over x1, ``x1`` and ``dual`` are ``flat`` over x1 and over ``v1 | v2``,
+    ``primal`` is the step of each x1 block and ``inverse`` per k the
+    reciprocal steps of v1_k and v2_k, at which the dual resolvents are
+    taken.  One scalar step (:meth:`uniform`) keeps scalars where a metric
+    (:meth:`of`) lays out vectors; both give the same bytes for equal
+    steps.  :func:`solve` builds its steps once per call.
+    """
+
+    slices: tuple
+    gamma: float
+    per_block: tuple
+    flat: object
+    signed: object
+    x1: object
+    dual: object
+    primal: object
+    inverse: object
+
+    @staticmethod
+    def of(slices, gamma, metric):
+        """Block b of the layout whose block slices are ``slices`` at
+        ``gamma * metric[b]``, in flat block order.
+
+        Raises :class:`SpecificationError` when ``metric`` does not hold one
+        weight per block and ``ValueError`` for a step that is not positive
+        and finite.
+        """
+        flat_slices = [sl for family in slices for sl in family]
+        if len(metric) != len(flat_slices):
+            raise SpecificationError(
+                f"metric: expected {len(flat_slices)} block weights, "
+                f"got {len(metric)}")
+        gamma = float(gamma)
+        per_block = tuple(gamma * float(d) for d in metric)
+        for g in per_block:
+            _check_step(g)
+        flat = np.empty(flat_slices[-1].stop)
+        for sl, g in zip(flat_slices, per_block):
+            flat[sl] = g
+        x1 = slice(0, slices[1][0].start)
+        dual = slice(slices[2][0].start, flat.size)
+        signed = flat.copy()
+        signed[x1] *= -1.0
+        m, s = len(slices[0]), len(slices[1])
+        inverse = tuple(zip((1.0 / g for g in per_block[m + s:m + 2 * s]),
+                            (1.0 / g for g in per_block[m + 2 * s:])))
+        flat, signed = _read_only(flat), _read_only(signed)
+        return BlockSteps(slices, gamma, per_block, flat, signed, flat[x1],
+                          flat[dual], per_block[:m], inverse)
+
+    @staticmethod
+    def uniform(slices, gamma):
+        """One scalar ``gamma`` for every block of the layout whose block
+        slices are ``slices``."""
+        _check_step(gamma)
+        g = float(gamma)
+        inv = 1.0 / g
+        signed = np.full(slices[-1][-1].stop, g)
+        signed[:slices[1][0].start] = -g
+        return BlockSteps(slices, g, (g,) * sum(map(len, slices)), g,
+                          _read_only(signed), g, g, (g,) * len(slices[0]),
+                          ((inv, inv),) * len(slices[1]))
+
+
+def _check_step(gamma):
+    if not (gamma > 0.0 and math.isfinite(gamma)):
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
 
 
 @dataclass(frozen=True)
@@ -461,18 +557,15 @@ class StepPlan:
     whose block slices are the layout's ``blocks``, and ``lengths`` holds
     the block count of each family, then the length of each block in flat
     order, which a state must match; ``families`` slices out the four whole
-    families, x1, x2, v1 and v2, and ``dual`` covers ``v1 | v2``.
-    ``sign`` is -1 over x1 and +1 elsewhere, so ``y + (gamma * sign) * F``
-    is ``y - gamma * F`` on the primal family and ``y + gamma * F`` on the
-    others, the signs of the update lines.  ``z`` and ``nr`` lay the offsets
-    ``z_i`` and ``N_k r_k`` flat over x1 and v1; each is None when all its
-    elements are zero, and the step then leaves it out, as adding a zero
-    changes at most the sign of a zero.  The rest binds the operators
-    once per system.  F's: ``c_apply`` is ``C.apply``, ``n_adjoints`` the
-    ``N_k.adjoint_apply``, ``primal`` per x1 block its slice and
-    ``L_ki.adjoint_apply`` over k, and ``couplings`` per k ``N_k.apply``,
-    ``M_k.apply``, ``M_k.adjoint_apply``, ``L_ki.apply`` over i and the
-    slices of x2, v1 and v2.  J's: ``primal_resolvents`` per x1 block its
+    families, x1, x2, v1 and v2, and ``dual`` covers ``v1 | v2``.  ``z``
+    and ``nr`` lay the offsets ``z_i`` and ``N_k r_k`` flat over x1 and v1;
+    each is None when all its elements are zero, and the step then leaves
+    it out, as adding a zero changes at most the sign of a zero.  The rest
+    binds the operators once per system.  F's: ``c_apply`` is ``C.apply``,
+    ``n_adjoints`` the ``N_k.adjoint_apply``, ``primal`` per x1 block its
+    slice and ``L_ki.adjoint_apply`` over k, and ``couplings`` per k
+    ``N_k.apply``, ``M_k.apply``, ``M_k.adjoint_apply``, ``L_ki.apply`` over
+    i and the slices of x2, v1 and v2.  J's: ``primal_resolvents`` per x1 block its
     slice and ``A_i.resolve``, and ``dual_resolvents`` per k
     ``D_k.resolve``, v1's slice, ``B_k.resolve`` and v2's slice.  So
     :func:`step` reads a system only through its plan, and a copy of the
@@ -485,7 +578,6 @@ class StepPlan:
     lengths: tuple
     families: tuple
     dual: slice
-    sign: np.ndarray
     z: Optional[np.ndarray]
     nr: Optional[np.ndarray]
     c_apply: Callable
@@ -499,10 +591,8 @@ class StepPlan:
     def of(spec):
         layout = spec.layout
         blocks = layout.blocks
-        families = x1, _, v1, v2 = tuple(slice(fam[0].start, fam[-1].stop)
-                                         for fam in blocks)
-        sign = np.ones(v2.stop)
-        sign[x1] = -1.0
+        families = _, _, v1, v2 = tuple(slice(fam[0].start, fam[-1].stop)
+                                        for fam in blocks)
         z = np.concatenate(spec.z)
         nr = np.concatenate([np.asarray(N.apply(r), dtype=float)
                              for N, r in zip(spec.N, spec.r)])
@@ -517,7 +607,7 @@ class StepPlan:
             blocks,
             (*map(len, blocks),
              *(sl.stop - sl.start for family in blocks for sl in family)),
-            families, slice(v1.start, v2.stop), _read_only(sign), z, nr,
+            families, slice(v1.start, v2.stop), z, nr,
             spec.C.apply,
             tuple(N.adjoint_apply for N in spec.N), primal, couplings,
             tuple((sl, A.resolve) for sl, A in zip(blocks[0], spec.A)),
@@ -566,7 +656,8 @@ def _check_finite(y, blocks, n, line=None):
 
 
 def step(spec, state, gamma, errors_at_n=None):
-    """One full iteration from ``state`` with step ``gamma``.
+    """One full iteration from ``state`` with step ``gamma``: a positive
+    float for every block, or :class:`BlockSteps`.
 
     Lays the blocks ``state`` holds end to end in one fresh vector
     ``z = [x1 | x2 | v1 | v2]`` and checks, in one comparison with the
@@ -577,9 +668,12 @@ def step(spec, state, gamma, errors_at_n=None):
     forward-backward-forward step on it: ``s = z - gamma F(z)``,
     ``p = J(s)``, ``q = p - gamma F(p)`` and ``z+ = (z - s) + q``, where F
     is one map, :func:`_forward`, at both points and J the per-block
-    resolvents (the identity on x2).  Returns the new state (counter
-    incremented, its blocks views of ``z+``) and a :class:`TraceRecord`
-    whose ``transversality_defect`` is None: :func:`solve` evaluates it.
+    resolvents (the identity on x2).  Under a metric the same lines scale
+    each element by its block's step, and each block's resolvent is taken
+    at that step: gamma acts elementwise throughout.  Returns the new state
+    (counter incremented, its blocks views of ``z+``) and a
+    :class:`TraceRecord` whose ``transversality_defect`` is None:
+    :func:`solve` evaluates it; its ``gamma`` is the scale.
 
     ``errors_at_n`` is an error record as :meth:`ErrorSchedule.realize`
     makes it, or None for exact evaluation.  Its rows are added whole: the
@@ -597,14 +691,16 @@ def step(spec, state, gamma, errors_at_n=None):
     named: a finite state whose squares overflow steps on, with an
     infinite displacement.  It raises
     :class:`SpecificationError` naming the family for a state that does not
-    match the layout and for an error record that is not an array of shape
-    ``(3, size)``, and ``ValueError`` for a non-positive step.  The
-    admissible-interval bound on gamma is the step policy's responsibility;
-    here only positivity is enforced.
+    match the layout, for block steps of another layout and for an error
+    record that is not an array of shape ``(3, size)``, and ``ValueError``
+    for a non-positive step.  The admissible-interval bound on gamma is the
+    step policy's responsibility; here only positivity is enforced.
     """
-    if not (gamma > 0.0 and math.isfinite(gamma)):
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     plan = spec.plan
+    steps = gamma if isinstance(gamma, BlockSteps) \
+        else BlockSteps.uniform(plan.blocks, gamma)
+    if steps.slices is not plan.blocks and steps.slices != plan.blocks:
+        raise SpecificationError("block steps were laid out for another layout")
     blocks = plan.blocks
     families = x1, x2, v1, v2 = state.x1, state.x2, state.v1, state.v2
     flat = (*x1, *x2, *v1, *v2)
@@ -619,7 +715,6 @@ def step(spec, state, gamma, errors_at_n=None):
                        *map(len, flat)) != plan.lengths:
         _check_shapes(families, blocks)
     size = z.size
-    g = float(gamma)
     n = state.n
     errs = errors_at_n
     if errs is not None and (not isinstance(errs, np.ndarray)
@@ -628,7 +723,7 @@ def step(spec, state, gamma, errors_at_n=None):
             else type(errs).__name__
         raise SpecificationError(
             f"error record: expected an array of shape (3, {size}), got {got}")
-    signed_g = plan.sign * g  # -g over x1, +g elsewhere
+    signed_g = steps.signed  # -g over x1, +g elsewhere
     x1_, _, v1_, _ = plan.families
     dual = plan.dual
 
@@ -640,19 +735,20 @@ def step(spec, state, gamma, errors_at_n=None):
     s += z
 
     # backward step: p starts as s, the identity on x2; then the per-block
-    # resolvents and the inverse-resolvent identity on the dual families,
+    # resolvents, each at its block's step, and the inverse-resolvent
+    # identity on the dual families,
     # p_dual = s_dual - gamma (nr + J(s_dual / gamma - nr))
     p = s.copy()
-    arg = s if plan.z is None else s[x1_] + g * plan.z
-    for sl, resolve in plan.primal_resolvents:
-        p[sl] = resolve(g, arg[sl])
-    t = s / g
+    arg = s if plan.z is None else s[x1_] + steps.x1 * plan.z
+    for (sl, resolve), g_i in zip(plan.primal_resolvents, steps.primal):
+        p[sl] = resolve(g_i, arg[sl])
+    t = s / steps.flat
     if plan.nr is not None:
         t[v1_] -= plan.nr
-    inv_g = 1.0 / g
-    for resolve_d, sl21, resolve_b, sl22 in plan.dual_resolvents:
-        p[sl21] = resolve_d(inv_g, t[sl21])
-        p[sl22] = resolve_b(inv_g, t[sl22])
+    for (resolve_d, sl21, resolve_b, sl22), (inv21, inv22) in zip(
+            plan.dual_resolvents, steps.inverse):
+        p[sl21] = resolve_d(inv21, t[sl21])
+        p[sl22] = resolve_b(inv22, t[sl22])
     if plan.nr is not None:
         pv = p[v1_]
         np.add(plan.nr, pv, pv)
@@ -664,7 +760,7 @@ def step(spec, state, gamma, errors_at_n=None):
     if not math.isfinite(p11.dot(p11)):
         _check_finite(p, blocks, n, "p11")
     pd = p[dual]
-    pd *= g
+    pd *= steps.dual
     np.subtract(s[dual], pd, pd)
 
     # forward correction at p: q = p - gamma F(p), z+ = (z - s) + q
@@ -686,7 +782,7 @@ def step(spec, state, gamma, errors_at_n=None):
     if not math.isfinite(move):
         _check_finite(z_new, blocks, n)
     new_state = _on_buffer(z_new, blocks, n + 1)
-    return new_state, TraceRecord(n, g, math.sqrt(move),
+    return new_state, TraceRecord(n, steps.gamma, math.sqrt(move),
                                   tuple(map(math.sqrt, sums)), sums, None)
 
 
@@ -736,8 +832,12 @@ def transversality_defect(spec, state):
 
 def solve(spec, init, policy, errors=None, tol=DEFAULT_TOL,
           max_iter=DEFAULT_MAX_ITER, trace_every=DEFAULT_TRACE_EVERY):
-    """Iterate :func:`step` at ``policy.gamma_const`` until the full-state
+    """Iterate :func:`step` at the policy's steps until the full-state
     displacement drops to tol.
+
+    The policy's :class:`BlockSteps` are laid out once per call: each
+    block steps at ``policy.gamma_const``, or under the policy's metric at
+    its own step.
 
     The caller is responsible for ``policy.beta`` bounding the Lipschitz
     constant of the step's operator (as
@@ -778,7 +878,7 @@ def solve(spec, init, policy, errors=None, tol=DEFAULT_TOL,
     sum1 = sum2 = sum3 = sum4 = 0.0
     trace = []
     status = "max_iter"
-    gamma = policy.gamma_const
+    gamma = policy.steps(layout)
     for it in range(max_iter):
         j = it % ERROR_RUN
         if not j:

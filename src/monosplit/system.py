@@ -254,33 +254,16 @@ def compute_beta(spec):
     return beta
 
 
-def step_bound(spec):
-    """Certified Lipschitz bound of the step's operator F, never above beta.
+def _block_norms(spec):
+    """The block-norm matrix W of the step's operator F, for a finite beta.
 
-    F is the operator :func:`~monosplit.solver.step` applies: C on x1 plus
-    a skew linear part.  The FBF step range needs only an upper bound of
-    its Lipschitz constant (Tseng 2000), and beta is one such bound.  This
-    one is tighter.  W is the symmetric nonnegative matrix over the blocks
-    x1 (taken whole), x2_k, v1_k and v2_k, ``1 + 3 s`` rows, with ``nu0``
-    on x1-x1, ``sqrt(sum_i ||N_k L_ki||^2)`` on x1-v1_k, ``||N_k||`` on
+    W is the symmetric nonnegative matrix over the blocks x1 (taken whole),
+    x2_k, v1_k and v2_k, ``1 + 3 s`` rows in that order, with ``nu0`` on
+    x1-x1, ``sqrt(sum_i ||N_k L_ki||^2)`` on x1-v1_k, ``||N_k||`` on
     x2_k-v1_k and ``||M_k||`` on x2_k-v2_k, all read from
     :attr:`SystemSpec.beta_report`.  Each output block of ``F z - F z'`` is
-    bounded by W's row applied to the block norms u of ``z - z'``, so
-    ``||F z - F z'|| <= ||W u|| <= lambda_max(W) ||z - z'||``.  The x1 row
-    and the x2 rows act on disjoint outputs, so ``lambda_max(W) <= nu0 +
-    sqrt(sum ||N L||^2 + max_k(||N||^2 + ||M||^2))``, which is
-    :func:`compute_beta`.
-
-    For a nonnegative symmetric W, ``||W||_2 = lambda_max(W)``: it is
-    ``np.linalg.eigvalsh`` of W divided by its largest entry, multiplied
-    back and inflated by ``1 + 8 rows eps`` for the eigensolver's backward
-    error, as :func:`~monosplit.linops._svd_norm` inflates an SVD norm.
-    The result is the smaller of that and beta, so it is ``inf`` where beta
-    is, and it raises what :func:`compute_beta` raises.
+    bounded by W's row applied to the block norms u of ``z - z'``.
     """
-    beta = compute_beta(spec)
-    if not math.isfinite(beta):
-        return beta
     s, m = spec.layout.s, spec.layout.m
     # the report lists C, then every N_k o L_ki, then N_k, M_k per k
     nu0, *norms = (entry["value"] for entry in spec.beta_report)
@@ -291,10 +274,71 @@ def step_bound(spec):
         x2, v1, v2 = 1 + k, 1 + s + k, 1 + 2 * s + k
         w[0, v1] = math.hypot(*norms[k * m:(k + 1) * m])
         w[x2, v1], w[x2, v2] = norms[s * m + 2 * k:s * m + 2 * k + 2]
-    w = np.maximum(w, w.T)
+    return np.maximum(w, w.T)
+
+
+def _certified_top(w):
+    """An upper bound of ``lambda_max`` of the nonzero symmetric nonnegative
+    matrix ``w``, which is its 2-norm: ``np.linalg.eigvalsh`` of w divided by
+    its largest entry, multiplied back and inflated by ``1 + 8 rows eps``
+    for the eigensolver's backward error, as
+    :func:`~monosplit.linops._svd_norm` inflates an SVD norm."""
     top = w.max()
     lam = float(np.linalg.eigvalsh(w / top)[-1]) * top
-    return min(lam * (1.0 + 8.0 * rows * np.finfo(float).eps), beta)
+    return lam * (1.0 + 8.0 * len(w) * np.finfo(float).eps)
+
+
+def step_bound(spec):
+    """Certified Lipschitz bound of the step's operator F, never above beta.
+
+    F is the operator :func:`~monosplit.solver.step` applies: C on x1 plus
+    a skew linear part.  The FBF step range needs only an upper bound of
+    its Lipschitz constant (Tseng 2000), and beta is one such bound.  This
+    one is tighter: ``lambda_max`` of the block-norm matrix W (see
+    :func:`_block_norms`).  As ``||F z - F z'|| <= ||W u|| <=
+    lambda_max(W) ||z - z'||`` for the block norms u of ``z - z'``, and the
+    x1 row and the x2 rows act on disjoint outputs, ``lambda_max(W) <= nu0
+    + sqrt(sum ||N L||^2 + max_k(||N||^2 + ||M||^2))``, which is
+    :func:`compute_beta`.  The top eigenvalue is certified with a roundoff
+    margin (:func:`_certified_top`).  The result is the smaller of that and
+    beta, so it is ``inf`` where beta is, and it raises what
+    :func:`compute_beta` raises.
+    """
+    beta = compute_beta(spec)
+    if not math.isfinite(beta):
+        return beta
+    return min(_certified_top(_block_norms(spec)), beta)
+
+
+def step_metric(spec):
+    """The block-diagonal metric that ``monosplit solve`` steps under, and
+    its certified bound: ``(metric, bound)``.
+
+    The metric D is one weight ``d_b = 1 / ||W_b,:||_2`` per row of the
+    block-norm matrix W (:func:`_block_norms`), or 1 for a zero row, whose
+    block F neither reads nor writes.  ``metric`` lists the weights in flat
+    block order, x1's weight repeated over its m blocks.  Stepping block b
+    at ``gamma d_b`` is Tseng's step at gamma on the rescaled inclusion
+    ``D^1/2 (A + F) D^1/2`` (Vu, Numer. Funct. Anal. Optim. 34, 2013), whose
+    resolvents are the blocks' own at ``gamma d_b``.  Each block of ``D^1/2
+    F D^1/2`` is bounded by ``sqrt(d_a d_b) W_ab``, so ``bound``, the
+    certified ``lambda_max`` of that scaled matrix (:func:`_certified_top`),
+    is a Lipschitz bound of the rescaled operator, and gamma ranges over
+    :func:`~monosplit.solver.make_policy`'s ``[eps, (1 - eps)/bound]``.  A
+    row reads only its own block's terms, so a decoupled part of a system
+    gets the weights it has on its own.  Where beta is infinite, ``bound``
+    is ``inf`` and ``metric`` None; it raises what :func:`compute_beta`
+    raises.
+    """
+    beta = compute_beta(spec)
+    if not math.isfinite(beta):
+        return None, beta
+    w = _block_norms(spec)
+    d = np.array([1.0 / norm if norm else 1.0
+                  for norm in (math.hypot(*row) for row in w)])
+    root = np.sqrt(d)
+    metric = (float(d[0]),) * spec.layout.m + tuple(map(float, d[1:]))
+    return metric, _certified_top(w * np.outer(root, root))
 
 
 def validate(spec):
@@ -347,14 +391,16 @@ def validate(spec):
 def fixed_point_residual(spec, state, gamma):
     """Full-state displacement of one exact iteration from ``state``.
 
-    Zero (to roundoff) exactly when the state encodes a solution of the
-    embedded system.  ``gamma`` must lie in the admissible range
-    ``[eps, (1 - eps)/bound]`` of :func:`step_bound`, the bound that
-    ``monosplit solve`` steps against, for the default eps; checked by
-    :func:`~monosplit.solver.make_policy`.
+    The iteration is the one ``monosplit solve`` takes: each block steps at
+    ``gamma d_b`` under the metric of :func:`step_metric`.  Zero (to
+    roundoff) exactly when the state encodes a solution of the embedded
+    system, under any positive block steps.  ``gamma`` is the metric's
+    scale and must lie in ``[eps, (1 - eps)/bound]`` for the metric's bound
+    and the default eps; checked by :func:`~monosplit.solver.make_policy`.
     """
-    policy = _solver.make_policy(step_bound(spec), gamma_const=gamma)
-    _, record = _solver.step(spec, state, policy.gamma_const)
+    metric, bound = step_metric(spec)
+    policy = _solver.make_policy(bound, gamma_const=gamma, metric=metric)
+    _, record = _solver.step(spec, state, policy.steps(spec.layout))
     return record.displacement
 
 

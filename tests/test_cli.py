@@ -12,7 +12,8 @@ from monosplit.cli import main
 from monosplit.demos import DEMO_NAMES, get_demo
 from monosplit.prox import soft_threshold
 from monosplit.solver import TRACE_COLUMNS
-from monosplit.system import compute_beta, step_bound
+from monosplit.problemio import load_problem
+from monosplit.system import compute_beta, step_bound, step_metric
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -242,7 +243,7 @@ def test_demo_separation_reports_identical(tmp_path):
     assert code == 0
     summary = read_summary(out)
     assert summary["separation_report"] == "identical"
-    assert summary["iterations"] == 500
+    assert summary["iterations"] == 293
 
 
 def test_demo_qp(tmp_path):
@@ -251,7 +252,7 @@ def test_demo_qp(tmp_path):
     assert code == 0
     summary = read_summary(out)
     assert summary["oracle_max_error"] <= 1e-6
-    assert summary["iterations"] == 3259
+    assert summary["iterations"] == 156
 
 
 @pytest.mark.parametrize("name", ["lasso", "qp"])
@@ -275,7 +276,7 @@ def test_demo_deblur_writes_images(tmp_path):
     assert code == 0
     summary = read_summary(out)
     assert summary["status"] == "converged"
-    assert summary["iterations"] == 8710
+    assert summary["iterations"] == 7521
     for name in ("truth.pgm", "observed.pgm", "recovered.pgm"):
         img = read_pgm(out / name)
         assert img.height == img.width == 16
@@ -462,19 +463,39 @@ def test_summary_reports_where_beta_came_from(tmp_path):
 
 @pytest.mark.parametrize("name", ["lasso.json", "qp.json"])
 def test_a_run_steps_against_the_step_bound(tmp_path, name):
+    # the scale is the largest the metric's bound admits, and each block
+    # steps at the scale times its weight
     out = tmp_path / "o"
     assert main(["solve", str(PROBLEMS / name), "--out", str(out)]) == 0
     summary = read_summary(out)
     assert summary["step_bound"] < summary["beta"]
     assert summary["gamma"] == ((1.0 - summary["epsilon"])
-                                / summary["step_bound"])
+                                / summary["metric_bound"])
+    metric, bound = step_metric(load_problem(PROBLEMS / name)["system"])
+    assert summary["metric_bound"] == bound
+    assert summary["block_steps"] == [summary["gamma"] * d for d in metric]
 
 
 @pytest.mark.parametrize("name", DEMO_NAMES)
 def test_every_demo_steps_against_a_bound_below_beta(name):
+    # the CLI steps under the metric, against the metric's bound; the
+    # summary's step_bound is the scalar bound, below beta
     system = get_demo(name).system
-    bound = cli._policy(system).beta
-    assert bound == step_bound(system) < compute_beta(system)
+    policy = cli._policy(system)
+    assert (policy.metric, policy.beta) == step_metric(system)
+    assert step_bound(system) < compute_beta(system)
+
+
+def test_a_gamma_past_the_metric_bound_is_an_error_line(tmp_path, capsys):
+    doc = json.loads((PROBLEMS / "lasso.json").read_text())
+    doc["solver"]["gamma"] = 5.0
+    bad = tmp_path / "bad_gamma.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["solve", str(bad), "--out", str(tmp_path / "o")]) == 1
+    _, bound = step_metric(load_problem(PROBLEMS / "lasso.json")["system"])
+    assert capsys.readouterr().err == (
+        f"error: gamma = 5.0 outside [0.01, {0.99 / bound}] for beta = "
+        f"{bound}, epsilon = 0.01\n")
 
 
 # where a number goes in problems/lasso.json, and the pointer that an

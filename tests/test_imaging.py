@@ -1,5 +1,6 @@
 import sys
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -334,6 +335,18 @@ def test_a_huge_blur_radius_builds_in_image_time():
             gauss.matrix, gaussian_blur_op(4, 4, sigma=1.0, radius=50).matrix,
             rtol=1e-15, atol=0)
         np.testing.assert_allclose(box.matrix.sum(axis=1), 1.0, rtol=1e-12)
+
+
+def test_a_wide_gaussian_builds_in_bounded_memory():
+    # the taps past the image edge are summed in chunks: unchunked, sigma =
+    # 10**5 held 2 * 39 * 10**5 taps, 178.5 MB at the peak
+    tracemalloc.start()
+    try:
+        gaussian_blur_op(4, 4, sigma=1e5, radius=10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 @pytest.mark.parametrize("builder", [box_blur_op, gaussian_blur_op])

@@ -13,14 +13,16 @@ import pytest
 
 from conftest import error_blocks
 from monosplit.demos import (
+    DEMO_NAMES,
     deblur_demo,
+    get_demo,
     lasso_demo,
     lifted_solution_state,
     qp_demo,
     separation_demo,
 )
 from monosplit.errors import NumericError, SpecificationError, StepBoundError
-from monosplit import solver
+from monosplit import cli, solver
 from monosplit.linops import dense_op, zero_op
 from monosplit.minimization import MinimizationSpec, build_system
 from monosplit.prox import (
@@ -33,6 +35,7 @@ from monosplit.prox import (
 )
 from monosplit.solver import (
     ERROR_FAMILIES,
+    BlockSteps,
     ErrorSchedule,
     IterateState,
     TraceRecord,
@@ -43,7 +46,8 @@ from monosplit.solver import (
     transversality_defect,
     zero_schedule,
 )
-from monosplit.system import SpaceLayout, SystemSpec, compute_beta
+from monosplit.system import (SpaceLayout, SystemSpec, compute_beta,
+                              step_bound, step_metric)
 
 
 def test_make_policy_default_constant():
@@ -378,9 +382,12 @@ def test_error_robustness_geometric_schedule_on_lasso():
     assert np.max(np.abs(noisy.x1[0] - exact.x1[0])) <= 1e-5
 
 
-def separation_runs(errors=None, iters=150):
+def separation_runs(errors=None, iters=150, policy=None):
+    # each system steps at the joint policy's steps: the metric's block
+    # steps fit every half, as all three have one block per family
     demo = separation_demo()
-    policy = make_policy(compute_beta(demo.system))
+    if policy is None:
+        policy = make_policy(compute_beta(demo.system))
     systems = {
         "joint": demo.system,
         "primal": demo.extras["primal_only"],
@@ -391,17 +398,16 @@ def separation_runs(errors=None, iters=150):
         sched = errors if errors is not None else zero_schedule()
         state = IterateState.zeros(system.layout)
         states = []
+        gamma = policy.steps(system.layout)
         for it in range(iters):
             errs = sched.realize(it, system.layout)
-            state, _ = step(system, state, policy.gamma_at(it), errs)
+            state, _ = step(system, state, gamma, errs)
             states.append(state)
         out[name] = states
     return out
 
 
-@pytest.mark.parametrize("errors", [None, geometric_schedule(0.9, 0.05, seed=3)])
-def test_separation_property_bitwise(errors):
-    runs = separation_runs(errors)
+def assert_separated(runs):
     for js, ps in zip(runs["joint"], runs["primal"]):
         for a, b in zip(js.x1, ps.x1):
             assert a.tobytes() == b.tobytes()
@@ -409,6 +415,62 @@ def test_separation_property_bitwise(errors):
         for fam in ("x2", "v1", "v2"):
             for a, b in zip(getattr(js, fam), getattr(ds, fam)):
                 assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("errors", [None, geometric_schedule(0.9, 0.05, seed=3)])
+def test_separation_property_bitwise(errors):
+    assert_separated(separation_runs(errors))
+
+
+@pytest.mark.parametrize("errors", [None, geometric_schedule(0.9, 0.05, seed=11)])
+def test_the_metric_keeps_separation_bitwise(errors):
+    # the joint run under the CLI's metric against each half stepped at the
+    # joint's block steps; d_b reads only row b of W, so each half's own
+    # metric agrees with the joint's on the blocks compared
+    demo = separation_demo()
+    joint, _ = step_metric(demo.system)
+    primal, _ = step_metric(demo.extras["primal_only"])
+    dual, _ = step_metric(demo.extras["dual_only"])
+    assert primal[0] == joint[0] and dual[1:] == joint[1:]
+    # a zero row of W, such as each half's dummy blocks, takes weight 1
+    assert primal[1:] == (1.0,) * 3 and dual[0] == 1.0
+    assert_separated(separation_runs(errors,
+                                     policy=cli._policy(demo.system)))
+
+
+@pytest.mark.parametrize("name", DEMO_NAMES)
+def test_a_uniform_metric_is_the_scalar_step(name):
+    # every block at gamma: the bytes of the scalar call, over 50 steps
+    demo = get_demo(name)
+    spec = demo.system
+    init = demo.extras.get("init") or IterateState.zeros(spec.layout)
+    scalar = make_policy(step_bound(spec))
+    blocks = sum(map(len, spec.layout.blocks))
+    uniform = make_policy(step_bound(spec), metric=(1.0,) * blocks)
+    assert uniform.steps(spec.layout).per_block \
+        == scalar.steps(spec.layout).per_block == (scalar.gamma_const,) * blocks
+    for errors in (zero_schedule(), geometric_schedule(0.9, 0.05, seed=11)):
+        (a, trace_a, _), (b, trace_b, _) = (
+            solve(spec, init, policy, errors=errors, tol=0.0, max_iter=50,
+                  trace_every=1) for policy in (scalar, uniform))
+        assert trace_a == trace_b
+        for fam in ("x1", "x2", "v1", "v2"):
+            for x, y in zip(getattr(a, fam), getattr(b, fam)):
+                assert x.tobytes() == y.tobytes()
+
+
+def test_block_steps_must_fit_the_layout():
+    spec = separation_demo().system
+    with pytest.raises(SpecificationError, match="expected 4 block weights"):
+        BlockSteps.of(spec.layout.blocks, 0.5, (1.0, 1.0))
+    with pytest.raises(ValueError, match="positive and finite"):
+        BlockSteps.of(spec.layout.blocks, 0.5, (1.0, 1.0, 0.0, 1.0))
+    other = separation_demo().extras["primal_only"]
+    steps = BlockSteps.of(other.layout.blocks, 0.5, (1.0,) * 4)
+    with pytest.raises(SpecificationError, match="another layout"):
+        step(spec, IterateState.zeros(spec.layout), steps)
+    with pytest.raises(StepBoundError, match="metric weights"):
+        make_policy(2.0, metric=(1.0, -1.0))
 
 
 def augmented_lasso(mu=0.1):

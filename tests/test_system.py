@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from monosplit.cli import _policy
-from monosplit.demos import (lasso_demo, lifted_solution_state, qp_demo,
-                             separation_demo)
+from monosplit.demos import (deblur_demo, lasso_demo, lifted_solution_state,
+                             qp_demo, separation_demo)
 from monosplit.errors import (
     HypothesisError,
     SpecificationError,
@@ -14,8 +14,8 @@ from monosplit.errors import (
 from monosplit.linops import (LinOp, dense_op, identity_op,
                               scaled_identity_op, zero_op)
 from monosplit.prox import LipschitzCoupling, make_function, zero_coupling
-from monosplit.solver import (IterateState, _forward, make_policy, solve,
-                              step)
+from monosplit.solver import (BlockSteps, IterateState, _forward, make_policy,
+                              solve, step)
 from monosplit.system import (
     SpaceLayout,
     SystemSpec,
@@ -23,6 +23,7 @@ from monosplit.system import (
     extract_solution,
     fixed_point_residual,
     step_bound,
+    step_metric,
     validate,
 )
 from test_acceptance import random_dense_system
@@ -304,13 +305,19 @@ def test_fixed_point_residual_zero_state_not_solution():
 
 
 def test_fixed_point_residual_takes_the_step_the_cli_takes():
-    # monosplit demo lasso steps at (1 - eps)/step_bound = 0.524, past the
-    # (1 - eps)/beta = 0.36 of the paper's beta
+    # monosplit demo lasso steps its blocks at 0.509 to 0.728 under the
+    # metric, past the (1 - eps)/beta = 0.36 of the paper's beta; the scale
+    # 0.728 is past the (1 - eps)/step_bound = 0.524 of one scalar step
     demo = lasso_demo()
-    state = IterateState.zeros(demo.system.layout)
-    gamma = _policy(demo.system).gamma_const
-    assert gamma > 0.99 / compute_beta(demo.system)
-    assert fixed_point_residual(demo.system, state, gamma) > 1e-2
+    layout = demo.system.layout
+    state = IterateState.zeros(layout)
+    policy = _policy(demo.system)
+    assert min(policy.steps(layout).per_block) > 0.99 / compute_beta(demo.system)
+    assert policy.gamma_const > 0.99 / step_bound(demo.system)
+    residual = fixed_point_residual(demo.system, state, policy.gamma_const)
+    assert residual > 1e-2
+    _, record = step(demo.system, state, policy.steps(layout))
+    assert residual == record.displacement
 
 
 def test_fixed_point_residual_rejects_out_of_range_gamma():
@@ -506,6 +513,22 @@ def test_step_bound_lies_between_the_norm_of_F_and_beta(case):
     spec = STEP_BOUND_CASES[case]()
     norm = np.linalg.norm(dense_forward(spec), 2)
     assert norm <= step_bound(spec) <= compute_beta(spec)
+
+
+METRIC_CASES = [*STEP_BOUND_CASES,
+                pytest.param("deblur", marks=pytest.mark.slow)]
+
+
+@pytest.mark.parametrize("case", METRIC_CASES)
+def test_the_metric_bound_certifies_the_rescaled_operator(case):
+    # D^1/2 F D^1/2 scales F's row and column of each element by the root
+    # of its block's weight
+    spec = {**STEP_BOUND_CASES,
+            "deblur": lambda: deblur_demo().system}[case]()
+    metric, bound = step_metric(spec)
+    root = np.sqrt(BlockSteps.of(spec.layout.blocks, 1.0, metric).flat)
+    scaled = root[:, None] * dense_forward(spec) * root
+    assert np.linalg.norm(scaled, 2) <= bound
 
 
 def test_step_bound_sums_the_cross_couplings_of_a_k_block():
