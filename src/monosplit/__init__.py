@@ -61,8 +61,7 @@ from .system import (
     compute_beta,
     extract_solution,
     fixed_point_residual,
-    step_bound,
-    step_metric,
+    step_policy,
     validate,
 )
 
@@ -82,6 +81,5 @@ __all__ = [
     "geometric_schedule", "make_policy", "solve", "step", "write_trace_csv",
     "zero_schedule",
     "SolutionPair", "SpaceLayout", "SystemSpec", "compute_beta",
-    "extract_solution", "fixed_point_residual", "step_bound", "step_metric",
-    "validate",
+    "extract_solution", "fixed_point_residual", "step_policy", "validate",
 ]

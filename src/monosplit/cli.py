@@ -23,15 +23,13 @@ from .minimization import primal_surrogate
 from .problemio import load_problem
 from .solver import (
     IterateState,
-    make_policy,
     solve,
     step,
     transversality_defect,
     write_trace_csv,
     zero_schedule,
 )
-from .system import (compute_beta, extract_solution, step_bound, step_metric,
-                     validate)
+from .system import compute_beta, extract_solution, step_policy, validate
 
 TRACE_ENV = "SOLVER_TRACE_EVERY"
 
@@ -86,16 +84,13 @@ def _trace_every(default):
 
 
 def _policy(system, epsilon=None, gamma=None):
-    """The step policy of ``system``: the block-diagonal metric of
-    :func:`step_metric`, scaled by ``gamma`` and taken against the metric's
-    certified bound; one error lists validate's faults."""
+    """The :func:`step_policy` of a validated ``system``; one error lists
+    validate's faults."""
     violations = validate(system)
     if violations:
         raise SpecificationError("problem failed validation:\n  "
                                  + "\n  ".join(violations))
-    metric, bound = step_metric(system)
-    return make_policy(bound, epsilon=epsilon, gamma_const=gamma,
-                       metric=metric)
+    return step_policy(system, epsilon, gamma)
 
 
 def _make_out_dir(out_dir):
@@ -160,10 +155,10 @@ def _run_and_write(system, init, policy, errors, tol, max_iter, trace_every,
             "transversality_defect":
                 trace[-1].transversality_defect if trace
                 else transversality_defect(system, final),
+            # beta, step_bound and metric_bound are system.bounds' fields
             "beta": compute_beta(system),
             "beta_terms": system.beta_report,
-            "step_bound": step_bound(system),
-            # the bound the metric's scale is taken against (see _policy)
+            "step_bound": system.bounds.step_bound,
             "metric_bound": policy.beta,
             "epsilon": policy.epsilon,
             "gamma": policy.gamma_const,

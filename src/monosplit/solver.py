@@ -142,14 +142,14 @@ class StepPolicy:
 
     ``beta`` is the number the policy is taken against: any certified
     Lipschitz bound of the operator F that :func:`step` applies, such as
-    :func:`~monosplit.system.compute_beta` (the paper's beta) or the
-    tighter :func:`~monosplit.system.step_bound`.  With a ``metric``, one
-    positive weight ``d_b`` per block in flat block order, block b steps at
-    ``gamma_const * d_b``, gamma is the metric's scale and ``beta`` bounds
-    the rescaled operator, as :func:`~monosplit.system.step_metric` gives
-    it.  Build one with :func:`make_policy`, which checks the range.  A
-    caller that needs a varying step calls :func:`step` with any positive
-    gamma.
+    :func:`~monosplit.system.compute_beta` (the paper's beta).  With a
+    ``metric``, one positive weight ``d_b`` per block in flat block order,
+    block b steps at ``gamma_const * d_b``, gamma is the metric's scale and
+    ``beta`` bounds the rescaled operator, as
+    :func:`~monosplit.system.step_policy` takes it; without one, every
+    weight is 1.  Build one with :func:`make_policy`, which checks the
+    range.  A caller that needs a varying step calls :func:`step` with any
+    positive gamma.
     """
 
     beta: float
@@ -163,10 +163,9 @@ class StepPolicy:
 
     def steps(self, layout):
         """The :class:`BlockSteps` that :func:`step` takes on ``layout``:
-        ``gamma_const`` on every block, or under the metric its block's."""
-        if self.metric is None:
-            return BlockSteps.uniform(layout.blocks, self.gamma_const)
-        return BlockSteps.of(layout.blocks, self.gamma_const, self.metric)
+        ``gamma_const`` times each block's weight."""
+        return BlockSteps.of(layout.blocks, self.gamma_const, self.metric
+                             or (1.0,) * sum(map(len, layout.blocks)))
 
 
 def make_policy(beta, epsilon=None, gamma_const=None, metric=None):
@@ -218,9 +217,8 @@ class BlockSteps(NamedTuple):
     over x1, ``x1`` and ``dual`` are ``flat`` over x1 and over ``v1 | v2``,
     ``primal`` is the step of each x1 block and ``inverse`` per k the
     reciprocal steps of v1_k and v2_k, at which the dual resolvents are
-    taken.  One scalar step (:meth:`uniform`) keeps scalars where a metric
-    (:meth:`of`) lays out vectors; both give the same bytes for equal
-    steps.  :func:`solve` builds its steps once per call.
+    taken.  A scalar step is the metric of unit weights.  :func:`solve`
+    builds its steps once per call.
     """
 
     slices: tuple
@@ -250,7 +248,9 @@ class BlockSteps(NamedTuple):
         gamma = float(gamma)
         per_block = tuple(gamma * float(d) for d in metric)
         for g in per_block:
-            _check_step(g)
+            if not (g > 0.0 and math.isfinite(g)):
+                raise ValueError(
+                    f"gamma must be positive and finite, got {g}")
         flat = np.empty(flat_slices[-1].stop)
         for sl, g in zip(flat_slices, per_block):
             flat[sl] = g
@@ -264,24 +264,6 @@ class BlockSteps(NamedTuple):
         flat, signed = _read_only(flat), _read_only(signed)
         return BlockSteps(slices, gamma, per_block, flat, signed, flat[x1],
                           flat[dual], per_block[:m], inverse)
-
-    @staticmethod
-    def uniform(slices, gamma):
-        """One scalar ``gamma`` for every block of the layout whose block
-        slices are ``slices``."""
-        _check_step(gamma)
-        g = float(gamma)
-        inv = 1.0 / g
-        signed = np.full(slices[-1][-1].stop, g)
-        signed[:slices[1][0].start] = -g
-        return BlockSteps(slices, g, (g,) * sum(map(len, slices)), g,
-                          _read_only(signed), g, g, (g,) * len(slices[0]),
-                          ((inv, inv),) * len(slices[1]))
-
-
-def _check_step(gamma):
-    if not (gamma > 0.0 and math.isfinite(gamma)):
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
 
 
 @dataclass(frozen=True)
@@ -697,8 +679,8 @@ def step(spec, state, gamma, errors_at_n=None):
     step policy's responsibility; here only positivity is enforced.
     """
     plan = spec.plan
-    steps = gamma if isinstance(gamma, BlockSteps) \
-        else BlockSteps.uniform(plan.blocks, gamma)
+    steps = gamma if isinstance(gamma, BlockSteps) else BlockSteps.of(
+        plan.blocks, gamma, (1.0,) * sum(map(len, plan.blocks)))
     if steps.slices is not plan.blocks and steps.slices != plan.blocks:
         raise SpecificationError("block steps were laid out for another layout")
     blocks = plan.blocks
@@ -836,13 +818,12 @@ def solve(spec, init, policy, errors=None, tol=DEFAULT_TOL,
     displacement drops to tol.
 
     The policy's :class:`BlockSteps` are laid out once per call: each
-    block steps at ``policy.gamma_const``, or under the policy's metric at
-    its own step.
+    block steps at ``policy.gamma_const`` times its weight.
 
     The caller is responsible for ``policy.beta`` bounding the Lipschitz
     constant of the step's operator (as
-    :func:`~monosplit.system.step_bound` and
-    :func:`~monosplit.system.compute_beta` do; a larger bound is
+    :func:`~monosplit.system.compute_beta` does, and under a metric
+    :func:`~monosplit.system.step_policy`'s bound; a larger bound is
     admissible and merely conservative) and for ``spec`` having passed
     validation.  Returns ``(final_state, trace, status)`` with status
     ``"converged"`` or ``"max_iter"``; a trace record is kept every
@@ -853,7 +834,10 @@ def solve(spec, init, policy, errors=None, tol=DEFAULT_TOL,
     iteration ``n``, and a numeric failure in it propagates as the
     :class:`NumericError` :func:`step` raises, whose ``iteration`` is that
     ``n``.  So a run continued from a returned state takes the steps of one
-    uninterrupted run bit for bit.  The errors are realized by
+    uninterrupted run bit for bit.  A displacement that meets tol where the
+    kept record's defect is not finite raises :class:`NumericError` too: a
+    state too large for its increments to move stands still, but solves
+    nothing.  The errors are realized by
     ``errors.realize`` in runs of at most ``ERROR_RUN`` iterations, none
     past the last of the ``max_iter`` steps; an error the schedule raises
     surfaces when its run is realized.  A ``max_iter`` or
@@ -897,6 +881,10 @@ def solve(spec, init, policy, errors=None, tol=DEFAULT_TOL,
                                      (sum1, sum2, sum3, sum4),
                                      transversality_defect(spec, state)))
         if done:
+            if not math.isfinite(trace[-1].transversality_defect):
+                raise NumericError("the displacement met tol with a "
+                                   "non-finite transversality defect",
+                                   iteration=rec.n)
             status = "converged"
             break
     return state, trace, status

@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,6 +83,17 @@ class SpaceLayout:
         return tuple(out)
 
 
+class StepBounds(NamedTuple):
+    """:attr:`SystemSpec.bounds`: the paper's ``beta``, the tighter scalar
+    ``step_bound``, the block weights of the CLI's ``metric`` in flat block
+    order and the ``metric_bound`` its scale is taken against."""
+
+    beta: float
+    step_bound: float
+    metric: tuple
+    metric_bound: float
+
+
 @dataclass(frozen=True, eq=False)
 class SystemSpec:
     """Complete description of one coupled inclusion system.
@@ -92,7 +104,8 @@ class SystemSpec:
     ``L[k][i]: H_i -> G_k`` are :class:`~monosplit.linops.LinOp`.  The
     families are frozen into tuples (``L`` a tuple of rows) and ``z``, ``r``
     into read-only float copies, so the caller's arrays stay its own and the
-    cached :attr:`plan` and :attr:`beta_report` cannot go stale.
+    cached :attr:`plan`, :attr:`beta_report` and :attr:`bounds` cannot go
+    stale.
     Construction checks that every family matches the layout and raises
     one :class:`SpecificationError` listing each misfit.  Instances are
     immutable and safe to share across threads.
@@ -160,6 +173,47 @@ class SystemSpec:
                            "iterations": est.iterations_used,
                            "converged": est.converged})
         return tuple(report)
+
+    @cached_property
+    def bounds(self):
+        """This system's :class:`StepBounds`, built once from
+        :attr:`beta_report` with one W (:func:`_block_norms`).
+
+        F, the operator :func:`~monosplit.solver.step` applies, is C on x1
+        plus a skew linear part, and the FBF step needs only a Lipschitz
+        bound of it (Tseng 2000).  As ``||F z - F z'|| <= ||W u|| <=
+        lambda_max(W) ||z - z'||`` for the block norms u of ``z - z'``, and
+        the x1 row and the x2 rows act on disjoint outputs, ``lambda_max(W)
+        <= beta``: ``step_bound`` is the smaller of its certificate
+        (:func:`_certified_top`) and beta.  The metric D weighs block b by
+        ``d_b = 1 / ||W_b,:||_2`` (1 for a zero row, whose block F neither
+        reads nor writes; x1's weight on each of its m blocks).  Stepping
+        block b at ``gamma d_b`` is Tseng's step at gamma on ``D^1/2 (A + F)
+        D^1/2`` (Vu, Numer. Funct. Anal. Optim. 34, 2013), whose resolvents
+        are the blocks' own at ``gamma d_b``; ``metric_bound`` certifies
+        ``lambda_max(D^1/2 W D^1/2)``, whose entry ``sqrt(d_a d_b) W_ab``
+        bounds block (a, b) of ``D^1/2 F D^1/2``.  A row reads only its own
+        block's terms, so a decoupled part of a system gets its own weights.
+        Raises what :func:`compute_beta` raises, and, where beta is
+        infinite, :class:`HypothesisError` naming each norm bound whose
+        square overflows.
+        """
+        beta = compute_beta(self)
+        if not math.isfinite(beta):
+            over = ", ".join(f"{e['term']} = {e['value']:.6g}"
+                             for e in self.beta_report[1:]
+                             if not math.isfinite(e["value"] * e["value"]))
+            raise HypothesisError("beta is infinite: " + (
+                f"squaring the norm bound overflows at {over}" if over else
+                "the squares of the norm bounds sum past the largest double"))
+        w = _block_norms(self)
+        d = np.array([1.0 / norm if norm else 1.0
+                      for norm in (math.hypot(*row) for row in w)])
+        root = np.sqrt(d)
+        return StepBounds(
+            beta, min(_certified_top(w), beta),
+            (float(d[0]),) * self.layout.m + tuple(map(float, d[1:])),
+            _certified_top(w * np.outer(root, root)))
 
     @cached_property
     def plan(self):
@@ -232,9 +286,9 @@ def compute_beta(spec):
     upper-bounds the exact constant and the step range derived from it
     remains admissible; :attr:`SystemSpec.beta_report` lists the terms,
     and memoizes them per spec instance.  A norm whose square overflows
-    gives ``inf``.  Raises :class:`HypothesisError` when a Lanczos
-    estimate did not converge or the bound is zero (the theory requires
-    it strictly positive).
+    gives ``inf``, which :attr:`SystemSpec.bounds` refuses.  Raises
+    :class:`HypothesisError` when a Lanczos estimate did not converge or
+    the bound is zero (the theory requires it strictly positive).
     """
     # the report lists C, then every N_k o L_ki, then N_k, M_k per k
     bounds = [entry["value"] for entry in spec.beta_report[1:]]
@@ -288,57 +342,13 @@ def _certified_top(w):
     return lam * (1.0 + 8.0 * len(w) * np.finfo(float).eps)
 
 
-def step_bound(spec):
-    """Certified Lipschitz bound of the step's operator F, never above beta.
-
-    F is the operator :func:`~monosplit.solver.step` applies: C on x1 plus
-    a skew linear part.  The FBF step range needs only an upper bound of
-    its Lipschitz constant (Tseng 2000), and beta is one such bound.  This
-    one is tighter: ``lambda_max`` of the block-norm matrix W (see
-    :func:`_block_norms`).  As ``||F z - F z'|| <= ||W u|| <=
-    lambda_max(W) ||z - z'||`` for the block norms u of ``z - z'``, and the
-    x1 row and the x2 rows act on disjoint outputs, ``lambda_max(W) <= nu0
-    + sqrt(sum ||N L||^2 + max_k(||N||^2 + ||M||^2))``, which is
-    :func:`compute_beta`.  The top eigenvalue is certified with a roundoff
-    margin (:func:`_certified_top`).  The result is the smaller of that and
-    beta, so it is ``inf`` where beta is, and it raises what
-    :func:`compute_beta` raises.
-    """
-    beta = compute_beta(spec)
-    if not math.isfinite(beta):
-        return beta
-    return min(_certified_top(_block_norms(spec)), beta)
-
-
-def step_metric(spec):
-    """The block-diagonal metric that ``monosplit solve`` steps under, and
-    its certified bound: ``(metric, bound)``.
-
-    The metric D is one weight ``d_b = 1 / ||W_b,:||_2`` per row of the
-    block-norm matrix W (:func:`_block_norms`), or 1 for a zero row, whose
-    block F neither reads nor writes.  ``metric`` lists the weights in flat
-    block order, x1's weight repeated over its m blocks.  Stepping block b
-    at ``gamma d_b`` is Tseng's step at gamma on the rescaled inclusion
-    ``D^1/2 (A + F) D^1/2`` (Vu, Numer. Funct. Anal. Optim. 34, 2013), whose
-    resolvents are the blocks' own at ``gamma d_b``.  Each block of ``D^1/2
-    F D^1/2`` is bounded by ``sqrt(d_a d_b) W_ab``, so ``bound``, the
-    certified ``lambda_max`` of that scaled matrix (:func:`_certified_top`),
-    is a Lipschitz bound of the rescaled operator, and gamma ranges over
-    :func:`~monosplit.solver.make_policy`'s ``[eps, (1 - eps)/bound]``.  A
-    row reads only its own block's terms, so a decoupled part of a system
-    gets the weights it has on its own.  Where beta is infinite, ``bound``
-    is ``inf`` and ``metric`` None; it raises what :func:`compute_beta`
-    raises.
-    """
-    beta = compute_beta(spec)
-    if not math.isfinite(beta):
-        return None, beta
-    w = _block_norms(spec)
-    d = np.array([1.0 / norm if norm else 1.0
-                  for norm in (math.hypot(*row) for row in w)])
-    root = np.sqrt(d)
-    metric = (float(d[0]),) * spec.layout.m + tuple(map(float, d[1:]))
-    return metric, _certified_top(w * np.outer(root, root))
+def step_policy(spec, epsilon=None, gamma=None):
+    """The policy ``monosplit solve`` steps by: the metric of
+    :attr:`SystemSpec.bounds` at scale ``gamma``, taken against its
+    ``metric_bound`` by :func:`~monosplit.solver.make_policy`."""
+    bounds = spec.bounds
+    return _solver.make_policy(bounds.metric_bound, epsilon=epsilon,
+                               gamma_const=gamma, metric=bounds.metric)
 
 
 def validate(spec):
@@ -348,8 +358,9 @@ def validate(spec):
     operator returns vectors of its declared lengths and passes the
     adjoint check, the coupling returns vectors of its total length and
     respects its Lipschitz constant and monotonicity on random probes, and
-    beta is strictly positive.  A mis-shaped map is listed by name, and
-    beta is then not computed.  The layout itself is checked when the
+    beta is strictly positive and finite.  A mis-shaped map is listed by
+    name, and the step bounds (:attr:`SystemSpec.bounds`) are then not
+    computed.  The layout itself is checked when the
     :class:`SystemSpec` is built.
     """
     out = []
@@ -382,7 +393,7 @@ def validate(spec):
 
     if shaped:  # beta's norms of a mis-shaped map bound nothing
         try:
-            compute_beta(spec)
+            spec.bounds
         except HypothesisError as exc:
             out.append(str(exc))
     return out
@@ -391,15 +402,14 @@ def validate(spec):
 def fixed_point_residual(spec, state, gamma):
     """Full-state displacement of one exact iteration from ``state``.
 
-    The iteration is the one ``monosplit solve`` takes: each block steps at
-    ``gamma d_b`` under the metric of :func:`step_metric`.  Zero (to
+    The iteration is the one ``monosplit solve`` takes, :func:`step_policy`
+    at scale ``gamma``: each block steps at ``gamma d_b``.  Zero (to
     roundoff) exactly when the state encodes a solution of the embedded
-    system, under any positive block steps.  ``gamma`` is the metric's
-    scale and must lie in ``[eps, (1 - eps)/bound]`` for the metric's bound
-    and the default eps; checked by :func:`~monosplit.solver.make_policy`.
+    system, under any positive block steps.  ``gamma`` must lie in
+    ``[eps, (1 - eps)/metric_bound]`` for the default eps; checked by
+    :func:`~monosplit.solver.make_policy`.
     """
-    metric, bound = step_metric(spec)
-    policy = _solver.make_policy(bound, gamma_const=gamma, metric=metric)
+    policy = step_policy(spec, gamma=gamma)
     _, record = _solver.step(spec, state, policy.steps(spec.layout))
     return record.displacement
 

@@ -15,8 +15,8 @@ from monosplit.solver import ERROR_FAMILIES, IterateState, solve
 
 
 def run_demo(demo, trace_every=1):
-    # the step the CLI ships: validated, taken against step_bound, to the
-    # demo's own tol and max_iter
+    # the step the CLI ships: validated, under the metric taken against its
+    # bound, to the demo's own tol and max_iter
     policy = cli._policy(demo.system)
     init = demo.extras.get("init") or IterateState.zeros(demo.system.layout)
     started = time.perf_counter()

@@ -13,7 +13,7 @@ from monosplit.demos import DEMO_NAMES, get_demo
 from monosplit.prox import soft_threshold
 from monosplit.solver import TRACE_COLUMNS
 from monosplit.problemio import load_problem
-from monosplit.system import compute_beta, step_bound, step_metric
+from monosplit.system import compute_beta
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -471,9 +471,25 @@ def test_a_run_steps_against_the_step_bound(tmp_path, name):
     assert summary["step_bound"] < summary["beta"]
     assert summary["gamma"] == ((1.0 - summary["epsilon"])
                                 / summary["metric_bound"])
-    metric, bound = step_metric(load_problem(PROBLEMS / name)["system"])
-    assert summary["metric_bound"] == bound
-    assert summary["block_steps"] == [summary["gamma"] * d for d in metric]
+    bounds = load_problem(PROBLEMS / name)["system"].bounds
+    # the summary's bounds are the report's, bit for bit
+    assert (summary["beta"], summary["step_bound"], summary["metric_bound"]) \
+        == (bounds.beta, bounds.step_bound, bounds.metric_bound)
+    assert summary["block_steps"] == [summary["gamma"] * d
+                                      for d in bounds.metric]
+
+
+def test_a_run_builds_the_block_norm_matrix_once(tmp_path, monkeypatch):
+    # validate fills the spec's bounds, and the policy and the summary read
+    # them
+    from monosplit.system import _block_norms
+
+    calls = []
+    monkeypatch.setattr("monosplit.system._block_norms",
+                        lambda spec: calls.append(spec) or _block_norms(spec))
+    out = tmp_path / "o"
+    assert main(["solve", str(PROBLEMS / "lasso.json"), "--out", str(out)]) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name", DEMO_NAMES)
@@ -482,8 +498,9 @@ def test_every_demo_steps_against_a_bound_below_beta(name):
     # summary's step_bound is the scalar bound, below beta
     system = get_demo(name).system
     policy = cli._policy(system)
-    assert (policy.metric, policy.beta) == step_metric(system)
-    assert step_bound(system) < compute_beta(system)
+    bounds = system.bounds
+    assert (policy.metric, policy.beta) == (bounds.metric, bounds.metric_bound)
+    assert bounds.step_bound < bounds.beta == compute_beta(system)
 
 
 def test_a_gamma_past_the_metric_bound_is_an_error_line(tmp_path, capsys):
@@ -492,7 +509,7 @@ def test_a_gamma_past_the_metric_bound_is_an_error_line(tmp_path, capsys):
     bad = tmp_path / "bad_gamma.json"
     bad.write_text(json.dumps(doc))
     assert main(["solve", str(bad), "--out", str(tmp_path / "o")]) == 1
-    _, bound = step_metric(load_problem(PROBLEMS / "lasso.json")["system"])
+    bound = load_problem(PROBLEMS / "lasso.json")["system"].bounds.metric_bound
     assert capsys.readouterr().err == (
         f"error: gamma = 5.0 outside [0.01, {0.99 / bound}] for beta = "
         f"{bound}, epsilon = 0.01\n")
@@ -590,17 +607,19 @@ def test_failed_validation_is_an_error_line(tmp_path, capsys):
     assert not out.exists()
 
 
-# Python's float ** raises OverflowError where numpy's gives inf
+# Python's float ** raises OverflowError where numpy's gives inf; each
+# case with the terms its error line names
 OVERFLOWING_SQUARES = {
-    "M-1e200": {"M": 1e200},
-    "N-and-L-1e160": {"N": 1e160, "L": 1e160},
+    "M-1e200": ({"M": 1e200}, "M[0] = 1e+200"),
+    "N-and-L-1e160": ({"N": 1e160, "L": 1e160},
+                      "N[0]oL[0][0] = inf, N[0] = 1e+160"),
 }
 
 
-@pytest.mark.parametrize("scales", OVERFLOWING_SQUARES.values(),
+@pytest.mark.parametrize("scales, terms", OVERFLOWING_SQUARES.values(),
                          ids=OVERFLOWING_SQUARES)
 def test_a_norm_whose_square_overflows_is_an_error_line(tmp_path, capsys,
-                                                        scales):
+                                                        scales, terms):
     doc = json.loads((PROBLEMS / "lasso.json").read_text())
     ops = doc["operators"]
     for family, scale in scales.items():
@@ -611,7 +630,8 @@ def test_a_norm_whose_square_overflows_is_an_error_line(tmp_path, capsys,
     bad.write_text(json.dumps(doc))
     assert main(["solve", str(bad), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert err == "error: beta must be positive and finite, got inf\n"
+    assert err == ("error: problem failed validation:\n  beta is infinite: "
+                   f"squaring the norm bound overflows at {terms}\n")
 
 
 def test_an_unwritable_demo_image_is_an_error_line(tmp_path, capsys,
@@ -648,6 +668,22 @@ def test_an_overflowing_state_warns_nothing_and_writes_null(tmp_path,
     assert summary["transversality_defect"] is None
     with open(out / "trace.csv") as fh:
         assert list(csv.reader(fh))[-1][2] == "inf"
+
+
+def test_a_state_too_large_to_move_is_no_convergence(tmp_path, capsys):
+    # every increment is below the ulp of 1e300, so the state stands still
+    # while its transversality defect is not finite
+    doc = json.loads((PROBLEMS / "lasso.json").read_text())
+    doc["r"] = [[1e300] * 10]
+    path = tmp_path / "huge_r.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["solve", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: the displacement met tol with a non-finite transversality "
+        "defect\n")
+    assert read_summary(out)["status"] == "numeric_error"
+    assert (out / "trace.csv").exists() and (out / "solution.json").exists()
 
 
 def test_an_overflowing_norm_is_only_its_error_line(tmp_path, capsys):

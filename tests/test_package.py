@@ -220,3 +220,17 @@ def test_readme_names_every_summary_key(tmp_path):
     listed = re.search(r"`summary\.json` \((.*?)\)", README.read_text(),
                        re.DOTALL).group(1)
     assert re.findall(r"`(\w+)`", listed) == written
+
+
+def test_the_readme_quick_start_runs():
+    # the documented library API, run as written
+    import numpy as np
+
+    block = re.search(r"## Library quick start\n\n```python\n(.*?)```",
+                      README.read_text(), re.DOTALL).group(1)
+    scope = {}
+    exec(compile(block, "README quick start", "exec"), scope)
+    assert scope["status"] == "converged"
+    error = np.max(np.abs(scope["solution"].xbar[0]
+                          - scope["demo"].oracle_solution))
+    assert error < 1e-6

@@ -46,8 +46,7 @@ from monosplit.solver import (
     transversality_defect,
     zero_schedule,
 )
-from monosplit.system import (SpaceLayout, SystemSpec, compute_beta,
-                              step_bound, step_metric)
+from monosplit.system import SpaceLayout, SystemSpec, compute_beta
 
 
 def test_make_policy_default_constant():
@@ -428,9 +427,9 @@ def test_the_metric_keeps_separation_bitwise(errors):
     # joint's block steps; d_b reads only row b of W, so each half's own
     # metric agrees with the joint's on the blocks compared
     demo = separation_demo()
-    joint, _ = step_metric(demo.system)
-    primal, _ = step_metric(demo.extras["primal_only"])
-    dual, _ = step_metric(demo.extras["dual_only"])
+    joint = demo.system.bounds.metric
+    primal = demo.extras["primal_only"].bounds.metric
+    dual = demo.extras["dual_only"].bounds.metric
     assert primal[0] == joint[0] and dual[1:] == joint[1:]
     # a zero row of W, such as each half's dummy blocks, takes weight 1
     assert primal[1:] == (1.0,) * 3 and dual[0] == 1.0
@@ -440,13 +439,14 @@ def test_the_metric_keeps_separation_bitwise(errors):
 
 @pytest.mark.parametrize("name", DEMO_NAMES)
 def test_a_uniform_metric_is_the_scalar_step(name):
-    # every block at gamma: the bytes of the scalar call, over 50 steps
+    # every block at gamma: the bytes of the policy without a metric, over
+    # 50 steps
     demo = get_demo(name)
     spec = demo.system
     init = demo.extras.get("init") or IterateState.zeros(spec.layout)
-    scalar = make_policy(step_bound(spec))
+    scalar = make_policy(spec.bounds.step_bound)
     blocks = sum(map(len, spec.layout.blocks))
-    uniform = make_policy(step_bound(spec), metric=(1.0,) * blocks)
+    uniform = make_policy(spec.bounds.step_bound, metric=(1.0,) * blocks)
     assert uniform.steps(spec.layout).per_block \
         == scalar.steps(spec.layout).per_block == (scalar.gamma_const,) * blocks
     for errors in (zero_schedule(), geometric_schedule(0.9, 0.05, seed=11)):

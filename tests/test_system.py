@@ -22,8 +22,6 @@ from monosplit.system import (
     compute_beta,
     extract_solution,
     fixed_point_residual,
-    step_bound,
-    step_metric,
     validate,
 )
 from test_acceptance import random_dense_system
@@ -313,7 +311,7 @@ def test_fixed_point_residual_takes_the_step_the_cli_takes():
     state = IterateState.zeros(layout)
     policy = _policy(demo.system)
     assert min(policy.steps(layout).per_block) > 0.99 / compute_beta(demo.system)
-    assert policy.gamma_const > 0.99 / step_bound(demo.system)
+    assert policy.gamma_const > 0.99 / demo.system.bounds.step_bound
     residual = fixed_point_residual(demo.system, state, policy.gamma_const)
     assert residual > 1e-2
     _, record = step(demo.system, state, policy.steps(layout))
@@ -512,7 +510,7 @@ def test_step_bound_lies_between_the_norm_of_F_and_beta(case):
     # separation's L is 0, so its W is reducible
     spec = STEP_BOUND_CASES[case]()
     norm = np.linalg.norm(dense_forward(spec), 2)
-    assert norm <= step_bound(spec) <= compute_beta(spec)
+    assert norm <= spec.bounds.step_bound <= compute_beta(spec)
 
 
 METRIC_CASES = [*STEP_BOUND_CASES,
@@ -525,10 +523,10 @@ def test_the_metric_bound_certifies_the_rescaled_operator(case):
     # of its block's weight
     spec = {**STEP_BOUND_CASES,
             "deblur": lambda: deblur_demo().system}[case]()
-    metric, bound = step_metric(spec)
-    root = np.sqrt(BlockSteps.of(spec.layout.blocks, 1.0, metric).flat)
+    bounds = spec.bounds
+    root = np.sqrt(BlockSteps.of(spec.layout.blocks, 1.0, bounds.metric).flat)
     scaled = root[:, None] * dense_forward(spec) * root
-    assert np.linalg.norm(scaled, 2) <= bound
+    assert np.linalg.norm(scaled, 2) <= bounds.metric_bound
 
 
 def test_step_bound_sums_the_cross_couplings_of_a_k_block():
@@ -536,12 +534,36 @@ def test_step_bound_sums_the_cross_couplings_of_a_k_block():
     # ||F||; their sum 2 would give sqrt(3 + sqrt(5)), above beta = 2
     spec = two_primal_blocks_system()
     assert compute_beta(spec) == 2.0
-    assert step_bound(spec) == pytest.approx(np.sqrt(2.0 + np.sqrt(2.0)),
-                                             rel=1e-14)
+    assert spec.bounds.step_bound == pytest.approx(
+        np.sqrt(2.0 + np.sqrt(2.0)), rel=1e-14)
 
 
-def test_step_bound_is_infinite_where_beta_is():
+def test_the_bounds_refuse_an_infinite_beta():
     spec = dataclasses.replace(identity_system(),
                                M=[scaled_identity_op(1, 1e200)])
     assert compute_beta(spec) == np.inf
-    assert step_bound(spec) == np.inf
+    message = ("beta is infinite: squaring the norm bound overflows at "
+               "M[0] = 1e+200")
+    with pytest.raises(HypothesisError) as caught:
+        spec.bounds
+    assert str(caught.value) == message
+    assert validate(spec) == [message]
+
+
+def test_the_bounds_name_squares_that_overflow_only_in_their_sum():
+    # each N L term squares to 1e308, below the largest double; two of them
+    # sum past it
+    spec = dataclasses.replace(
+        two_primal_blocks_system(), L=[[scaled_identity_op(1, 1e154)] * 2])
+    assert compute_beta(spec) == np.inf
+    with pytest.raises(HypothesisError, match="beta is infinite: the squares "
+                       "of the norm bounds sum past the largest double"):
+        spec.bounds
+
+
+def test_the_bounds_are_built_once_per_spec():
+    spec = lasso_demo().system
+    bounds = spec.bounds
+    assert spec.bounds is bounds
+    assert bounds.beta == compute_beta(spec)
+    assert bounds.step_bound < bounds.beta
