@@ -4,8 +4,8 @@ Each check is deterministic (fixed seeds throughout) and cheap; together
 they cover the load-bearing identities: adjoint pairings, the inverse-
 resolvent identity, prox optimality and the dual resolvent against grid
 searches (the latter on the conjugate), the coupling-bound arithmetic, the
-fixed-point characterization of solutions and the Lanczos operator-norm
-estimate against a Jacobi SVD.
+fixed-point characterization of solutions, Tseng's inequality for the
+shipped step and the Lanczos operator-norm estimate against a Jacobi SVD.
 """
 
 import numpy as np
@@ -22,7 +22,8 @@ from .linops import (
 )
 from .oracles import dense_svd_norm, grid_refine_minimize
 from .prox import make_function, resolvent_of_inverse
-from .system import compute_beta, fixed_point_residual
+from .solver import IterateState, step
+from .system import compute_beta, fixed_point_residual, step_policy
 
 CHECK_SEED = 42
 
@@ -98,6 +99,13 @@ def run_checks():
     res = fixed_point_residual(demo.system, state, 0.25)
     record("solution is a fixed point", res <= 1e-6, f"residual {res:.2e}")
 
+    # each step of the shipped policy contracts toward that solution
+    solution = np.concatenate(state.x1 + state.x2 + state.v1 + state.v2)
+    excess = tseng_excess(demo.system, step_policy(demo.system), solution,
+                          starts=5, steps=40)
+    record("tseng inequality", excess <= 1e-12,
+           f"worst excess {excess:.2e} of ||z - z*||^2")
+
     # the Lanczos estimate against the Jacobi oracle
     mat = rng.standard_normal((8, 5))
     est = operator_norm(dense_op(mat))
@@ -106,6 +114,48 @@ def run_checks():
            f"lanczos {est.value:.10f} vs jacobi {ref:.10f}")
 
     return results
+
+
+def tseng_excess(spec, policy, solution, starts=20, steps=200,
+                 seed=CHECK_SEED):
+    """The worst relative excess of Tseng's inequality over the steps of
+    ``policy`` from seeded points around the flat fixed point ``solution``.
+
+    Each step from z to z+ through the backward point p must satisfy
+    ``||z+ - z*||^2 <= ||z - z*||^2 - (1 - gamma^2 L^2) ||z - p||^2`` in
+    the metric's norm ``||u||^2 = sum_e u_e^2 / d_e``, with gamma the
+    policy's scale, d_e each element's weight and L = ``policy.beta``.  The
+    ``starts`` starting points lie at scales 1e-3 to 10 from z*, and each
+    takes ``steps`` steps.  Returns the largest ``(lhs - rhs) / ||z -
+    z*||^2``: at most rounding when L bounds the rescaled operator.
+    ``||z - p||^2`` is read from the step record's family sums, so each
+    family's blocks must share one weight, else ``ValueError``.
+    """
+    blocks = spec.layout.blocks
+    block_steps = policy.steps(spec.layout)
+    weights = block_steps.flat / policy.gamma_const
+    family_weights = [weights[sl.start] for sl in spec.plan.families]
+    if any((weights[sl] != d).any()
+           for sl, d in zip(spec.plan.families, family_weights)):
+        raise ValueError("a family's blocks step at different weights")
+    contraction = 1.0 - (policy.gamma_const * policy.beta) ** 2
+    rng = np.random.default_rng(seed)
+    worst = -np.inf
+    for scale in np.logspace(-3.0, 1.0, starts):
+        z = solution + scale * rng.standard_normal(solution.size)
+        state = IterateState(*([z[sl] for sl in family] for family in blocks))
+        before = float(np.sum((z - solution) ** 2 / weights))
+        for _ in range(steps):
+            state, rec = step(spec, state, block_steps)
+            z = np.concatenate(state.x1 + state.x2 + state.v1 + state.v2)
+            after = float(np.sum((z - solution) ** 2 / weights))
+            if before > 0.0:
+                gap = sum(s / d for s, d in zip(rec.partial_sums,
+                                                family_weights))
+                worst = max(worst, (after - before + contraction * gap)
+                            / before)
+            before = after
+    return worst
 
 
 def dual_resolvent_gap(name, fn):

@@ -17,7 +17,8 @@ import numpy as np
 
 from .checks import format_report, run_checks
 from .demos import DEMO_NAMES, get_demo
-from .errors import ConfigurationError, MonosplitError, SpecificationError
+from .errors import (ConfigurationError, MonosplitError, NumericError,
+                     SpecificationError)
 from .imaging import ImageGrid, write_pgm
 from .minimization import primal_surrogate
 from .problemio import load_problem
@@ -121,8 +122,9 @@ def _run_and_write(system, init, policy, errors, tol, max_iter, trace_every,
     cannot be written is a :class:`ConfigurationError` naming it.
     ``extra_summary``, if given, is called as ``extra_summary(final,
     status)`` and returns fields to add to the summary; after a failed
-    solve ``status`` is ``"numeric_error"`` and ``final`` is the initial
-    state.
+    solve ``status`` is ``"numeric_error"``, and ``final`` and the trace
+    are the last state and the records the :class:`NumericError` carries
+    (the initial state and none when it carries none).
     """
     _make_out_dir(out_dir)
     started = time.perf_counter()
@@ -133,6 +135,10 @@ def _run_and_write(system, init, policy, errors, tol, max_iter, trace_every,
         final, trace, status = solve(system, init, policy, errors=errors,
                                      tol=tol, max_iter=max_iter,
                                      trace_every=trace_every)
+    except NumericError as exc:
+        if exc.state is not None:
+            final, trace = exc.state, exc.trace
+        raise
     finally:
         wall = time.perf_counter() - started
         sol = extract_solution(final, system)
@@ -155,6 +161,8 @@ def _run_and_write(system, init, policy, errors, tol, max_iter, trace_every,
             "transversality_defect":
                 trace[-1].transversality_defect if trace
                 else transversality_defect(system, final),
+            "aa_accepted": trace[-1].aa_accepted if trace else 0,
+            "aa_refused": trace[-1].aa_refused if trace else 0,
             # beta, step_bound and metric_bound are system.bounds' fields
             "beta": compute_beta(system),
             "beta_terms": system.beta_report,

@@ -28,11 +28,15 @@ class NumericError(MonosplitError):
     ----------
     iteration : int or None
         Index of the offending iteration, when known.
+    state, trace
+        Set by :func:`~monosplit.solver.solve`: the last state a step
+        returned and the trace records kept so far; None elsewhere.
     """
 
     def __init__(self, message, iteration=None):
         super().__init__(message)
         self.iteration = iteration
+        self.state = self.trace = None
 
 
 class OracleError(MonosplitError):

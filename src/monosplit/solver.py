@@ -39,10 +39,36 @@ last iteration ``solve`` takes.
 The draws repeat exactly for a given NumPy build: ``log``, ``cos`` and the
 ``vecdot`` of the norms are NumPy kernels, which another build may round
 differently in the last bit.
+
+:func:`solve` accelerates the iteration by type-II Anderson extrapolation
+of the step's map T (Walker and Ni, SIAM J. Numer. Anal. 49, 2011); the
+step itself stays the plain map.  It keeps references to the images
+:func:`step` returned since the last extrapolation, fresh vectors that
+nothing writes into again: the last ``AA_MEMORY + 1`` pairs ``(y, T(y))``
+of a point stepped from and its image, each image the next point.  On
+every ``AA_PERIOD``-th step it stacks them once.  With the displacements
+``g = T(y) - y`` and the differences ``dG``, ``dT`` of consecutive pairs,
+the coefficients ``alpha`` minimize ``||g_k - dG alpha||^2 + lam
+||alpha||^2``, ``lam = AA_RIDGE * trace(dG' dG)``, and the next step
+starts from ``y_AA = T(y_k) - dT alpha`` instead of ``T(y_k)``; the
+history then starts again from ``y_AA``.
+The paper's iteration tolerates absolutely summable errors, and ``y_AA -
+T(y_k)`` counts as one more: ``y_AA`` is taken only while ``||y_AA -
+T(y_k)|| <= AA_BUDGET ||g_0|| (k + 1)^-AA_DECAY``, with ``k`` the
+extrapolated points stepped from so far and ``g_0`` the run's first
+displacement, a summable budget, so the weak-convergence theorem still
+holds.  A zero
+or non-finite Gram trace, a singular solve or a non-finite coefficient
+takes the plain step.  When the step from ``y_AA`` moves more than
+``AA_RESTART`` times the smallest displacement so far, the history is
+cleared and the run goes on from that step's image.  Each such decision
+is counted in the trace records: an extrapolation is accepted once the
+step from it passed that check, and refused otherwise.
 """
 
 import math
 import operator
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import groupby
@@ -65,8 +91,19 @@ TRACE_COLUMNS = (
     "n", "gamma", "displacement",
     "dx1", "dx2", "dv1", "dv2",
     "sum_dx1", "sum_dx2", "sum_dv1", "sum_dv2",
-    "transversality_defect",
+    "transversality_defect", "aa_accepted", "aa_refused",
 )
+
+# Anderson extrapolation (see the module docstring): the pairs it mixes
+# beyond the newest, the steps between two attempts, the budget constant D
+# and the decay of the summable budget D ||g_0|| (k + 1)^-1.1, the Tikhonov
+# weight relative to the Gram trace, and the residual check's factor
+AA_MEMORY = 10
+AA_PERIOD = 20
+AA_BUDGET = 100.0
+AA_DECAY = 1.1
+AA_RIDGE = 1e-10
+AA_RESTART = 2.0
 
 # The block families of the iterate, in their order in the flat vector.
 FAMILIES = ("x1", "x2", "v1", "v2")
@@ -122,9 +159,14 @@ class TraceRecord(NamedTuple):
     ``||v1 - p21||``, ``||v2 - p22||``, each over its whole family; every
     square is one dot.  ``partial_sums`` holds running totals of those
     squares; a bare :func:`step` call reports just its own contribution,
-    :func:`solve` accumulates across iterations.  ``transversality_defect``
-    is ``||M* v2 - N* v1||`` at the new state in the records :func:`solve`
-    keeps, and None in the record of a bare :func:`step`.
+    :func:`solve` accumulates across iterations.  Under extrapolation those
+    are sums over the points evaluated, an extrapolated point in place of
+    the image it replaced, not over one trajectory of the plain map.
+    ``transversality_defect`` is ``||M* v2 - N* v1||`` at the new state in
+    the records :func:`solve` keeps, and None in the record of a bare
+    :func:`step`.  ``aa_accepted`` and ``aa_refused`` are the running
+    counts of :func:`solve`'s accepted and refused extrapolations up to the
+    end of the record's iteration; a bare :func:`step` reads 0 for both.
     """
 
     n: int
@@ -133,6 +175,8 @@ class TraceRecord(NamedTuple):
     block_displacements: tuple
     partial_sums: tuple
     transversality_defect: Optional[float]
+    aa_accepted: int = 0
+    aa_refused: int = 0
 
 
 @dataclass(frozen=True)
@@ -814,8 +858,9 @@ def transversality_defect(spec, state):
 
 def solve(spec, init, policy, errors=None, tol=DEFAULT_TOL,
           max_iter=DEFAULT_MAX_ITER, trace_every=DEFAULT_TRACE_EVERY):
-    """Iterate :func:`step` at the policy's steps until the full-state
-    displacement drops to tol.
+    """Iterate :func:`step` at the policy's steps, with a safeguarded
+    Anderson extrapolation every ``AA_PERIOD`` steps (see the module
+    docstring), until the full-state displacement drops to tol.
 
     The policy's :class:`BlockSteps` are laid out once per call: each
     block steps at ``policy.gamma_const`` times its weight.
@@ -826,18 +871,25 @@ def solve(spec, init, policy, errors=None, tol=DEFAULT_TOL,
     :func:`~monosplit.system.step_policy`'s bound; a larger bound is
     admissible and merely conservative) and for ``spec`` having passed
     validation.  Returns ``(final_state, trace, status)`` with status
-    ``"converged"`` or ``"max_iter"``; a trace record is kept every
+    ``"converged"`` or ``"max_iter"``; the final state is always the image
+    of the last :func:`step`, which the last record describes, as no
+    extrapolation follows the last iteration.  A trace record is kept every
     ``trace_every`` iterations and at the final one, with the running
-    ``partial_sums`` and the :func:`transversality_defect` of its state,
-    evaluated once per kept record.  The iterations count on from
-    ``init.n``: the step from a state with counter ``n`` adds the errors of
-    iteration ``n``, and a numeric failure in it propagates as the
-    :class:`NumericError` :func:`step` raises, whose ``iteration`` is that
-    ``n``.  So a run continued from a returned state takes the steps of one
-    uninterrupted run bit for bit.  A displacement that meets tol where the
-    kept record's defect is not finite raises :class:`NumericError` too: a
-    state too large for its increments to move stands still, but solves
-    nothing.  The errors are realized by
+    ``partial_sums``, the extrapolation counts and the
+    :func:`transversality_defect` of its state, evaluated once per kept
+    record.  :func:`step` is called once per iteration; an extrapolation
+    applies no operator.  The iterations count on from ``init.n``: the step
+    from a state with counter ``n`` adds the errors of iteration ``n``, and
+    a numeric failure in it propagates as the :class:`NumericError`
+    :func:`step` raises, whose ``iteration`` is that ``n``.  A continued
+    run starts a new extrapolation history, so it takes the steps of one
+    uninterrupted run bit for bit only until the first extrapolation.  A
+    displacement that meets tol where the kept record's defect is not
+    finite raises :class:`NumericError` too: a state too large for its
+    increments to move stands still, but solves nothing.  Either error
+    carries the last state a step returned (a copy of ``init`` if none) as
+    ``state``
+    and the records kept so far as ``trace``.  The errors are realized by
     ``errors.realize`` in runs of at most ``ERROR_RUN`` iterations, none
     past the last of the ``max_iter`` steps; an error the schedule raises
     surfaces when its run is realized.  A ``max_iter`` or
@@ -857,37 +909,107 @@ def solve(spec, init, policy, errors=None, tol=DEFAULT_TOL,
         raise ValueError(f"tol must be >= 0, got {tol}")
     if errors is None:
         errors = zero_schedule()
-    state = init.copy()
+    # state is the last step's image, point the one the next step starts
+    # from: the same state unless an extrapolation replaced it
+    state = point = init.copy()
     layout = spec.layout
     sum1 = sum2 = sum3 = sum4 = 0.0
     trace = []
     status = "max_iter"
     gamma = policy.steps(layout)
-    for it in range(max_iter):
-        j = it % ERROR_RUN
-        if not j:
-            run = errors.realize(state.n, layout,
-                                 min(ERROR_RUN, max_iter - it))
-        state, rec = step(spec, state, gamma, None if run is None else run[j])
-        d1, d2, d3, d4 = rec.partial_sums
-        sum1 += d1
-        sum2 += d2
-        sum3 += d3
-        sum4 += d4
-        done = rec.displacement <= tol
-        if it % trace_every == 0 or done or it == max_iter - 1:
-            trace.append(TraceRecord(rec.n, rec.gamma, rec.displacement,
-                                     rec.block_displacements,
-                                     (sum1, sum2, sum3, sum4),
-                                     transversality_defect(spec, state)))
-        if done:
-            if not math.isfinite(trace[-1].transversality_defect):
-                raise NumericError("the displacement met tol with a "
-                                   "non-finite transversality defect",
-                                   iteration=rec.n)
-            status = "converged"
-            break
+    # flat points, each the image of the one before: the last AA_MEMORY + 1
+    # steps since the last extrapolation
+    chain = deque(maxlen=AA_MEMORY + 2)
+    # taken counts the extrapolated points stepped from, the k of the budget
+    accepted = refused = taken = 0
+    extrapolated = False
+    best = math.inf
+    try:
+        for it in range(max_iter):
+            j = it % ERROR_RUN
+            if not j:
+                run = errors.realize(point.n, layout,
+                                     min(ERROR_RUN, max_iter - it))
+            state, rec = step(spec, point, gamma,
+                              None if run is None else run[j])
+            point = state
+            disp = rec.displacement
+            if extrapolated:
+                extrapolated = False
+                if disp > AA_RESTART * best:
+                    chain.clear()
+                    refused += 1
+                else:
+                    accepted += 1
+            if disp < best:
+                best = disp
+            # the blocks step returns are views of one fresh vector
+            chain.append(state.x1[0].base)
+            d1, d2, d3, d4 = rec.partial_sums
+            sum1 += d1
+            sum2 += d2
+            sum3 += d3
+            sum4 += d4
+            done = disp <= tol
+            if it % AA_PERIOD == AA_PERIOD - 1 and len(chain) > 2 \
+                    and not done and it < max_iter - 1:
+                y = _extrapolate(chain, AA_BUDGET * trace[0].displacement
+                                 * (taken + 1) ** -AA_DECAY)
+                if y is None:
+                    refused += 1
+                else:
+                    taken += 1
+                    chain.clear()
+                    chain.append(y)
+                    point = _on_buffer(y, layout.blocks, state.n)
+                    extrapolated = True
+            if it % trace_every == 0 or done or it == max_iter - 1:
+                trace.append(TraceRecord(rec.n, rec.gamma, disp,
+                                         rec.block_displacements,
+                                         (sum1, sum2, sum3, sum4),
+                                         transversality_defect(spec, state),
+                                         accepted, refused))
+            if done:
+                if not math.isfinite(trace[-1].transversality_defect):
+                    raise NumericError("the displacement met tol with a "
+                                       "non-finite transversality defect",
+                                       iteration=rec.n)
+                status = "converged"
+                break
+    except NumericError as exc:
+        exc.state, exc.trace = state, trace
+        raise
     return state, trace, status
+
+
+def _extrapolate(chain, budget):
+    """The type-II Anderson point of ``chain``, flat points oldest first,
+    each the image of the one before, as a fresh flat vector; or None when
+    the least squares is degenerate or the point lies farther than
+    ``budget`` from the newest image (see the module docstring).  A
+    non-finite coefficient makes that distance non-finite, and so is
+    refused with it."""
+    with np.errstate(all="ignore"):
+        points = np.array(chain)
+        # the displacements g_i = T(y_i) - y_i, whose differences are also
+        # those of the images
+        g = points[1:] - points[:-1]
+        dg = g[1:] - g[:-1]
+        gram = dg @ dg.T
+        diagonal = gram.ravel()[::len(gram) + 1]  # a view: gram is C-ordered
+        scale = float(diagonal.sum())
+        if not 0.0 < scale < math.inf:
+            return None
+        diagonal += AA_RIDGE * scale
+        try:
+            alpha = np.linalg.solve(gram, dg @ g[-1])
+        except np.linalg.LinAlgError:
+            return None
+        shift = alpha @ g[1:]
+        distance = math.sqrt(shift.dot(shift))
+        if not (distance <= budget and distance < math.inf):
+            return None
+        return points[-1] - shift
 
 
 def write_trace_csv(trace, path):
@@ -903,5 +1025,6 @@ def write_trace_csv(trace, path):
             f"{rec.n},{rec.gamma!r},{rec.displacement!r},"
             + ",".join(map(repr, (*rec.block_displacements,
                                   *rec.partial_sums)))
-            + f",{rec.transversality_defect!r}\r\n"
+            + f",{rec.transversality_defect!r},{rec.aa_accepted},"
+            f"{rec.aa_refused}\r\n"
             for rec in trace)

@@ -326,8 +326,9 @@ def test_criterion_12_imaging_demo(deblur_run):
 
     energy_exit = primal_surrogate(demo.min_spec, final.x1, final.x2)
 
-    # deterministic continuation from the exit state reproduces a fresh run
-    # of 100x the exit iteration count
+    # a deterministic continuation from the exit state for 99 times the exit
+    # iteration count; it starts a new extrapolation history, so it matches
+    # a fresh 100x run only until its first extrapolation, not bit for bit
     long_state, _, _ = solve(demo.system, final, deblur_run["policy"],
                              tol=0.0, max_iter=99 * n_exit,
                              trace_every=10**9)

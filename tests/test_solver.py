@@ -190,7 +190,10 @@ def test_solve_propagates_numeric_error_with_iteration():
 
 def test_solve_continued_from_a_state_takes_the_steps_of_one_run():
     # solve counts on from the state's n, so the second half of a split run
-    # adds the errors of iterations 20..39, as one 40-iteration run does
+    # adds the errors of iterations 10..18, as one 19-iteration run does;
+    # a continued run starts a new extrapolation history, so both runs stay
+    # below AA_PERIOD steps, where none extrapolates
+    assert 19 < solver.AA_PERIOD
     demo = lasso_demo()
     policy = make_policy(compute_beta(demo.system))
     errors = geometric_schedule(0.9, 0.1, seed=3)
@@ -200,22 +203,22 @@ def test_solve_continued_from_a_state_takes_the_steps_of_one_run():
                      max_iter=count, trace_every=1)
 
     zeros = IterateState.zeros(demo.system.layout)
-    half, _, _ = run(zeros, 20)
-    continued, second, _ = run(half, 20)
-    whole, trace, _ = run(zeros, 40)
-    assert continued.n == whole.n == 40
+    half, _, _ = run(zeros, 10)
+    continued, second, _ = run(half, 9)
+    whole, trace, _ = run(zeros, 19)
+    assert continued.n == whole.n == 19
     for a, b in zip(continued.x1 + continued.x2 + continued.v1 + continued.v2,
                     whole.x1 + whole.x2 + whole.v1 + whole.v2):
         assert a.tobytes() == b.tobytes()
     assert [(r.n, r.displacement, r.block_displacements) for r in second] \
-        == [(r.n, r.displacement, r.block_displacements) for r in trace[20:]]
+        == [(r.n, r.displacement, r.block_displacements) for r in trace[10:]]
 
     # a numeric failure names the counter of the state it stepped from
     broken = half.copy()
     broken.x1[0][0] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(NumericError) as err:
-        run(broken, 20)
-    assert err.value.iteration == 20
+        run(broken, 9)
+    assert err.value.iteration == 10
 
 
 def test_trace_partial_sums_nondecreasing():
@@ -262,7 +265,13 @@ def test_zero_tol_runs_the_whole_budget():
     (5, 37, None),                  # and a last run shorter than the rest
 ])
 def test_kept_records_are_step_records_with_running_sums(trace_every,
-                                                         max_iter, stop):
+                                                         max_iter, stop,
+                                                         monkeypatch):
+    # a run of more than AA_PERIOD steps is compared under a zero budget,
+    # which refuses every extrapolation (see
+    # test_a_zero_budget_solve_is_repeated_step)
+    if max_iter > solver.AA_PERIOD:
+        monkeypatch.setattr(solver, "AA_BUDGET", 0.0)
     spec = dense_two_by_two()
     init = random_state(spec.layout)
     policy = make_policy(compute_beta(spec))
@@ -283,13 +292,19 @@ def test_kept_records_are_step_records_with_running_sums(trace_every,
                                  max_iter=max_iter, trace_every=trace_every)
     kept = [rec for rec in expected
             if rec.n % trace_every == 0 or rec is expected[-1]]
-    assert trace == kept
+    # one refused attempt every AA_PERIOD steps, none after the last step
+    assert [(rec.aa_accepted, rec.aa_refused) for rec in trace] \
+        == [(0, (min(rec.n, max_iter - 2) + 1) // solver.AA_PERIOD)
+            for rec in kept]
+    assert [rec._replace(aa_refused=0) for rec in trace] == kept
     assert status == ("max_iter" if stop is None else "converged")
     assert_states_equal(final, state)
 
 
 @pytest.mark.parametrize("max_iter", [1, 16, 17, 37])
-def test_solve_calls_a_generator_below_max_iter_only(max_iter):
+def test_solve_calls_a_generator_below_max_iter_only(max_iter, monkeypatch):
+    if max_iter > solver.AA_PERIOD:  # compared with repeated step below
+        monkeypatch.setattr(solver, "AA_BUDGET", 0.0)
     spec = dense_two_by_two()
     layout = spec.layout
     init = random_state(layout)
@@ -1497,7 +1512,8 @@ def test_trace_csv_bytes_are_what_csv_writer_writes(tmp_path):
             else rng.uniform(-1e3, 1e3)
 
     trace = [TraceRecord(n, pick(), pick(), tuple(pick() for _ in range(4)),
-                         tuple(pick() for _ in range(4)), pick())
+                         tuple(pick() for _ in range(4)), pick(),
+                         rng.randrange(n + 1), rng.randrange(n + 1))
              for n in (0, 1, 9, 10, 99999, 10**12)
              for _ in range(40)]
     solver.write_trace_csv(trace, tmp_path / "trace.csv")
@@ -1507,7 +1523,175 @@ def test_trace_csv_bytes_are_what_csv_writer_writes(tmp_path):
         for rec in trace:
             writer.writerow([rec.n, *map(repr, (
                 rec.gamma, rec.displacement, *rec.block_displacements,
-                *rec.partial_sums, rec.transversality_defect))])
+                *rec.partial_sums, rec.transversality_defect)),
+                rec.aa_accepted, rec.aa_refused])
     got = (tmp_path / "trace.csv").read_bytes()
     assert got == (tmp_path / "reference.csv").read_bytes()
     assert got.count(b"\r\n") == len(trace) + 1
+
+
+# --- Anderson extrapolation in solve ----------------------------------------
+
+
+def flat_state(state):
+    return np.concatenate(state.x1 + state.x2 + state.v1 + state.v2)
+
+
+def recorded_steps(monkeypatch):
+    """Patch the step ``solve`` calls to record ``(point, image)`` per call:
+    the flat state it stepped from and the state it returned."""
+    calls = []
+
+    def recording(spec, state, gamma, errors_at_n=None):
+        new, rec = step(spec, state, gamma, errors_at_n)
+        calls.append((flat_state(state), new))
+        return new, rec
+
+    monkeypatch.setattr(solver, "step", recording)
+    return calls
+
+
+AA_RUNS = {
+    # the lasso demo under noise, at its scalar step
+    "lasso_geometric": lambda: (
+        lasso_demo().system, make_policy(compute_beta(lasso_demo().system)),
+        geometric_schedule(0.9, 0.1, seed=4)),
+    # the qp demo at the metric step the CLI takes
+    "qp_metric": lambda: (qp_demo().system, cli._policy(qp_demo().system),
+                          None),
+}
+
+
+@pytest.mark.parametrize("case", AA_RUNS)
+def test_a_zero_budget_solve_is_repeated_step(case, monkeypatch):
+    # a zero budget refuses every extrapolation, so solve is the plain
+    # iteration bit for bit, one refusal every AA_PERIOD steps
+    monkeypatch.setattr(solver, "AA_BUDGET", 0.0)
+    spec, policy, errors = AA_RUNS[case]()
+    errors = errors or zero_schedule()
+    max_iter = 5 * solver.AA_PERIOD + 3
+    init = IterateState.zeros(spec.layout)
+    final, trace, status = solve(spec, init, policy, errors=errors, tol=0.0,
+                                 max_iter=max_iter, trace_every=1)
+    state, sums, expected = init, (0.0,) * 4, []
+    gamma = policy.steps(spec.layout)
+    for it in range(max_iter):
+        state, rec = step(spec, state, gamma, errors.realize(it, spec.layout))
+        sums = tuple(a + b for a, b in zip(sums, rec.partial_sums))
+        expected.append(rec._replace(
+            partial_sums=sums,
+            transversality_defect=transversality_defect(spec, state)))
+    assert status == "max_iter"
+    assert_states_equal(final, state)
+    assert [rec._replace(aa_refused=0) for rec in trace] == expected
+    assert [rec.aa_refused for rec in trace] == [
+        (rec.n + 1) // solver.AA_PERIOD for rec in trace]
+
+
+@pytest.mark.parametrize("case", AA_RUNS)
+def test_an_extrapolation_stays_inside_its_summable_budget(case, monkeypatch):
+    spec, policy, errors = AA_RUNS[case]()
+    calls = recorded_steps(monkeypatch)
+    final, trace, status = solve(spec, IterateState.zeros(spec.layout),
+                                 policy, errors=errors, tol=1e-8,
+                                 trace_every=1)
+    assert status == "converged" and final is calls[-1][1]
+    first = trace[0].displacement
+    jumps = []
+    for j in range(1, len(calls)):
+        image = flat_state(calls[j - 1][1])
+        point = calls[j][0]
+        if point.tobytes() != image.tobytes():
+            # the extrapolation made after iteration j - 1; the budget
+            # decays with the extrapolated points stepped from before it
+            budget = solver.AA_BUDGET * first * (
+                len(jumps) + 1) ** -solver.AA_DECAY
+            jumps.append(np.linalg.norm(point - image) / budget)
+    assert jumps and max(jumps) <= 1.0
+    assert (trace[-1].aa_accepted, trace[-1].aa_refused) == (len(jumps), 0)
+
+
+def test_no_extrapolation_follows_the_last_iteration(monkeypatch):
+    # an attempt falls due after iterations AA_PERIOD - 1 and 2 AA_PERIOD - 1;
+    # the second is the last, so the run returns that step's image
+    demo = qp_demo()
+    calls = recorded_steps(monkeypatch)
+    max_iter = 2 * solver.AA_PERIOD
+    final, trace, status = solve(demo.system,
+                                 IterateState.zeros(demo.system.layout),
+                                 cli._policy(demo.system), tol=1e-12,
+                                 max_iter=max_iter, trace_every=1)
+    assert status == "max_iter" and len(calls) == max_iter
+    assert final is calls[-1][1]
+    assert trace[-1].n == final.n - 1 == max_iter - 1
+    assert (trace[-1].aa_accepted, trace[-1].aa_refused) == (1, 0)
+    assert trace[-1].transversality_defect \
+        == transversality_defect(demo.system, final)
+
+
+def test_the_residual_check_clears_the_history(monkeypatch):
+    # the first extrapolation is replaced by a far point: the step from it
+    # moves more than AA_RESTART times the best displacement, so it counts
+    # as refused, the history starts again from that step and the run goes
+    # on from its image
+    monkeypatch.setattr(solver, "AA_PERIOD", 5)
+    real = solver._extrapolate
+    lengths = []
+
+    def far_first(chain, budget):
+        lengths.append(len(chain))
+        point = real(chain, budget)
+        return chain[-1] + 10.0 if len(lengths) == 1 else point
+
+    monkeypatch.setattr(solver, "_extrapolate", far_first)
+    calls = recorded_steps(monkeypatch)
+    demo = qp_demo()
+    final, trace, status = solve(demo.system,
+                                 IterateState.zeros(demo.system.layout),
+                                 cli._policy(demo.system), tol=1e-8,
+                                 trace_every=1)
+    assert status == "converged"
+    # the images of iterations 0-4, then of 5-9: the far point is gone
+    assert lengths[:2] == [5, 5]
+    bad = trace[5]  # the step from the far point, after iteration 4
+    assert (bad.aa_accepted, bad.aa_refused) == (0, 1)
+    assert bad.displacement > solver.AA_RESTART * min(
+        rec.displacement for rec in trace[:5])
+    assert calls[6][0].tobytes() == flat_state(calls[5][1]).tobytes()
+    assert trace[-1].aa_accepted >= 1
+
+
+def test_extrapolate_refuses_a_degenerate_least_squares():
+    rng = np.random.default_rng(8)
+    chain = [rng.standard_normal(6) for _ in range(5)]
+    point = solver._extrapolate(chain, math.inf)
+    assert point.shape == (6,) and np.isfinite(point).all()
+    # beyond the budget
+    assert solver._extrapolate(chain, 0.0) is None
+    # equal displacements: a zero Gram trace
+    steady = [np.full(6, 0.5 * i) for i in range(5)]
+    assert solver._extrapolate(steady, math.inf) is None
+    # a trace that overflows, and a NaN
+    for bad in (1e300, math.nan):
+        broken = list(chain)
+        broken[2] = np.full(6, bad)
+        assert solver._extrapolate(broken, math.inf) is None
+
+
+def test_a_bare_step_record_reads_no_extrapolations():
+    demo = lasso_demo()
+    _, rec = step(demo.system, IterateState.zeros(demo.system.layout), 0.3)
+    assert (rec.aa_accepted, rec.aa_refused) == (0, 0)
+
+
+def test_a_numeric_error_carries_the_run_so_far():
+    # the offsets of 1e300 stall the state; solve raises once the
+    # displacement meets tol with an infinite defect
+    demo = lasso_demo()
+    spec = dataclasses.replace(demo.system, r=[np.full(10, 1e300)])
+    with np.errstate(over="ignore"), pytest.raises(NumericError) as err:
+        solve(spec, IterateState.zeros(spec.layout), cli._policy(spec),
+              trace_every=1)
+    exc = err.value
+    assert exc.state.n == exc.iteration + 1 == len(exc.trace) > 0
+    assert exc.trace[-1].n == exc.iteration

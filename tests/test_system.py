@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from monosplit.checks import tseng_excess
 from monosplit.cli import _policy
 from monosplit.demos import (deblur_demo, lasso_demo, lifted_solution_state,
                              qp_demo, separation_demo)
@@ -22,6 +23,7 @@ from monosplit.system import (
     compute_beta,
     extract_solution,
     fixed_point_residual,
+    step_policy,
     validate,
 )
 from test_acceptance import random_dense_system
@@ -527,6 +529,36 @@ def test_the_metric_bound_certifies_the_rescaled_operator(case):
     root = np.sqrt(BlockSteps.of(spec.layout.blocks, 1.0, bounds.metric).flat)
     scaled = root[:, None] * dense_forward(spec) * root
     assert np.linalg.norm(scaled, 2) <= bounds.metric_bound
+
+
+def flat_solution(demo):
+    state = lifted_solution_state(demo)
+    return np.concatenate(state.x1 + state.x2 + state.v1 + state.v2)
+
+
+TSENG_CASES = {
+    "lasso": lambda: (lasso_demo().system, flat_solution(lasso_demo())),
+    "qp": lambda: (qp_demo().system, flat_solution(qp_demo())),
+    # the bound sqrt(2 + sqrt(2)) is attained, and z* = 0
+    "two-primal-blocks": lambda: (two_primal_blocks_system(), np.zeros(5)),
+}
+
+
+@pytest.mark.parametrize("case", TSENG_CASES)
+def test_each_metric_step_satisfies_tsengs_inequality(case):
+    # 20 seeded starts around z*, 200 steps each, in the metric's norm with
+    # L the metric bound
+    spec, solution = TSENG_CASES[case]()
+    assert tseng_excess(spec, step_policy(spec), solution) <= 1e-12
+
+
+def test_tsengs_inequality_fails_under_a_bound_3_percent_low():
+    # where the bound is attained, a step taken against a bound 3% too low
+    # breaks the inequality
+    spec, solution = TSENG_CASES["two-primal-blocks"]()
+    policy = step_policy(spec)
+    low = make_policy(0.97 * policy.beta, metric=policy.metric)
+    assert tseng_excess(spec, low, solution) > 0.05
 
 
 def test_step_bound_sums_the_cross_couplings_of_a_k_block():
