@@ -61,9 +61,10 @@ holds.  A zero
 or non-finite Gram trace, a singular solve or a non-finite coefficient
 takes the plain step.  When the step from ``y_AA`` moves more than
 ``AA_RESTART`` times the smallest displacement so far, the history is
-cleared and the run goes on from that step's image.  Each such decision
-is counted in the trace records: an extrapolation is accepted once the
-step from it passed that check, and refused otherwise.
+cleared and the run goes on from that step's image.  The trace records
+count the extrapolations accepted, the points stepped from, and those
+refused, where the plain step was taken; a cleared history is not
+counted.
 """
 
 import math
@@ -165,8 +166,9 @@ class TraceRecord(NamedTuple):
     ``transversality_defect`` is ``||M* v2 - N* v1||`` at the new state in
     the records :func:`solve` keeps, and None in the record of a bare
     :func:`step`.  ``aa_accepted`` and ``aa_refused`` are the running
-    counts of :func:`solve`'s accepted and refused extrapolations up to the
-    end of the record's iteration; a bare :func:`step` reads 0 for both.
+    counts, up to the end of the record's iteration, of the extrapolated
+    points :func:`solve` stepped from and of the extrapolations it refused
+    in favour of the plain step; a bare :func:`step` reads 0 for both.
     """
 
     n: int
@@ -888,8 +890,8 @@ def solve(spec, init, policy, errors=None, tol=DEFAULT_TOL,
     finite raises :class:`NumericError` too: a state too large for its
     increments to move stands still, but solves nothing.  Either error
     carries the last state a step returned (a copy of ``init`` if none) as
-    ``state``
-    and the records kept so far as ``trace``.  The errors are realized by
+    ``state`` and the records kept so far as ``trace``, the last of them
+    that state's, as on return.  The errors are realized by
     ``errors.realize`` in runs of at most ``ERROR_RUN`` iterations, none
     past the last of the ``max_iter`` steps; an error the schedule raises
     surfaces when its run is realized.  A ``max_iter`` or
@@ -920,10 +922,12 @@ def solve(spec, init, policy, errors=None, tol=DEFAULT_TOL,
     # flat points, each the image of the one before: the last AA_MEMORY + 1
     # steps since the last extrapolation
     chain = deque(maxlen=AA_MEMORY + 2)
-    # taken counts the extrapolated points stepped from, the k of the budget
-    accepted = refused = taken = 0
+    # accepted counts the extrapolated points stepped from, the k of the
+    # budget
+    accepted = refused = 0
     extrapolated = False
     best = math.inf
+    rec = None
     try:
         for it in range(max_iter):
             j = it % ERROR_RUN
@@ -934,13 +938,9 @@ def solve(spec, init, policy, errors=None, tol=DEFAULT_TOL,
                               None if run is None else run[j])
             point = state
             disp = rec.displacement
-            if extrapolated:
-                extrapolated = False
-                if disp > AA_RESTART * best:
-                    chain.clear()
-                    refused += 1
-                else:
-                    accepted += 1
+            if extrapolated and disp > AA_RESTART * best:
+                chain.clear()
+            extrapolated = False
             if disp < best:
                 best = disp
             # the blocks step returns are views of one fresh vector
@@ -954,21 +954,18 @@ def solve(spec, init, policy, errors=None, tol=DEFAULT_TOL,
             if it % AA_PERIOD == AA_PERIOD - 1 and len(chain) > 2 \
                     and not done and it < max_iter - 1:
                 y = _extrapolate(chain, AA_BUDGET * trace[0].displacement
-                                 * (taken + 1) ** -AA_DECAY)
+                                 * (accepted + 1) ** -AA_DECAY)
                 if y is None:
                     refused += 1
                 else:
-                    taken += 1
+                    accepted += 1
                     chain.clear()
                     chain.append(y)
                     point = _on_buffer(y, layout.blocks, state.n)
                     extrapolated = True
             if it % trace_every == 0 or done or it == max_iter - 1:
-                trace.append(TraceRecord(rec.n, rec.gamma, disp,
-                                         rec.block_displacements,
-                                         (sum1, sum2, sum3, sum4),
-                                         transversality_defect(spec, state),
-                                         accepted, refused))
+                trace.append(_kept(spec, state, rec, (sum1, sum2, sum3, sum4),
+                                   accepted, refused))
             if done:
                 if not math.isfinite(trace[-1].transversality_defect):
                     raise NumericError("the displacement met tol with a "
@@ -977,9 +974,20 @@ def solve(spec, init, policy, errors=None, tol=DEFAULT_TOL,
                 status = "converged"
                 break
     except NumericError as exc:
+        # the last record carried is the last state's, as on return
+        if rec is not None and (not trace or trace[-1].n != rec.n):
+            trace.append(_kept(spec, state, rec, (sum1, sum2, sum3, sum4),
+                               accepted, refused))
         exc.state, exc.trace = state, trace
         raise
     return state, trace, status
+
+
+def _kept(spec, state, rec, sums, accepted, refused):
+    """The record :func:`solve` keeps for the step ``rec`` to ``state``."""
+    return TraceRecord(rec.n, rec.gamma, rec.displacement,
+                       rec.block_displacements, sums,
+                       transversality_defect(spec, state), accepted, refused)
 
 
 def _extrapolate(chain, budget):
@@ -996,11 +1004,10 @@ def _extrapolate(chain, budget):
         g = points[1:] - points[:-1]
         dg = g[1:] - g[:-1]
         gram = dg @ dg.T
-        diagonal = gram.ravel()[::len(gram) + 1]  # a view: gram is C-ordered
-        scale = float(diagonal.sum())
+        scale = float(np.trace(gram))
         if not 0.0 < scale < math.inf:
             return None
-        diagonal += AA_RIDGE * scale
+        gram.flat[::len(gram) + 1] += AA_RIDGE * scale
         try:
             alpha = np.linalg.solve(gram, dg @ g[-1])
         except np.linalg.LinAlgError:

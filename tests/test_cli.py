@@ -10,6 +10,7 @@ import pytest
 from monosplit import cli, solver
 from monosplit.cli import main
 from monosplit.demos import DEMO_NAMES, get_demo
+from monosplit.errors import NumericError
 from monosplit.prox import soft_threshold
 from monosplit.solver import TRACE_COLUMNS
 from monosplit.problemio import load_problem
@@ -708,6 +709,33 @@ def test_the_files_of_a_numeric_error_show_the_run(tmp_path, monkeypatch):
         int(rows[-1]["aa_accepted"]), int(rows[-1]["aa_refused"]))
     with open(out / "solution.json") as fh:
         assert json.load(fh)["xbar"][0] != [0.0] * 10
+
+
+def test_a_fault_off_the_trace_grid_writes_the_last_state(tmp_path,
+                                                          monkeypatch):
+    # at the default trace_every, a step that fails at iteration 13 comes
+    # three iterations after the last kept record; the summary and the last
+    # trace row still describe the state iteration 12 returned
+    real = solver.step
+
+    def failing(spec, state, gamma, errors_at_n=None):
+        if state.n == 13:
+            raise NumericError("injected", iteration=13)
+        return real(spec, state, gamma, errors_at_n)
+
+    monkeypatch.setattr(solver, "step", failing)
+    out = tmp_path / "o"
+    assert main(["solve", str(PROBLEMS / "lasso.json"), "--out",
+                 str(out)]) == 1
+    summary = read_summary(out)
+    with open(out / "trace.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert summary["status"] == "numeric_error"
+    assert summary["iterations"] == 13
+    assert [int(row["n"]) for row in rows] == [0, 10, 12]
+    assert summary["final_displacement"] == float(rows[-1]["displacement"])
+    assert summary["transversality_defect"] == float(
+        rows[-1]["transversality_defect"])
 
 
 def test_an_overflowing_norm_is_only_its_error_line(tmp_path, capsys):

@@ -1631,9 +1631,9 @@ def test_no_extrapolation_follows_the_last_iteration(monkeypatch):
 
 def test_the_residual_check_clears_the_history(monkeypatch):
     # the first extrapolation is replaced by a far point: the step from it
-    # moves more than AA_RESTART times the best displacement, so it counts
-    # as refused, the history starts again from that step and the run goes
-    # on from its image
+    # moves more than AA_RESTART times the best displacement, so the
+    # history starts again from that step and the run goes on from its
+    # image; the far point was stepped from, so it counts as accepted
     monkeypatch.setattr(solver, "AA_PERIOD", 5)
     real = solver._extrapolate
     lengths = []
@@ -1654,7 +1654,7 @@ def test_the_residual_check_clears_the_history(monkeypatch):
     # the images of iterations 0-4, then of 5-9: the far point is gone
     assert lengths[:2] == [5, 5]
     bad = trace[5]  # the step from the far point, after iteration 4
-    assert (bad.aa_accepted, bad.aa_refused) == (0, 1)
+    assert (bad.aa_accepted, bad.aa_refused) == (1, 0)
     assert bad.displacement > solver.AA_RESTART * min(
         rec.displacement for rec in trace[:5])
     assert calls[6][0].tobytes() == flat_state(calls[5][1]).tobytes()
@@ -1695,3 +1695,30 @@ def test_a_numeric_error_carries_the_run_so_far():
     exc = err.value
     assert exc.state.n == exc.iteration + 1 == len(exc.trace) > 0
     assert exc.trace[-1].n == exc.iteration
+
+
+def test_a_failed_step_off_the_trace_grid_leaves_the_last_state_a_record(
+        monkeypatch):
+    # the step of iteration 13 fails; at the default trace_every the last
+    # kept record was iteration 10's, so the error adds one for the state
+    # iteration 12 returned, with the sums and the defect of that state
+    demo = lasso_demo()
+    spec, policy = demo.system, cli._policy(demo.system)
+    init = IterateState.zeros(spec.layout)
+    plain, _, _ = solve(spec, init, policy, tol=0.0, max_iter=13)
+
+    def failing(spec, state, gamma, errors_at_n=None):
+        if state.n == 13:
+            raise NumericError("injected", iteration=13)
+        return step(spec, state, gamma, errors_at_n)
+
+    monkeypatch.setattr(solver, "step", failing)
+    with pytest.raises(NumericError) as err:
+        solve(spec, init, policy, tol=0.0, max_iter=40)
+    exc = err.value
+    assert [rec.n for rec in exc.trace] == [0, 10, 12]
+    assert_states_equal(exc.state, plain)
+    monkeypatch.undo()
+    _, dense, _ = solve(spec, init, policy, tol=0.0, max_iter=13,
+                        trace_every=1)
+    assert exc.trace[-1] == dense[-1]
