@@ -13,6 +13,7 @@ import numpy as np
 from .demos import lasso_demo, lifted_solution_state
 from .imaging import gradient_op, haar_analysis_op, second_gradient_op
 from .linops import (
+    NORM_SAFETY,
     adjoint_check,
     compose,
     dense_op,
@@ -90,7 +91,7 @@ def run_checks():
     beta = compute_beta(demo.system)
     by_hand = _beta_by_hand(demo.system)
     ok = by_hand - 1e-8 <= beta <= demo.system.C.nu0 \
-        + 1.01 * (by_hand - demo.system.C.nu0) + 1e-8
+        + NORM_SAFETY * (by_hand - demo.system.C.nu0) + 1e-8
     record("coupling bound arithmetic", ok,
            f"bound {beta:.6f} vs svd {by_hand:.6f}")
 

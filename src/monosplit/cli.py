@@ -23,6 +23,7 @@ from .imaging import ImageGrid, write_pgm
 from .minimization import primal_surrogate
 from .problemio import load_problem
 from .solver import (
+    DEFAULT_TRACE_EVERY,
     IterateState,
     solve,
     step,
@@ -209,11 +210,9 @@ def cmd_demo(name, out_dir):
     system = demo.system
     policy = _policy(system)
     init = demo.extras.get("init") or IterateState.zeros(system.layout)
-
-    if name == "separation":
-        return _run_separation(demo, policy, out_dir)
-
     extra = {"demo": name}
+    if name == "separation":
+        extra["separation_report"] = _separation_report(demo, policy)
 
     def demo_fields(final, status):
         if status == "numeric_error":
@@ -228,7 +227,7 @@ def cmd_demo(name, out_dir):
 
     final, trace, status = _run_and_write(
         system, init, policy, zero_schedule(), demo.tol, demo.max_iter,
-        _trace_every(10), out_dir, extra_summary=demo_fields,
+        _trace_every(DEFAULT_TRACE_EVERY), out_dir, extra_summary=demo_fields,
     )
 
     if "oracle_max_error" in extra:
@@ -246,15 +245,22 @@ def cmd_demo(name, out_dir):
                       ImageGrid(*shape, np.clip(final.x1[0], 0.0, 1.0)))
         print(f"deblur: status={status} iterations={final.n} "
               f"energy={extra['primal_surrogate']:.6f}")
+    if name == "separation":
+        identical = extra["separation_report"] == "identical"
+        print(f"separation: trajectories "
+              f"{'identical' if identical else 'DIVERGENT'}; joint solve "
+              f"status={status}")
+        if not identical:
+            return 1
     return 0 if status == "converged" else 2
 
 
-def _run_separation(demo, policy, out_dir):
-    """Step the joint system and its two halves side by side; report
-    whether the joint trajectory matches theirs bit for bit."""
-    _make_out_dir(out_dir)
-    joint = demo.system
-    systems = (joint, demo.extras["primal_only"], demo.extras["dual_only"])
+def _separation_report(demo, policy):
+    """Step the joint system and its two halves side by side for 200
+    steps: ``"identical"`` if the joint trajectory matches theirs bit for
+    bit, else ``"divergent"``."""
+    systems = (demo.system, demo.extras["primal_only"],
+               demo.extras["dual_only"])
     states = [IterateState.zeros(system.layout) for system in systems]
     identical = True
     # the halves share the joint's block structure and take its block
@@ -267,21 +273,7 @@ def _run_separation(demo, policy, out_dir):
         pairs = [*zip(js.x1, ps.x1), *zip(js.x2, ds.x2), *zip(js.v1, ds.v1),
                  *zip(js.v2, ds.v2)]
         identical &= all(a.tobytes() == b.tobytes() for a, b in pairs)
-
-    final, trace, status = _run_and_write(
-        joint, IterateState.zeros(joint.layout), policy, zero_schedule(),
-        demo.tol, demo.max_iter, _trace_every(10), out_dir,
-        extra_summary=lambda final, status: {
-            "demo": "separation",
-            "separation_report": "identical" if identical else "divergent",
-        },
-    )
-    print(f"separation: trajectories "
-          f"{'identical' if identical else 'DIVERGENT'}; joint solve "
-          f"status={status}")
-    if not identical:
-        return 1
-    return 0 if status == "converged" else 2
+    return "identical" if identical else "divergent"
 
 
 def cmd_check():

@@ -59,12 +59,9 @@ extrapolated points stepped from so far and ``g_0`` the run's first
 displacement, a summable budget, so the weak-convergence theorem still
 holds.  A zero
 or non-finite Gram trace, a singular solve or a non-finite coefficient
-takes the plain step.  When the step from ``y_AA`` moves more than
-``AA_RESTART`` times the smallest displacement so far, the history is
-cleared and the run goes on from that step's image.  The trace records
-count the extrapolations accepted, the points stepped from, and those
-refused, where the plain step was taken; a cleared history is not
-counted.
+takes the plain step.  The trace records count the extrapolations
+accepted, the points stepped from, and those refused, where the plain
+step was taken.
 """
 
 import math
@@ -98,13 +95,12 @@ TRACE_COLUMNS = (
 # Anderson extrapolation (see the module docstring): the pairs it mixes
 # beyond the newest, the steps between two attempts, the budget constant D
 # and the decay of the summable budget D ||g_0|| (k + 1)^-1.1, the Tikhonov
-# weight relative to the Gram trace, and the residual check's factor
+# weight relative to the Gram trace
 AA_MEMORY = 10
 AA_PERIOD = 20
 AA_BUDGET = 100.0
 AA_DECAY = 1.1
 AA_RIDGE = 1e-10
-AA_RESTART = 2.0
 
 # The block families of the iterate, in their order in the flat vector.
 FAMILIES = ("x1", "x2", "v1", "v2")
@@ -316,19 +312,18 @@ class BlockSteps(NamedTuple):
 class ErrorSchedule:
     """Source of the additive error vectors.
 
-    :meth:`realize` gives the errors of one iteration, or of a run of
-    consecutive iterations, as one record per iteration, a
-    ``(3, size)`` float array laid out like the flat iterate
-    ``[x1 | x2 | v1 | v2]``: row 0 holds the ``a`` terms (``a11 | a12 |
-    a21 | a22``), row 1 the ``b`` terms and row 2 the ``c`` terms.  Every
-    element that carries no error holds -0.0: the blocks of an exact
-    evaluation and the x2 part of row 1, as there is no ``b12``.  In IEEE
-    arithmetic ``x + (-0.0)`` is ``x`` bit for bit, signed zeros, infinities
-    and NaN included, so :func:`step` adds a whole row where the per-block
-    update lines add their blocks.  The errors are made in this layout and
-    in no other: a generator's block is written into its row and slice of
-    the record, and the geometric schedule draws one normal per element of
-    the record.
+    :meth:`realize` gives the errors of a run of consecutive iterations,
+    one record per iteration, a ``(3, size)`` float array laid out like
+    the flat iterate ``[x1 | x2 | v1 | v2]``: row 0 holds the ``a`` terms
+    (``a11 | a12 | a21 | a22``), row 1 the ``b`` terms and row 2 the ``c``
+    terms.  Every element that carries no error holds -0.0: the blocks of
+    an exact evaluation and the x2 part of row 1, as there is no ``b12``.
+    In IEEE arithmetic ``x + (-0.0)`` is ``x`` bit for bit, signed zeros,
+    infinities and NaN included, so :func:`step` adds a whole row where the
+    per-block update lines add their blocks.  The errors are made in this
+    layout and in no other: a generator's block is written into its row
+    and slice of the record, and the geometric schedule draws one normal
+    per element of the record.
 
     ``generator(n, family, index, dim)`` returns the error vector for one
     block at iteration ``n``, or None for an exact evaluation; each vector
@@ -353,17 +348,13 @@ class ErrorSchedule:
         if self.generator is not None:
             object.__setattr__(self, "_draws", _block_by_block(self.generator))
 
-    def realize(self, n, layout, count=None):
-        """The error record of iteration n: a fresh ``(3, size)`` array with
-        -0.0 wherever there is no error, or None if all are exact.
-
-        With ``count``, the records of the run of iterations ``n`` to
-        ``n + count - 1`` at once: a fresh ``(count, 3, size)`` array whose
-        row ``j`` is bit for bit the record of iteration ``n + j`` (-0.0
-        throughout where that record is None), or None if every one of them
-        is exact.  A ``count`` that is not a positive integer raises
-        ``ValueError``.  :func:`solve` asks for runs of at most
-        ``ERROR_RUN`` (16) records, numbered by the state counter ``n`` it
+    def realize(self, n, layout, count):
+        """The records of the run of iterations ``n`` to ``n + count - 1``:
+        a fresh ``(count, 3, size)`` array whose row ``j`` is the record of
+        iteration ``n + j``, with -0.0 wherever there is no error, or None
+        if every one of them is exact.  A ``count`` that is not a positive
+        integer raises ``ValueError``.  :func:`solve` asks for runs of at
+        most ``ERROR_RUN`` (16) records, numbered by the state counter ``n`` it
         steps from and none past its last step, so it calls a generator up
         to 15 iterations ahead of the step that adds its output.
         """
@@ -371,15 +362,11 @@ class ErrorSchedule:
             return None
         if isinstance(n, bool) or not isinstance(n, Integral) or n < 0:
             raise ValueError(f"n must be a non-negative integer, got {n!r}")
-        if count is not None and (isinstance(count, bool)
-                                  or not isinstance(count, Integral)
-                                  or count < 1):
+        if isinstance(count, bool) or not isinstance(count, Integral) \
+                or count < 1:
             raise ValueError(
                 f"count must be a positive integer, got {count!r}")
-        records = self._draws(int(n), 1 if count is None else int(count),
-                              _lanes(layout))
-        return records if records is None or count is not None \
-            else records[0]
+        return self._draws(int(n), int(count), _lanes(layout))
 
 
 def _block_by_block(generator):
@@ -703,12 +690,12 @@ def step(spec, state, gamma, errors_at_n=None):
     :class:`TraceRecord` whose ``transversality_defect`` is None:
     :func:`solve` evaluates it; its ``gamma`` is the scale.
 
-    ``errors_at_n`` is an error record as :meth:`ErrorSchedule.realize`
-    makes it, or None for exact evaluation.  Its rows are added whole: the
-    ``a`` row to F(z) before it is scaled by gamma, the ``b`` row to J(s)
-    and the ``c`` row to F(p).  Its -0.0 elements leave their lines
-    unchanged bit for bit, so the step rounds as when only the erroneous
-    blocks were added.  The record is only read.
+    ``errors_at_n`` is an error record, one row of a run that
+    :meth:`ErrorSchedule.realize` makes, or None for exact evaluation.  Its
+    rows are added whole: the ``a`` row to F(z) before it is scaled by
+    gamma, the ``b`` row to J(s) and the ``c`` row to F(p).  Its -0.0
+    elements leave their lines unchanged bit for bit, so the step rounds
+    as when only the erroneous blocks were added.  The record is only read.
 
     Raises :class:`NumericError` naming the offending line and block, with
     ``iteration`` the counter of ``state``, if the intermediate points
@@ -920,13 +907,12 @@ def solve(spec, init, policy, errors=None, tol=DEFAULT_TOL,
     status = "max_iter"
     gamma = policy.steps(layout)
     # flat points, each the image of the one before: the last AA_MEMORY + 1
-    # steps since the last extrapolation
+    # steps since the last extrapolation, full at each attempt as
+    # AA_PERIOD >= AA_MEMORY + 2
     chain = deque(maxlen=AA_MEMORY + 2)
     # accepted counts the extrapolated points stepped from, the k of the
     # budget
     accepted = refused = 0
-    extrapolated = False
-    best = math.inf
     rec = None
     try:
         for it in range(max_iter):
@@ -937,12 +923,6 @@ def solve(spec, init, policy, errors=None, tol=DEFAULT_TOL,
             state, rec = step(spec, point, gamma,
                               None if run is None else run[j])
             point = state
-            disp = rec.displacement
-            if extrapolated and disp > AA_RESTART * best:
-                chain.clear()
-            extrapolated = False
-            if disp < best:
-                best = disp
             # the blocks step returns are views of one fresh vector
             chain.append(state.x1[0].base)
             d1, d2, d3, d4 = rec.partial_sums
@@ -950,9 +930,9 @@ def solve(spec, init, policy, errors=None, tol=DEFAULT_TOL,
             sum2 += d2
             sum3 += d3
             sum4 += d4
-            done = disp <= tol
-            if it % AA_PERIOD == AA_PERIOD - 1 and len(chain) > 2 \
-                    and not done and it < max_iter - 1:
+            done = rec.displacement <= tol
+            if it % AA_PERIOD == AA_PERIOD - 1 and not done \
+                    and it < max_iter - 1:
                 y = _extrapolate(chain, AA_BUDGET * trace[0].displacement
                                  * (accepted + 1) ** -AA_DECAY)
                 if y is None:
@@ -962,7 +942,6 @@ def solve(spec, init, policy, errors=None, tol=DEFAULT_TOL,
                     chain.clear()
                     chain.append(y)
                     point = _on_buffer(y, layout.blocks, state.n)
-                    extrapolated = True
             if it % trace_every == 0 or done or it == max_iter - 1:
                 trace.append(_kept(spec, state, rec, (sum1, sum2, sum3, sum4),
                                    accepted, refused))

@@ -48,6 +48,13 @@ def deblur_run():
     return run_demo(deblur_demo(), trace_every=1000)
 
 
+def error_record(schedule, n, layout):
+    """The error record of iteration n alone: row 0 of its run of one, or
+    None when it is exact."""
+    run = schedule.realize(n, layout, 1)
+    return None if run is None else run[0]
+
+
 def error_blocks(record, layout):
     """The blocks of an error record by family, in ``ERROR_FAMILIES`` order.
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import error_record
 from monosplit.cli import main as cli_main
 from monosplit.demos import lasso_demo, separation_demo
 from monosplit.errors import StepBoundError
@@ -271,7 +272,7 @@ def test_criterion_10_separation_bitwise():
             state = IterateState.zeros(system.layout)
             states = []
             for it in range(200):
-                errs = schedule.realize(it, system.layout)
+                errs = error_record(schedule, it, system.layout)
                 state, _ = step(system, state, policy.gamma_at(it), errs)
                 states.append(state)
             runs[name] = states

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import re
 from functools import reduce
@@ -245,6 +246,28 @@ def test_demo_separation_reports_identical(tmp_path):
     summary = read_summary(out)
     assert summary["separation_report"] == "identical"
     assert summary["iterations"] == 108
+
+
+def test_demo_separation_reports_a_divergent_half(tmp_path, capsys,
+                                                  monkeypatch):
+    # the dual half's r moves off the joint system's, so its trajectory
+    # leaves the joint one; the joint solve still runs and is written
+    def moved_dual(name):
+        demo = get_demo(name)
+        dual = demo.extras["dual_only"]
+        demo.extras["dual_only"] = dataclasses.replace(
+            dual, r=[dual.r[0] + 1.0])
+        return demo
+
+    monkeypatch.setattr(cli, "get_demo", moved_dual)
+    out = tmp_path / "sep"
+    assert main(["demo", "separation", "--out", str(out)]) == 1
+    summary = read_summary(out)
+    assert list(summary)[-2:] == ["demo", "separation_report"]
+    assert summary["separation_report"] == "divergent"
+    assert (summary["status"], summary["iterations"]) == ("converged", 108)
+    assert capsys.readouterr().out == ("separation: trajectories DIVERGENT; "
+                                       "joint solve status=converged\n")
 
 
 def test_demo_qp(tmp_path):

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import error_blocks
+from conftest import error_blocks, error_record
 from monosplit.errors import ConfigurationError
 from monosplit.problemio import load_problem, parse_problem
 from monosplit.prox import soft_threshold
@@ -136,8 +136,9 @@ def test_geometric_error_schedule_from_file():
     layout = problem["system"].layout
     seed = problem["solver"]["seed"]
     for n in (0, 7):
-        record = problem["errors"].realize(n, layout)
-        expected = geometric_schedule(0.9, 0.1, seed=seed).realize(n, layout)
+        record = error_record(problem["errors"], n, layout)
+        expected = error_record(geometric_schedule(0.9, 0.1, seed=seed), n,
+                                layout)
         assert record.tobytes() == expected.tobytes()
 
 
@@ -184,8 +185,9 @@ def test_integral_float_seed_is_accepted():
     doc_int["errors"] = {"name": "geometric", "params": {}}
     doc_int["solver"]["seed"] = 2
     layout = parse_problem(doc)["system"].layout
-    a = error_blocks(parse_problem(doc)["errors"].realize(3, layout), layout)
-    b = error_blocks(parse_problem(doc_int)["errors"].realize(3, layout),
+    a = error_blocks(error_record(parse_problem(doc)["errors"], 3, layout),
+                     layout)
+    b = error_blocks(error_record(parse_problem(doc_int)["errors"], 3, layout),
                      layout)
     for family in a:
         for x, y in zip(a[family], b[family]):

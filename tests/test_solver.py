@@ -11,7 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import error_blocks
+from conftest import error_blocks, error_record
 from monosplit.demos import (
     DEMO_NAMES,
     deblur_demo,
@@ -279,7 +279,7 @@ def test_kept_records_are_step_records_with_running_sums(trace_every,
     expected, state, sums = [], init, (0.0, 0.0, 0.0, 0.0)
     for it in range(stop + 1 if stop is not None else max_iter):
         state, rec = step(spec, state, policy.gamma_at(it),
-                          errors.realize(it, spec.layout))
+                          error_record(errors, it, spec.layout))
         sums = tuple(a + b for a, b in zip(sums, rec.partial_sums))
         expected.append(rec._replace(
             partial_sums=sums,
@@ -328,7 +328,7 @@ def test_solve_calls_a_generator_below_max_iter_only(max_iter, monkeypatch):
     state = init
     for it in range(max_iter):
         state, _ = step(spec, state, policy.gamma_at(it),
-                        sched.realize(it, layout))
+                        error_record(sched, it, layout))
     assert_states_equal(final, state)
 
 
@@ -370,15 +370,15 @@ def test_geometric_schedule_is_summable_and_reproducible():
     layout = SpaceLayout((3,), (2,), (2,), (2,))
     total = 0.0
     for n in range(200):
-        errs = error_blocks(sched.realize(n, layout), layout)
+        errs = error_blocks(error_record(sched, n, layout), layout)
         for family in ERROR_FAMILIES:
             for block in errs[family]:
                 total += float(np.linalg.norm(block))
                 assert np.linalg.norm(block) <= 0.1 * 0.9**n + 1e-15
     # geometric bound on the whole tail
     assert total <= 0.1 * len(ERROR_FAMILIES) / (1 - 0.9) + 1e-9
-    again = error_blocks(sched.realize(7, layout), layout)
-    errs = error_blocks(sched.realize(7, layout), layout)
+    again = error_blocks(error_record(sched, 7, layout), layout)
+    errs = error_blocks(error_record(sched, 7, layout), layout)
     for family in ERROR_FAMILIES:
         for a, b in zip(again[family], errs[family]):
             np.testing.assert_array_equal(a, b)
@@ -414,7 +414,7 @@ def separation_runs(errors=None, iters=150, policy=None):
         states = []
         gamma = policy.steps(system.layout)
         for it in range(iters):
-            errs = sched.realize(it, system.layout)
+            errs = error_record(sched, it, system.layout)
             state, _ = step(system, state, gamma, errs)
             states.append(state)
         out[name] = states
@@ -757,7 +757,7 @@ def test_flat_step_matches_per_block_step_exactly(name):
     gamma = make_policy(compute_beta(spec)).gamma_at(0)
     flat, ref = init.copy(), init.copy()
     for it in range(50):
-        errs = errors.realize(it, spec.layout) if errors else None
+        errs = error_record(errors, it, spec.layout) if errors else None
         flat, rec = step(spec, flat, gamma, errs)
         ref, ref_rec = reference_step(
             spec, ref, gamma,
@@ -969,7 +969,7 @@ def test_finite_block_whose_square_overflows_is_not_named():
 
 def test_step_reads_a_system_only_through_its_plan():
     spec, state, errors = exactness_case("dense_noisy")
-    errs = errors.realize(0, spec.layout)
+    errs = error_record(errors, 0, spec.layout)
     only_plan = types.SimpleNamespace(plan=spec.plan)
     new, rec = step(only_plan, state, 0.05, errs)
     expected, expected_rec = step(spec, state, 0.05, errs)
@@ -991,7 +991,7 @@ def test_step_is_pure():
     """Two calls with the same arguments give the same bytes and records,
     and neither writes into the state or the error record it was given."""
     spec, state, errors = exactness_case("dense_noisy")
-    errs = errors.realize(0, spec.layout)
+    errs = error_record(errors, 0, spec.layout)
     given = state_bytes(state), errs.tobytes()
     first, first_rec = step(spec, state, 0.05, errs)
     second, second_rec = step(spec, state, 0.05, errs)
@@ -1091,7 +1091,7 @@ def test_geometric_blocks_equal_the_keyed_reference(layout, seed):
                      for index, dim in enumerate(family_dims(layout, family))]
             for family in ERROR_FAMILIES
         }
-        record = sched.realize(n, layout)
+        record = error_record(sched, n, layout)
         assert_blocks_equal(error_blocks(record, layout), expected)
         # the x2 part of the b row, where no error enters, is -0.0
         assert is_exact(record[1][layout.blocks[1][0].start:
@@ -1104,7 +1104,7 @@ def test_geometric_blocks_of_a_many_block_layout_equal_the_reference():
     layout = SpaceLayout((2,), (2,) * s, (2,) * s, (2,) * s)
     sched = geometric_schedule(0.9, 0.1, seed=3)
     for n in (0, 9):
-        errs = error_blocks(sched.realize(n, layout), layout)
+        errs = error_blocks(error_record(sched, n, layout), layout)
         for family in ERROR_FAMILIES:
             index = len(errs[family]) - 1
             assert errs[family][-1].tobytes() == reference_geometric_block(
@@ -1114,8 +1114,9 @@ def test_geometric_blocks_of_a_many_block_layout_equal_the_reference():
 @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, 2**64 + 9])
 def test_geometric_seed_words_above_64_bits_change_the_draws(seed):
     # blocks of 10, as a block of one is scaled to +-amplitude * rho**n
-    a, b = (error_blocks(geometric_schedule(0.9, 0.1, seed=s).realize(
-        3, LASSO_LAYOUT), LASSO_LAYOUT) for s in (seed, seed + 2**64))
+    a, b = (error_blocks(error_record(geometric_schedule(0.9, 0.1, seed=s),
+                                      3, LASSO_LAYOUT), LASSO_LAYOUT)
+            for s in (seed, seed + 2**64))
     for family in ERROR_FAMILIES:
         assert a[family][0].tobytes() != b[family][0].tobytes(), family
 
@@ -1134,7 +1135,7 @@ def test_geometric_draws_are_standard_normal(monkeypatch):
     layout = SpaceLayout((1000,) * 2, (500,), (500,), (500,))
     sched = geometric_schedule(0.9, 0.1, seed=2024)
     for n in (0, 1):
-        sched.realize(n, layout)
+        error_record(sched, n, layout)
     first, second = drawn
     x = first
     size = x.size
@@ -1164,9 +1165,9 @@ def test_geometric_block_draw_ignores_other_blocks_dims():
         SpaceLayout((3, 1), (5, 8), (4, 9), (2, 3)),           # index 0 kept
     ]
     for n in (0, 5, 300):
-        a = error_blocks(sched.realize(n, base), base)
+        a = error_blocks(error_record(sched, n, base), base)
         for other in others:
-            b = error_blocks(sched.realize(n, other), other)
+            b = error_blocks(error_record(sched, n, other), other)
             shared = 0
             for family in ERROR_FAMILIES:
                 for x, y in zip(a[family], b[family]):
@@ -1178,13 +1179,13 @@ def test_geometric_block_draw_ignores_other_blocks_dims():
 
 def test_realize_out_of_order_repeats_blocks():
     sched = geometric_schedule(0.9, 0.1, seed=4)
-    first = sched.realize(7, UNEVEN_LAYOUT)
-    sched.realize(3, UNEVEN_LAYOUT)
-    again = sched.realize(7, UNEVEN_LAYOUT)
+    first = error_record(sched, 7, UNEVEN_LAYOUT)
+    error_record(sched, 3, UNEVEN_LAYOUT)
+    again = error_record(sched, 7, UNEVEN_LAYOUT)
     assert_records_equal(again, first, UNEVEN_LAYOUT)
     # each record is fresh: writing one changes no later one
     again[:] = 1.0
-    assert_records_equal(sched.realize(7, UNEVEN_LAYOUT), first,
+    assert_records_equal(error_record(sched, 7, UNEVEN_LAYOUT), first,
                          UNEVEN_LAYOUT)
 
 
@@ -1206,8 +1207,8 @@ def test_realize_run_rows_are_the_records_of_their_iterations(name, request):
         run = sched.realize(n, layout, count)
         assert run.shape == (count, 3, size)
         for j, record in enumerate(run):
-            assert record.tobytes() == sched.realize(
-                n + j, layout).tobytes(), (n, j)
+            assert record.tobytes() == error_record(
+                sched, n + j, layout).tobytes(), (n, j)
     # each run is fresh: writing one changes no later one
     again = sched.realize(n, layout, np.int64(count))
     assert again.tobytes() == run.tobytes()
@@ -1220,7 +1221,7 @@ def test_generator_run_rows_are_the_records_of_their_iterations():
         n, family, index, dim) if n % 3 == 1 else None)
     run = sched.realize(0, UNEVEN_LAYOUT, 6)
     for j, record in enumerate(run):
-        single = sched.realize(j, UNEVEN_LAYOUT)
+        single = error_record(sched, j, UNEVEN_LAYOUT)
         if single is None:  # an exact iteration is a row of -0.0
             assert is_exact(record)
         else:
@@ -1243,8 +1244,8 @@ def test_zero_norm_draw_in_a_run_is_an_exact_block(monkeypatch):
     sched = geometric_schedule(0.9, 0.1, seed=1)
     run = sched.realize(3, LASSO_LAYOUT, 3)
     for j, record in enumerate(run):
-        assert record.tobytes() == sched.realize(
-            3 + j, LASSO_LAYOUT).tobytes(), j
+        assert record.tobytes() == error_record(
+            sched, 3 + j, LASSO_LAYOUT).tobytes(), j
         c12 = error_blocks(record, LASSO_LAYOUT)["c12"][0]
         assert is_exact(c12) == (j == 1), j
 
@@ -1270,7 +1271,7 @@ def test_geometric_schedule_is_safe_to_share_across_threads():
         singles, runs = {}, {}
         for n in order:
             layout = layouts[(n + offset) % 2]
-            singles[n] = sched.realize(n, layout)
+            singles[n] = error_record(sched, n, layout)
             # runs of 1 to 16 records between the single realizations
             if n % 5 == offset % 5:
                 runs[n] = sched.realize(n, layout, 1 + n % longest_run)
@@ -1285,7 +1286,7 @@ def test_geometric_schedule_is_safe_to_share_across_threads():
     finally:
         sys.setswitchinterval(interval)
     alone = geometric_schedule(0.9, 0.1, seed=5)
-    expected = [{n: alone.realize(n, layout)
+    expected = [{n: error_record(alone, n, layout)
                  for n in range(ns.stop + longest_run)} for layout in layouts]
     for offset, (singles, runs) in enumerate(results):
         assert sorted(singles) == list(ns)
@@ -1315,7 +1316,8 @@ def test_zero_norm_draw_is_an_exact_block(monkeypatch):
     normals = solver._normals
     monkeypatch.setattr(solver, "_normals", zero_c12)
     n = 3
-    record = geometric_schedule(0.9, 0.1, seed=1).realize(n, LASSO_LAYOUT)
+    record = error_record(geometric_schedule(0.9, 0.1, seed=1), n,
+                          LASSO_LAYOUT)
     assert len(calls) == 1  # one draw of the whole record
     errs = error_blocks(record, LASSO_LAYOUT)
     for family in ERROR_FAMILIES:
@@ -1369,15 +1371,16 @@ def test_geometric_schedule_rejects_bad_arguments(kwargs):
 
 
 def test_geometric_schedule_accepts_numpy_floats():
-    a = geometric_schedule(np.float64(0.9), np.float64(0.1)).realize(
-        3, LASSO_LAYOUT)
-    b = geometric_schedule(0.9, 0.1).realize(3, LASSO_LAYOUT)
+    a = error_record(geometric_schedule(np.float64(0.9), np.float64(0.1)),
+                     3, LASSO_LAYOUT)
+    b = error_record(geometric_schedule(0.9, 0.1), 3, LASSO_LAYOUT)
     assert_records_equal(a, b, LASSO_LAYOUT)
 
 
 def test_geometric_schedule_accepts_numpy_integer_seed():
-    a = geometric_schedule(0.9, 0.1, seed=np.uint64(7)).realize(2, LASSO_LAYOUT)
-    b = geometric_schedule(0.9, 0.1, seed=7).realize(2, LASSO_LAYOUT)
+    a = error_record(geometric_schedule(0.9, 0.1, seed=np.uint64(7)), 2,
+                     LASSO_LAYOUT)
+    b = error_record(geometric_schedule(0.9, 0.1, seed=7), 2, LASSO_LAYOUT)
     assert_records_equal(a, b, LASSO_LAYOUT)
 
 
@@ -1393,7 +1396,7 @@ def test_custom_per_block_generator_is_read_block_by_block():
         return b21_only(n, family, index, dim)
 
     sched = ErrorSchedule(generator)
-    errs = error_blocks(sched.realize(4, UNEVEN_LAYOUT), UNEVEN_LAYOUT)
+    errs = error_blocks(error_record(sched, 4, UNEVEN_LAYOUT), UNEVEN_LAYOUT)
     assert [c[1:] for c in calls] == [
         (family, index, dim) for family in ERROR_FAMILIES
         for index, dim in enumerate(family_dims(UNEVEN_LAYOUT, family))]
@@ -1401,10 +1404,11 @@ def test_custom_per_block_generator_is_read_block_by_block():
     assert [list(b) for b in errs["b21"]] == [[1.0] * 2, [2.0] * 6]
     assert all(is_exact(e) for family in ERROR_FAMILIES if family != "b21"
                for e in errs[family])
-    assert ErrorSchedule(lambda *key: None).realize(0, LASSO_LAYOUT) is None
+    assert ErrorSchedule(lambda *key: None).realize(0, LASSO_LAYOUT, 1) \
+        is None
     wrong = ErrorSchedule(lambda n, family, index, dim: np.zeros(dim + 1))
     with pytest.raises(SpecificationError, match="family a11 block 0"):
-        wrong.realize(0, LASSO_LAYOUT)
+        wrong.realize(0, LASSO_LAYOUT, 1)
 
 
 @pytest.mark.parametrize("value", [1j, "1", True, object()],
@@ -1415,13 +1419,13 @@ def test_generator_non_real_block_is_an_error(value):
         if family == "b21" else None)
     with pytest.raises(SpecificationError,
                        match="family b21 block 0 returned .* real numbers"):
-        sched.realize(0, UNEVEN_LAYOUT)
+        sched.realize(0, UNEVEN_LAYOUT, 1)
 
 
 def test_generator_integer_blocks_are_read_as_floats():
     sched = ErrorSchedule(lambda n, family, index, dim: np.arange(
         dim, dtype=np.uint8 if index else np.int64))
-    errs = error_blocks(sched.realize(0, UNEVEN_LAYOUT), UNEVEN_LAYOUT)
+    errs = error_blocks(error_record(sched, 0, UNEVEN_LAYOUT), UNEVEN_LAYOUT)
     assert [b.tolist() for b in errs["b21"]] == [[0.0, 1.0],
                                                  [0.0, 1.0, 2.0, 3.0, 4.0,
                                                   5.0]]
@@ -1433,15 +1437,15 @@ def test_realize_rejects_a_bad_n_by_name(n):
     for sched in (geometric_schedule(0.9, 0.1), ErrorSchedule(b21_only)):
         with pytest.raises(ValueError,
                            match=r"^n must be a non-negative integer, got "):
-            sched.realize(n, LASSO_LAYOUT)
+            sched.realize(n, LASSO_LAYOUT, 1)
 
 
 def test_realize_takes_any_non_negative_integer_n():
     sched = geometric_schedule(0.9, 0.1, seed=3)
     for n, same in ((np.int64(5), 5), (np.uint64(2**63 + 1), 2**63 + 1),
                     (2**1100, 2**64)):  # n enters mod 2**64
-        assert_records_equal(sched.realize(n, UNEVEN_LAYOUT),
-                             sched.realize(same, UNEVEN_LAYOUT),
+        assert_records_equal(error_record(sched, n, UNEVEN_LAYOUT),
+                             error_record(sched, same, UNEVEN_LAYOUT),
                              UNEVEN_LAYOUT)
 
 
@@ -1456,7 +1460,7 @@ def test_exact_blocks_keep_signed_zeros_bit_for_bit():
     sched = ErrorSchedule(b21_only)
     ref = state.copy()
     for n in range(3):
-        record = sched.realize(n, layout)
+        record = error_record(sched, n, layout)
         state, rec = step(spec, state, 0.05, record)
         # the per-block step reads None, not -0.0, for the exact blocks
         ref, ref_rec = reference_step(spec, ref, 0.05, {
@@ -1498,7 +1502,7 @@ def test_exact_schedules_realize_without_looking_up_lanes(monkeypatch,
 
     monkeypatch.setattr(solver, "_lanes", no_lanes)
     for n, layout in ((0, LASSO_LAYOUT), (12345, UNEVEN_LAYOUT)):
-        assert schedule.realize(n, layout) is None
+        assert schedule.realize(n, layout, 1) is None
         assert schedule.realize(n, layout, 16) is None
 
 
@@ -1576,7 +1580,8 @@ def test_a_zero_budget_solve_is_repeated_step(case, monkeypatch):
     state, sums, expected = init, (0.0,) * 4, []
     gamma = policy.steps(spec.layout)
     for it in range(max_iter):
-        state, rec = step(spec, state, gamma, errors.realize(it, spec.layout))
+        state, rec = step(spec, state, gamma,
+                          error_record(errors, it, spec.layout))
         sums = tuple(a + b for a, b in zip(sums, rec.partial_sums))
         expected.append(rec._replace(
             partial_sums=sums,
@@ -1629,19 +1634,17 @@ def test_no_extrapolation_follows_the_last_iteration(monkeypatch):
         == transversality_defect(demo.system, final)
 
 
-def test_the_residual_check_clears_the_history(monkeypatch):
-    # the first extrapolation is replaced by a far point: the step from it
-    # moves more than AA_RESTART times the best displacement, so the
-    # history starts again from that step and the run goes on from its
-    # image; the far point was stepped from, so it counts as accepted
-    monkeypatch.setattr(solver, "AA_PERIOD", 5)
+def test_a_far_extrapolation_is_stepped_from_and_the_run_converges(
+        monkeypatch):
+    # the first extrapolation, at the shipped AA_PERIOD, is replaced by a
+    # far point: the run steps from it, counts it as accepted, starts a new
+    # history from it and still converges
     real = solver._extrapolate
     lengths = []
 
     def far_first(chain, budget):
         lengths.append(len(chain))
-        point = real(chain, budget)
-        return chain[-1] + 10.0 if len(lengths) == 1 else point
+        return chain[-1] + 10.0 if len(lengths) == 1 else real(chain, budget)
 
     monkeypatch.setattr(solver, "_extrapolate", far_first)
     calls = recorded_steps(monkeypatch)
@@ -1650,15 +1653,14 @@ def test_the_residual_check_clears_the_history(monkeypatch):
                                  IterateState.zeros(demo.system.layout),
                                  cli._policy(demo.system), tol=1e-8,
                                  trace_every=1)
-    assert status == "converged"
-    # the images of iterations 0-4, then of 5-9: the far point is gone
-    assert lengths[:2] == [5, 5]
-    bad = trace[5]  # the step from the far point, after iteration 4
-    assert (bad.aa_accepted, bad.aa_refused) == (1, 0)
-    assert bad.displacement > solver.AA_RESTART * min(
-        rec.displacement for rec in trace[:5])
-    assert calls[6][0].tobytes() == flat_state(calls[5][1]).tobytes()
-    assert trace[-1].aa_accepted >= 1
+    assert status == "converged" and final is calls[-1][1]
+    far = solver.AA_PERIOD  # the step from the far point
+    assert calls[far][0].tobytes() \
+        == (flat_state(calls[far - 1][1]) + 10.0).tobytes()
+    assert (trace[far].aa_accepted, trace[far].aa_refused) == (1, 0)
+    # every attempt, the first after the far point too, sees a full chain
+    assert len(lengths) > 1
+    assert set(lengths) == {solver.AA_MEMORY + 2}
 
 
 def test_extrapolate_refuses_a_degenerate_least_squares():
@@ -1668,6 +1670,8 @@ def test_extrapolate_refuses_a_degenerate_least_squares():
     assert point.shape == (6,) and np.isfinite(point).all()
     # beyond the budget
     assert solver._extrapolate(chain, 0.0) is None
+    # two points, one displacement: no difference to mix, a zero Gram trace
+    assert solver._extrapolate(chain[:2], math.inf) is None
     # equal displacements: a zero Gram trace
     steady = [np.full(6, 0.5 * i) for i in range(5)]
     assert solver._extrapolate(steady, math.inf) is None
