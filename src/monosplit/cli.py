@@ -12,6 +12,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
+from functools import cache
 
 import numpy as np
 
@@ -36,7 +37,9 @@ from .system import compute_beta, extract_solution, step_policy, validate
 TRACE_ENV = "SOLVER_TRACE_EVERY"
 
 
-def main(argv=None):
+@cache
+def _parser():
+    """The command line's parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="monosplit",
         description="Solver for coupled systems of composite monotone inclusions",
@@ -52,8 +55,11 @@ def main(argv=None):
     p_demo.add_argument("--out", required=True, help="output directory")
 
     sub.add_parser("check", help="run the fast invariant battery")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         # a finite state whose squares overflow steps on with an infinite
         # displacement, and a norm that overflows is an error: an overflow
@@ -144,13 +150,13 @@ def _run_and_write(system, init, policy, errors, tol, max_iter, trace_every,
         wall = time.perf_counter() - started
         sol = extract_solution(final, system)
         solution = {
-            "xbar": [list(map(float, b)) for b in sol.xbar],
-            "vbar": [list(map(float, b)) for b in sol.vbar],
+            "xbar": _floats(sol.xbar),
+            "vbar": _floats(sol.vbar),
             "state": {
-                "x1": [list(map(float, b)) for b in final.x1],
-                "x2": [list(map(float, b)) for b in final.x2],
-                "v1": [list(map(float, b)) for b in final.v1],
-                "v2": [list(map(float, b)) for b in final.v2],
+                "x1": _floats(final.x1),
+                "x2": _floats(final.x2),
+                "v1": _floats(final.v1),
+                "v2": _floats(final.v2),
             },
         }
         summary = {
@@ -185,11 +191,17 @@ def _run_and_write(system, init, policy, errors, tol, max_iter, trace_every,
                    for key, value in summary.items()}
         with _writing(out_dir):
             write_trace_csv(trace, os.path.join(out_dir, "trace.csv"))
-            for name, doc, indent in (("solution.json", solution, None),
-                                      ("summary.json", summary, 2)):
-                with open(os.path.join(out_dir, name), "w") as fh:
-                    json.dump(doc, fh, indent=indent)
+            # json.dumps encodes in C; json.dump, never one-shot, in Python
+            with open(os.path.join(out_dir, "solution.json"), "w") as fh:
+                fh.write(json.dumps(solution))
+            with open(os.path.join(out_dir, "summary.json"), "w") as fh:
+                json.dump(summary, fh, indent=2)
     return final, trace, status
+
+
+def _floats(blocks):
+    """Each block as a list of Python floats, for JSON."""
+    return [np.asarray(b, dtype=float).tolist() for b in blocks]
 
 
 def cmd_solve(path, out_dir):

@@ -310,7 +310,8 @@ def gaussian_blur_op(height, width, sigma=1.0, radius=2):
     every pixel of the axis, as the edge tap does, so each tail is summed
     into its edge tap: the same stencil matrix up to the order of the sums.
     A tail is summed in chunks of ``_TAIL_CHUNK`` taps, so memory stays
-    bounded and time is linear in ``min(radius, 39 sigma)``.  A kernel that
+    bounded and time is linear in ``min(radius, 39 sigma)``; a tail whose
+    farthest tap rounds to 1.0 is its tap count, at once.  A kernel that
     fits the image gives the taps bit for bit.
     """
     _check_blur_grid(height, width)
@@ -325,6 +326,10 @@ def gaussian_blur_op(height, width, sigma=1.0, radius=2):
         return np.exp(-0.5 * (ax / sigma) ** 2)
 
     def tail(lo, hi):
+        if gauss(reach, reach + 1)[0] == 1.0:
+            # the taps fall with |offset| and the farthest is 1.0: every
+            # tap is, and the chunks would sum to the count exactly
+            return float(hi - lo)
         return sum(gauss(start, min(start + _TAIL_CHUNK, hi)).sum()
                    for start in range(lo, hi, _TAIL_CHUNK))
 

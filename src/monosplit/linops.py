@@ -233,35 +233,70 @@ def materialize(op):
                     axis=1)
 
 
+def probe_points(seed, trials, x_dim, y_dim):
+    """``trials`` pairs of seeded standard normal points, as two arrays of
+    ``trials`` rows.
+
+    The points are drawn in one batch: as a Generator fills in order, row
+    ``t`` holds the x and the y that ``trials`` rounds of
+    ``standard_normal(x_dim)`` then ``standard_normal(y_dim)`` would have
+    drawn in round ``t``.
+    """
+    draw = np.random.default_rng(seed).standard_normal(
+        (trials, x_dim + y_dim))
+    return draw[:, :x_dim], draw[:, x_dim:]
+
+
+def stack_values(fn, points, dim):
+    """``fn`` of each row of ``points``, stacked, and whether each value
+    had shape ``(dim,)``; a ragged or misshaped stack is not."""
+    values = [fn(p) for p in points]
+    try:
+        rows = np.array(values)
+    except ValueError:  # ragged: some value has another shape
+        return values, False
+    return rows, rows.shape == (len(points), dim)
+
+
+def largest_defect(defects):
+    """The largest of ``defects``, ignoring NaN, and never below 0.0."""
+    return max(0.0, float(np.fmax.reduce(defects)))
+
+
 def adjoint_check(op, trials=100, seed=0):
     """Largest relative defect of the adjoint pairing over random probes.
 
-    Draws ``trials`` pairs (x, y) from a seeded standard normal stream and
-    returns ``max |<Lx,y> - <x,L*y>| / (1 + |<Lx,y>|)``.
+    Draws ``trials`` pairs (x, y) from a seeded standard normal stream, in
+    one batch (:func:`probe_points`), and returns
+    ``max |<Lx,y> - <x,L*y>| / (1 + |<Lx,y>|)``; each map is called once
+    per point, and each pairing is one dot per row.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        x = rng.standard_normal(op.in_dim)
-        y = rng.standard_normal(op.out_dim)
-        lx = np.asarray(op.apply(x))
-        lty = np.asarray(op.adjoint_apply(y))
-        if lx.shape != (op.out_dim,):
-            raise SpecificationError(
-                f"operator '{op.tag}': apply returned shape {lx.shape}, "
-                f"expected ({op.out_dim},)"
-            )
-        if lty.shape != (op.in_dim,):
-            raise SpecificationError(
-                f"operator '{op.tag}': adjoint_apply returned shape {lty.shape}, "
-                f"expected ({op.in_dim},)"
-            )
-        a = float(np.dot(lx, y))
-        b = float(np.dot(x, lty))
-        worst = max(worst, abs(a - b) / (1.0 + abs(a)))
-    return worst
+    xs, ys = probe_points(seed, trials, op.in_dim, op.out_dim)
+    lx, lx_shaped = stack_values(op.apply, xs, op.out_dim)
+    lty, lty_shaped = stack_values(op.adjoint_apply, ys, op.in_dim)
+    if not (lx_shaped and lty_shaped):
+        # name the first misshaped value, in the order of the probes
+        for u, v in zip(lx, lty):
+            shape = np.asarray(u).shape
+            if shape != (op.out_dim,):
+                raise SpecificationError(
+                    f"operator '{op.tag}': apply returned shape {shape}, "
+                    f"expected ({op.out_dim},)"
+                )
+            shape = np.asarray(v).shape
+            if shape != (op.in_dim,):
+                raise SpecificationError(
+                    f"operator '{op.tag}': adjoint_apply returned shape "
+                    f"{shape}, expected ({op.in_dim},)"
+                )
+    # a defect is a number: an overflow is an infinite one and inf - inf a
+    # NaN, which largest_defect passes over; neither is worth a warning
+    with np.errstate(all="ignore"):
+        a = np.vecdot(lx, ys)
+        b = np.vecdot(xs, lty)
+        return largest_defect(np.abs(a - b) / (1.0 + np.abs(a)))
 
 
 def operator_norm(op):

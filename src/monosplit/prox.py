@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError, SpecificationError
 from .linops import (LinOp, OpNormEstimate, certified, dense_op, integer_dims,
-                     materialize)
+                     largest_defect, materialize, probe_points, stack_values)
 
 # Conjugate-side set membership (dual balls, ranges) tolerates only
 # floating-point noise: loosening it would report lower bounds that are not.
@@ -119,27 +119,32 @@ def coupling_defects(coupling, trials=50, seed=11):
     """Worst Lipschitz and monotonicity violations over random probes.
 
     Returns ``(lipschitz_defect, monotonicity_defect)`` where the first is
-    ``max ||Cx-Cy|| - nu0 ||x-y||`` and the second ``max -( <Cx-Cy, x-y> )``.
-    Raises :class:`SpecificationError` when ``apply`` returns anything but
-    a vector of length ``total_dim``.
+    ``max ||Cx-Cy|| - nu0 ||x-y||`` and the second ``max -( <Cx-Cy, x-y> )``
+    over ``trials`` pairs (x, y), drawn in one batch
+    (:func:`~monosplit.linops.probe_points`); ``apply`` is called once per
+    point, and each norm and pairing is one dot per row.  Raises
+    :class:`SpecificationError` when ``apply`` returns anything but a
+    vector of length ``total_dim``.
     """
-    rng = np.random.default_rng(seed)
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     n = coupling.total_dim
-    lip = 0.0
-    mono = 0.0
-    for _ in range(trials):
-        x = rng.standard_normal(n)
-        y = rng.standard_normal(n)
-        cx = np.asarray(coupling.apply(x))
-        if cx.shape != (n,):
-            raise SpecificationError(
-                f"coupling '{coupling.tag}': apply returned shape {cx.shape}, "
-                f"expected ({n},)")
-        cy = np.asarray(coupling.apply(y))
-        lip = max(lip, float(np.linalg.norm(cx - cy)
-                             - coupling.nu0 * np.linalg.norm(x - y)))
-        mono = max(mono, float(-np.dot(cx - cy, x - y)))
-    return lip, mono
+    xs, ys = probe_points(seed, trials, n, n)
+    cx, cx_shaped = stack_values(coupling.apply, xs, n)
+    cy, cy_shaped = stack_values(coupling.apply, ys, n)
+    if not (cx_shaped and cy_shaped):
+        # name the first misshaped value, in the order of the probes
+        for value in (v for pair in zip(cx, cy) for v in pair):
+            shape = np.asarray(value).shape
+            if shape != (n,):
+                raise SpecificationError(
+                    f"coupling '{coupling.tag}': apply returned shape "
+                    f"{shape}, expected ({n},)")
+    with np.errstate(all="ignore"):  # an overflow is an infinite defect
+        dc, dz = cx - cy, xs - ys
+        lip = (np.sqrt(np.vecdot(dc, dc))
+               - coupling.nu0 * np.sqrt(np.vecdot(dz, dz)))
+        return largest_defect(lip), largest_defect(-np.vecdot(dc, dz))
 
 
 # ---------------------------------------------------------------------------

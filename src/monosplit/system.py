@@ -358,8 +358,11 @@ def validate(spec):
     operator returns vectors of its declared lengths and passes the
     adjoint check, the coupling returns vectors of its total length and
     respects its Lipschitz constant and monotonicity on random probes, and
-    beta is strictly positive and finite.  A mis-shaped map is listed by
-    name, and the step bounds (:attr:`SystemSpec.bounds`) are then not
+    beta is strictly positive and finite.  Each probe draws its points in
+    one batch and calls each map once per point
+    (:func:`~monosplit.linops.adjoint_check`,
+    :func:`~monosplit.prox.coupling_defects`).  A mis-shaped map is listed
+    by name, and the step bounds (:attr:`SystemSpec.bounds`) are then not
     computed.  The layout itself is checked when the
     :class:`SystemSpec` is built.
     """

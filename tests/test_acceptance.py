@@ -17,7 +17,7 @@ from conftest import error_record
 from monosplit.cli import main as cli_main
 from monosplit.demos import lasso_demo, separation_demo
 from monosplit.errors import StepBoundError
-from monosplit.linops import dense_op, materialize, compose
+from monosplit.linops import NORM_SAFETY, dense_op, materialize, compose
 from monosplit.minimization import primal_surrogate
 from monosplit.oracles import dense_svd_norm, grid_refine_minimize
 from monosplit.prox import (
@@ -254,7 +254,7 @@ def test_criterion_09_beta_arithmetic():
             + dense_svd_norm(materialize(spec.M[k])) ** 2
             for k in range(2))
         by_hand = float(np.sqrt(total + peak))
-        inside = by_hand - 1e-8 <= beta <= 1.01 * by_hand + 1e-8
+        inside = by_hand - 1e-8 <= beta <= NORM_SAFETY * by_hand + 1e-8
         ok &= inside
         detail.append(f"{beta:.6f}/{by_hand:.6f}")
     report(9, ok, "power/svd " + ", ".join(detail))

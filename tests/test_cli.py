@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import json
@@ -15,7 +16,7 @@ from monosplit.errors import NumericError
 from monosplit.prox import soft_threshold
 from monosplit.solver import TRACE_COLUMNS
 from monosplit.problemio import load_problem
-from monosplit.system import compute_beta
+from monosplit.system import compute_beta, extract_solution
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -291,6 +292,52 @@ def test_shipped_problem_file_is_the_demo(name, tmp_path, monkeypatch):
     assert main(["demo", name, "--out", str(demo)]) == 0
     for output in ("solution.json", "trace.csv"):
         assert (solved / output).read_bytes() == (demo / output).read_bytes()
+
+
+def test_solution_json_is_the_bytes_of_a_json_dump(tmp_path, monkeypatch):
+    # solution.json is written by json.dumps, in C; json.dump, in Python, of
+    # the blocks as lists of floats wrote the same bytes
+    runs = []
+
+    def recorded(system, *args, **kwargs):
+        result = solver.solve(system, *args, **kwargs)
+        runs.append((system, result[0]))
+        return result
+
+    monkeypatch.setattr(cli, "solve", recorded)
+    out = tmp_path / "qp"
+    assert main(["solve", str(PROBLEMS / "qp.json"), "--out", str(out)]) == 0
+    (system, final), = runs
+    sol = extract_solution(final, system)
+    blocks = {"xbar": sol.xbar, "vbar": sol.vbar, "x1": final.x1,
+              "x2": final.x2, "v1": final.v1, "v2": final.v2}
+    old = {key: [list(map(float, b)) for b in value]
+           for key, value in blocks.items()}
+    old = {"xbar": old["xbar"], "vbar": old["vbar"],
+           "state": {key: old[key] for key in ("x1", "x2", "v1", "v2")}}
+    with open(tmp_path / "old.json", "w") as fh:
+        json.dump(old, fh)
+    assert (out / "solution.json").read_bytes() == (
+        tmp_path / "old.json").read_bytes()
+
+
+def test_the_parser_is_built_once(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    monkeypatch.setattr(cli, "cmd_solve", lambda path, out: 0)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(2):
+            assert main(["solve", "p.json", "--out", "o"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert built.count("monosplit") == 1
 
 
 def test_demo_deblur_writes_images(tmp_path):

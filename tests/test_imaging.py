@@ -349,6 +349,48 @@ def test_a_wide_gaussian_builds_in_bounded_memory():
     assert peak < 16e6
 
 
+def chunked_gaussian_taps(n, sigma, radius):
+    """The folded 1-D taps with every tail summed chunk by chunk."""
+    reach = radius if not 39.0 * sigma < radius else int(np.ceil(39.0 * sigma))
+
+    def gauss(lo, hi):
+        return np.exp(-0.5 * (np.arange(lo, hi, dtype=float) / sigma) ** 2)
+
+    def tail(lo, hi):
+        return sum(gauss(start, min(start + imaging._TAIL_CHUNK, hi)).sum()
+                   for start in range(lo, hi, imaging._TAIL_CHUNK))
+
+    fit = min(reach, n - 1)
+    g = gauss(-fit, fit + 1)
+    if fit < reach:
+        g[0] += tail(-reach, -fit)
+        g[-1] += tail(fit + 1, reach + 1)
+    return np.pad(g, min(radius, n - 1) - fit)
+
+
+@pytest.mark.parametrize("height, width, sigma, radius", [
+    (4, 4, 1e300, 10), (3, 5, 1e300, 3 * 10**5), (4, 4, 1e14, 10**5),
+    (4, 4, 1e8, 10**5), (2, 6, 1.0, 10**5),
+], ids=["all-ones", "all-ones-wide", "ones-at-the-reach", "falling",
+        "underflowing"])
+def test_a_tail_of_ones_is_its_count_bit_for_bit(height, width, sigma,
+                                                  radius):
+    kernel = np.outer(chunked_gaussian_taps(height, sigma, radius),
+                      chunked_gaussian_taps(width, sigma, radius))
+    kernel /= kernel.sum()
+    expected = imaging._stencil_matrix(height, width, kernel)
+    op = gaussian_blur_op(height, width, sigma=sigma, radius=radius)
+    assert op.matrix.tobytes() == expected.tobytes()
+
+
+def test_a_tail_of_ones_builds_at_once_at_any_radius():
+    # summed tap by tap, radius 10**8 took 5.1 s
+    started = time.perf_counter()
+    op = gaussian_blur_op(4, 4, sigma=1e300, radius=10**9)
+    assert time.perf_counter() - started < 1.0
+    np.testing.assert_allclose(op.matrix.sum(axis=1), 1.0, rtol=1e-12)
+
+
 @pytest.mark.parametrize("builder", [box_blur_op, gaussian_blur_op])
 def test_blurs_reject_empty_grids(builder):
     with pytest.raises(ConfigurationError, match="height, width >= 1"):
